@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import kernels
 from .rootsys import (
     LieType,
     RootSystem,
     build_root_system,
-    weight_to_root_coords,
+    connected_components,
+    fundamental_weight,
+    integral_root_coords,
+    scaled_root_coords,
+    subdiagram_type,
 )
 from .weylgroup import dominant_representative, orbit_cap, orbit_size
 
@@ -106,7 +108,8 @@ def weyl_dim(rs: RootSystem, lam) -> int:
                 b += rc[i] * rs.slen2[i]
         num *= a
         den *= b
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Weyl dimension of {lam} on {rs.lie_type} is not integral")
     return num // den
 
 
@@ -285,47 +288,6 @@ def irr_dim(rs: RootSystem, lam, chi: Characteristic):
 # Levi reduction
 
 
-def _connected_components(rs: RootSystem, nodes):
-    adj = {i: [] for i in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i < j and rs.cartan[i][j] != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    comps = []
-    left = set(nodes)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        left -= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def levi_subdiagram_type(rs: RootSystem, nodes):
-    """(LieType, Bourbaki-ordered original nodes) for a connected subset."""
-    fam = rs.lie_type.family
-    n = rs.rank
-    k = len(nodes)
-    nodeset = set(nodes)
-    order = sorted(nodes)
-    if fam in ("B", "C") and (n - 1) in nodeset:
-        sub = LieType(fam, k) if k >= 2 else LieType("A", 1)
-        return sub, order
-    if fam == "D" and (n - 2) in nodeset and (n - 1) in nodeset:
-        if k < 3:
-            raise ValueError("disconnected fork nodes")
-        return LieType("D", k), order
-    return LieType("A", k), order
-
-
 def levi_reduce(rs: RootSystem, lam, mu):
     """Reduce m_{V}(mu) to a Levi subsystem when lam - mu has connected support.
 
@@ -334,18 +296,17 @@ def levi_reduce(rs: RootSystem, lam, mu):
     """
     lam = rs.check_weight(lam)
     mu = rs.check_weight(mu)
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    rc = weight_to_root_coords(rs, diff)
-    if any(x.denominator != 1 or x < 0 for x in rc):
+    rc = integral_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
+    if rc is None or any(x < 0 for x in rc):
         raise ValueError("lam - mu is not a non-negative root-lattice element")
     nodes = [i for i, x in enumerate(rc) if x != 0]
     if not nodes:
         return None, (), ()
-    comps = _connected_components(rs, nodes)
+    comps = connected_components(rs, nodes)
     if len(comps) > 1:
         raise ValueError("support of lam - mu is not connected")
-    sub_type, order = levi_subdiagram_type(rs, comps[0])
-    sub_rs = build_root_system(sub_type)
+    (order,) = comps
+    sub_rs = build_root_system(subdiagram_type(rs, order))
     sub_lam = tuple(lam[i] for i in order)
     sub_mu = tuple(mu[i] for i in order)
     return sub_rs, sub_lam, sub_mu
@@ -392,19 +353,14 @@ def _product_character_cached(types, hw_parts, cap):
 
 def _height_scalers(rs_list):
     """Integer per-coordinate height vectors, common scale across factors."""
+    # the height of lambda_i is sums[i] / inv_den, reduced to lowest terms
+    # before taking the common denominator
     vecs = []
-    denom = 1
     for rs in rs_list:
-        hv = []
-        for i in range(rs.rank):
-            s = sum((rs.inverse_cartan[i][j] for j in range(rs.rank)), Fraction(0))
-            hv.append(s)
-            denom = denom * s.denominator // np.gcd(denom, s.denominator)
-        vecs.append(hv)
-    out = []
-    for hv in vecs:
-        out.append(tuple(int(x * denom) for x in hv))
-    return out
+        sums = [sum(scaled_root_coords(rs, fundamental_weight(rs, i))) for i in range(1, rs.rank + 1)]
+        vecs.append((rs.inv_den, sums))
+    denom = math.lcm(*(d // math.gcd(x, d) for d, sums in vecs for x in sums))
+    return [tuple(x * denom // d for x in sums) for d, sums in vecs]
 
 
 def weyl_character_subtract(rs_list, weight_multiset, cap=None):

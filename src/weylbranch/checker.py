@@ -25,9 +25,10 @@ from .embeddings import (
     ell_value,
     existence_ok,
     kappa_of,
+    p_condition_ok,
     restrict_weight,
 )
-from .rootsys import LieType, build_root_system
+from .rootsys import LieType, build_root_system, integral_root_coords, pairing
 from .weylgroup import orbit_cap
 
 PASS = "PASS"
@@ -56,26 +57,6 @@ class BranchReport:
     kappa_found: int | None = None
     dim_lhs: int | None = None
     dim_rhs: int | None = None
-
-
-def p_condition_ok(cond: str, p: int) -> bool:
-    cond = cond.strip()
-    if cond in ("", "any"):
-        return True
-    for clause in cond.split("&"):
-        clause = clause.strip()
-        if clause.startswith("p!="):
-            if p == int(clause[3:]):
-                return False
-        elif clause.startswith("p>="):
-            if p < int(clause[3:]):
-                return False
-        elif clause.startswith("p="):
-            if p != int(clause[2:]):
-                return False
-        else:
-            raise ValueError(f"unparseable p-condition {cond!r}")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +143,28 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
 # necessary-condition filters (valid in every characteristic)
 
 
-def _under(e: Embedding, w, c):
-    """Is w under c: difference in the non-negative factor root lattice, equal charges."""
+def _factor_root_coords(e: Embedding, w, c):
+    """Per-factor integer root coordinates of c - w, if w is under c, else None.
+
+    w is under c when the charges agree and c - w lies in the non-negative
+    root lattice of every factor.
+    """
     pw, chw = e.split(w)
     pc, chc = e.split(c)
     if chw != chc:
-        return False
-    for f, rs in enumerate(e.factor_systems):
-        diff = tuple(a - b for a, b in zip(pc[f], pw[f]))
-        inv = rs.inverse_cartan
-        for j in range(rs.rank):
-            v = sum(diff[i] * inv[i][j] for i in range(rs.rank))
-            if v < 0 or v.denominator != 1:
-                return False
-    return True
+        return None
+    out = []
+    for rs, a, b in zip(e.factor_systems, pc, pw):
+        rc = integral_root_coords(rs, tuple(x - y for x, y in zip(a, b)))
+        if rc is None or any(x < 0 for x in rc):
+            return None
+        out.append(rc)
+    return out
+
+
+def _under(e: Embedding, w, c):
+    """Is w under c: difference in the non-negative factor root lattice, equal charges."""
+    return _factor_root_coords(e, w, c) is not None
 
 
 def _diagram_paths(rs):
@@ -207,8 +196,6 @@ def _chain_weights(rs, lam, chi):
     vanish mod p (the commutator [e, f] acts by it on the highest vector),
     and for all of the Weyl support when p = 0 or p > e(G).
     """
-    from .rootsys import pairing
-
     cartan = rs.cartan_np
     out = []
     saturated = chi.p == 0 or chi.p > rs.eG
@@ -284,26 +271,8 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
 
 def _is_simple_root_drop(e: Embedding, w, c):
     """True iff c - w is a single simple root of a single factor."""
-    pw, chw = e.split(w)
-    pc, chc = e.split(c)
-    if chw != chc:
-        return False
-    hits = 0
-    for f, rs in enumerate(e.factor_systems):
-        diff = tuple(a - b for a, b in zip(pc[f], pw[f]))
-        if all(d == 0 for d in diff):
-            continue
-        inv = rs.inverse_cartan
-        coords = []
-        for j in range(rs.rank):
-            v = sum(diff[i] * inv[i][j] for i in range(rs.rank))
-            if v.denominator != 1 or v < 0:
-                return False
-            coords.append(int(v))
-        if sum(coords) != 1:
-            return False
-        hits += 1
-    return hits == 1
+    coords = _factor_root_coords(e, w, c)
+    return coords is not None and sum(sum(rc) for rc in coords) == 1
 
 
 def ford_condition_check(lam, n: int, chi: Characteristic) -> bool:
@@ -339,15 +308,26 @@ def _semisimple_part(e: Embedding, hw):
     return tuple(hw[: e.semisimple_rank])
 
 
+def entry_gate(entry: ClassificationEntry, p: int):
+    """(embedding, first reason the entry does not apply at p, or None).
+
+    The embedding is None when the p-condition already fails, so that it is
+    only built for entries that get as far as the existence check.
+    """
+    if not p_condition_ok(entry.p_condition, p):
+        return None, {"kind": "p-condition-unsatisfied", "condition": entry.p_condition, "p": p}
+    e = build_embedding(entry.ambient, entry.family)
+    if not existence_ok(e, p):
+        return e, {"kind": "subgroup-existence", "condition": e.existence, "p": p}
+    return e, None
+
+
 def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> BranchReport:
     p = chi.p
     rep = BranchReport(factors={}, dims={}, verdict=INCONCLUSIVE)
-    if not p_condition_ok(entry.p_condition, p):
-        rep.reasons.append({"kind": "p-condition-unsatisfied", "condition": entry.p_condition, "p": p})
-        return rep
-    e = build_embedding(entry.ambient, entry.family)
-    if not existence_ok(e, p):
-        rep.reasons.append({"kind": "subgroup-existence", "condition": e.existence, "p": p})
+    e, reason = entry_gate(entry, p)
+    if reason is not None:
+        rep.reasons.append(reason)
         return rep
     rs = build_root_system(entry.ambient)
     lam = tuple(int(c) for c in entry.lam)

@@ -18,6 +18,7 @@ from .checker import (
     FAIL,
     IRREDUCIBLE,
     branch_p0,
+    entry_gate,
     scan_candidates,
     verify_entry,
 )
@@ -187,7 +188,7 @@ def cmd_scan(args) -> int:
             if entry.ambient == t
             and entry.family == fam
             and sum(entry.lam) <= args.bound
-            and verify_entry_applicable(entry, chi)
+            and entry_gate(entry, chi.p)[1] is None
         )
         found = sorted(lam for lam, v in results if v == IRREDUCIBLE)
         record = {"assert": found == expected, "expected": [list(x) for x in expected], "found": [list(x) for x in found]}
@@ -197,16 +198,6 @@ def cmd_scan(args) -> int:
             return 1
         print("scan: assertion passed", file=sys.stderr)
     return 0
-
-
-def verify_entry_applicable(entry, chi) -> bool:
-    from .checker import p_condition_ok
-    from .embeddings import existence_ok
-
-    if not p_condition_ok(entry.p_condition, chi.p):
-        return False
-    e = build_embedding(entry.ambient, entry.family)
-    return existence_ok(e, chi.p)
 
 
 def cmd_rootsys_info(args) -> int:

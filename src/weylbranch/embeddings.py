@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rootsys import LieType, build_root_system
+from .rootsys import LieType, build_root_system, scaled_root_coords
 
 A1 = LieType("A", 1)
 
@@ -196,16 +196,6 @@ def central_multiplicity(e: Embedding, hw) -> int:
     return 1 << ((t - 1) // 2)
 
 
-def component_orbit(e: Embedding, act: ComponentAction, hw):
-    """Orbit of hw with central-multiplicity repetitions; its length is kappa."""
-    orbit = component_orbit_set(e, hw)
-    mult = central_multiplicity(e, hw)
-    out = []
-    for w in orbit:
-        out.extend([w] * mult)
-    return out
-
-
 def kappa_of(e: Embedding, hw) -> int:
     return len(component_orbit_set(e, hw)) * central_multiplicity(e, hw)
 
@@ -236,44 +226,48 @@ def ell_value(e: Embedding, mu_h, lambda_h, sigma):
     # pairs (the flip moves lambda by a half-integral multiple of b_{l-1}-b_l)
     pairable = e.family.tag == "c4ii" and all(f.family == "D" for f in e.factors)
     for f, rs in enumerate(e.factor_systems):
-        diff = tuple(a - b for a, b in zip(parts_mu[f], permuted[f]))
-        inv = rs.inverse_cartan
-        coords = [
-            sum((Fraction(diff[i]) * inv[i][j] for i in range(rs.rank)), Fraction(0))
-            for j in range(rs.rank)
-        ]
-        for j, c in enumerate(coords):
+        d = rs.inv_den
+        scaled = scaled_root_coords(rs, tuple(a - b for a, b in zip(parts_mu[f], permuted[f])))
+        for j, c in enumerate(scaled):
             if pairable and j >= rs.rank - 2:
                 continue
-            if c.denominator != 1:
+            if c % d:
                 raise ValueError(
                     f"correction not in the root lattice of factor {f + 1} (coordinate {j + 1})"
                 )
-        if pairable and (coords[-2] + coords[-1]).denominator != 1:
+        if pairable and (scaled[-2] + scaled[-1]) % d:
             raise ValueError(f"correction not in the root lattice of factor {f + 1} (fork pair)")
-        for j, c in enumerate(coords):
-            comps[j] += c
+        for j, c in enumerate(scaled):
+            comps[j] += Fraction(c, d)
     total = sum(comps, Fraction(0))
     if total.denominator == 1:
         total = int(total)
     return total, tuple(comps)
 
 
-def existence_ok(e: Embedding, p: int) -> bool:
-    cond = e.existence
-    if cond == "any":
+def p_condition_ok(cond: str, p: int) -> bool:
+    """Whether p satisfies a condition: 'any', or '&'-joined 'p!=k', 'p>=k', 'p=k'."""
+    cond = cond.strip()
+    if cond in ("", "any"):
         return True
     for clause in cond.split("&"):
         clause = clause.strip()
         if clause.startswith("p!="):
             if p == int(clause[3:]):
                 return False
+        elif clause.startswith("p>="):
+            if p < int(clause[3:]):
+                return False
         elif clause.startswith("p="):
             if p != int(clause[2:]):
                 return False
         else:
-            raise ValueError(f"bad existence condition {cond!r}")
+            raise ValueError(f"unparseable p-condition {cond!r}")
     return True
+
+
+def existence_ok(e: Embedding, p: int) -> bool:
+    return p_condition_ok(e.existence, p)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,8 @@ def _gen_block_transposition(builder, f1, f2, charge_perm=None):
     perm = list(range(len(builder.factors)))
     g1 = builder.groups[f1 - 1]
     g2 = builder.groups[f2 - 1]
-    assert len(g1) == len(g2)
+    if len(g1) != len(g2):
+        raise ValueError(f"factors {f1} and {f2} have different materialized shapes")
     for a, b in zip(g1, g2):
         perm[a], perm[b] = b, a
     cop = ("perm", tuple(charge_perm)) if charge_perm is not None else ("id",)
@@ -998,7 +993,6 @@ def format_h0_weight(e: Embedding, hw) -> str:
     parts, charges = e.split(hw)
     terms = []
     for gi, grp in enumerate(e.factor_groups, start=1):
-        fam, r = None, None
         coeffs = []
         for mi in grp:
             coeffs.extend(parts[mi])

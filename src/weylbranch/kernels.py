@@ -4,7 +4,7 @@ Each kernel is written once in a numba-compatible subset of numpy Python; a
 factory instantiates it twice, once over plain-Python helpers and once over
 ``@njit``-compiled helpers.  Dispatch between the two is controlled by the
 ``WEYLBRANCH_NO_NUMBA`` environment variable (set to ``1`` to force the pure
-path); ``benchmarks/bench_kernels.py`` times both.
+path).
 
 Both paths are exact over int64.  The wrappers bound the inputs so that no
 intermediate value can overflow, and the kernels flag arithmetic anomalies
@@ -22,6 +22,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .rootsys import scaled_root_coords
 
 try:
     from numba import njit as _njit
@@ -351,15 +353,10 @@ def saturate_bits(rs, lam) -> int:
     Any dominant mu <= lam satisfies mu_i <= max(lam) + 2 * height(lam), since
     the root coordinates of lam - mu are bounded by those of lam.
     """
-    from fractions import Fraction
-
-    n = rs.rank
-    h = Fraction(0)
-    for j in range(n):
-        h += sum((Fraction(lam[i]) * rs.inverse_cartan[i][j] for i in range(n)), Fraction(0))
-    bound = (max(lam) if lam else 0) + 2 * int(h) + 3
+    h = sum(scaled_root_coords(rs, lam)) // rs.inv_den  # lam dominant: h >= 0
+    bound = (max(lam) if lam else 0) + 2 * h + 3
     bits = max(2, int(bound).bit_length() + 1)
-    if n * bits > 62:
+    if rs.rank * bits > 62:
         raise KernelCapacityError(f"weight {lam} on {rs.lie_type} exceeds exact-kernel capacity")
     return bits
 

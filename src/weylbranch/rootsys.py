@@ -1,9 +1,11 @@
 """Exact root-system data and weight-lattice arithmetic for types A/B/C/D.
 
 All data is in Bourbaki labelling.  Weights are plain tuples of ints giving
-coefficients in the fundamental-weight basis; root coordinates are tuples of
-exact rationals (``fractions.Fraction``) giving coefficients in the simple
-roots.  Every operation is exact: no floats anywhere.
+coefficients in the fundamental-weight basis; root coordinates give
+coefficients in the simple roots.  Conversions and coroot pairings run in
+integers: the inverse Cartan matrix is stored scaled by its common
+denominator, and the bilinear form scaled to integers.  Every operation is
+exact: no floats anywhere.
 
 Root lengths are normalized so that short roots have squared length 1
 (A/D: all roots length 1; B_n: alpha_n short; C_n: alpha_n long).
@@ -12,9 +14,9 @@ Root lengths are normalized so that short roots have squared length 1
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -152,6 +154,13 @@ class RootSystem:
         self.rho = (1,) * n
         self.eG = 1 if lie_type.family in ("A", "D") else 2
         self.inverse_cartan = _invert_fraction_matrix(self.cartan)
+        self.positive_root_set = frozenset(self.positive_roots)
+        # inv_den * inverse_cartan is integral: inv_den is n+1 for A_n, 2 for
+        # B/C, and 2 or 4 for D
+        self.inv_den = math.lcm(*(x.denominator for row in self.inverse_cartan for x in row))
+        self.inv_cartan_scaled = tuple(
+            tuple(int(x * self.inv_den) for x in row) for row in self.inverse_cartan
+        )
 
         # Scaled integer bilinear form on the weight lattice:
         # gram[i][j] = scale * (lambda_i, lambda_j), slen2[i] = scale * len_i / 2,
@@ -162,9 +171,7 @@ class RootSystem:
         ]
         denoms = {x.denominator for row in gram_frac for x in row}
         denoms |= {Fraction(l, 2).denominator for l in self.root_lengths}
-        scale = 1
-        for d in denoms:
-            scale = scale * d // _gcd(scale, d)
+        scale = math.lcm(*denoms)
         self.form_scale = scale
         self.gram_scaled = tuple(
             tuple(int(x * scale) for x in row) for row in gram_frac
@@ -192,39 +199,35 @@ class RootSystem:
 
     def form(self, v_rc, w_rc):
         """Exact inner product of two vectors given in root coordinates."""
-        n = self.rank
-        acc = Fraction(0)
-        for i in range(n):
-            if v_rc[i] == 0:
-                continue
-            for j in range(n):
-                if w_rc[j] == 0:
-                    continue
-                # (alpha_i, alpha_j) = cartan[i][j] * len_j / 2
-                acc += Fraction(v_rc[i]) * Fraction(w_rc[j]) * self.cartan[i][j] * Fraction(self.root_lengths[j], 2)
-        return acc
+        return Fraction(_scaled_form(self, v_rc, w_rc), self.form_scale)
 
     def form_weight_root(self, w, alpha_rc):
         """(w, alpha) for w in weight coordinates, alpha in root coordinates."""
-        return sum(
-            (Fraction(alpha_rc[i]) * w[i] * Fraction(self.root_lengths[i], 2) for i in range(self.rank)),
-            Fraction(0),
-        )
+        return Fraction(_scaled_form_weight_root(self, w, alpha_rc), self.form_scale)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _scaled_form(rs: RootSystem, v_rc, w_rc):
+    """form_scale * (v, w); (alpha_i, alpha_j) = cartan[i][j] * slen2[j] / form_scale."""
+    n = rs.rank
+    return sum(
+        v_rc[i] * w_rc[j] * rs.cartan[i][j] * rs.slen2[j]
+        for i in range(n) if v_rc[i]
+        for j in range(n) if w_rc[j]
+    )
+
+
+def _scaled_form_weight_root(rs: RootSystem, w, alpha_rc):
+    """form_scale * (w, alpha); (lambda_i, alpha_j) = delta_ij * slen2[j] / form_scale."""
+    return sum(a * c * s for a, c, s in zip(alpha_rc, w, rs.slen2) if a)
 
 
 def weyl_group_order(t: LieType) -> int:
     n = t.rank
     if t.family == "A":
-        return factorial(n + 1)
+        return math.factorial(n + 1)
     if t.family in ("B", "C"):
-        return (1 << n) * factorial(n)
-    return (1 << (n - 1)) * factorial(n)
+        return (1 << n) * math.factorial(n)
+    return (1 << (n - 1)) * math.factorial(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,12 +237,9 @@ def build_root_system(t: LieType) -> RootSystem:
 
 
 def is_root(rs: RootSystem, alpha_rc) -> bool:
-    a = tuple(alpha_rc)
-    if all(x == int(x) for x in a):
-        ai = tuple(int(x) for x in a)
-        neg = tuple(-x for x in ai)
-        pos = set(rs.positive_roots)
-        return ai in pos or neg in pos
+    if all(x == int(x) for x in alpha_rc):
+        ai = tuple(int(x) for x in alpha_rc)
+        return ai in rs.positive_root_set or tuple(-x for x in ai) in rs.positive_root_set
     return False
 
 
@@ -248,22 +248,36 @@ def pairing(rs: RootSystem, w, alpha_rc) -> int:
     if not is_root(rs, alpha_rc):
         raise ValueError(f"{alpha_rc} is not a root of {rs.lie_type}")
     w = rs.check_weight(w)
-    num = 2 * rs.form_weight_root(w, alpha_rc)
-    den = rs.form(alpha_rc, alpha_rc)
-    val = num / den
-    if val.denominator != 1:
+    beta = tuple(int(x) for x in alpha_rc)
+    num = 2 * _scaled_form_weight_root(rs, w, beta)
+    den = _scaled_form(rs, beta, beta)
+    if num % den:
         raise ArithmeticError("pairing of a weight with a coroot must be integral")
-    return int(val)
+    return num // den
+
+
+def scaled_root_coords(rs: RootSystem, w):
+    """``rs.inv_den`` times the root coordinates of the weight w, as ints."""
+    inv = rs.inv_cartan_scaled
+    n = rs.rank
+    return tuple(sum(w[i] * inv[i][j] for i in range(n) if w[i]) for j in range(n))
+
+
+def integral_root_coords(rs: RootSystem, w):
+    """Root coordinates of w as ints, or None when w is not in the root lattice."""
+    out = []
+    for x in scaled_root_coords(rs, w):
+        q, r = divmod(x, rs.inv_den)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 def weight_to_root_coords(rs: RootSystem, w):
     """Exact rational coordinates of a weight in the simple-root basis."""
     w = rs.check_weight(w)
-    n = rs.rank
-    return tuple(
-        sum((Fraction(w[i]) * rs.inverse_cartan[i][j] for i in range(n)), Fraction(0))
-        for j in range(n)
-    )
+    return tuple(Fraction(x, rs.inv_den) for x in scaled_root_coords(rs, w))
 
 
 def root_coords_to_weight(rs: RootSystem, rc):
@@ -276,6 +290,41 @@ def root_coords_to_weight(rs: RootSystem, rc):
             raise ArithmeticError(f"root coordinates {rc} do not give an integral weight")
         out.append(int(v))
     return tuple(out)
+
+
+def connected_components(rs: RootSystem, nodes):
+    """Connected components of a set of 0-based Dynkin nodes, each sorted."""
+    left = set(nodes)
+    comps = []
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in left:
+                if y not in comp and rs.cartan[x][y] != 0:
+                    comp.add(y)
+                    stack.append(y)
+        left -= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def subdiagram_type(rs: RootSystem, nodes) -> LieType:
+    """Lie type of one connected subset of 0-based Dynkin nodes."""
+    fam = rs.lie_type.family
+    n = rs.rank
+    k = len(nodes)
+    nodeset = set(nodes)
+    if fam in ("B", "C") and (n - 1) in nodeset:
+        return LieType(fam, k) if k >= 2 else LieType("A", 1)
+    if fam == "D" and (n - 2) in nodeset and (n - 1) in nodeset:
+        # connected with both fork nodes forces the branch node too
+        if k < 3:
+            raise ValueError("disconnected fork nodes")
+        return LieType("D", k)
+    return LieType("A", k)
 
 
 def fundamental_weight(rs: RootSystem, i: int):

@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .checker import ClassificationEntry, ford_condition_check, p_condition_ok
+from .checker import ClassificationEntry, dominant_weights_bounded, ford_condition_check
 from .charcalc import Characteristic
-from .embeddings import geom_family
-from .rootsys import LieType
+from .embeddings import build_embedding, geom_family, p_condition_ok
+from .rootsys import _MIN_RANK, LieType
 
 
 @dataclass
@@ -200,8 +200,10 @@ def params_match(params: str, env) -> bool:
 def parse_lambda(expr: str, env, n: int):
     """A concrete weight from a lambda expression (no patterns, no iterator)."""
     coeffs = [0] * n
-    for term in _split_sum(expr):
+    for term in _split_top(expr, "+"):
         term = term.strip()
+        if not term:
+            continue
         coef = 1
         if "*" in term and not term.startswith("L("):
             c, term = term.split("*", 1)
@@ -234,24 +236,6 @@ def _split_top(expr, sep=","):
     return parts
 
 
-def _split_sum(expr):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def parse_restriction(expr: str, env, emb):
     """Semisimple expected restriction as a coefficient tuple, or None for '-'."""
     expr = expr.strip()
@@ -269,7 +253,10 @@ def parse_restriction(expr: str, env, emb):
         return emb.factor_offsets[grp[0]] + (j - 1)
 
     def add_terms(e, scope):
-        for term in _split_sum(e):
+        for term in _split_top(e, "+"):
+            term = term.strip()
+            if not term:
+                continue
             coef = 1
             if "*" in term and not term.startswith(("w(", "S(")):
                 c, term2 = term.split("*", 1)
@@ -396,13 +383,8 @@ def _family_from_params(tag, params):
     return geom_family(tag, **clean)
 
 
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-
-
 def instantiate_rows(rows, rank_cap: int, chi: Characteristic, pattern_bound: int = 3):
     """Expand table rows into concrete classification entries at one characteristic."""
-    from .embeddings import build_embedding  # local to avoid import cycles
-
     entries = []
     for row in rows:
         amb_spec = row.ambient
@@ -458,7 +440,7 @@ def _expand_lambda(row, env, n, chi, pattern_bound):
     if expr == "ford":
         if not p_condition_ok(row.p_cond, p):
             return
-        for lam in _bounded_weights(n, pattern_bound, p):
+        for lam in dominant_weights_bounded(n, pattern_bound, p):
             if lam[n - 1] != 1:
                 continue
             if ford_condition_check(lam, n, chi):
@@ -467,7 +449,7 @@ def _expand_lambda(row, env, n, chi, pattern_bound):
     if expr == "noan":
         if not p_condition_ok(row.p_cond, p):
             return
-        for lam in _bounded_weights(n, pattern_bound, p):
+        for lam in dominant_weights_bounded(n, pattern_bound, p):
             if lam[n - 1] == 0:
                 yield lam, dict(env)
         return
@@ -492,12 +474,6 @@ def _expand_lambda(row, env, n, chi, pattern_bound):
             yield parse_lambda(body.strip(), scope, n), scope
         return
     yield parse_lambda(expr, env, n), dict(env)
-
-
-def _bounded_weights(n, bound, p):
-    from .checker import dominant_weights_bounded
-
-    return dominant_weights_bounded(n, bound, p)
 
 
 def _expected_restriction(row, scope, emb, lam):

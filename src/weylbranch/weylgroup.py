@@ -4,23 +4,33 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import factorial
 
 from . import kernels
-from .rootsys import LieType, RootSystem, is_root, pairing, root_coords_to_weight
+from .rootsys import (
+    RootSystem,
+    connected_components,
+    is_root,
+    pairing,
+    root_coords_to_weight,
+    subdiagram_type,
+    weyl_group_order,
+)
 
 DEFAULT_CAP = 1_000_000
 
 
 def orbit_cap() -> int:
-    """Enumeration cap; overridable through WEYLBRANCH_CAP."""
+    """Enumeration cap; overridable through WEYLBRANCH_CAP (a positive integer)."""
     v = os.environ.get("WEYLBRANCH_CAP", "")
-    if v:
-        try:
-            return int(v)
-        except ValueError:
-            pass
-    return DEFAULT_CAP
+    if not v:
+        return DEFAULT_CAP
+    try:
+        cap = int(v)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"WEYLBRANCH_CAP must be a positive integer, got {v!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -47,65 +57,17 @@ def dominant_representative(rs: RootSystem, w):
     return tuple(int(x) for x in rep), steps
 
 
-def _component_type(rs: RootSystem, nodes):
-    """Lie type of one connected subset of simple-root nodes (0-based)."""
-    fam = rs.lie_type.family
-    n = rs.rank
-    k = len(nodes)
-    nodeset = set(nodes)
-    if fam in ("B", "C") and (n - 1) in nodeset:
-        return LieType(fam, k) if k >= 2 else LieType("A", 1)
-    if fam == "D" and (n - 2) in nodeset and (n - 1) in nodeset:
-        # connected with both fork nodes forces the branch node too (k >= 3)
-        return LieType("D", k)
-    return LieType("A", k)
-
-
-def _stabilizer_components(rs: RootSystem, dom):
-    """Connected components of the zero-pairing simple roots of a dominant weight."""
-    nodes = [i for i in range(rs.rank) if dom[i] == 0]
-    nodeset = set(nodes)
-    adj = {i: [] for i in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i < j and rs.cartan[i][j] != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    comps = []
-    left = set(nodes)
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        left -= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def weyl_order_of_type(t: LieType) -> int:
-    if t.family == "A":
-        return factorial(t.rank + 1)
-    if t.family in ("B", "C"):
-        return (1 << t.rank) * factorial(t.rank)
-    return (1 << (t.rank - 1)) * factorial(t.rank)
-
-
 def orbit_size(rs: RootSystem, w) -> OrbitSummary:
     """|W| / |W_stab| via the parabolic stabilizer of the dominant representative."""
     dom, _ = dominant_representative(rs, w)
-    comps = _stabilizer_components(rs, dom)
-    types = tuple(sorted(_component_type(rs, c) for c in comps))
+    comps = connected_components(rs, [i for i in range(rs.rank) if dom[i] == 0])
+    types = tuple(sorted(subdiagram_type(rs, c) for c in comps))
     stab = 1
     for t in types:
-        stab *= weyl_order_of_type(t)
+        stab *= weyl_group_order(t)
     total = rs.weyl_order()
-    assert total % stab == 0
+    if total % stab:
+        raise ArithmeticError(f"stabilizer order {stab} does not divide |W| = {total}")
     return OrbitSummary(dominant_rep=dom, orbit_size=total // stab, stabilizer_type=types)
 
 

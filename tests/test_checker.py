@@ -90,6 +90,18 @@ def test_filters_examples():
     rs = build_root_system(LieType("C", 4))
     e = build_embedding(LieType("C", 4), geom_family("c2", l=2, t=2))
     assert not necessary_filters(rs, lam(4, (1, 1)), e, P0)
+    # two certified weights over one simple-root drop that carries one copy
+    rs = build_root_system(LieType("B", 4))
+    e = build_embedding(LieType("B", 4), geom_family("c4ii", l=1, t=2))
+    findings = necessary_filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
+    assert [f["kind"] for f in findings] == ["multiplicity-bound-exceeded"]
+    assert findings[0]["target"] == [1, 5] and findings[0]["capacity"] == 1
+    # lam_4 of A_5 restricts irreducibly to D_3.2 (the D_3 adjoint module);
+    # two of its certified weights restrict to one weight more than a simple
+    # root below the orbit, where the capacity bound does not apply
+    rs = build_root_system(LieType("A", 5))
+    e = build_embedding(LieType("A", 5), geom_family("c6"))
+    assert not necessary_filters(rs, lam(5, (4, 1)), e, P0)
 
 
 def test_filters_chain_certification_at_small_p():

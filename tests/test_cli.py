@@ -91,6 +91,11 @@ def test_orbit_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("WEYLBRANCH_CAP", "4")
     code, _, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")
     assert code == 2 and "cap" in err
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("WEYLBRANCH_CAP", bad)
+        code, _, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")
+        assert code == 2 and err.startswith("error: ")
+        assert "WEYLBRANCH_CAP" in err and repr(bad) in err
     monkeypatch.delenv("WEYLBRANCH_CAP")
 
 

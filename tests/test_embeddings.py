@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from weylbranch.embeddings import (
+    _gen_block_transposition,
+    _MatrixBuilder,
     build_embedding,
     central_multiplicity,
-    component_orbit,
     component_orbit_set,
     ell_value,
     existence_ok,
@@ -325,11 +326,18 @@ def test_component_orbit_and_kappa():
     e = build_embedding(LieType("B", 4), geom_family("c2", l=1, t=3))
     hw = restrict_weight(e, lam(4, (4, 1)))
     assert central_multiplicity(e, hw) == 2
-    assert component_orbit(e, e.action, hw) == [(1, 1, 1), (1, 1, 1)]
     assert kappa_of(e, hw) == 2
     e = build_embedding(LieType("D", 6), geom_family("c2", kind="Dl", l=3, t=2))
     hw = restrict_weight(e, lam(6, (6, 1)))
     assert kappa_of(e, hw) == 2  # 2^{t-1}
+
+
+def test_block_transposition_rejects_different_shapes():
+    # a D2 factor materializes as two A1 factors, an A3 factor as one
+    b = _MatrixBuilder(LieType("D", 5), [("D", 2), ("A", 3)])
+    with pytest.raises(ValueError, match="materialized shape"):
+        _gen_block_transposition(b, 1, 2)
+    assert _gen_block_transposition(b, 1, 1).factor_perm == (0, 1, 2)
 
 
 def test_h_value():

@@ -10,6 +10,7 @@ from weylbranch.rootsys import (
     LieType,
     build_root_system,
     fundamental_weight,
+    integral_root_coords,
     is_root,
     minimal_weights,
     pairing,
@@ -68,6 +69,17 @@ def e_form(t, x, y):
         sy = sum(y)
         return Fraction(sum(a * b for a, b in zip(x, y))) - Fraction(sx * sy, n1)
     return Fraction(sum(a * b for a, b in zip(x, y)))
+
+
+def fraction_pairing(rs, w, beta):
+    """2 (w, beta) / (beta, beta) in Fractions over the root lengths."""
+    n = rs.rank
+    half = [Fraction(l, 2) for l in rs.root_lengths]
+    num = 2 * sum(Fraction(beta[i]) * w[i] * half[i] for i in range(n))
+    den = sum(
+        Fraction(beta[i]) * beta[j] * rs.cartan[i][j] * half[j] for i in range(n) for j in range(n)
+    )
+    return num / den
 
 
 def oracle_pairing(t, w, alpha_rc):
@@ -162,13 +174,29 @@ def test_root_coords_examples():
         assert rc == tuple(Fraction(int(i == n - 1)) for i in range(n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ALL_TYPES[:14]), st.data())
-def test_root_coord_round_trip(t, data):
-    rs = build_root_system(t)
-    w = tuple(data.draw(st.integers(-4, 4)) for _ in range(t.rank))
-    rc = weight_to_root_coords(rs, w)
-    assert root_coords_to_weight(rs, rc) == w
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_root_coord_round_trip(data):
+    # every type in each example, against the Cartan matrix and the Fraction formula
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        n = t.rank
+        w = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+        rc = weight_to_root_coords(rs, w)
+        assert root_coords_to_weight(rs, rc) == w
+        lattice = all(x.denominator == 1 for x in rc)
+        assert integral_root_coords(rs, w) == (tuple(int(x) for x in rc) if lattice else None)
+        for i in range(n):
+            alpha = tuple(int(k == i) for k in range(n))
+            assert pairing(rs, w, alpha) == w[i]
+        for beta in rs.positive_roots:
+            beta_w = root_coords_to_weight(rs, beta)
+            assert integral_root_coords(rs, beta_w) == beta
+            assert pairing(rs, beta_w, beta) == 2
+            expected = fraction_pairing(rs, w, beta)
+            assert expected.denominator == 1
+            assert pairing(rs, w, beta) == expected
+            assert pairing(rs, w, tuple(-x for x in beta)) == -expected
 
 
 def test_rho_and_positive_root_integrality():
