@@ -9,7 +9,6 @@ Weyl-character subtraction routine that serves as the branching oracle.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -336,18 +335,12 @@ def full_character(rs: RootSystem, lam, cap=None):
 
 
 @functools.lru_cache(maxsize=4096)
-def _product_character_cached(types, hw_parts, cap):
-    chars = []
-    for t, hw in zip(types, hw_parts):
-        rs = build_root_system(t)
-        chars.append(full_character(rs, hw, cap))
+def _product_character_cached(types, hw_parts):
+    """Dominant part of a product Weyl character (dominant iff every factor part is)."""
     prod = {(): 1}
-    for c in chars:
-        nxt = {}
-        for base, bm in prod.items():
-            for w, m in c.items():
-                nxt[base + w] = bm * m
-        prod = nxt
+    for t, hw in zip(types, hw_parts):
+        entries = freudenthal(build_root_system(t), hw).entries
+        prod = {base + w: bm * m for base, bm in prod.items() for w, m in entries.items()}
     return prod
 
 
@@ -363,74 +356,47 @@ def _height_scalers(rs_list):
     return [tuple(x * denom // d for x in sums) for d, sums in vecs]
 
 
-def weyl_character_subtract(rs_list, weight_multiset, cap=None):
+def weyl_character_subtract(rs_list, weight_multiset):
     """Express a W-invariant multiset as a sum of product Weyl characters.
 
     ``rs_list`` gives the factors of the product root system; keys of
     ``weight_multiset`` are flat tuples holding the concatenated factor
     coordinates, optionally followed by extra coordinates (central charges)
-    that are carried through unchanged.  Returns {highest weight: multiplicity}.
+    that are carried through unchanged.  Only the dominant keys (every factor
+    coordinate >= 0) are read: a W-invariant multiset is fixed by its
+    dominant part, which is decomposed against the dominant parts of the
+    product characters.  Returns {highest weight: multiplicity}.
     Raises ValueError when the input is not a genuine character.
     """
-    cap = orbit_cap() if cap is None else cap
     rs_list = tuple(rs_list)
-    ranks = [rs.rank for rs in rs_list]
-    total_rank = sum(ranks)
+    offs = [sum(rs.rank for rs in rs_list[:i]) for i in range(len(rs_list) + 1)]
+    rank = offs[-1]
     types = tuple(rs.lie_type for rs in rs_list)
-    hvecs = _height_scalers(rs_list)
+    hvec = [x for hv in _height_scalers(rs_list) for x in hv]
 
     remaining = {}
     for w, m in weight_multiset.items():
         if m < 0:
             raise ValueError(f"negative input multiplicity at {w}")
-        if m:
-            remaining[tuple(w)] = int(m)
+        w = tuple(w)
+        if m and all(c >= 0 for c in w[:rank]):
+            remaining[w] = int(m)
 
-    def height(key):
-        h = 0
-        off = 0
-        for hv, r in zip(hvecs, ranks):
-            for i in range(r):
-                h += key[off + i] * hv[i]
-            off += r
-        return h
-
-    heap = []
-    for key in remaining:
-        heapq.heappush(heap, (-height(key), tuple(-c for c in key), key))
-
-    def split(key):
-        parts = []
-        off = 0
-        for r in ranks:
-            parts.append(key[off:off + r])
-            off += r
-        return tuple(parts), key[off:]
-
+    # a product character with highest weight k meets no other key of equal
+    # or greater height, so one pass from the highest key down suffices
     out = {}
-    while remaining:
-        while heap:
-            _, _, key = heapq.heappop(heap)
-            if key in remaining:
-                break
-        else:
-            raise AssertionError("heap exhausted with weights remaining")
+    for key in sorted(remaining, key=lambda k: (sum(h * c for h, c in zip(hvec, k)), k), reverse=True):
         mult = remaining[key]
-        parts, charge = split(key)
-        for part in parts:
-            if any(c < 0 for c in part):
-                raise ValueError(f"maximal weight {key} is not dominant: not a character")
-        prod = _product_character_cached(types, parts, cap)
-        for w, c in prod.items():
-            full = w + charge
+        if not mult:
+            continue
+        parts = tuple(key[a:b] for a, b in zip(offs, offs[1:]))
+        for w, c in _product_character_cached(types, parts).items():
+            full = w + key[rank:]
             have = remaining.get(full, 0) - mult * c
             if have < 0:
                 raise ValueError(f"subtraction drives multiplicity negative at {full}")
-            if have:
-                remaining[full] = have
-            else:
-                remaining.pop(full, None)
-        out[key] = out.get(key, 0) + mult
+            remaining[full] = have
+        out[key] = mult
     return out
 
 

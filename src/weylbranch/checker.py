@@ -1,8 +1,8 @@
 """Branching verification engine.
 
 At characteristic zero the composition factors of a restriction are computed
-exactly: the full Weyl character is pushed through the embedding and
-decomposed into product Weyl characters.  At positive characteristic only
+exactly: the full Weyl character is pushed through the embedding and its
+dominant part is decomposed into product Weyl characters.  At positive characteristic only
 necessary conditions (restriction-orbit membership, the h and ell invariants,
 multiplicity bookkeeping) and closed-form dimension identities are evaluated;
 anything beyond them is reported INCONCLUSIVE rather than guessed.
@@ -114,7 +114,7 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     if any(c < 0 for c in lam) or not any(lam):
         raise ValueError("highest weight must be dominant and non-zero")
     multiset = restricted_multiset(rs, lam, e, cap=cap)
-    factors = charcalc.weyl_character_subtract(e.factor_systems, multiset, cap=cap)
+    factors = charcalc.weyl_character_subtract(e.factor_systems, multiset)
     dims = {}
     total = 0
     for hw, m in factors.items():

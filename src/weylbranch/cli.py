@@ -3,6 +3,7 @@
 Reports are emitted as line-delimited JSON records with stable field names
 and deterministic ordering; human-oriented summaries go to stderr.  The
 WEYLBRANCH_CAP environment variable overrides the orbit enumeration cap.
+Exit codes: 2 for a usage error, 3 for a failed internal invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .checker import (
 from .embeddings import build_embedding, format_h0_weight, geom_family
 from .kernels import KernelCapacityError
 from .rootsys import LieType, build_root_system, minimal_weights
-from .weylgroup import orbit_enumerate, orbit_size
+from .weylgroup import orbit_cap, orbit_enumerate, orbit_size
 
 SHIPPED = ("all", "c136", "c2", "c4i", "c4ii")
 
@@ -219,13 +220,13 @@ def cmd_orbit(args) -> int:
     rs = build_root_system(t)
     w = _weight(args.coeffs, t.rank)
     summary = orbit_size(rs, w)
+    elements = orbit_enumerate(rs, w) if args.list else []
     print(f"dominant_rep\t{','.join(map(str, summary.dominant_rep))}")
     print(f"orbit_size\t{summary.orbit_size}")
     stab = " x ".join(str(x) for x in summary.stabilizer_type) or "trivial"
     print(f"stabilizer\t{stab}")
-    if args.list:
-        for el in orbit_enumerate(rs, w):
-            print(",".join(map(str, el)))
+    for el in elements:
+        print(",".join(map(str, el)))
     return 0
 
 
@@ -282,10 +283,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        orbit_cap()  # reject a malformed WEYLBRANCH_CAP on every command
         return args.fn(args)
     except (ValueError, KernelCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

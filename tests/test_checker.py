@@ -1,8 +1,15 @@
 """Branching oracle, necessary filters, entry verification, scans."""
 
-import pytest
+import heapq
+import itertools
+import math
 
-from weylbranch.charcalc import Characteristic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_acceptance import _p0_instances
+from weylbranch.charcalc import Characteristic, full_character
 from weylbranch.checker import (
     ClassificationEntry,
     branch_p0,
@@ -10,13 +17,79 @@ from weylbranch.checker import (
     ford_condition_check,
     necessary_filters,
     p_condition_ok,
+    restricted_multiset,
     scan_candidates,
     verify_entry,
 )
 from weylbranch.embeddings import build_embedding, geom_family
-from weylbranch.rootsys import LieType, build_root_system
+from weylbranch.rootsys import LieType, build_root_system, weight_to_root_coords
 
 P0 = Characteristic(0)
+P0_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(4)]
+
+
+@st.composite
+def p0_cases(draw):
+    """(ambient root system, embedding, non-zero lam with coefficient sum <= 2)."""
+    ambient, e = draw(st.sampled_from(P0_INSTANCES))
+    lam = draw(st.sampled_from(dominant_weights_bounded(ambient.rank, 2)))
+    return build_root_system(ambient), e, lam
+
+
+def full_route_factors(rs, lam, e):
+    """The former p = 0 decomposition, kept as an oracle.
+
+    Full product characters (every weight of every factor's Weyl orbits) are
+    subtracted from the full restricted multiset, taking the highest
+    remaining weight off a heap ordered by height in the factor root lattices.
+    """
+    remaining = restricted_multiset(rs, lam, e)
+
+    def height(key):
+        parts, _ = e.split(key)
+        return sum(sum(weight_to_root_coords(f, part)) for f, part in zip(e.factor_systems, parts))
+
+    heap = [(-height(k), tuple(-c for c in k), k) for k in remaining]
+    heapq.heapify(heap)
+    factors = {}
+    while heap:
+        key = heapq.heappop(heap)[2]
+        mult = remaining[key]
+        if not mult:
+            continue
+        parts, charge = e.split(key)
+        assert all(c >= 0 for part in parts for c in part), key
+        chars = [full_character(f, part).items() for f, part in zip(e.factor_systems, parts)]
+        for combo in itertools.product(*chars):
+            w = tuple(x for wt, _ in combo for x in wt) + charge
+            remaining[w] = remaining.get(w, 0) - mult * math.prod(m for _, m in combo)
+            assert remaining[w] >= 0, w
+        factors[key] = mult
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(p0_cases())
+def test_branch_matches_full_route(case):
+    rs, e, lam = case
+    assert branch_p0(rs, lam, e).factors == full_route_factors(rs, lam, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p0_cases())
+def test_restricted_multiset_is_weyl_invariant(case):
+    rs, e, lam = case
+    multiset = restricted_multiset(rs, lam, e)
+    for f, (frs, off) in enumerate(zip(e.factor_systems, e.factor_offsets)):
+        for i in range(frs.rank):
+            reflected = {}
+            for key, m in multiset.items():
+                w = list(key)
+                k = key[off + i]
+                for j in range(frs.rank):
+                    w[off + j] -= k * frs.cartan[i][j]
+                reflected[tuple(w)] = m
+            assert reflected == multiset, (e.family, lam, f, i)
 
 
 def lam(n, *pairs):

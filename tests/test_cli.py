@@ -2,6 +2,7 @@
 
 import json
 
+from weylbranch import charcalc
 from weylbranch.cli import main
 
 
@@ -89,14 +90,27 @@ def test_rootsys_info_and_orbit(capsys):
 
 def test_orbit_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("WEYLBRANCH_CAP", "4")
-    code, _, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")
-    assert code == 2 and "cap" in err
+    code, out, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")
+    assert code == 2 and "cap" in err and out == ""
     for bad in ("abc", "0", "-5"):
         monkeypatch.setenv("WEYLBRANCH_CAP", bad)
         code, _, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")
         assert code == 2 and err.startswith("error: ")
         assert "WEYLBRANCH_CAP" in err and repr(bad) in err
+    # rejected on commands that never enumerate an orbit, too
+    monkeypatch.setenv("WEYLBRANCH_CAP", "abc")
+    code, out, err = run(capsys, "verify", "shipped:c2", "--p", "5", "--rank-cap", "4")
+    assert code == 2 and out == "" and "WEYLBRANCH_CAP" in err
     monkeypatch.delenv("WEYLBRANCH_CAP")
+
+
+def test_internal_invariant_exit_code(capsys, monkeypatch):
+    real = charcalc.product_weyl_dim
+    monkeypatch.setattr(charcalc, "product_weyl_dim", lambda rs_list, hw: real(rs_list, hw) + 1)
+    code, _, err = run(capsys, "branch", "B", "3", "0,0,1", "c1:Dn")
+    assert code == 3
+    assert err.startswith("error: internal invariant failed: branch conservation failed")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_scan_assert_requires_p0(capsys):
