@@ -28,7 +28,7 @@ from .embeddings import (
     p_condition_ok,
     restrict_weight,
 )
-from .rootsys import LieType, build_root_system, integral_root_coords, pairing
+from .rootsys import LieType, build_root_system, integral_root_coords, pairing, scaled_root_coords
 from .weylgroup import orbit_cap
 
 PASS = "PASS"
@@ -73,9 +73,9 @@ def restricted_multiset(rs, lam, e: Embedding, cap=None):
         arr = kernels.weyl_orbit_array(rs, dom, cap=cap)
         res = arr @ e.restriction
         uniq, counts = np.unique(res, axis=0, return_counts=True)
-        for row, c in zip(uniq, counts):
-            key = tuple(int(x) for x in row)
-            out[key] = out.get(key, 0) + m * int(c)
+        for row, c in zip(uniq.tolist(), counts.tolist()):
+            key = tuple(row)
+            out[key] = out.get(key, 0) + m * c
     return out
 
 
@@ -162,9 +162,15 @@ def _factor_root_coords(e: Embedding, w, c):
     return out
 
 
-def _under(e: Embedding, w, c):
-    """Is w under c: difference in the non-negative factor root lattice, equal charges."""
-    return _factor_root_coords(e, w, c) is not None
+def _scaled_coords(e: Embedding, w):
+    """(charges, scaled root coordinates of every factor part, concatenated).
+
+    w is under c exactly when the charges agree and every coordinate of c
+    minus the matching one of w is non-negative and divisible by its factor's
+    ``inv_den``, since the scaled coordinates are linear in the weight.
+    """
+    parts, charges = e.split(w)
+    return charges, tuple(x for rs, a in zip(e.factor_systems, parts) for x in scaled_root_coords(rs, a))
 
 
 def _diagram_paths(rs):
@@ -224,11 +230,18 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     lam = tuple(int(c) for c in lam)
     lam_h = restrict_weight(e, lam)
     orbit = component_orbit_set(e, lam_h)
+    dens = [frs.inv_den for frs in e.factor_systems for _ in range(frs.rank)]
+    scaled_orbit = [(c, *_scaled_coords(e, c)) for c in orbit]
     findings = []
     groups = {}
     for chain, mu in _chain_weights(rs, lam, chi):
         mu_h = restrict_weight(e, mu)
-        above = [c for c in orbit if _under(e, mu_h, c)]
+        ch, sw = _scaled_coords(e, mu_h)
+        above = [
+            c
+            for c, chc, sc in scaled_orbit
+            if chc == ch and all(a >= b and (a - b) % q == 0 for a, b, q in zip(sc, sw, dens))
+        ]
         if not above:
             finding = {
                 "kind": "restriction-not-under-orbit",

@@ -1,20 +1,22 @@
 """Hot integer kernels: dominant saturation, Freudenthal recursion, Weyl orbits.
 
-Each kernel is written once in a numba-compatible subset of numpy Python; a
-factory instantiates it twice, once over plain-Python helpers and once over
-``@njit``-compiled helpers.  Dispatch between the two is controlled by the
-``WEYLBRANCH_NO_NUMBA`` environment variable (set to ``1`` to force the pure
-path).
+The orbit kernel is one whole-array numpy function on every path.  The
+saturation and Freudenthal kernels are written once in a numba-compatible
+subset of numpy Python; a factory instantiates them twice, once over
+plain-Python helpers and once over ``@njit``-compiled helpers.  Dispatch
+between the two is controlled by the ``WEYLBRANCH_NO_NUMBA`` environment
+variable (set to ``1`` to force the pure path).
 
 Both paths are exact over int64.  The wrappers bound the inputs so that no
 intermediate value can overflow, and the kernels flag arithmetic anomalies
 instead of silently continuing.
 
 Weights are int64 rows in fundamental-weight coordinates.  Dominant-weight
-tables are deduplicated through packed int64 keys (``bits`` bits per
-coordinate, first coordinate most significant).  A table only ever contains
-weights all of whose shifted coordinates are < 2**bits, so any candidate with
-a larger coordinate is provably absent from the table.
+tables and orbits are deduplicated through packed int64 keys (``bits`` bits
+per coordinate, first coordinate most significant; orbit coordinates are
+shifted by ``2**(bits-1)``).  A table only ever contains weights all of whose
+shifted coordinates are < 2**bits, so any candidate with a larger coordinate
+is provably absent from the table.
 """
 
 from __future__ import annotations
@@ -90,6 +92,37 @@ def _unpack_py(key, n, bits, off, out):
     for i in range(n - 1, -1, -1):
         out[i] = (key & mask) - off
         key >>= bits
+
+
+def _orbit(w0, cartan, bits, cap):
+    """Full Weyl orbit of w0 as rows sorted by packed key, and a status.
+
+    The walk descends from the dominant representative one length level at a
+    time: s_j lowers w exactly when w_j > 0, so each level is the image of the
+    previous one under those reflections and meets no earlier level.
+    """
+    n = w0.shape[0]
+    off = np.int64(1) << (bits - 1)
+    place = np.int64(1) << (bits * np.arange(n - 1, -1, -1, dtype=np.int64))
+    level = w0.copy()[None]
+    if _domrep_py(level[0], cartan) < 0:
+        return np.empty((0, n), np.int64), ARITH_ERROR
+    rows, keys = [], []
+    total = 0
+    while level.shape[0]:
+        shifted = level + off
+        if (shifted >> bits).any():  # a coordinate outside [-off, off)
+            return np.empty((0, n), np.int64), PACK_OVERFLOW
+        lkeys, first = np.unique(shifted @ place, return_index=True)
+        level = level[first]
+        total += level.shape[0]
+        if total > cap:
+            return np.empty((0, n), np.int64), CAP_EXCEEDED
+        rows.append(level)
+        keys.append(lkeys)
+        level = (level[:, None, :] - level[:, :, None] * cartan[None])[level > 0]
+    out = np.concatenate(rows)
+    return out[np.argsort(np.concatenate(keys))], OK
 
 
 # ---------------------------------------------------------------------------
@@ -235,71 +268,19 @@ def _make_kernels(pack, unpack, domrep):
             mults[idx] = num // denom
         return mults, OK
 
-    def orbit(w0, cartan, bits, cap):
-        # Full Weyl orbit by closure under the simple reflections.
-        n = w0.shape[0]
-        off = np.int64(1) << (bits - 1)
-        key0 = pack(w0, bits, off)
-        if key0 < 0:
-            return np.empty((0, n), np.int64), PACK_OVERFLOW
-        seen = np.empty(1, np.int64)
-        seen[0] = key0
-        frontier = seen.copy()
-        w = np.empty(n, np.int64)
-        s = np.empty(n, np.int64)
-        while frontier.shape[0] > 0:
-            cand = np.empty(frontier.shape[0] * n, np.int64)
-            cnt = 0
-            for f in range(frontier.shape[0]):
-                unpack(frontier[f], n, bits, off, w)
-                for j in range(n):
-                    c = w[j]
-                    if c == 0:
-                        continue
-                    for i in range(n):
-                        s[i] = w[i] - c * cartan[j, i]
-                    key = pack(s, bits, off)
-                    if key < 0:
-                        return np.empty((0, n), np.int64), PACK_OVERFLOW
-                    cand[cnt] = key
-                    cnt += 1
-            if cnt == 0:
-                break
-            cs = np.unique(cand[:cnt])
-            new = np.empty(cs.shape[0], np.int64)
-            nnew = 0
-            for ci in range(cs.shape[0]):
-                pos = np.searchsorted(seen, cs[ci])
-                if pos < seen.shape[0] and seen[pos] == cs[ci]:
-                    continue
-                new[nnew] = cs[ci]
-                nnew += 1
-            if nnew == 0:
-                break
-            seen = np.unique(np.concatenate((seen, new[:nnew])))
-            if seen.shape[0] > cap:
-                return np.empty((0, n), np.int64), CAP_EXCEEDED
-            frontier = new[:nnew]
-        out = np.empty((seen.shape[0], n), np.int64)
-        for i in range(seen.shape[0]):
-            unpack(seen[i], n, bits, off, out[i])
-        return out, OK
-
-    return saturate, freudenthal, orbit
+    return saturate, freudenthal
 
 
-_sat_py, _fr_py, _orb_py = _make_kernels(_pack_py, _unpack_py, _domrep_py)
+_sat_py, _fr_py = _make_kernels(_pack_py, _unpack_py, _domrep_py)
 
-PURE_KERNELS = {"saturate": _sat_py, "freudenthal": _fr_py, "orbit": _orb_py, "domrep": _domrep_py}
+PURE_KERNELS = {"saturate": _sat_py, "freudenthal": _fr_py, "orbit": _orbit, "domrep": _domrep_py}
 
 if HAVE_NUMBA:
     _domrep_nb = _njit(cache=True)(_domrep_py)
     _pack_nb = _njit(cache=True)(_pack_py)
     _unpack_nb = _njit(cache=True)(_unpack_py)
-    _sat_nb, _fr_nb, _orb_nb = (
-        _njit(cache=True)(f) for f in _make_kernels(_pack_nb, _unpack_nb, _domrep_nb)
-    )
-    JIT_KERNELS = {"saturate": _sat_nb, "freudenthal": _fr_nb, "orbit": _orb_nb, "domrep": _domrep_nb}
+    _sat_nb, _fr_nb = (_njit(cache=True)(f) for f in _make_kernels(_pack_nb, _unpack_nb, _domrep_nb))
+    JIT_KERNELS = {"saturate": _sat_nb, "freudenthal": _fr_nb, "domrep": _domrep_nb}
 else:  # pragma: no cover
     JIT_KERNELS = {}
 
@@ -320,7 +301,7 @@ def _dispatch(name):
 
 saturate_kernel = _dispatch("saturate")
 freudenthal_kernel = _dispatch("freudenthal")
-orbit_kernel = _dispatch("orbit")
+orbit_kernel = _orbit
 domrep_kernel = _dispatch("domrep")
 
 

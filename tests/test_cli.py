@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 from weylbranch import charcalc
@@ -122,3 +123,18 @@ def test_branch_torus_normalizer(capsys):
     code, out, _ = run(capsys, "branch", "A", "3", "0,1,0", "c2:l=0,t=4")
     assert code == 0
     assert "kappa\t6" in out and "clifford\tPASS" in out
+
+
+def test_report_digests(capsys, monkeypatch):
+    # the byte-identical reports every kernel or branching change must keep
+    monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)
+    cases = [
+        (("verify", "shipped:all", "--p", "0,2,3,5,7", "--rank-cap", "8"),
+         "4785fe5822437d9c7c83ab0fb20c5f6b77d51cb97a4b420fc7d9f74c3f0fea10"),
+        (("scan", "B", "5", "c1:Dn", "--bound", "3"),
+         "8393c158c806096a2c0b862d1f5d1f803ece7f3f279c5c54bece9ff876626087"),
+    ]
+    for argv, digest in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -1,11 +1,14 @@
-"""Parity between the jit and pure kernel paths, plus capacity guards."""
+"""Parity between the jit and pure kernel paths, the orbit kernel against a
+scalar oracle, and capacity guards."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylbranch import kernels
-from weylbranch.checker import dominant_weights_bounded
 from weylbranch.rootsys import LieType, build_root_system
+from weylbranch.weylgroup import orbit_size
 
 
 CASES = [
@@ -47,15 +50,108 @@ def test_jit_pure_parity(fam, n, lam):
     assert np.array_equal(m1, m2)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_orbit_parity():
-    rs = build_root_system(LieType("D", 4))
-    for lam in dominant_weights_bounded(4, 2):
-        bits = kernels.orbit_bits(rs, lam)
-        a1, s1 = kernels.PURE_KERNELS["orbit"](np.array(lam, dtype=np.int64), rs.cartan_np, np.int64(bits), np.int64(10**6))
-        a2, s2 = kernels.JIT_KERNELS["orbit"](np.array(lam, dtype=np.int64), rs.cartan_np, np.int64(bits), np.int64(10**6))
-        assert s1 == s2 == kernels.OK
-        assert {tuple(r) for r in a1.tolist()} == {tuple(r) for r in a2.tolist()}
+def scalar_orbit(w0, cartan, bits, cap):
+    """The closure-based pure orbit kernel the package used before, kept as an oracle.
+
+    Breadth-first closure under the simple reflections over packed keys, with
+    a membership search against every key seen so far.
+    """
+    pack, unpack = kernels._pack_py, kernels._unpack_py
+    n = w0.shape[0]
+    off = np.int64(1) << (bits - 1)
+    key0 = pack(w0, bits, off)
+    if key0 < 0:
+        return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
+    seen = np.empty(1, np.int64)
+    seen[0] = key0
+    frontier = seen.copy()
+    w = np.empty(n, np.int64)
+    s = np.empty(n, np.int64)
+    while frontier.shape[0] > 0:
+        cand = np.empty(frontier.shape[0] * n, np.int64)
+        cnt = 0
+        for f in range(frontier.shape[0]):
+            unpack(frontier[f], n, bits, off, w)
+            for j in range(n):
+                c = w[j]
+                if c == 0:
+                    continue
+                for i in range(n):
+                    s[i] = w[i] - c * cartan[j, i]
+                key = pack(s, bits, off)
+                if key < 0:
+                    return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
+                cand[cnt] = key
+                cnt += 1
+        if cnt == 0:
+            break
+        cs = np.unique(cand[:cnt])
+        new = np.empty(cs.shape[0], np.int64)
+        nnew = 0
+        for ci in range(cs.shape[0]):
+            pos = np.searchsorted(seen, cs[ci])
+            if pos < seen.shape[0] and seen[pos] == cs[ci]:
+                continue
+            new[nnew] = cs[ci]
+            nnew += 1
+        if nnew == 0:
+            break
+        seen = np.unique(np.concatenate((seen, new[:nnew])))
+        if seen.shape[0] > cap:
+            return np.empty((0, n), np.int64), kernels.CAP_EXCEEDED
+        frontier = new[:nnew]
+    out = np.empty((seen.shape[0], n), np.int64)
+    for i in range(seen.shape[0]):
+        unpack(seen[i], n, bits, off, out[i])
+    return out, kernels.OK
+
+
+ORBIT_TYPES = [(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 8)]
+
+
+@st.composite
+def orbit_cases(draw):
+    """A classical type of rank <= 7 and a weight with at most three non-zero
+    coordinates in -3..3, so that non-dominant weights occur; orbits are kept
+    to at most 3000 elements for the scalar oracle."""
+    fam, n = draw(st.sampled_from(ORBIT_TYPES))
+    rs = build_root_system(LieType(fam, n))
+    support = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    w = [0] * n
+    for i in support:
+        w[i] = draw(st.integers(-3, 3))
+    w = tuple(w)
+    size = orbit_size(rs, w).orbit_size
+    assume(size <= 3000)
+    return rs, w, size
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_cases())
+def test_orbit_matches_scalar_oracle(case):
+    rs, w, size = case
+    w_np = np.array(w, dtype=np.int64)
+    bits = np.int64(kernels.orbit_bits(rs, w))
+    out, status = kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(10**6))
+    ref, ref_status = scalar_orbit(w_np, rs.cartan_np, bits, np.int64(10**6))
+    assert status == ref_status == kernels.OK
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    assert len(out) == size
+    assert kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(size))[1] == kernels.OK
+    short, short_status = kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(size - 1))
+    assert short_status == kernels.CAP_EXCEEDED and short.shape == (0, rs.rank)
+    if size > 1:
+        # the oracle checks the cap only after a level is added, so a
+        # one-element orbit passes cap 0 there
+        assert scalar_orbit(w_np, rs.cartan_np, bits, np.int64(size - 1))[1] == kernels.CAP_EXCEEDED
+
+
+def test_orbit_pack_overflow():
+    rs = build_root_system(LieType("B", 3))
+    w = np.array([3, 0, 1], dtype=np.int64)
+    for kernel in (kernels.orbit_kernel, scalar_orbit):
+        out, status = kernel(w, rs.cartan_np, np.int64(3), np.int64(10**6))
+        assert status == kernels.PACK_OVERFLOW and out.shape == (0, 3)
 
 
 def test_env_flag_dispatch(monkeypatch):
