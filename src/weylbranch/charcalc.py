@@ -73,16 +73,8 @@ def _require_dominant(lam):
 @functools.lru_cache(maxsize=None)
 def _freudenthal_cached(t: LieType, lam):
     rs = build_root_system(t)
-    try:
-        doms, hts, mults = kernels.freudenthal_table(rs, lam)
-        entries = {tuple(int(x) for x in row): int(m) for row, m in zip(doms, mults)}
-    except kernels.KernelCapacityError:
-        if kernels.saturate_bits_fit(rs, lam):
-            raise
-        entries = kernels.freudenthal_table_bigrank(rs, lam)
-    total = 0
-    for w, m in entries.items():
-        total += m * orbit_size(rs, w).orbit_size
+    entries = dict(sorted(kernels.freudenthal_table(rs, lam).items()))
+    total = sum(m * orbit_size(rs, w).orbit_size for w, m in entries.items())
     return CharacterTable(highest_weight=tuple(lam), entries=entries, total_dim=total)
 
 
@@ -115,13 +107,7 @@ def weyl_dim(rs: RootSystem, lam) -> int:
 def saturate(rs: RootSystem, lam):
     """All dominant weights under lam (the dominant support of W(lam))."""
     lam = _require_dominant(rs.check_weight(lam))
-    try:
-        _, doms, _, _ = kernels.dominant_table(rs, lam)
-    except kernels.KernelCapacityError:
-        if kernels.saturate_bits_fit(rs, lam):
-            raise
-        return set(kernels._dominant_table_bigrank(rs, lam, 2_000_000))
-    return {tuple(int(x) for x in row) for row in doms}
+    return set(kernels.dominant_table(rs, lam)[0])
 
 
 def premet_applies(rs: RootSystem, chi: Characteristic) -> bool:

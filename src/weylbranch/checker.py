@@ -10,6 +10,7 @@ anything beyond them is reported INCONCLUSIVE rather than guessed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,15 @@ from .embeddings import (
     p_condition_ok,
     restrict_weight,
 )
-from .rootsys import LieType, build_root_system, integral_root_coords, pairing, scaled_root_coords
+from .rootsys import (
+    LieType,
+    build_root_system,
+    fundamental_weight,
+    integral_root_coords,
+    pairing,
+    root_coords_to_weight,
+    scaled_root_coords,
+)
 from .weylgroup import orbit_cap
 
 PASS = "PASS"
@@ -173,25 +182,32 @@ def _scaled_coords(e: Embedding, w):
     return charges, tuple(x for rs, a in zip(e.factor_systems, parts) for x in scaled_root_coords(rs, a))
 
 
-def _diagram_paths(rs):
-    """Connected chains in the Dynkin diagram as 0-based node lists.
+@functools.lru_cache(maxsize=None)
+def _diagram_chains(rs):
+    """Connected chains in the Dynkin diagram, each summing to a positive root beta.
 
-    Index windows are connected for every classical diagram except the
-    two-element window across the D fork; D additionally has the chains
-    running to the far fork tip.
+    One record per chain: its 1-based (first, last) node labels, the integer
+    coefficients c with <lam, beta-coroot> = sum c_i lam_i, and beta in weight
+    coordinates.  Index windows are connected for every classical diagram
+    except the two-element window across the D fork; D additionally has the
+    chains running to the far fork tip.
     """
     n = rs.rank
     fam = rs.lie_type.family
-    paths = []
-    for i in range(n):
-        for j in range(i, n):
-            if fam == "D" and i == n - 2 and j == n - 1:
-                continue  # the fork tips are not adjacent
-            paths.append(list(range(i, j + 1)))
+    paths = [
+        list(range(i, j + 1))
+        for i in range(n)
+        for j in range(i, n)
+        if not (fam == "D" and i == n - 2 and j == n - 1)  # the fork tips are not adjacent
+    ]
     if fam == "D":
-        for i in range(n - 2):
-            paths.append(list(range(i, n - 2)) + [n - 1])
-    return paths
+        paths += [list(range(i, n - 2)) + [n - 1] for i in range(n - 2)]
+    chains = []
+    for nodes in paths:
+        beta = tuple(1 if k in nodes else 0 for k in range(n))
+        coroot = tuple(pairing(rs, fundamental_weight(rs, i + 1), beta) for i in range(n))
+        chains.append(((nodes[0] + 1, nodes[-1] + 1), coroot, root_coords_to_weight(rs, beta)))
+    return tuple(chains)
 
 
 def _chain_weights(rs, lam, chi):
@@ -202,20 +218,13 @@ def _chain_weights(rs, lam, chi):
     vanish mod p (the commutator [e, f] acts by it on the highest vector),
     and for all of the Weyl support when p = 0 or p > e(G).
     """
-    cartan = rs.cartan_np
     out = []
     saturated = chi.p == 0 or chi.p > rs.eG
-    for nodes in _diagram_paths(rs):
-        if not any(lam[k] for k in nodes):
-            continue
-        beta = tuple(1 if k in nodes else 0 for k in range(rs.rank))
-        c = pairing(rs, lam, beta)
+    for label, coroot, beta_w in _diagram_chains(rs):
+        c = sum(a * b for a, b in zip(coroot, lam))
         if c <= 0 or (not saturated and c % chi.p == 0):
             continue
-        vec = np.array(lam, dtype=np.int64)
-        for k in nodes:
-            vec -= cartan[k]
-        out.append(((nodes[0] + 1, nodes[-1] + 1), tuple(int(x) for x in vec)))
+        out.append((label, tuple(a - b for a, b in zip(lam, beta_w))))
     return out
 
 

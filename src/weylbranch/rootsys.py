@@ -80,6 +80,11 @@ def _cartan_matrix(t: LieType):
     return tuple(tuple(row) for row in a)
 
 
+def cartan_support(cartan):
+    """Per row j, the (i, cartan[j][i]) pairs with a non-zero entry."""
+    return tuple(tuple((i, a) for i, a in enumerate(row) if a) for row in cartan)
+
+
 def _root_lengths(t: LieType):
     """Squared lengths of the simple roots, short root = 1."""
     n = t.rank
@@ -178,13 +183,9 @@ class RootSystem:
         )
         self.slen2 = tuple(int(Fraction(l, 2) * scale) for l in self.root_lengths)
 
-        # numpy mirrors for the kernels
+        self.cartan_support = cartan_support(self.cartan)
+        # numpy mirror for the orbit kernel
         self.cartan_np = np.array(self.cartan, dtype=np.int64)
-        self.pos_rc_np = np.array(self.positive_roots, dtype=np.int64)
-        self.pos_wc_np = self.pos_rc_np @ self.cartan_np
-        self.pos_height_np = self.pos_rc_np.sum(axis=1)
-        self.gram_np = np.array(self.gram_scaled, dtype=np.int64)
-        self.slen2_np = np.array(self.slen2, dtype=np.int64)
 
     def __repr__(self):
         return f"RootSystem({self.lie_type})"
@@ -285,8 +286,8 @@ def root_coords_to_weight(rs: RootSystem, rc):
     n = rs.rank
     out = []
     for j in range(n):
-        v = sum((Fraction(rc[i]) * rs.cartan[i][j] for i in range(n)), Fraction(0))
-        if v.denominator != 1:
+        v = sum(rc[i] * rs.cartan[i][j] for i in range(n))  # an int or a Fraction
+        if v != int(v):
             raise ArithmeticError(f"root coordinates {rc} do not give an integral weight")
         out.append(int(v))
     return tuple(out)

@@ -52,9 +52,11 @@ def reflect(rs: RootSystem, w, alpha_rc):
 
 def dominant_representative(rs: RootSystem, w):
     """The unique dominant weight in the orbit of w, plus a word length."""
-    w = rs.check_weight(w)
-    rep, steps = kernels.dominant_rep_array(rs, w)
-    return tuple(int(x) for x in rep), steps
+    rep = list(rs.check_weight(w))
+    steps = kernels._domrep_py(rep, rs.cartan_support)
+    if steps < 0:
+        raise kernels.KernelCapacityError(f"dominant representative of {w} did not terminate")
+    return tuple(rep), steps
 
 
 def orbit_size(rs: RootSystem, w) -> OrbitSummary:

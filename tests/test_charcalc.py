@@ -1,9 +1,13 @@
 """Characters, dimensions, multiplicity rules, Levi reduction, subtraction."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylbranch.charcalc import (
     Characteristic,
@@ -326,3 +330,77 @@ def test_levi_reduce_d_fork_cases():
             mu[i] -= rs.cartan[j][i]
     with pytest.raises(ValueError):
         levi_reduce(rs, lam, tuple(mu))
+
+
+def test_freudenthal_sweep_digest():
+    """The tables of the 794 criterion-2 weights, pinned to the int64 kernels'
+    output: sha256 over the canonical records sorted by id ("A6|0,0,1,0,0,0")."""
+    records = {}
+    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for n in range(lo, 7):
+            rs = rsys(fam, n)
+            for w in itertools.product(range(4), repeat=n):
+                if 0 < sum(w) <= 3:
+                    t = freudenthal(rs, w)
+                    records[f"{fam}{n}|{','.join(map(str, w))}"] = {
+                        "total_dim": t.total_dim,
+                        "entries": sorted([list(k), m] for k, m in t.entries.items()),
+                    }
+    text = json.dumps(sorted(records.items()), sort_keys=True, separators=(",", ":"))
+    assert len(records) == 794
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ab062e5f36ce73680c2c89b83f9df9663c5a55fee20757445070056c43580d91"
+    )
+
+
+BK_TYPES = [("A", n) for n in range(1, 5)] + [(f, n) for f in "BC" for n in range(2, 5)]
+BK_TYPES += [("D", 3), ("D", 4)]
+
+
+def _dot_dominant(rs, v):
+    """(dominant conjugate of v, parity of the reflections used), by simple
+    reflections read off the Cartan matrix."""
+    v = list(v)
+    parity = 0
+    while min(v) < 0:
+        j = v.index(min(v))
+        c = v[j]
+        v = [a - c * b for a, b in zip(v, rs.cartan[j])]
+        parity ^= 1
+    return tuple(v), parity
+
+
+@st.composite
+def bk_cases(draw):
+    """A classical type of rank <= 4 and two dominant weights with
+    coefficient sum <= 2."""
+    fam, n = draw(st.sampled_from(BK_TYPES))
+    weights = [w for w in itertools.product(range(3), repeat=n) if sum(w) <= 2]
+    return rsys(fam, n), draw(st.sampled_from(weights)), draw(st.sampled_from(weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bk_cases())
+def test_brauer_klimyk_tensor_identity(case):
+    """char(lam) * char(mu) = sum of n_kappa char(kappa), where n_kappa sums
+    sign(w) * m_mu(nu) over the weights nu of V(mu) with w(lam + nu + rho) =
+    kappa + rho off the walls.  Checks every multiplicity of both sides."""
+    rs, lam, mu = case
+    rho = rs.rho
+    coeffs = {}
+    for nu, m in full_character(rs, mu).items():
+        rep, parity = _dot_dominant(rs, [a + b + r for a, b, r in zip(lam, nu, rho)])
+        if min(rep) == 0:
+            continue  # on a wall: cancels
+        kappa = tuple(c - r for c, r in zip(rep, rho))
+        coeffs[kappa] = coeffs.get(kappa, 0) + (-m if parity else m)
+    lhs = {}
+    for kappa, n_kappa in coeffs.items():
+        for w, m in full_character(rs, kappa).items():
+            lhs[w] = lhs.get(w, 0) + n_kappa * m
+    rhs = {}
+    for a, ma in full_character(rs, lam).items():
+        for b, mb in full_character(rs, mu).items():
+            w = tuple(x + y for x, y in zip(a, b))
+            rhs[w] = rhs.get(w, 0) + ma * mb
+    assert {w: m for w, m in lhs.items() if m} == rhs

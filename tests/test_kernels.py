@@ -1,5 +1,4 @@
-"""Parity between the jit and pure kernel paths, the orbit kernel against a
-scalar oracle, and capacity guards."""
+"""The orbit kernel against a scalar oracle, and capacity guards."""
 
 import numpy as np
 import pytest
@@ -7,47 +6,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylbranch import kernels
+from weylbranch.charcalc import freudenthal, weyl_dim
 from weylbranch.rootsys import LieType, build_root_system
 from weylbranch.weylgroup import orbit_size
 
 
-CASES = [
-    ("A", 3, (1, 1, 1)),
-    ("B", 3, (2, 0, 1)),
-    ("C", 4, (1, 0, 0, 2)),
-    ("D", 4, (0, 1, 0, 1)),
-    ("B", 5, (1, 0, 0, 0, 1)),
-]
+def _pack_py(w, bits, off):
+    key = np.int64(0)
+    for i in range(w.shape[0]):
+        v = w[i] + off
+        if v < 0 or v >= (np.int64(1) << bits):
+            return np.int64(-1)
+        key = (key << bits) | v
+    return key
 
 
-def _run(kind, rs, lam, bits):
-    sat = kernels.PURE_KERNELS if kind == "pure" else kernels.JIT_KERNELS
-    keys, hts, status = sat["saturate"](
-        np.array(lam, dtype=np.int64),
-        rs.cartan_np,
-        rs.pos_wc_np,
-        rs.pos_height_np,
-        np.int64(bits),
-        np.int64(10**6),
-    )
-    assert status == kernels.OK
-    mults, status = sat["freudenthal"](
-        keys, hts, rs.cartan_np, rs.pos_wc_np, rs.pos_rc_np, rs.slen2_np, rs.gram_np, np.int64(bits)
-    )
-    assert status == kernels.OK
-    return keys, hts, mults
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("fam,n,lam", CASES)
-def test_jit_pure_parity(fam, n, lam):
-    rs = build_root_system(LieType(fam, n))
-    bits = kernels.saturate_bits(rs, lam)
-    k1, h1, m1 = _run("pure", rs, lam, bits)
-    k2, h2, m2 = _run("jit", rs, lam, bits)
-    assert np.array_equal(k1, k2)
-    assert np.array_equal(h1, h2)
-    assert np.array_equal(m1, m2)
+def _unpack_py(key, n, bits, off, out):
+    mask = (np.int64(1) << bits) - 1
+    for i in range(n - 1, -1, -1):
+        out[i] = (key & mask) - off
+        key >>= bits
 
 
 def scalar_orbit(w0, cartan, bits, cap):
@@ -56,10 +34,9 @@ def scalar_orbit(w0, cartan, bits, cap):
     Breadth-first closure under the simple reflections over packed keys, with
     a membership search against every key seen so far.
     """
-    pack, unpack = kernels._pack_py, kernels._unpack_py
     n = w0.shape[0]
     off = np.int64(1) << (bits - 1)
-    key0 = pack(w0, bits, off)
+    key0 = _pack_py(w0, bits, off)
     if key0 < 0:
         return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
     seen = np.empty(1, np.int64)
@@ -71,14 +48,14 @@ def scalar_orbit(w0, cartan, bits, cap):
         cand = np.empty(frontier.shape[0] * n, np.int64)
         cnt = 0
         for f in range(frontier.shape[0]):
-            unpack(frontier[f], n, bits, off, w)
+            _unpack_py(frontier[f], n, bits, off, w)
             for j in range(n):
                 c = w[j]
                 if c == 0:
                     continue
                 for i in range(n):
                     s[i] = w[i] - c * cartan[j, i]
-                key = pack(s, bits, off)
+                key = _pack_py(s, bits, off)
                 if key < 0:
                     return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
                 cand[cnt] = key
@@ -102,7 +79,7 @@ def scalar_orbit(w0, cartan, bits, cap):
         frontier = new[:nnew]
     out = np.empty((seen.shape[0], n), np.int64)
     for i in range(seen.shape[0]):
-        unpack(seen[i], n, bits, off, out[i])
+        _unpack_py(seen[i], n, bits, off, out[i])
     return out, kernels.OK
 
 
@@ -154,30 +131,23 @@ def test_orbit_pack_overflow():
         assert status == kernels.PACK_OVERFLOW and out.shape == (0, 3)
 
 
-def test_env_flag_dispatch(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.delenv(kernels.ENV_FLAG, raising=False)
-    assert kernels.use_jit() is True
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    assert kernels.use_jit() is False
-    # results identical through the dispatcher on both settings
-    rs = build_root_system(LieType("B", 3))
-    doms1, _, m1 = kernels.freudenthal_table(rs, (1, 1, 0))
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    doms2, _, m2 = kernels.freudenthal_table(rs, (1, 1, 0))
-    assert np.array_equal(doms1, doms2) and np.array_equal(m1, m2)
-
-
 def test_capacity_guard():
-    rs = build_root_system(LieType("B", 8))
+    # a rank-9 table whose weights do not fit 62 packed bits; the Python-int
+    # recursion has no such limit
+    rs = build_root_system(LieType("D", 9))
+    lam = (0, 1, 0, 0, 0, 0, 0, 0, 1)
+    assert freudenthal(rs, lam).total_dim == weyl_dim(rs, lam)
     with pytest.raises(kernels.KernelCapacityError):
-        kernels.saturate_bits(rs, (10**6,) * 8)
+        kernels.dominant_table(rs, (2, 0, 0, 0, 0, 0, 0, 0, 0), maxdom=2)
+    rs = build_root_system(LieType("B", 8))
     with pytest.raises(kernels.KernelCapacityError):
         kernels.weyl_orbit_array(rs, (1, 1, 1, 1, 1, 1, 1, 1), cap=10)
 
 
 def test_dominant_rep_array():
     rs = build_root_system(LieType("A", 2))
-    rep, steps = kernels.dominant_rep_array(rs, (-1, -1))
-    assert tuple(rep) == (1, 1) and steps >= 1
+    rep = [-1, -1]
+    steps = kernels._domrep_py(rep, rs.cartan_support)
+    assert tuple(rep) == (1, 1) and steps == 3
+    rep = [2, 1]
+    assert kernels._domrep_py(rep, rs.cartan_support) == 0 and tuple(rep) == (2, 1)

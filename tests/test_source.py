@@ -6,11 +6,34 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylbranch"
 
 
+def _trees():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"), filename=str(p))) for p in paths]
+
+
 def test_no_assert_statements():
     # python -O strips assert statements; invariants must raise explicitly
-    paths = sorted(SRC.glob("*.py"))
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def test_no_numba_import():
+    # the kernels run on one exact path; a numba import would bring back a
+    # second one that cannot be tested without numba installed
     found = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert paths and not found, found
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numba"]
+    assert not found, found

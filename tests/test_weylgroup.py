@@ -48,8 +48,8 @@ def test_reflect_involution_and_domrep_invariance(t, data):
 def test_dominant_representative():
     rs = build_root_system(LieType("A", 2))
     assert dominant_representative(rs, (2, 1)) == ((2, 1), 0)
-    rep, _ = dominant_representative(rs, (-1, -1))
-    assert rep == (1, 1)
+    # one step per positive root pairing negatively: alpha_1, alpha_2, alpha_1 + alpha_2
+    assert dominant_representative(rs, (-1, -1)) == ((1, 1), 3)
     rs = build_root_system(LieType("B", 3))
     w = (0, 0, 1)
     minus = tuple(a - b for a, b in zip(w, (2, 0, 0)))  # lambda_3 - e_1
