@@ -17,11 +17,8 @@ from .rootsys import (
     LieType,
     RootSystem,
     build_root_system,
-    connected_components,
     fundamental_weight,
-    integral_root_coords,
     scaled_root_coords,
-    subdiagram_type,
 )
 from .weylgroup import dominant_representative, orbit_cap, orbit_size
 
@@ -115,14 +112,6 @@ def premet_applies(rs: RootSystem, chi: Characteristic) -> bool:
     return chi.p == 0 or chi.p > rs.eG
 
 
-def chain_multiplicity(lam, i: int, d: int) -> int:
-    """lam - d*alpha_i is a weight of L(lam) of multiplicity 1 for 1 <= d <= a_i."""
-    a_i = lam[i - 1]
-    if not 1 <= d <= a_i:
-        raise ValueError(f"need 1 <= d <= a_i = {a_i}, got d = {d}")
-    return 1
-
-
 def mult_rule_118(c: int, d: int, length_case: str, chi: Characteristic) -> int:
     """m(lam - alpha - beta) for adjacent simple roots with coefficients c, d > 0."""
     if c <= 0 or d <= 0:
@@ -155,14 +144,6 @@ def mult_rule_bwt(n: int, chi: Characteristic) -> int:
     if chi.p and (2 * n + 1) % chi.p == 0:
         return n - 1
     return n
-
-
-def mult_rule_c2l3(a: int, chi: Characteristic) -> int:
-    """m(lam - alpha_{n-2} - 2 alpha_{n-1} - alpha_n) for C_n, lam = lam_{n-1} + a lam_n."""
-    p = chi.p
-    if p == 0 or not 0 <= a < p or (2 * a + 3) % p != 0:
-        raise ValueError("requires 0 <= a < p and 2a + 3 = 0 (mod p)")
-    return 1
 
 
 def _binom(n, k):
@@ -267,34 +248,6 @@ def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
 def irr_dim(rs: RootSystem, lam, chi: Characteristic):
     """Exact dim L(lam) when a closed form applies, else None ("unknown")."""
     return irr_dim_with_rule(rs, lam, chi)[0]
-
-
-# ---------------------------------------------------------------------------
-# Levi reduction
-
-
-def levi_reduce(rs: RootSystem, lam, mu):
-    """Reduce m_{V}(mu) to a Levi subsystem when lam - mu has connected support.
-
-    Returns (sub RootSystem or None, sub lam, sub mu); None with empty weights
-    for the trivial case mu = lam.
-    """
-    lam = rs.check_weight(lam)
-    mu = rs.check_weight(mu)
-    rc = integral_root_coords(rs, tuple(a - b for a, b in zip(lam, mu)))
-    if rc is None or any(x < 0 for x in rc):
-        raise ValueError("lam - mu is not a non-negative root-lattice element")
-    nodes = [i for i, x in enumerate(rc) if x != 0]
-    if not nodes:
-        return None, (), ()
-    comps = connected_components(rs, nodes)
-    if len(comps) > 1:
-        raise ValueError("support of lam - mu is not connected")
-    (order,) = comps
-    sub_rs = build_root_system(subdiagram_type(rs, order))
-    sub_lam = tuple(lam[i] for i in order)
-    sub_mu = tuple(mu[i] for i in order)
-    return sub_rs, sub_lam, sub_mu
 
 
 # ---------------------------------------------------------------------------

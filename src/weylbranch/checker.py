@@ -219,7 +219,7 @@ def _chain_weights(rs, lam, chi):
     and for all of the Weyl support when p = 0 or p > e(G).
     """
     out = []
-    saturated = chi.p == 0 or chi.p > rs.eG
+    saturated = charcalc.premet_applies(rs, chi)
     for label, coroot, beta_w in _diagram_chains(rs):
         c = sum(a * b for a, b in zip(coroot, lam))
         if c <= 0 or (not saturated and c % chi.p == 0):

@@ -1,10 +1,24 @@
 """Restriction maps onto the disconnected geometric subgroup families.
 
-Each family is realized as an explicit integer matrix sending ambient
-fundamental-weight coordinates to concatenated factor coordinates plus
-central-torus charges, frozen to one fixed conjugacy choice.  The component
-group (block permutations, graph flips, torus inversion) acts on restricted
-weights through small generator lists.
+Every family is built from one model of the natural module W of the ambient
+group G.  The subgroup H is the stabilizer of a structure on W: W = W1 + W2
+orthogonal (c1), W1 + ... + Wt (c2), U + U* (c3), W1 x W2 (x ...) as a tensor
+product (c4), or a classical form (c6).  A family states two things:
+
+* the epsilon-assignment: where each ambient epsilon-weight of W goes.  That
+  is a signed epsilon-index of one factor of H, one such index per tensor
+  factor (c4), nothing (the paired zero weights of c2 B_l^t), and/or a charge
+  on the central torus;
+* the component-group generators, each a signed permutation of the restricted
+  coordinates: block swaps of equal factors, diagram flips of A and D
+  factors, and permutations and sign changes of the charges.  A generator is
+  an (index tuple, sign tuple) pair (idx, sgn) acting by
+  w -> (sgn[i] * w[idx[i]])_i.
+
+``_embed`` alone turns an assignment into the integer restriction matrix R: the
+doubled epsilon-rows of the ambient fundamental weights, pushed through the
+assignment, give doubled factor epsilon-coordinates, then factor
+fundamental-weight coordinates and charges.
 
 Conventions:
 
@@ -15,11 +29,15 @@ Conventions:
   the whole matrix stays over the integers;
 * simple-root images are stored per ambient simple root and are required to
   agree with the matrix image of the Cartan row.
+
+``build_embedding`` caches its result per (ambient, family), so instances are
+shared; their restriction matrix is read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +47,10 @@ from .rootsys import LieType, build_root_system, scaled_root_coords
 A1 = LieType("A", 1)
 
 FAMILY_TAGS = ("c1", "c2", "c3", "c4i", "c4ii", "c6")
+
+# distinct (ambient, family) pairs kept by build_embedding; the instances up
+# to rank 12 number 232
+EMBEDDING_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -58,20 +80,6 @@ def geom_family(tag, **params):
     return GeomFamily(tag, canon)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One component-group generator acting on restricted weights."""
-
-    factor_perm: tuple = ()  # i -> new position of factor i
-    flips: frozenset = frozenset()  # factors whose diagram flip is applied
-    charge_op: tuple = ("id",)  # ("id",) | ("neg",) | ("perm", perm) | ("dflip",)
-
-
-@dataclass(frozen=True)
-class ComponentAction:
-    generators: tuple
-
-
 @dataclass
 class Embedding:
     ambient: LieType
@@ -79,13 +87,12 @@ class Embedding:
     factors: tuple  # materialized LieTypes
     factor_groups: tuple  # original factor -> tuple of materialized indices
     torus_rank: int
-    restriction: np.ndarray  # n x (sum of factor ranks + torus_rank)
+    restriction: np.ndarray  # n x (sum of factor ranks + torus_rank), read-only
     simple_root_images: tuple
     charge_scale: int
-    action: ComponentAction
+    generators: tuple  # component group: (index tuple, sign tuple) pairs
     existence: str = "any"  # p-condition for H to exist and be maximal
     central2: bool = False  # central 2^{t-1} elementary abelian part present
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.factor_ranks = tuple(t.rank for t in self.factors)
@@ -105,13 +112,6 @@ class Embedding:
             parts.append(tuple(hw[off:off + r]))
         return tuple(parts), tuple(hw[self.semisimple_rank:])
 
-    def join(self, parts, charges):
-        out = []
-        for p in parts:
-            out.extend(p)
-        out.extend(charges)
-        return tuple(out)
-
 
 def restrict_weight(e: Embedding, w):
     """Linear image of an ambient weight; factor coords then torus charges."""
@@ -121,57 +121,16 @@ def restrict_weight(e: Embedding, w):
     return tuple(int(x) for x in vec)
 
 
-def _flip_part(t: LieType, part):
-    if t.family == "A":
-        return tuple(reversed(part))
-    if t.family == "D":
-        out = list(part)
-        out[-2], out[-1] = out[-1], out[-2]
-        return tuple(out)
-    raise ValueError(f"factor {t} has no diagram flip")
-
-
-def apply_generator(e: Embedding, g: Generator, hw):
-    parts, charges = e.split(hw)
-    nparts = list(parts)
-    if g.flips:
-        nparts = [
-            _flip_part(e.factors[i], p) if i in g.flips else p
-            for i, p in enumerate(nparts)
-        ]
-    if g.factor_perm:
-        moved = [None] * len(nparts)
-        for i, p in enumerate(nparts):
-            j = g.factor_perm[i]
-            if e.factors[i] != e.factors[j]:
-                raise ValueError("generator permutes factors of different type")
-            moved[j] = p
-        nparts = moved
-    op = g.charge_op
-    if op[0] == "neg":
-        charges = tuple(-c for c in charges)
-    elif op[0] == "perm":
-        perm = op[1]
-        moved = [0] * len(charges)
-        for i, c in enumerate(charges):
-            moved[perm[i]] = c
-        charges = tuple(moved)
-    elif op[0] == "dflip":
-        ch = list(charges)
-        ch[-2], ch[-1] = -ch[-1], -ch[-2]
-        charges = tuple(ch)
-    return e.join(nparts, charges)
-
-
 def component_orbit_set(e: Embedding, hw):
     """The orbit of hw under the component group, as a sorted list."""
-    seen = {tuple(hw)}
-    frontier = [tuple(hw)]
+    start = tuple(hw)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in e.action.generators:
-                y = apply_generator(e, g, w)
+            for idx, sgn in e.generators:
+                y = tuple([s * w[i] for i, s in zip(idx, sgn)])
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -198,11 +157,6 @@ def central_multiplicity(e: Embedding, hw) -> int:
 
 def kappa_of(e: Embedding, hw) -> int:
     return len(component_orbit_set(e, hw)) * central_multiplicity(e, hw)
-
-
-def h_value(e: Embedding, hw) -> int:
-    """Sum of all fundamental-weight coefficients across the factors."""
-    return int(sum(hw[: e.semisimple_rank]))
 
 
 def ell_value(e: Embedding, mu_h, lambda_h, sigma):
@@ -271,218 +225,203 @@ def existence_ok(e: Embedding, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# builder helpers
+# the natural-module model
 
 
-class _MatrixBuilder:
-    """Accumulates the restriction matrix in (factor, index) terms."""
+def _ambient_e_rows(ambient):
+    """Doubled epsilon-coordinates of the fundamental weights.
 
-    def __init__(self, ambient: LieType, kinds, torus_rank=0, charge_scale=1):
-        # kinds: list of (family, rank) for the *original* factors
-        self.ambient = ambient
-        self.n = ambient.rank
-        factors = []
-        groups = []
-        for fam, r in kinds:
-            idx0 = len(factors)
-            if fam == "D" and r == 2:
-                factors += [A1, A1]
-                groups.append((idx0, idx0 + 1))
-            elif r == 1:
-                factors.append(A1)
-                groups.append((idx0,))
-            else:
-                factors.append(LieType(fam, r))
-                groups.append((idx0,))
-        self.factors = tuple(factors)
-        self.groups = tuple(groups)
-        self.ranks = [t.rank for t in factors]
-        offs = []
-        off = 0
-        for r in self.ranks:
-            offs.append(off)
-            off += r
-        self.offsets = offs
-        self.torus_rank = torus_rank
-        self.charge_scale = charge_scale
-        self.width = off + torus_rank
-        self.mat = np.zeros((self.n, self.width), dtype=np.int64)
-        self.kinds = list(kinds)
+    Rows over Z^n, or over Z^{n+1} for A_n (the trace is not removed).
+    """
+    n = ambient.rank
+    rows = [[2] * k + [0] * (n - k) for k in range(1, n + 1)]
+    if ambient.family == "A":
+        rows = [row + [0] for row in rows]
+    elif ambient.family == "B":
+        rows[n - 1] = [1] * n  # lambda_n is the half-sum
+    elif ambient.family == "D":
+        rows[n - 2] = [1] * (n - 1) + [-1]
+        rows[n - 1] = [1] * n
+    return rows
 
-    def add(self, amb_i, orig_factor, j, coeff=1):
-        """Add coeff * omega_{orig_factor, j} to the image of lambda_{amb_i} (1-based)."""
-        fam, r = self.kinds[orig_factor - 1]
-        grp = self.groups[orig_factor - 1]
+
+def _edim(fam, r):
+    """Number of epsilon-coordinates of a factor: A_r lives in Z^{r+1}."""
+    return r + 1 if fam == "A" else r
+
+
+def _half(v):
+    if v % 2:
+        raise AssertionError("natural-module model produced a non-integral weight")
+    return v // 2
+
+
+def _factor_from_e(fam, l, f):
+    """Factor fundamental coordinates from doubled epsilon-coordinates f.
+
+    D2 comes out as its two A1 coordinates, B1 and C1 as one A1 coordinate.
+    """
+    out = [f[j] - f[j + 1] for j in range(l if fam == "A" else l - 1)]
+    if fam == "B":
+        out.append(2 * f[l - 1])
+    elif fam == "C":
+        out.append(f[l - 1])
+    elif fam == "D":
+        out.append(f[l - 2] + f[l - 1])
+    return [_half(v) for v in out]
+
+
+def _materialize(kinds):
+    """(materialized factors, original factor -> materialized indices)."""
+    factors, groups = [], []
+    for fam, r in kinds:
+        k = len(factors)
         if fam == "D" and r == 2:
-            # omega_{.,1}, omega_{.,2} are the two A1 fundamental weights
-            mat_idx = self.offsets[grp[j - 1]]
+            factors += [A1, A1]
+            groups.append((k, k + 1))
         else:
-            mat_idx = self.offsets[grp[0]] + (j - 1)
-        self.mat[amb_i - 1, mat_idx] += coeff
-
-    def add_charge(self, amb_i, c_idx, value):
-        base = sum(self.ranks)
-        self.mat[amb_i - 1, base + c_idx] += value
-
-    def materialized_flip(self, orig_factor):
-        """Flip data for one original factor: (perm update, flips update)."""
-        fam, r = self.kinds[orig_factor - 1]
-        grp = self.groups[orig_factor - 1]
-        if fam == "D" and r == 2:
-            return ("swap", grp)
-        if fam in ("A", "D"):
-            return ("flip", grp)
-        raise ValueError(f"factor {fam}{r} has no flip")
+            factors.append(A1 if r == 1 else LieType(fam, r))
+            groups.append((k,))
+    return tuple(factors), tuple(groups)
 
 
-def _identity_perm(k):
-    return tuple(range(k))
+def _offset(kinds, f):
+    """First restricted coordinate of original factor f (the charges follow the last)."""
+    return sum(r for _, r in kinds[:f])
 
 
-def _gen_flip(builder, orig_factors):
-    """Generator applying the diagram flip on the given original factors."""
-    perm = list(range(len(builder.factors)))
-    flips = set()
-    for f in orig_factors:
-        kind, grp = builder.materialized_flip(f)
-        if kind == "swap":
-            perm[grp[0]], perm[grp[1]] = grp[1], grp[0]
-        else:
-            flips.add(grp[0])
-    return Generator(factor_perm=tuple(perm), flips=frozenset(flips))
+def _flip(kinds, f):
+    """The diagram flip of original factor f, as signed transpositions."""
+    fam, r = kinds[f]
+    o = _offset(kinds, f)
+    if fam == "A":
+        return [(o + i, o + r - 1 - i, 1) for i in range(r // 2)]
+    if fam == "D":  # for D2 this swaps the two A1 factors
+        return [(o + r - 2, o + r - 1, 1)]
+    raise ValueError(f"factor {fam}{r} has no diagram flip")
 
 
-def _gen_block_transposition(builder, f1, f2, charge_perm=None):
-    """Swap two original factors (must have identical materialized shape)."""
-    perm = list(range(len(builder.factors)))
-    g1 = builder.groups[f1 - 1]
-    g2 = builder.groups[f2 - 1]
-    if len(g1) != len(g2):
-        raise ValueError(f"factors {f1} and {f2} have different materialized shapes")
-    for a, b in zip(g1, g2):
-        perm[a], perm[b] = b, a
-    cop = ("perm", tuple(charge_perm)) if charge_perm is not None else ("id",)
-    return Generator(factor_perm=tuple(perm), charge_op=cop)
+def _swap(kinds, f, g):
+    """Exchange of the equal original factors f and g, as signed transpositions."""
+    if kinds[f] != kinds[g]:
+        raise ValueError(f"factors {f + 1} and {g + 1} have different types")
+    of, og = _offset(kinds, f), _offset(kinds, g)
+    return [(of + i, og + i, 1) for i in range(kinds[f][1])]
 
 
-def _st_generators(builder, t, charge=False):
-    gens = []
-    for i in range(1, t):
-        cp = None
-        if charge:
-            cp = list(range(t))
-            cp[i - 1], cp[i] = i, i - 1
-        gens.append(_gen_block_transposition(builder, i, i + 1, cp))
-    return gens
+def _charge_swap(kinds, c, d, sign=1):
+    """Charges c and d exchanged and multiplied by sign; c == d changes one sign."""
+    base = _offset(kinds, len(kinds))
+    return [(base + c, base + d, sign)]
 
 
-def _finish(builder, ambient, family, gens, existence="any", central2=False,
-            simple_root_images=None, notes=None):
-    rs = build_root_system(ambient)
-    derived = tuple(
-        tuple(int(x) for x in (np.asarray(rs.cartan[k], dtype=np.int64) @ builder.mat))
-        for k in range(ambient.rank)
-    )
-    images = tuple(simple_root_images) if simple_root_images is not None else derived
-    emb = Embedding(
+def _block_swaps(kinds, t, charged=False):
+    """The adjacent transpositions generating S_t on t equal factors."""
+    return [_swap(kinds, i, i + 1) + (_charge_swap(kinds, i, i + 1) if charged else []) for i in range(t - 1)]
+
+
+def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
+           existence="any", central2=False, simple_root_images=None):
+    """The embedding of one family instance from its natural-module model.
+
+    ``kinds`` lists the original factors as (family, rank).  ``eps[j]`` lists
+    the (factor, epsilon-index, sign) terms of the j-th ambient epsilon-weight
+    of W; ``charges[j]`` is charge_scale times its charge on each torus
+    coordinate.  Each generator is a list of signed transpositions (i, j, s)
+    of the restricted coordinates, meaning w'_i = s w_j and w'_j = s w_i.
+    """
+    factors, groups = _materialize(kinds)
+    edims = [_edim(fam, r) for fam, r in kinds]
+    eoffs = [sum(edims[:f]) for f in range(len(kinds) + 1)]  # the charges follow the last
+    torus_rank = len(charges[0]) if charges else 0
+    assignment = [[0] * (eoffs[-1] + torus_rank) for _ in eps]
+    for j, terms in enumerate(eps):
+        for f, i, s in terms:
+            assignment[j][eoffs[f] + i] += s
+        if torus_rank:
+            assignment[j][eoffs[-1]:] = charges[j]
+    doubled = (np.array(_ambient_e_rows(ambient), dtype=np.int64) @ np.array(assignment, dtype=np.int64)).tolist()
+    mat = []
+    for row in doubled:
+        out = []
+        for (fam, r), eo, ed in zip(kinds, eoffs, edims):
+            out += _factor_from_e(fam, r, row[eo:eo + ed])
+        mat.append(out + [_half(v) for v in row[eoffs[-1]:]])
+    width = len(mat[0])
+    generators = []
+    for moves in gens:
+        idx, sgn = list(range(width)), [1] * width
+        for i, j, s in moves:
+            idx[i], idx[j] = j, i
+            sgn[i] = sgn[j] = s
+        generators.append((tuple(idx), tuple(sgn)))
+    derived = []
+    for support in build_root_system(ambient).cartan_support:
+        image = [0] * width
+        for i, a in support:
+            image = [x + a * y for x, y in zip(image, mat[i])]
+        derived.append(tuple(image))
+    derived = tuple(derived)
+    images = derived if simple_root_images is None else tuple(map(tuple, simple_root_images))
+    if images != derived:
+        raise AssertionError(f"simple-root images of {family} on {ambient} disagree with R: {images} vs {derived}")
+    restriction = np.array(mat, dtype=np.int64)
+    restriction.setflags(write=False)
+    return Embedding(
         ambient=ambient,
         family=family,
-        factors=builder.factors,
-        factor_groups=builder.groups,
-        torus_rank=builder.torus_rank,
-        restriction=builder.mat,
+        factors=factors,
+        factor_groups=groups,
+        torus_rank=torus_rank,
+        restriction=restriction,
         simple_root_images=images,
-        charge_scale=builder.charge_scale,
-        action=ComponentAction(generators=tuple(gens)),
+        charge_scale=charge_scale,
+        generators=tuple(generators),
         existence=existence,
         central2=central2,
-        notes=notes or {},
     )
-    for k in range(ambient.rank):
-        if tuple(images[k]) != derived[k]:
-            raise AssertionError(
-                f"simple-root image mismatch at alpha_{k + 1} of {ambient}: "
-                f"{images[k]} vs {derived[k]}"
-            )
-    return emb
+
+
+def _units(kinds):
+    """The eps-assignment of a direct sum: ambient epsilons run through the factors' in turn."""
+    return [[(f, i, 1)] for f, (fam, r) in enumerate(kinds) for i in range(_edim(fam, r))]
 
 
 # ---------------------------------------------------------------------------
-# C1: stabilizers of non-degenerate subspaces
+# C1: stabilizers of non-degenerate subspaces, W = W1 + W2
 
 
 def _build_c1(ambient, family):
     n = ambient.rank
+    fam = ambient.family
     sub = family.get("sub")
     l = family.get("l")
-    if ambient.family == "B":
-        if sub == "Dn":
-            if n < 3:
-                raise ValueError("B_n > D_n.2 needs n >= 3")
-            b = _MatrixBuilder(ambient, [("D", n)])
-            for i in range(1, n - 1):
-                b.add(i, 1, i)
-            b.add(n - 1, 1, n - 1)
-            b.add(n - 1, 1, n)
-            b.add(n, 1, n)
-            return _finish(b, ambient, family, [_gen_flip(b, [1])], existence="p!=2")
-        if sub == "DlB":
-            if not (l is not None and 1 <= l < n and n >= 3):
-                raise ValueError("B_n > D_l B_{n-l}.2 needs 1 <= l < n, n >= 3")
-            if l == 1:
-                b = _MatrixBuilder(ambient, [("B", n - 1)], torus_rank=1, charge_scale=2)
-                for i in range(2, n + 1):
-                    b.add(i, 1, i - 1)
-                for i in range(1, n):
-                    b.add_charge(i, 0, 2)
-                b.add_charge(n, 0, 1)
-                gens = [Generator(factor_perm=_identity_perm(len(b.factors)), charge_op=("neg",))]
-                return _finish(b, ambient, family, gens, existence="p!=2")
-            b = _MatrixBuilder(ambient, [("D", l), ("B", n - l)])
-            for i in range(1, l - 1):
-                b.add(i, 1, i)
-            b.add(l - 1, 1, l - 1)
-            b.add(l - 1, 1, l)
-            for i in range(l, n):
-                b.add(i, 1, l, 2)
-                if i > l:
-                    b.add(i, 2, i - l)
-            b.add(n, 1, l)
-            b.add(n, 2, n - l)
-            return _finish(b, ambient, family, [_gen_flip(b, [1])], existence="p!=2")
-    if ambient.family == "D" and sub == "DlD":
+    existence = "p!=2" if fam == "B" else "any"
+    if fam == "B" and sub == "Dn":
+        if n < 3:
+            raise ValueError("B_n > D_n.2 needs n >= 3")
+        kinds = [("D", n)]
+        return _embed(ambient, family, kinds, _units(kinds), [_flip(kinds, 0)], existence=existence)
+    if fam == "B" and sub == "DlB":
+        if not (l is not None and 1 <= l < n and n >= 3):
+            raise ValueError("B_n > D_l B_{n-l}.2 needs 1 <= l < n, n >= 3")
+    elif fam == "D" and sub == "DlD":
         if not (l is not None and 1 <= l < Fraction(n, 2) and n >= 4):
             raise ValueError("D_n > D_l D_{n-l}.2 needs 1 <= l < n/2, n >= 4")
-        if l == 1:
-            b = _MatrixBuilder(ambient, [("D", n - 1)], torus_rank=1, charge_scale=2)
-            for i in range(2, n + 1):
-                b.add(i, 1, i - 1)
-            for i in range(1, n - 1):
-                b.add_charge(i, 0, 2)
-            b.add_charge(n - 1, 0, 1)
-            b.add_charge(n, 0, 1)
-            perm = _identity_perm(len(b.factors))
-            g = Generator(factor_perm=perm, flips=frozenset({0}), charge_op=("neg",))
-            return _finish(b, ambient, family, [g])
-        b = _MatrixBuilder(ambient, [("D", l), ("D", n - l)])
-        for i in range(1, l - 1):
-            b.add(i, 1, i)
-        b.add(l - 1, 1, l - 1)
-        b.add(l - 1, 1, l)
-        for i in range(l, n - 1):
-            b.add(i, 1, l, 2)
-            if i > l:
-                b.add(i, 2, i - l)
-        b.add(n - 1, 1, l)
-        b.add(n - 1, 2, n - l - 1)
-        b.add(n, 1, l)
-        b.add(n, 2, n - l)
-        return _finish(b, ambient, family, [_gen_flip(b, [1, 2])])
-    raise ValueError(f"invalid c1 family {family} on {ambient}")
+    else:
+        raise ValueError(f"invalid c1 family {family} on {ambient}")
+    if l == 1:  # D_1 is the torus rotating the plane of epsilon_1
+        kinds = [(fam, n - 1)]
+        gen = _charge_swap(kinds, 0, 0, -1) + (_flip(kinds, 0) if fam == "D" else [])
+        return _embed(ambient, family, kinds, [[]] + _units(kinds), [gen],
+                      charges=[(2,)] + [(0,)] * (n - 1), charge_scale=2, existence=existence)
+    kinds = [("D", l), (fam, n - l)]
+    gen = _flip(kinds, 0) + (_flip(kinds, 1) if fam == "D" else [])
+    return _embed(ambient, family, kinds, _units(kinds), [gen], existence=existence)
 
 
 # ---------------------------------------------------------------------------
-# C3: stabilizers of totally singular decompositions
+# C3: stabilizers of totally singular decompositions, W = U + U*
 
 
 def _build_c3(ambient, family):
@@ -492,30 +431,14 @@ def _build_c3(ambient, family):
     existence = "p!=2" if ambient.family == "C" else "any"
     if ambient.family == "D" and n % 2 != 0:
         raise ValueError("c3 on D_n needs n even")
-    b = _MatrixBuilder(ambient, [("A", n - 1)], torus_rank=1, charge_scale=2)
-    for i in range(1, n):
-        b.add(i, 1, i)
-    if ambient.family == "C":
-        for i in range(1, n + 1):
-            b.add_charge(i, 0, 2 * i)
-    else:
-        for i in range(1, n - 1):
-            b.add_charge(i, 0, 2 * i)
-        b.add_charge(n - 1, 0, n - 2)
-        b.add_charge(n, 0, n)
-    g = Generator(
-        factor_perm=_identity_perm(len(b.factors)),
-        flips=frozenset({0}) if n - 1 >= 2 else frozenset(),
-        charge_op=("neg",),
-    )
-    if n - 1 == 1:
-        # A_1 has no diagram flip; tau only inverts the torus
-        g = Generator(factor_perm=_identity_perm(len(b.factors)), charge_op=("neg",))
-    return _finish(b, ambient, family, [g], existence=existence)
+    kinds = [("A", n - 1)]
+    gen = _flip(kinds, 0) + _charge_swap(kinds, 0, 0, -1)
+    return _embed(ambient, family, kinds, _units(kinds), [gen],
+                  charges=[(2,)] * n, charge_scale=2, existence=existence)
 
 
 # ---------------------------------------------------------------------------
-# C6: classical subgroups
+# C6: classical subgroups, the stabilizers of a form on W
 
 
 def _build_c6(ambient, family):
@@ -526,48 +449,28 @@ def _build_c6(ambient, family):
         m = (n + 1) // 2
         if m < 3:
             raise ValueError("c6 A_{2m-1} > D_m.2 needs m >= 3 (D_m simple)")
-        b = _MatrixBuilder(ambient, [("D", m)])
-        for i in range(1, m - 1):
-            b.add(i, 1, i)
-            b.add(2 * m - i, 1, i)
-        b.add(m - 1, 1, m - 1)
-        b.add(m - 1, 1, m)
-        b.add(m + 1, 1, m - 1)
-        b.add(m + 1, 1, m)
-        b.add(m, 1, m, 2)
+        kinds = [("D", m)]
+        eps = [[(0, j, 1)] for j in range(m)] + [[(0, m - 1 - j, -1)] for j in range(m)]
         # independently recorded simple-root images: alpha_i -> beta_i,
         # alpha_{m+i} -> beta_{m-i} (1 <= i <= m-1), alpha_m -> beta_m - beta_{m-1}
-        dm = build_root_system(LieType("D", m))
-
-        def beta(j):
-            return np.asarray(dm.cartan[j - 1], dtype=np.int64)
-
-        images = []
-        for k in range(1, n + 1):
-            if k < m:
-                img = beta(k)
-            elif k == m:
-                img = beta(m) - beta(m - 1)
-            else:
-                img = beta(2 * m - k)
-            images.append(tuple(int(x) for x in img))
-        return _finish(b, ambient, family, [_gen_flip(b, [1])], existence="p!=2",
-                       simple_root_images=images)
+        beta = build_root_system(LieType("D", m)).cartan
+        images = [
+            beta[k - 1] if k < m else beta[2 * m - k - 1] if k > m
+            else tuple(a - b for a, b in zip(beta[m - 1], beta[m - 2]))
+            for k in range(1, n + 1)
+        ]
+        return _embed(ambient, family, kinds, eps, [_flip(kinds, 0)], existence="p!=2",
+                      simple_root_images=images)
     if ambient.family == "C":
         if n < 3:
             raise ValueError("c6 C_n > D_n.2 needs n >= 3")
-        b = _MatrixBuilder(ambient, [("D", n)])
-        for i in range(1, n - 1):
-            b.add(i, 1, i)
-        b.add(n - 1, 1, n - 1)
-        b.add(n - 1, 1, n)
-        b.add(n, 1, n, 2)
-        return _finish(b, ambient, family, [_gen_flip(b, [1])], existence="p=2")
+        kinds = [("D", n)]
+        return _embed(ambient, family, kinds, _units(kinds), [_flip(kinds, 0)], existence="p=2")
     raise ValueError(f"invalid c6 family on {ambient}")
 
 
 # ---------------------------------------------------------------------------
-# C2: imprimitive subgroups
+# C2: imprimitive subgroups, W = W1 + ... + Wt
 
 
 def _build_c2_a(ambient, family):
@@ -576,27 +479,13 @@ def _build_c2_a(ambient, family):
     t = family.get("t")
     if l is None or t is None or not (l >= 0 and t >= 2 and n + 1 == (l + 1) * t):
         raise ValueError("c2 on A_n needs n + 1 = (l+1) t, l >= 0, t >= 2")
-    scale = n + 1
-    if l == 0:
-        b = _MatrixBuilder(ambient, [], torus_rank=t, charge_scale=scale)
-        for k in range(1, n + 1):
-            for i in range(1, t + 1):
-                b.add_charge(k, i - 1, (scale if i <= k else 0) - k)
-        gens = []
-        for i in range(t - 1):
-            perm = list(range(t))
-            perm[i], perm[i + 1] = i + 1, i
-            gens.append(Generator(charge_op=("perm", tuple(perm))))
-        return _finish(b, ambient, family, gens)
-    b = _MatrixBuilder(ambient, [("A", l)] * t, torus_rank=t, charge_scale=scale)
-    for k in range(1, n + 1):
-        q, r = divmod(k, l + 1)
-        if r:
-            b.add(k, q + 1, r)
-        for i in range(1, t + 1):
-            inblock = min(max(k - (i - 1) * (l + 1), 0), l + 1)
-            b.add_charge(k, i - 1, scale * inblock - k * (l + 1))
-    return _finish(b, ambient, family, _st_generators(b, t, charge=True))
+    # GL_{l+1}^t: the torus coordinate i carries the determinant of block i,
+    # less its share of the trace
+    kinds = [("A", l)] * t if l else []
+    charges = [tuple((n + 1) * (j // (l + 1) == i) - (l + 1) for i in range(t)) for j in range(n + 1)]
+    gens = [(_swap(kinds, i, i + 1) if l else []) + _charge_swap(kinds, i, i + 1) for i in range(t - 1)]
+    eps = _units(kinds) if l else [[]] * (n + 1)
+    return _embed(ambient, family, kinds, eps, gens, charges=charges, charge_scale=n + 1)
 
 
 def _build_c2_c(ambient, family):
@@ -605,14 +494,8 @@ def _build_c2_c(ambient, family):
     t = family.get("t")
     if l is None or t is None or not (l >= 1 and t >= 2 and n == l * t):
         raise ValueError("c2 on C_n needs n = l t, l >= 1, t >= 2")
-    b = _MatrixBuilder(ambient, [("C", l)] * t)
-    for k in range(1, n + 1):
-        q, r = divmod(k, l)
-        if r:
-            b.add(k, q + 1, r)
-        for i in range(1, k // l + 1):
-            b.add(k, i, l)
-    return _finish(b, ambient, family, _st_generators(b, t))
+    kinds = [("C", l)] * t
+    return _embed(ambient, family, kinds, _units(kinds), _block_swaps(kinds, t))
 
 
 def _build_c2_bl(ambient, family):
@@ -623,61 +506,19 @@ def _build_c2_bl(ambient, family):
     if ambient.family == "B":
         if l is None or t is None or not (l >= 1 and t >= 3 and t % 2 == 1 and 2 * n + 1 == (2 * l + 1) * t):
             raise ValueError("c2 B_l^t on B_n needs 2n+1 = (2l+1)t, l >= 1, t >= 3 odd")
-        top = n  # ranges of the doubled coefficients stop at n-1; b_n enters everywhere
     elif ambient.family == "D":
         if l is None or t is None or not (l >= 1 and t >= 2 and t % 2 == 0 and 2 * n == (2 * l + 1) * t):
             raise ValueError("c2 B_l^t on D_n needs 2n = (2l+1)t, l >= 1, t >= 2 even")
-        top = n - 1  # doubled coefficients stop at n-2; b_{n-1} + b_n enters everywhere
     else:
         raise ValueError("B_l^t lives in B_n or D_n")
-
-    b = _MatrixBuilder(ambient, [("B", l)] * t)
-
-    def add_v(i, k, coeff):
-        b.add(k, i, l, coeff)
-
-    def spin_cols(k_list):
-        for i in range(1, t + 1):
-            for k in k_list:
-                add_v(i, k, 1)
-
-    if ambient.family == "B":
-        spin_tail = [n]
-    else:
-        spin_tail = [n - 1, n]
-
-    if l == 1:
-        spin_cols(spin_tail)
-        for m in range(1, t):
-            if m % 2 == 1:
-                start = 3 * ((m + 1) // 2) - 2
-            else:
-                start = 3 * (m // 2) - 1
-            for k in range(start, top):
-                add_v(m, k, 2)
-    else:
-        for i in range(1, t + 1):
-            if ambient.family == "B" and i == t:
-                for j in range(1, l):
-                    b.add(n - l + j, i, j)
-                continue
-            base = (i - 1) * l + (i - 1) // 2
-            for j in range(1, l):
-                b.add(base + j, i, j)
-        spin_cols(spin_tail)
-        kmax = t if ambient.family == "D" else t - 1
-        for m in range(1, kmax + 1):
-            if m % 2 == 1:
-                kp = (m + 1) // 2
-                start = (2 * kp - 1) * l + kp - 1
-            else:
-                kp = m // 2
-                start = kp * (2 * l + 1) - 1
-            for k in range(start, top):
-                add_v(m, k, 2)
-    return _finish(
-        b, ambient, family, _st_generators(b, t), existence="p!=2", central2=True
-    )
+    # each pair of summands spends 2l epsilons, and its two zero weights make
+    # up one more epsilon that restricts to zero
+    kinds = [("B", l)] * t
+    eps = []
+    for j in range(n):
+        q, r = divmod(j, 2 * l + 1)
+        eps.append([(2 * q + r // l, r % l, 1)] if r < 2 * l else [])
+    return _embed(ambient, family, kinds, eps, _block_swaps(kinds, t), existence="p!=2", central2=True)
 
 
 def _build_c2_dl(ambient, family):
@@ -687,39 +528,14 @@ def _build_c2_dl(ambient, family):
     if ambient.family != "D" or l is None or t is None or not (l >= 1 and t >= 2 and n == l * t and n >= 4):
         raise ValueError("c2 D_l^t on D_n needs n = l t, l >= 1, t >= 2, n >= 4")
     if l == 1:
-        # normalizer of a maximal torus: charges are doubled e-coordinates
-        b = _MatrixBuilder(ambient, [], torus_rank=n, charge_scale=2)
-        for k in range(1, n - 1):
-            for j in range(1, k + 1):
-                b.add_charge(k, j - 1, 2)
-        for j in range(1, n):
-            b.add_charge(n - 1, j - 1, 1)
-            b.add_charge(n, j - 1, 1)
-        b.add_charge(n - 1, n - 1, -1)
-        b.add_charge(n, n - 1, 1)
-        gens = []
-        for i in range(n - 1):
-            perm = list(range(n))
-            perm[i], perm[i + 1] = i + 1, i
-            gens.append(Generator(charge_op=("perm", tuple(perm))))
-        gens.append(Generator(charge_op=("dflip",)))
-        return _finish(b, ambient, family, gens)
-    b = _MatrixBuilder(ambient, [("D", l)] * t)
-    for k in range(1, n):
-        q, r = divmod(k, l)
-        if r:
-            b.add(k, q + 1, r)
-    b.add(n, t, l)
-    for i in range(1, t):
-        b.add(n, i, l)
-        b.add(n - 1, i, l)
-        b.add(i * l - 1, i, l)
-        for k in range(i * l, n - 1):
-            b.add(k, i, l, 2)
-    gens = _st_generators(b, t)
+        # normalizer of a maximal torus: the charges are doubled epsilon-coordinates
+        charges = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
+        gens = [_charge_swap([], i, i + 1) for i in range(n - 1)] + [_charge_swap([], n - 2, n - 1, -1)]
+        return _embed(ambient, family, [], [[]] * n, gens, charges=charges, charge_scale=2)
+    kinds = [("D", l)] * t
     # even numbers of D-flips: generated by the pairwise flip on factors 1, 2
-    gens.append(_gen_flip(b, [1, 2]))
-    return _finish(b, ambient, family, gens)
+    gens = _block_swaps(kinds, t) + [_flip(kinds, 0) + _flip(kinds, 1)]
+    return _embed(ambient, family, kinds, _units(kinds), gens)
 
 
 def _build_c2(ambient, family):
@@ -738,108 +554,9 @@ def _build_c2(ambient, family):
 
 
 # ---------------------------------------------------------------------------
-# C4: tensor product subgroups.  Both sub-collections are realized through the
-# coordinate model of the tensor decomposition: each ambient torus coordinate
-# is a signed sum of factor torus coordinates, read off from the position of
-# the corresponding basis vector inside the tensor product.
-
-
-def _ambient_e_rows(ambient):
-    """Doubled e-coordinates of the fundamental weights (rows, length n)."""
-    n = ambient.rank
-    fam = ambient.family
-    rows = np.zeros((n, n), dtype=np.int64)
-    for k in range(1, n + 1):
-        if fam in ("B", "C") or (fam == "D" and k <= n - 2):
-            for j in range(k):
-                rows[k - 1, j] = 2
-        elif fam == "D" and k == n - 1:
-            rows[k - 1, :] = 1
-            rows[k - 1, n - 1] = -1
-        elif fam == "D" and k == n:
-            rows[k - 1, :] = 1
-    if fam == "B":
-        rows[n - 1, :] = 1  # lambda_n is the half-sum
-    return rows
-
-
-def _factor_from_e(fam, l, f2):
-    """Factor fundamental coordinates from doubled e-coordinates."""
-    out = []
-    if fam == "A":
-        for j in range(l):
-            v = f2[j] - f2[j + 1]
-            _even(v)
-            out.append(v // 2)
-        return tuple(out)
-    if fam == "B":
-        for j in range(l - 1):
-            v = f2[j] - f2[j + 1]
-            _even(v)
-            out.append(v // 2)
-        out.append(int(f2[l - 1]))
-        return tuple(out)
-    if fam == "C":
-        for j in range(l - 1):
-            v = f2[j] - f2[j + 1]
-            _even(v)
-            out.append(v // 2)
-        _even(f2[l - 1])
-        out.append(int(f2[l - 1]) // 2)
-        return tuple(out)
-    # D
-    for j in range(l - 2):
-        v = f2[j] - f2[j + 1]
-        _even(v)
-        out.append(v // 2)
-    v = f2[l - 2] - f2[l - 1]
-    _even(v)
-    out.append(v // 2)
-    v = f2[l - 2] + f2[l - 1]
-    _even(v)
-    out.append(v // 2)
-    return tuple(out)
-
-
-def _even(v):
-    if v % 2 != 0:
-        raise AssertionError("tensor-model restriction produced a non-integral weight")
-
-
-def _tensor_embedding(ambient, family, kinds, assignment, gens_fn, existence):
-    """Common C4 construction.
-
-    ``assignment`` maps each ambient e-index (0-based, one per coordinate of
-    the natural module's positive half) to a list of (factor, e-index, sign)
-    triples describing the corresponding tensor basis vector.
-    """
-    n = ambient.rank
-    factor_edim = [r + 1 if f == "A" else r for f, r in kinds]
-    rows = _ambient_e_rows(ambient)
-    b = _MatrixBuilder(ambient, kinds)
-    for k in range(1, n + 1):
-        # doubled factor e-coordinates of lambda_k
-        fcoords = [np.zeros(d, dtype=np.int64) for d in factor_edim]
-        for j in range(n):
-            if rows[k - 1, j] == 0:
-                continue
-            for (fi, ei, sign) in assignment[j]:
-                fcoords[fi][ei] += sign * rows[k - 1, j]
-        for gi, (fam, r) in enumerate(kinds):
-            if fam == "D" and r == 2:
-                # D2 factor: the two A1 coefficients are g1 - g2 and g1 + g2
-                v1 = fcoords[gi][0] - fcoords[gi][1]
-                v2 = fcoords[gi][0] + fcoords[gi][1]
-                _even(v1)
-                _even(v2)
-                b.add(k, gi + 1, 1, int(v1) // 2)
-                b.add(k, gi + 1, 2, int(v2) // 2)
-            else:
-                coeffs = _factor_from_e(fam, r, fcoords[gi])
-                for j, c in enumerate(coeffs, start=1):
-                    if c:
-                        b.add(k, gi + 1, j, int(c))
-    return _finish(b, ambient, family, gens_fn(b), existence=existence)
+# C4: tensor product subgroups, W = W1 x W2 (x ...).  Each ambient epsilon is
+# the weight of one tensor basis vector: a signed epsilon of every factor,
+# read off from the position of that vector in the tensor product.
 
 
 def _build_c4i(ambient, family):
@@ -856,18 +573,15 @@ def _build_c4i(ambient, family):
         kinds = [("D", a), ("D", bb)]
     else:
         raise ValueError("c4i lives in C_n or D_n")
-    assignment = {}
+    eps = []
     for j in range(bb):
-        for i in range(1, a + 1):
-            assignment[2 * j * a + i - 1] = [(0, i - 1, 1), (1, j, 1)]
-            assignment[2 * j * a + a + i - 1] = [(0, a - i, -1), (1, j, 1)]
-
-    def gens(builder):
-        if ambient.family == "C":
-            return [_gen_flip(builder, [2])]
-        return [_gen_flip(builder, [1]), _gen_flip(builder, [2])]
-
-    return _tensor_embedding(ambient, family, kinds, assignment, gens, "p!=2")
+        eps += [[(0, i, 1), (1, j, 1)] for i in range(a)]
+        eps += [[(0, a - 1 - i, -1), (1, j, 1)] for i in range(a)]
+    if ambient.family == "C":
+        gens = [_flip(kinds, 1)]
+    else:
+        gens = [_flip(kinds, 0), _flip(kinds, 1)]
+    return _embed(ambient, family, kinds, eps, gens, existence="p!=2")
 
 
 def _build_c4ii(ambient, family):
@@ -912,65 +626,23 @@ def _build_c4ii(ambient, family):
         else:
             raise ValueError(f"unknown c4ii kind {kind!r}")
 
-    # digit model: ambient coordinate j (0-based) is the tensor basis vector
-    # whose factor-i digit is r_i; factors are little-endian in the digits.
-    def factor_vector(fam_f, r):
-        # (e-index, sign) of the factor weight attached to digit r, or None = 0
-        if fam_f == "A":
-            return (r, 1)
-        if fam_f == "B":
-            if r < l:
-                return (r, 1)
-            if r == l:
-                return None
-            return (2 * l - r, -1)
-        # C or D factor, d = 2l
-        if r < l:
-            return (r, 1)
-        return (2 * l - 1 - r, -1)
+    # digit model: ambient epsilon j is the tensor basis vector whose factor-i
+    # digit is r_i, factors little-endian; digit r of a factor of dimension d
+    # carries epsilon_r for r < l (all r for A), zero for the middle digit of
+    # B, and -epsilon_{d-1-r} above
+    def digit(i, r):
+        if fam == "A" or r < l:
+            return [(i, r, 1)]
+        return [(i, d - 1 - r, -1)] if r != d - 1 - r else []
 
-    ecount = n + 1 if fam == "A" else n
-    assignment = {}
-    for j in range(ecount):
-        m = j
-        triples = []
-        for i in range(t):
-            r = m % d
-            m //= d
-            fv = factor_vector(kinds[i][0], r)
-            if fv is not None:
-                triples.append((i, fv[0], fv[1]))
-        assignment[j] = triples
-
-    def gens(builder):
-        out = _st_generators(builder, t)
-        if fam == "D" and family.get("kind", "Cl") == "Dl":
-            for f in range(1, t + 1):
-                out.append(_gen_flip(builder, [f]))
-        return out
-
-    if fam == "A":
-        return _tensor_embedding_a(ambient, family, kinds, assignment, gens, existence)
-    return _tensor_embedding(ambient, family, kinds, assignment, gens, existence)
-
-
-def _tensor_embedding_a(ambient, family, kinds, assignment, gens_fn, existence):
-    """C4(ii) on A_n: e-coordinates live in Z^{n+1} with m_{n+1} = 0."""
-    n = ambient.rank
-    l = kinds[0][1]
-    factor_edim = l + 1
-    b = _MatrixBuilder(ambient, kinds)
-    for k in range(1, n + 1):
-        fcoords = [np.zeros(factor_edim, dtype=np.int64) for _ in kinds]
-        for j in range(k):  # m_j(lambda_k) = 1 for j <= k, else 0
-            for (fi, ei, sign) in assignment[j]:
-                fcoords[fi][ei] += sign
-        for gi in range(len(kinds)):
-            for j in range(1, l + 1):
-                c = int(fcoords[gi][j - 1] - fcoords[gi][j])
-                if c:
-                    b.add(k, gi + 1, j, c)
-    return _finish(b, ambient, family, gens_fn(b), existence=existence)
+    eps = [
+        [term for i in range(t) for term in digit(i, j // d ** i % d)]
+        for j in range(n + 1 if fam == "A" else n)
+    ]
+    gens = _block_swaps(kinds, t)
+    if kinds[0][0] == "D":
+        gens += [_flip(kinds, f) for f in range(t)]
+    return _embed(ambient, family, kinds, eps, gens, existence=existence)
 
 
 _BUILDERS = {
@@ -983,8 +655,9 @@ _BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
 def build_embedding(ambient: LieType, family: GeomFamily) -> Embedding:
-    """Construct the frozen restriction data for one family instance."""
+    """Construct the frozen restriction data for one family instance (cached)."""
     return _BUILDERS[family.tag](ambient, family)
 
 

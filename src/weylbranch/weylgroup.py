@@ -1,4 +1,4 @@
-"""Weyl-group actions on weights: reflections, orbits, longest-word image."""
+"""Weyl-group actions on weights: dominant representatives and orbits."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ from . import kernels
 from .rootsys import (
     RootSystem,
     connected_components,
-    is_root,
-    pairing,
-    root_coords_to_weight,
     subdiagram_type,
     weyl_group_order,
 )
@@ -38,16 +35,6 @@ class OrbitSummary:
     dominant_rep: tuple
     orbit_size: int
     stabilizer_type: tuple  # sorted tuple of LieType
-
-
-def reflect(rs: RootSystem, w, alpha_rc):
-    """s_alpha(w) = w - <w, alpha> alpha; involutive."""
-    if not is_root(rs, alpha_rc):
-        raise ValueError(f"{alpha_rc} is not a root of {rs.lie_type}")
-    w = rs.check_weight(w)
-    k = pairing(rs, w, alpha_rc)
-    alpha_w = root_coords_to_weight(rs, alpha_rc)
-    return tuple(w[i] - k * alpha_w[i] for i in range(rs.rank))
 
 
 def dominant_representative(rs: RootSystem, w):
@@ -84,17 +71,3 @@ def orbit_enumerate(rs: RootSystem, w, cap=None):
     arr = kernels.weyl_orbit_array(rs, rs.check_weight(w), cap=cap)
     out = sorted(tuple(int(x) for x in row) for row in arr)
     return out
-
-
-def longest_word_image(rs: RootSystem, w):
-    """w_0 . w: equals -w unless the diagram flip acts (A_n, D_n with n odd)."""
-    w = rs.check_weight(w)
-    n = rs.rank
-    fam = rs.lie_type.family
-    if fam == "A":
-        return tuple(-w[n - 1 - i] for i in range(n))
-    if fam == "D" and n % 2 == 1:
-        flipped = list(w)
-        flipped[n - 2], flipped[n - 1] = flipped[n - 1], flipped[n - 2]
-        return tuple(-c for c in flipped)
-    return tuple(-c for c in w)

@@ -1,4 +1,4 @@
-"""Characters, dimensions, multiplicity rules, Levi reduction, subtraction."""
+"""Characters, dimensions, multiplicity rules, subtraction."""
 
 import hashlib
 import itertools
@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 
 from weylbranch.charcalc import (
     Characteristic,
-    chain_multiplicity,
     freudenthal,
     full_character,
     irr_dim,
-    levi_reduce,
     mult_rule_118,
     mult_rule_bwt,
-    mult_rule_c2l3,
     mult_rule_s816,
     premet_applies,
     product_weyl_dim,
@@ -112,13 +109,6 @@ def test_premet():
     assert premet_applies(rsys("C", 3), Characteristic(3)) is True
 
 
-def test_chain_multiplicity():
-    assert chain_multiplicity((3, 0), 1, 2) == 1
-    assert chain_multiplicity((1, 2), 2, 1) == 1
-    with pytest.raises(ValueError):
-        chain_multiplicity((0, 1), 1, 1)
-
-
 def test_mult_rule_118():
     assert mult_rule_118(1, 1, "equal", P0) == 2
     assert mult_rule_118(2, 2, "equal", Characteristic(5)) == 1
@@ -151,13 +141,6 @@ def test_mult_rule_bwt():
     assert mult_rule_bwt(4, Characteristic(3)) == 3
     with pytest.raises(ValueError):
         mult_rule_bwt(3, Characteristic(2))
-
-
-def test_mult_rule_c2l3():
-    assert mult_rule_c2l3(0, Characteristic(3)) == 1
-    assert mult_rule_c2l3(1, Characteristic(5)) == 1
-    with pytest.raises(ValueError):
-        mult_rule_c2l3(1, Characteristic(3))
 
 
 def test_irr_dim_examples():
@@ -197,49 +180,6 @@ def test_sz_dimension_identity():
             rs_big = rsys("C", 2 * l)
             lam = tuple(0 if i < 2 * l - 2 else (1 if i == 2 * l - 2 else a) for i in range(2 * l))
             assert irr_dim(rs_big, lam, chi) == 2 * d1 * d2
-
-
-def test_levi_reduce():
-    rs = rsys("C", 6)
-    lam = (0, 0, 0, 0, 1, 2)
-    # mu = lam - alpha_4 - 2 alpha_5 - alpha_6
-    mu = list(lam)
-    for j, c in ((3, 1), (4, 2), (5, 1)):
-        for i in range(6):
-            mu[i] -= c * rs.cartan[j][i]
-    sub, sl, sm = levi_reduce(rs, lam, tuple(mu))
-    assert sub.lie_type == LieType("C", 3)
-    assert sl == (0, 1, 2)
-    sub_none, a, b = levi_reduce(rs, lam, lam)
-    assert sub_none is None and a == () and b == ()
-    with pytest.raises(ValueError):
-        levi_reduce(rs, lam, tuple(2 * a - b for a, b in zip(lam, mu)))
-
-    # multiplicity transfer against the recursion
-    rs = rsys("B", 4)
-    lam = (0, 1, 1, 1)
-    mu = list(lam)
-    for j in (2, 3):
-        for i in range(4):
-            mu[i] -= rs.cartan[j][i]
-    sub, sl, sm = levi_reduce(rs, lam, tuple(mu))
-    assert sub.lie_type == LieType("B", 2)
-    assert freudenthal(rs, lam).multiplicity(rs, tuple(mu)) == freudenthal(sub, sl).multiplicity(sub, sm)
-
-
-def test_levi_reduce_transfer_sample():
-    for f, n, lam, nodes in [
-        ("A", 5, (1, 0, 1, 0, 1), (1, 2)),
-        ("D", 5, (0, 1, 0, 0, 1), (2, 3, 4)),
-        ("C", 4, (1, 1, 0, 1), (2, 3)),
-    ]:
-        rs = rsys(f, n)
-        mu = list(lam)
-        for j in nodes:
-            for i in range(n):
-                mu[i] -= rs.cartan[j][i]
-        sub, sl, sm = levi_reduce(rs, lam, tuple(mu))
-        assert freudenthal(rs, lam).multiplicity(rs, tuple(mu)) == freudenthal(sub, sl).multiplicity(sub, sm)
 
 
 def test_weyl_character_subtract_basic():
@@ -302,34 +242,6 @@ def test_product_weyl_dim():
     rs1, rs2 = rsys("A", 1), rsys("B", 2)
     assert product_weyl_dim((rs1, rs2), (1, 1, 0)) == 2 * 5
     assert product_weyl_dim((rs1, rs2), (1, 0, 1)) == 2 * 4
-
-
-def test_levi_reduce_d_fork_cases():
-    rs = rsys("D", 5)
-    # support on the chain plus the far tip only: an A-type subdiagram
-    lam = (0, 1, 0, 0, 1)
-    mu = list(lam)
-    for j in (2, 4):  # alpha_3, alpha_5 (0-based 2 and 4)
-        for i in range(5):
-            mu[i] -= rs.cartan[j][i]
-    sub, sl, sm = levi_reduce(rs, lam, tuple(mu))
-    assert sub.lie_type == LieType("A", 2)
-    assert sl == (0, 1)  # coefficients at alpha_3, alpha_5 in diagram order
-    assert freudenthal(rs, lam).multiplicity(rs, tuple(mu)) == freudenthal(sub, sl).multiplicity(sub, sm)
-    # support containing the whole fork: a D-type subdiagram
-    mu = list(lam)
-    for j in (2, 3, 4):
-        for i in range(5):
-            mu[i] -= rs.cartan[j][i]
-    sub, sl, sm = levi_reduce(rs, lam, tuple(mu))
-    assert sub.lie_type == LieType("D", 3)
-    # the two fork tips alone are not connected
-    mu = list(lam)
-    for j in (3, 4):
-        for i in range(5):
-            mu[i] -= rs.cartan[j][i]
-    with pytest.raises(ValueError):
-        levi_reduce(rs, lam, tuple(mu))
 
 
 def test_freudenthal_sweep_digest():

@@ -1,11 +1,19 @@
-"""Restriction maps, component actions, and the h/ell invariants."""
+"""Restriction maps, component actions, and the ell invariant."""
+
+import functools
+import hashlib
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from weylbranch import kernels
+from weylbranch.charcalc import freudenthal
+from weylbranch.checker import restricted_multiset
 from weylbranch.embeddings import (
-    _gen_block_transposition,
-    _MatrixBuilder,
+    FAMILY_TAGS,
+    _swap,
     build_embedding,
     central_multiplicity,
     component_orbit_set,
@@ -13,11 +21,11 @@ from weylbranch.embeddings import (
     existence_ok,
     format_h0_weight,
     geom_family,
-    h_value,
     kappa_of,
     restrict_weight,
 )
-from weylbranch.rootsys import LieType, build_root_system
+from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system, fundamental_weight
+from weylbranch.tables import _family_from_params, _int_solutions
 
 
 def lam(n, *pairs):
@@ -332,22 +340,20 @@ def test_component_orbit_and_kappa():
     assert kappa_of(e, hw) == 2  # 2^{t-1}
 
 
-def test_block_transposition_rejects_different_shapes():
-    # a D2 factor materializes as two A1 factors, an A3 factor as one
-    b = _MatrixBuilder(LieType("D", 5), [("D", 2), ("A", 3)])
-    with pytest.raises(ValueError, match="materialized shape"):
-        _gen_block_transposition(b, 1, 2)
-    assert _gen_block_transposition(b, 1, 1).factor_perm == (0, 1, 2)
+def test_block_swap_rejects_different_factors():
+    # a D2 factor materializes as two A1 coordinates, an A2 factor as one A2:
+    # the same width, but not the same group
+    with pytest.raises(ValueError, match="different types"):
+        _swap([("D", 2), ("A", 2)], 0, 1)
+    assert _swap([("C", 2), ("C", 2)], 0, 1) == [(0, 2, 1), (1, 3, 1)]
 
 
-def test_h_value():
-    e = build_embedding(LieType("B", 5), geom_family("c1", sub="DlB", l=2))
-    assert h_value(e, (1, 0, 3, 0, 0)) == 4
-    assert h_value(e, (0, 0, 0, 0, 0)) == 0
-    rs = build_root_system(LieType("B", 5))
-    lam5 = (0, 1, 1, 0, 1)  # a_l >= 1 with l = 2
-    mu = tuple(a - b for a, b in zip(lam5, rs.cartan[1]))
-    assert h_value(e, restrict_weight(e, mu)) == h_value(e, restrict_weight(e, lam5)) + 1
+def test_build_embedding_is_shared_and_read_only():
+    amb, fam = LieType("B", 5), geom_family("c1", sub="DlB", l=2)
+    e = build_embedding(amb, fam)
+    assert build_embedding(amb, fam) is e
+    with pytest.raises(ValueError):
+        e.restriction[0, 0] = 7
 
 
 def test_ell_value():
@@ -392,3 +398,154 @@ def test_c4i_component_group_order_four():
     assert len(orb) == 4
     fixed = restrict_weight(e, tuple(1 if i == 0 else 0 for i in range(12)))
     assert len(component_orbit_set(e, fixed)) == 1
+
+
+# ---------------------------------------------------------------------------
+# every instance up to rank 12: a pin on the frozen data, and oracles that do
+# not read the restriction matrix
+
+
+def _instances(max_rank):
+    out = []
+    for tag in FAMILY_TAGS:
+        for letter in "ABCD":
+            for n in range(_MIN_RANK[letter], max_rank + 1):
+                for params in _int_solutions(tag, letter, n):
+                    try:
+                        out.append(build_embedding(LieType(letter, n), _family_from_params(tag, params)))
+                    except ValueError:
+                        continue
+    return out
+
+
+INSTANCES_12 = _instances(12)
+
+
+def _act(g, w):
+    idx, sgn = g
+    return tuple(s * w[i] for i, s in zip(idx, sgn))
+
+
+def _generator_maps(e):
+    """Each component-group generator as a map on restricted weights."""
+    return [functools.partial(_act, g) for g in e.generators]
+
+
+def _generator_matrices(e):
+    """Each generator as the images of the unit vectors, sorted."""
+    units = [tuple(int(i == j) for i in range(e.width)) for j in range(e.width)]
+    return sorted([list(g(u)) for u in units] for g in _generator_maps(e))
+
+
+def test_instance_counts():
+    counts = Counter(e.family.tag for e in INSTANCES_12)
+    assert counts == {"c1": 104, "c2": 82, "c3": 16, "c4i": 9, "c4ii": 7, "c6": 14}
+
+
+def test_embedding_digest():
+    # factors, charges, R and the generators of every instance up to rank 12;
+    # the charges reach CLI records through format_h0_weight
+    records = [
+        [
+            str(e.ambient),
+            str(e.family),
+            [str(t) for t in e.factors],
+            [list(g) for g in e.factor_groups],
+            e.torus_rank,
+            e.charge_scale,
+            e.existence,
+            e.central2,
+            e.restriction.tolist(),
+            _generator_matrices(e),
+        ]
+        for e in INSTANCES_12
+    ]
+    text = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBEDDING_DIGEST
+
+
+EMBEDDING_DIGEST = "23c1a85171d92bfa0355c49302235eeca992f629379a3859f6947870aa97b2f1"
+
+
+def test_generators_preserve_restricted_modules():
+    # the component group normalizes H, so it permutes the weights of every
+    # restricted G-module: checked on omega_1, and omega_2 up to rank 8
+    checks = 0
+    for e in INSTANCES_12:
+        rs = build_root_system(e.ambient)
+        ks = [1] + ([2] if 2 <= e.ambient.rank <= 8 else [])
+        for k in ks:
+            ms = restricted_multiset(rs, fundamental_weight(rs, k), e)
+            for g in _generator_maps(e):
+                assert {g(w): m for w, m in ms.items()} == ms, (e.ambient, e.family, k)
+                checks += 1
+    assert checks == 716
+
+
+def _structure(ambient, fam):
+    """Original factor types of H and how their natural modules make up W.
+
+    Read off the geometric structure alone: W = W1 + W2 (c1), W1 + ... + Wt
+    (c2), U + U* (c3), a tensor product (c4), a classical form (c6).  Rank-0
+    and D1 entries are summands that carry no semisimple weight.
+    """
+    n, X, get = ambient.rank, ambient.family, fam.get
+    if fam.tag == "c1":
+        l = get("l")
+        if get("sub") == "Dn":
+            return [("D", n), ("B", 0)], "sum"
+        return [("D", l), (X, n - l)], "sum"
+    if fam.tag == "c2":
+        kind = X if X != "D" else get("kind", "Dl")[0]
+        return [(kind, get("l"))] * get("t"), "sum"
+    if fam.tag == "c3":
+        return [("A", n - 1)], "dual"
+    if fam.tag == "c4i":
+        return [(X, get("a")), ("D", get("b"))], "tensor"
+    if fam.tag == "c4ii":
+        kind = X if X != "D" else get("kind", "Cl")[0]
+        return [(kind, get("l"))] * get("t"), "tensor"
+    return [("D", (n + 1) // 2 if X == "A" else n)], "sum"
+
+
+def _natural_weights(fam, r):
+    """Weights of a factor's natural module in its materialized coordinates."""
+    if r == 0:
+        return [()]
+    if fam == "D" and r == 1:
+        return [(), ()]
+    if fam == "D" and r == 2:  # A1 x A1, natural module the tensor square
+        return [(a, b) for a in (1, -1) for b in (1, -1)]
+    if r == 1:  # B1 and C1 as A1: the adjoint and the natural module
+        return [(2,), (0,), (-2,)] if fam == "B" else [(1,), (-1,)]
+    rs = build_root_system(LieType(fam, r))
+    table = freudenthal(rs, fundamental_weight(rs, 1))
+    return [
+        tuple(row)
+        for dom, m in table.entries.items()
+        for row in kernels.weyl_orbit_array(rs, dom).tolist()
+        for _ in range(m)
+    ]
+
+
+def test_natural_module_restricts_as_the_structure_predicts():
+    for e in INSTANCES_12:
+        kinds, how = _structure(e.ambient, e.family)
+        naturals = [_natural_weights(fam, r) for fam, r in kinds]
+        if how == "tensor":
+            predicted = Counter([()])
+            for nat in naturals:
+                predicted = Counter(w + v for w, m in predicted.items() for v in nat for _ in range(m))
+        else:
+            predicted = Counter()
+            for f, nat in enumerate(naturals):
+                before = sum(len(x[0]) for x in naturals[:f])
+                after = sum(len(x[0]) for x in naturals[f + 1:])
+                predicted.update((0,) * before + w + (0,) * after for w in nat)
+            if how == "dual":
+                predicted.update({tuple(-c for c in w): m for w, m in predicted.items()})
+        rs = build_root_system(e.ambient)
+        found = Counter()
+        for w, m in restricted_multiset(rs, fundamental_weight(rs, 1), e).items():
+            found[w[: e.semisimple_rank]] += m
+        assert found == predicted, (e.ambient, e.family)

@@ -37,3 +37,34 @@ def test_no_numba_import():
                 continue
             found += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numba"]
     assert not found, found
+
+
+def test_public_api_stable():
+    # the exported names are part of the stable interface
+    import weylbranch
+
+    assert weylbranch.__all__ == [
+        "LieType",
+        "RootSystem",
+        "build_root_system",
+        "minimal_weights",
+        "pairing",
+        "Characteristic",
+        "CharacterTable",
+        "freudenthal",
+        "weyl_dim",
+        "irr_dim",
+        "Embedding",
+        "GeomFamily",
+        "geom_family",
+        "build_embedding",
+        "restrict_weight",
+        "BranchReport",
+        "ClassificationEntry",
+        "branch_p0",
+        "verify_entry",
+        "scan_candidates",
+        "__version__",
+    ]
+    for name in weylbranch.__all__:
+        assert getattr(weylbranch, name) is not None, name

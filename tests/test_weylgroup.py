@@ -1,18 +1,12 @@
-"""Weyl-group actions: reflections, orbits, longest word."""
+"""Weyl-group actions: dominant representatives and orbits."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylbranch.kernels import KernelCapacityError
-from weylbranch.rootsys import LieType, build_root_system
-from weylbranch.weylgroup import (
-    dominant_representative,
-    longest_word_image,
-    orbit_enumerate,
-    orbit_size,
-    reflect,
-)
+from weylbranch.rootsys import LieType, build_root_system, pairing, root_coords_to_weight
+from weylbranch.weylgroup import dominant_representative, orbit_enumerate, orbit_size
 
 TYPES = [
     LieType(f, n)
@@ -21,17 +15,10 @@ TYPES = [
 ]
 
 
-def simple(rs, i):
-    return tuple(1 if k == i else 0 for k in range(rs.rank))
-
-
-def test_reflect_examples():
-    rs = build_root_system(LieType("A", 1))
-    assert reflect(rs, (1,), (1,)) == (-1,)
-    rs = build_root_system(LieType("B", 4))
-    assert reflect(rs, (0, 0, 0, 1), simple(rs, 3)) == (0, 0, 1, -1)
-    for alpha in rs.positive_roots:
-        assert reflect(rs, (0, 0, 0, 0), alpha) == (0, 0, 0, 0)
+def reflect(rs, w, alpha_rc):
+    """s_alpha(w) = w - <w, alpha-coroot> alpha, from the rootsys primitives."""
+    k = pairing(rs, w, alpha_rc)
+    return tuple(a - k * b for a, b in zip(w, root_coords_to_weight(rs, alpha_rc)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -98,25 +85,6 @@ def test_orbit_enumerate_counts_match_sizes():
             for lam in dominant_weights_bounded(n, 3):
                 summary = orbit_size(rs, lam)
                 assert len(orbit_enumerate(rs, lam)) == summary.orbit_size
-
-
-def test_longest_word():
-    rs = build_root_system(LieType("B", 4))
-    assert longest_word_image(rs, (1, 2, 0, 3)) == (-1, -2, 0, -3)
-    rs = build_root_system(LieType("A", 2))
-    assert longest_word_image(rs, (1, 0)) == (0, -1)
-    rs = build_root_system(LieType("D", 4))
-    assert longest_word_image(rs, (0, 0, 1, 0)) == (0, 0, -1, 0)
-    rs = build_root_system(LieType("D", 5))
-    assert longest_word_image(rs, (0, 0, 0, 0, 1)) == (0, 0, 0, -1, 0)
-    for t in TYPES:
-        rs = build_root_system(t)
-        w = tuple((i % 3) for i in range(t.rank))
-        img = longest_word_image(rs, w)
-        assert longest_word_image(rs, img) == w
-        # dominant to anti-dominant
-        assert dominant_representative(rs, img)[0] == w
-        assert all(c <= 0 for c in img)
 
 
 def test_orbit_stabilizer_types_with_fork():
