@@ -67,7 +67,10 @@ def _require_dominant(lam):
     return tuple(int(c) for c in lam)
 
 
-@functools.lru_cache(maxsize=None)
+FREUDENTHAL_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=FREUDENTHAL_CACHE_SIZE)
 def _freudenthal_cached(t: LieType, lam):
     rs = build_root_system(t)
     entries = dict(sorted(kernels.freudenthal_table(rs, lam).items()))

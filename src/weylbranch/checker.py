@@ -1,8 +1,10 @@
 """Branching verification engine.
 
 At characteristic zero the composition factors of a restriction are computed
-exactly: the full Weyl character is pushed through the embedding and its
-dominant part is decomposed into product Weyl characters.  At positive characteristic only
+exactly from the H-dominant part of the restricted character: the Weyl orbit
+of each dominant weight is pushed through the embedding once per embedding,
+only its H-dominant images are kept, and their sum over the dominant weights
+of W(lam) is decomposed into product Weyl characters.  At positive characteristic only
 necessary conditions (restriction-orbit membership, the h and ell invariants,
 multiplicity bookkeeping) and closed-form dimension identities are evaluated;
 anything beyond them is reported INCONCLUSIVE rather than guessed.
@@ -11,9 +13,8 @@ anything beyond them is reported INCONCLUSIVE rather than guessed.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import charcalc, kernels
 from .charcalc import Characteristic, freudenthal, weyl_dim
@@ -72,19 +73,36 @@ class BranchReport:
 # characteristic-zero branching
 
 
+RESTRICTED_ORBIT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=RESTRICTED_ORBIT_CACHE_SIZE)
+def _h_dominant_orbit(ambient, family, mu, cap):
+    """(weight, count) pairs: the H-dominant images of the Weyl orbit of mu.
+
+    ``build_embedding`` is a pure function of (ambient, family), so those two
+    name the restriction map.  H-dominant means every factor coordinate is
+    non-negative; torus charges are free.
+    """
+    e = build_embedding(ambient, family)
+    res = kernels.weyl_orbit_array(build_root_system(ambient), mu, cap=cap) @ e.restriction
+    res = res[(res[:, : e.semisimple_rank] >= 0).all(axis=1)]
+    return tuple(Counter(map(tuple, res.tolist())).items())
+
+
 def restricted_multiset(rs, lam, e: Embedding, cap=None):
-    """Push the full Weyl character of W(lam) through the restriction map."""
+    """H-dominant part of the character of W(lam) restricted to H.
+
+    Keys are restricted weights whose factor coordinates are all
+    non-negative, values their multiplicities.  The restricted character is
+    W_H-invariant, so this part fixes it.  ``cap`` bounds each full Weyl orbit
+    enumerated on the way.
+    """
     cap = orbit_cap() if cap is None else cap
-    table = freudenthal(rs, lam)
     out = {}
-    for dom in sorted(table.entries):
-        m = table.entries[dom]
-        arr = kernels.weyl_orbit_array(rs, dom, cap=cap)
-        res = arr @ e.restriction
-        uniq, counts = np.unique(res, axis=0, return_counts=True)
-        for row, c in zip(uniq.tolist(), counts.tolist()):
-            key = tuple(row)
-            out[key] = out.get(key, 0) + m * c
+    for mu, m in freudenthal(rs, lam).entries.items():
+        for w, c in _h_dominant_orbit(e.ambient, e.family, mu, cap):
+            out[w] = out.get(w, 0) + m * c
     return out
 
 

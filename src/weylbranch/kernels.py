@@ -7,10 +7,10 @@ per root system (``_root_table``).  Every dominant step, in these kernels, in
 the orbit kernel and in ``weylgroup.dominant_representative``, goes through
 the one helper ``_domrep_py``.
 
-The orbit kernel is one whole-array numpy function.  Orbits are deduplicated
-through packed int64 keys (``bits`` bits per coordinate, first coordinate most
-significant, coordinates shifted by ``2**(bits-1)``); ``orbit_bits`` chooses
-``bits`` and refuses an orbit whose keys would not fit in 62 bits.
+The orbit kernel is one whole-array numpy function.  Each length level is
+deduplicated by whole rows, so neither the rank nor a packing width limits
+it, only the int64 range of the coordinates; the orbit comes back in
+lexicographic row order.
 
 Weights are in fundamental-weight coordinates throughout.
 """
@@ -30,14 +30,13 @@ HAVE_NUMBA = False
 # status codes of the orbit kernel
 OK = 0
 CAP_EXCEEDED = 1
-PACK_OVERFLOW = 2
-ARITH_ERROR = 3
+ARITH_ERROR = 2
 
 _STEP_GUARD = 10_000_000  # dominant steps; unreachable for valid Cartan data
 
 
 class KernelCapacityError(Exception):
-    """A kernel reached an enumeration cap, the packed-key range or a guard."""
+    """A kernel reached an enumeration cap or a guard."""
 
 
 def _domrep_py(w, cartan):
@@ -58,36 +57,31 @@ def _domrep_py(w, cartan):
     return steps
 
 
-def _orbit(w0, cartan, bits, cap):
-    """Full Weyl orbit of w0 as rows sorted by packed key, and a status.
+def _orbit(w0, cartan, cap):
+    """Full Weyl orbit of w0 as rows in lexicographic order, and a status.
 
     The walk descends from the dominant representative one length level at a
     time: s_j lowers w exactly when w_j > 0, so each level is the image of the
     previous one under those reflections and meets no earlier level.
     """
     n = w0.shape[0]
-    off = np.int64(1) << (bits - 1)
-    place = np.int64(1) << (bits * np.arange(n - 1, -1, -1, dtype=np.int64))
     rep = w0.tolist()
     if _domrep_py(rep, cartan_support(cartan.tolist())) < 0:
         return np.empty((0, n), np.int64), ARITH_ERROR
+    row = np.dtype((np.void, 8 * n))  # one int64 row as one opaque item
     level = np.array([rep], dtype=np.int64)
-    rows, keys = [], []
+    rows = []
     total = 0
     while level.shape[0]:
-        shifted = level + off
-        if (shifted >> bits).any():  # a coordinate outside [-off, off)
-            return np.empty((0, n), np.int64), PACK_OVERFLOW
-        lkeys, first = np.unique(shifted @ place, return_index=True)
+        _, first = np.unique(level.view(row), return_index=True)
         level = level[first]
         total += level.shape[0]
         if total > cap:
             return np.empty((0, n), np.int64), CAP_EXCEEDED
         rows.append(level)
-        keys.append(lkeys)
         level = (level[:, None, :] - level[:, :, None] * cartan[None])[level > 0]
     out = np.concatenate(rows)
-    return out[np.argsort(np.concatenate(keys))], OK
+    return out[np.lexsort(out.T[::-1])], OK
 
 
 PURE_KERNELS = {"orbit": _orbit, "domrep": _domrep_py}
@@ -99,25 +93,20 @@ def _check_status(status, what):
         return
     if status == CAP_EXCEEDED:
         raise KernelCapacityError(f"{what}: enumeration cap exceeded")
-    if status == PACK_OVERFLOW:
-        raise KernelCapacityError(f"{what}: coordinates exceed packed-key range")
     raise KernelCapacityError(f"{what}: dominant step guard tripped ({status})")
 
 
-def orbit_bits(rs, w) -> int:
-    """Orbit coordinates are bounded via the pairing with the highest coroot."""
-    bound = 2 * sum(abs(int(c)) for c in w) + 3
-    bits = max(3, int(bound).bit_length() + 2)
-    if rs.rank * bits > 62:
-        raise KernelCapacityError(f"orbit of {w} on {rs.lie_type} exceeds kernel capacity")
-    return bits
+# an orbit coordinate is the pairing of w with a coroot, at most 2 * sum|w|
+# for the classical types; this bound keeps the kernel's int64 products exact
+_ORBIT_COORD_LIMIT = 1 << 56
 
 
 def weyl_orbit_array(rs, w, cap=1_000_000):
     """The full Weyl orbit of a weight as an int64 array."""
+    if sum(abs(int(c)) for c in w) >= _ORBIT_COORD_LIMIT:
+        raise KernelCapacityError(f"orbit({rs.lie_type}, {w}): coordinates exceed the int64 range")
     w_np = np.array(w, dtype=np.int64)
-    bits = orbit_bits(rs, w)
-    out, status = orbit_kernel(w_np, rs.cartan_np, np.int64(bits), np.int64(cap))
+    out, status = orbit_kernel(w_np, rs.cartan_np, np.int64(cap))
     _check_status(status, f"orbit({rs.lie_type}, {w})")
     return out
 

@@ -4,12 +4,14 @@ import heapq
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances
-from weylbranch.charcalc import Characteristic, full_character
+from weylbranch import checker, kernels
+from weylbranch.charcalc import Characteristic, freudenthal, full_character
 from weylbranch.checker import (
     ClassificationEntry,
     branch_p0,
@@ -22,7 +24,7 @@ from weylbranch.checker import (
     verify_entry,
 )
 from weylbranch.embeddings import build_embedding, geom_family
-from weylbranch.rootsys import LieType, build_root_system, weight_to_root_coords
+from weylbranch.rootsys import LieType, build_root_system, fundamental_weight, weight_to_root_coords
 
 P0 = Characteristic(0)
 P0_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(4)]
@@ -36,6 +38,22 @@ def p0_cases(draw):
     return build_root_system(ambient), e, lam
 
 
+def full_restricted_multiset(rs, lam, e):
+    """The whole character of W(lam) pushed through the restriction map.
+
+    The former body of ``restricted_multiset``, kept as an oracle: every
+    weight of every Weyl orbit, H-dominant or not.
+    """
+    out = {}
+    for dom, m in sorted(freudenthal(rs, lam).entries.items()):
+        res = kernels.weyl_orbit_array(rs, dom) @ e.restriction
+        uniq, counts = np.unique(res, axis=0, return_counts=True)
+        for row, c in zip(uniq.tolist(), counts.tolist()):
+            key = tuple(row)
+            out[key] = out.get(key, 0) + m * c
+    return out
+
+
 def full_route_factors(rs, lam, e):
     """The former p = 0 decomposition, kept as an oracle.
 
@@ -43,7 +61,7 @@ def full_route_factors(rs, lam, e):
     subtracted from the full restricted multiset, taking the highest
     remaining weight off a heap ordered by height in the factor root lattices.
     """
-    remaining = restricted_multiset(rs, lam, e)
+    remaining = full_restricted_multiset(rs, lam, e)
 
     def height(key):
         parts, _ = e.split(key)
@@ -79,7 +97,7 @@ def test_branch_matches_full_route(case):
 @given(p0_cases())
 def test_restricted_multiset_is_weyl_invariant(case):
     rs, e, lam = case
-    multiset = restricted_multiset(rs, lam, e)
+    multiset = full_restricted_multiset(rs, lam, e)
     for f, (frs, off) in enumerate(zip(e.factor_systems, e.factor_offsets)):
         for i in range(frs.rank):
             reflected = {}
@@ -90,6 +108,31 @@ def test_restricted_multiset_is_weyl_invariant(case):
                     w[off + j] -= k * frs.cartan[i][j]
                 reflected[tuple(w)] = m
             assert reflected == multiset, (e.family, lam, f, i)
+
+
+@pytest.mark.parametrize("tag", sorted({e.family.tag for _, e in P0_INSTANCES}))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_restricted_multiset_is_h_dominant_part(tag, data):
+    ambient, e = data.draw(st.sampled_from([(a, e) for a, e in P0_INSTANCES if e.family.tag == tag]))
+    rs = build_root_system(ambient)
+    lam = data.draw(st.sampled_from(dominant_weights_bounded(ambient.rank, 2)))
+    full = full_restricted_multiset(rs, lam, e)
+    dominant = {w: m for w, m in full.items() if all(c >= 0 for c in w[: e.semisimple_rank])}
+    assert restricted_multiset(rs, lam, e) == dominant
+
+
+def test_restricted_orbits_are_shared_across_weights():
+    # omega_1 and omega_2 of B3 share the dominant weights omega_1 and 0, so
+    # restricting omega_2 after omega_1 enumerates only the orbit of omega_2
+    rs = build_root_system(LieType("B", 3))
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    cached = checker._h_dominant_orbit
+    cached.cache_clear()
+    restricted_multiset(rs, fundamental_weight(rs, 1), e)
+    assert (cached.cache_info().hits, cached.cache_info().misses) == (0, 2)
+    restricted_multiset(rs, fundamental_weight(rs, 2), e)
+    assert (cached.cache_info().hits, cached.cache_info().misses) == (2, 3)
 
 
 def lam(n, *pairs):

@@ -125,6 +125,14 @@ def test_branch_torus_normalizer(capsys):
     assert "kappa\t6" in out and "clifford\tPASS" in out
 
 
+def test_branch_rank_13(capsys):
+    # a 27-dimensional module whose orbits once exceeded the orbit kernel's
+    # packed-key range (exit 2)
+    code, out, _ = run(capsys, "branch", "B", "13", ",".join(["1"] + ["0"] * 12), "c1:Dn")
+    assert code == 0
+    assert "conservation\t27 = 1 x 1 + 1 x 26" in out
+
+
 def test_report_digests(capsys, monkeypatch):
     # the byte-identical reports every kernel or branching change must keep
     monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)

@@ -8,9 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from test_checker import full_restricted_multiset
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal
-from weylbranch.checker import restricted_multiset
 from weylbranch.embeddings import (
     FAMILY_TAGS,
     _swap,
@@ -475,7 +475,7 @@ def test_generators_preserve_restricted_modules():
         rs = build_root_system(e.ambient)
         ks = [1] + ([2] if 2 <= e.ambient.rank <= 8 else [])
         for k in ks:
-            ms = restricted_multiset(rs, fundamental_weight(rs, k), e)
+            ms = full_restricted_multiset(rs, fundamental_weight(rs, k), e)
             for g in _generator_maps(e):
                 assert {g(w): m for w, m in ms.items()} == ms, (e.ambient, e.family, k)
                 checks += 1
@@ -546,6 +546,6 @@ def test_natural_module_restricts_as_the_structure_predicts():
                 predicted.update({tuple(-c for c in w): m for w, m in predicted.items()})
         rs = build_root_system(e.ambient)
         found = Counter()
-        for w, m in restricted_multiset(rs, fundamental_weight(rs, 1), e).items():
+        for w, m in full_restricted_multiset(rs, fundamental_weight(rs, 1), e).items():
             found[w[: e.semisimple_rank]] += m
         assert found == predicted, (e.ambient, e.family)

@@ -28,17 +28,27 @@ def _unpack_py(key, n, bits, off, out):
         key >>= bits
 
 
+def oracle_bits(w):
+    """Bits per coordinate that hold every orbit coordinate of w: the pairing
+    with the highest coroot bounds them."""
+    return max(3, (2 * sum(abs(int(c)) for c in w) + 3).bit_length() + 2)
+
+
 def scalar_orbit(w0, cartan, bits, cap):
     """The closure-based pure orbit kernel the package used before, kept as an oracle.
 
-    Breadth-first closure under the simple reflections over packed keys, with
-    a membership search against every key seen so far.
+    Breadth-first closure under the simple reflections over packed keys
+    (``bits`` bits per coordinate, first coordinate most significant, so key
+    order is lexicographic row order), with a membership search against every
+    key seen so far.
     """
     n = w0.shape[0]
+    if n * bits > 63:
+        raise ValueError("packed keys do not fit int64")
     off = np.int64(1) << (bits - 1)
     key0 = _pack_py(w0, bits, off)
     if key0 < 0:
-        return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
+        raise ValueError("coordinate outside the packed range")
     seen = np.empty(1, np.int64)
     seen[0] = key0
     frontier = seen.copy()
@@ -57,7 +67,7 @@ def scalar_orbit(w0, cartan, bits, cap):
                     s[i] = w[i] - c * cartan[j, i]
                 key = _pack_py(s, bits, off)
                 if key < 0:
-                    return np.empty((0, n), np.int64), kernels.PACK_OVERFLOW
+                    raise ValueError("coordinate outside the packed range")
                 cand[cnt] = key
                 cnt += 1
         if cnt == 0:
@@ -108,14 +118,14 @@ def orbit_cases(draw):
 def test_orbit_matches_scalar_oracle(case):
     rs, w, size = case
     w_np = np.array(w, dtype=np.int64)
-    bits = np.int64(kernels.orbit_bits(rs, w))
-    out, status = kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(10**6))
+    bits = np.int64(oracle_bits(w))
+    out, status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(10**6))
     ref, ref_status = scalar_orbit(w_np, rs.cartan_np, bits, np.int64(10**6))
     assert status == ref_status == kernels.OK
     assert out.dtype == ref.dtype and np.array_equal(out, ref)
     assert len(out) == size
-    assert kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(size))[1] == kernels.OK
-    short, short_status = kernels.orbit_kernel(w_np, rs.cartan_np, bits, np.int64(size - 1))
+    assert kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(size))[1] == kernels.OK
+    short, short_status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(size - 1))
     assert short_status == kernels.CAP_EXCEEDED and short.shape == (0, rs.rank)
     if size > 1:
         # the oracle checks the cap only after a level is added, so a
@@ -123,17 +133,21 @@ def test_orbit_matches_scalar_oracle(case):
         assert scalar_orbit(w_np, rs.cartan_np, bits, np.int64(size - 1))[1] == kernels.CAP_EXCEEDED
 
 
-def test_orbit_pack_overflow():
-    rs = build_root_system(LieType("B", 3))
-    w = np.array([3, 0, 1], dtype=np.int64)
-    for kernel in (kernels.orbit_kernel, scalar_orbit):
-        out, status = kernel(w, rs.cartan_np, np.int64(3), np.int64(10**6))
-        assert status == kernels.PACK_OVERFLOW and out.shape == (0, 3)
+def test_orbit_beyond_packed_key_range():
+    # inputs the kernel refused while it deduplicated by packed int64 keys:
+    # B3 (3,0,1) overflowed 3-bit keys, and the 13 coordinates of B13 omega_1
+    # did not fit 62 bits; the oracle packs them into the bits given here
+    for lie, w, bits in ((("B", 3), (3, 0, 1), 6), (("B", 13), (1,) + (0,) * 12, 4)):
+        rs = build_root_system(LieType(*lie))
+        w_np = np.array(w, dtype=np.int64)
+        out, status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(10**6))
+        ref, ref_status = scalar_orbit(w_np, rs.cartan_np, np.int64(bits), np.int64(10**6))
+        assert status == ref_status == kernels.OK
+        assert np.array_equal(out, ref) and len(out) == orbit_size(rs, w).orbit_size
 
 
 def test_capacity_guard():
-    # a rank-9 table whose weights do not fit 62 packed bits; the Python-int
-    # recursion has no such limit
+    # a rank-9 table: the Python-int recursion has no width limit
     rs = build_root_system(LieType("D", 9))
     lam = (0, 1, 0, 0, 0, 0, 0, 0, 1)
     assert freudenthal(rs, lam).total_dim == weyl_dim(rs, lam)
@@ -142,6 +156,11 @@ def test_capacity_guard():
     rs = build_root_system(LieType("B", 8))
     with pytest.raises(kernels.KernelCapacityError):
         kernels.weyl_orbit_array(rs, (1, 1, 1, 1, 1, 1, 1, 1), cap=10)
+    # coordinates that int64 arithmetic could not hold exactly
+    rs = build_root_system(LieType("B", 3))
+    for big in (5 * 10**18, 3 * 10**19):
+        with pytest.raises(kernels.KernelCapacityError):
+            kernels.weyl_orbit_array(rs, (big, 0, 0))
 
 
 def test_dominant_rep_array():

@@ -39,6 +39,31 @@ def test_no_numba_import():
     assert not found, found
 
 
+# caches keyed on a root system alone: one entry per Lie type in use
+PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_root_table", "_diagram_chains"}
+
+
+def test_lru_caches_are_bounded():
+    # long scans must run in bounded memory, so every cache keyed on weights
+    # or embeddings states a finite maxsize
+    found, unbounded = set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                if "cache" not in ast.unparse(dec):
+                    continue
+                found.add(node.name)
+                sizes = [kw.value for kw in getattr(dec, "keywords", []) if kw.arg == "maxsize"]
+                if node.name not in PER_ROOT_SYSTEM_CACHES and (
+                    not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None)
+                ):
+                    unbounded.append(f"{name}:{node.lineno} {node.name}")
+    assert not unbounded, unbounded
+    assert PER_ROOT_SYSTEM_CACHES <= found
+
+
 def test_public_api_stable():
     # the exported names are part of the stable interface
     import weylbranch
