@@ -2,8 +2,8 @@
 
 Freudenthal multiplicity tables, Weyl's dimension formula, saturation of
 dominant weight sets, the closed-form irreducible dimensions with their
-congruence cases, Levi reduction of multiplicity computations, and the
-Weyl-character subtraction routine that serves as the branching oracle.
+congruence cases, special multiplicity rules, and the Weyl-character
+subtraction routine that serves as the branching oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .rootsys import (
     fundamental_weight,
     scaled_root_coords,
 )
-from .weylgroup import dominant_representative, orbit_cap, orbit_size
+from .weylgroup import dominant_representative, orbit_size
 
 
 def _is_prime(p: int) -> bool:
@@ -43,11 +43,6 @@ class Characteristic:
     def __post_init__(self):
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
-
-    def divides(self, value: int) -> bool:
-        if self.p == 0:
-            return value == 0
-        return value % self.p == 0
 
 
 @dataclass(frozen=True)
@@ -254,26 +249,7 @@ def irr_dim(rs: RootSystem, lam, chi: Characteristic):
 
 
 # ---------------------------------------------------------------------------
-# full characters and the branching oracle
-
-
-@functools.lru_cache(maxsize=2048)
-def _full_character_cached(t: LieType, lam, cap):
-    rs = build_root_system(t)
-    table = freudenthal(rs, lam)
-    out = {}
-    for dom, m in table.entries.items():
-        arr = kernels.weyl_orbit_array(rs, dom, cap=cap)
-        for row in arr:
-            out[tuple(int(x) for x in row)] = m
-    return out
-
-
-def full_character(rs: RootSystem, lam, cap=None):
-    """The complete W-invariant weight multiset of W(lam)."""
-    cap = orbit_cap() if cap is None else cap
-    lam = _require_dominant(rs.check_weight(lam))
-    return _full_character_cached(rs.lie_type, lam, cap)
+# the branching oracle
 
 
 @functools.lru_cache(maxsize=4096)

@@ -26,7 +26,6 @@ from .embeddings import (
     component_orbit_set,
     ell_value,
     existence_ok,
-    kappa_of,
     p_condition_ok,
     restrict_weight,
 )
@@ -34,7 +33,6 @@ from .rootsys import (
     LieType,
     build_root_system,
     fundamental_weight,
-    integral_root_coords,
     pairing,
     root_coords_to_weight,
     scaled_root_coords,
@@ -170,31 +168,13 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
 # necessary-condition filters (valid in every characteristic)
 
 
-def _factor_root_coords(e: Embedding, w, c):
-    """Per-factor integer root coordinates of c - w, if w is under c, else None.
-
-    w is under c when the charges agree and c - w lies in the non-negative
-    root lattice of every factor.
-    """
-    pw, chw = e.split(w)
-    pc, chc = e.split(c)
-    if chw != chc:
-        return None
-    out = []
-    for rs, a, b in zip(e.factor_systems, pc, pw):
-        rc = integral_root_coords(rs, tuple(x - y for x, y in zip(a, b)))
-        if rc is None or any(x < 0 for x in rc):
-            return None
-        out.append(rc)
-    return out
-
-
 def _scaled_coords(e: Embedding, w):
     """(charges, scaled root coordinates of every factor part, concatenated).
 
     w is under c exactly when the charges agree and every coordinate of c
     minus the matching one of w is non-negative and divisible by its factor's
-    ``inv_den``, since the scaled coordinates are linear in the weight.
+    ``inv_den``, since the scaled coordinates are linear in the weight; the
+    quotients then sum to the number of factor simple roots in c - w.
     """
     parts, charges = e.split(w)
     return charges, tuple(x for rs, a in zip(e.factor_systems, parts) for x in scaled_root_coords(rs, a))
@@ -264,11 +244,12 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     for chain, mu in _chain_weights(rs, lam, chi):
         mu_h = restrict_weight(e, mu)
         ch, sw = _scaled_coords(e, mu_h)
-        above = [
-            c
+        # each c of the orbit above mu_h -> the number of simple roots in c - mu_h
+        above = {
+            c: sum((a - b) // q for a, b, q in zip(sc, sw, dens))
             for c, chc, sc in scaled_orbit
             if chc == ch and all(a >= b and (a - b) % q == 0 for a, b, q in zip(sc, sw, dens))
-        ]
+        }
         if not above:
             finding = {
                 "kind": "restriction-not-under-orbit",
@@ -296,7 +277,7 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
         if len(conjs) != 1:
             continue
         (c0,) = conjs
-        if not _is_simple_root_drop(e, mu_h, c0):
+        if items[0][2][c0] != 1:  # c0 - mu_h is not one simple root of one factor
             continue
         capacity = central_multiplicity(e, c0)
         if len(items) > capacity:
@@ -307,12 +288,6 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
                 "capacity": capacity,
             })
     return findings
-
-
-def _is_simple_root_drop(e: Embedding, w, c):
-    """True iff c - w is a single simple root of a single factor."""
-    coords = _factor_root_coords(e, w, c)
-    return coords is not None and sum(sum(rc) for rc in coords) == 1
 
 
 def ford_condition_check(lam, n: int, chi: Characteristic) -> bool:
@@ -375,10 +350,12 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
     lam_h = restrict_weight(e, lam)
-    orbit = component_orbit_set(e, lam_h)
+    # Clifford theory: V|H is irreducible exactly when V|H^0 is the component
+    # orbit of lam_h, each factor with the multiplicity its central cover forces
+    predicted = {c: central_multiplicity(e, c) for c in component_orbit_set(e, lam_h)}
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
-        found = {_semisimple_part(e, c) for c in orbit}
+        found = {_semisimple_part(e, c) for c in predicted}
         if expected not in found:
             rep.verdict = FAIL
             rep.reasons.append({
@@ -387,7 +364,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
                 "found": sorted(list(x) for x in found),
             })
             return rep
-    kappa = kappa_of(e, lam_h)
+    kappa = sum(predicted.values())
     rep.kappa_found = kappa
     if entry.expected_kappa is not None and kappa != entry.expected_kappa:
         rep.verdict = FAIL
@@ -409,21 +386,12 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.dim_lhs = br.dim_lhs
         rep.dim_rhs = br.dim_rhs
         rep.kappa_found = br.kappa_found
-        expected_factors = {c: central_multiplicity(e, c) for c in orbit}
-        if br.factors != expected_factors:
+        if br.factors != predicted:
             rep.verdict = FAIL
             rep.reasons.append({
                 "kind": "branch-structure-mismatch",
-                "expected": sorted((list(k), v) for k, v in expected_factors.items()),
+                "expected": sorted((list(k), v) for k, v in predicted.items()),
                 "found": sorted((list(k), v) for k, v in br.factors.items()),
-            })
-            return rep
-        if entry.expected_kappa is not None and br.kappa_found != entry.expected_kappa:
-            rep.verdict = FAIL
-            rep.reasons.append({
-                "kind": "kappa-mismatch",
-                "expected": entry.expected_kappa,
-                "found": br.kappa_found,
             })
             return rep
         rep.verdict = PASS
@@ -434,7 +402,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append({"kind": "dimension-unknown", "side": "ambient"})
         return rep
     total = 0
-    for c in orbit:
+    for c, mult in predicted.items():
         d = 1
         for f, frs in enumerate(e.factor_systems):
             part = e.split(c)[0][f]
@@ -450,7 +418,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
                 })
                 return rep
             d *= df
-        total += central_multiplicity(e, c) * d
+        total += mult * d
     rep.dim_lhs = dim_g
     rep.dim_rhs = total
     if dim_g == total:

@@ -139,12 +139,13 @@ def cmd_verify(args) -> int:
     except tables.TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ps = [int(x) for x in args.p.split(",")] if args.p else [0]
+    # every characteristic is parsed before the first record is written
+    chis = [Characteristic(int(x)) for x in args.p.split(",")] if args.p else [Characteristic(0)]
     any_fail = False
     counts = {}
     out = sys.stdout
-    for p in ps:
-        chi = Characteristic(p)
+    for chi in chis:
+        p = chi.p
         entries = tables.instantiate_rows(rows, args.rank_cap, chi, args.pattern_bound)
         for entry in entries:
             rep = verify_entry(entry, chi)
@@ -173,14 +174,14 @@ def cmd_scan(args) -> int:
     fam = parse_family_spec(args.subgroup, t)
     e = build_embedding(t, fam)
     chi = Characteristic(args.p)
+    if args.assert_tables and chi.p != 0:
+        print("error: --assert requires --p 0 (full verdicts)", file=sys.stderr)
+        return 2
     results = scan_candidates(t, e, chi, args.bound)
     out = sys.stdout
     for lam, verdict in results:
         _emit({"weight": list(lam), "verdict": verdict}, out)
     if args.assert_tables:
-        if chi.p != 0:
-            print("error: --assert requires --p 0 (full verdicts)", file=sys.stderr)
-            return 2
         rows = _shipped_rows("all")
         entries = tables.instantiate_rows(rows, t.rank, chi, args.bound)
         expected = sorted(

@@ -21,16 +21,11 @@ import functools
 
 import numpy as np
 
-from .rootsys import cartan_support, root_coords_to_weight
+from .rootsys import root_coords_to_weight
 
 # numba is not used: there is one kernel path, and code that records which
 # path ran reads this constant
 HAVE_NUMBA = False
-
-# status codes of the orbit kernel
-OK = 0
-CAP_EXCEEDED = 1
-ARITH_ERROR = 2
 
 _STEP_GUARD = 10_000_000  # dominant steps; unreachable for valid Cartan data
 
@@ -43,32 +38,43 @@ def _domrep_py(w, cartan):
     """Reflect the int list w into the dominant chamber, in place.
 
     ``cartan`` holds the Cartan rows as ``rootsys.cartan_support`` pairs.
-    Returns the number of simple reflections used, or -1 when the step guard
-    trips.  The count is the number of positive roots pairing negatively with
-    w, whichever negative coordinate is reflected first.
+    Returns the number of simple reflections used, which is the number of
+    positive roots pairing negatively with w, whichever negative coordinate
+    is reflected first.  Raises when the step guard trips.
     """
     steps = 0
     while (c := min(w)) < 0:
         if steps == _STEP_GUARD:
-            return -1
+            raise KernelCapacityError(f"dominant representative did not terminate in {_STEP_GUARD} steps")
         for i, a in cartan[w.index(c)]:
             w[i] -= c * a
         steps += 1
     return steps
 
 
-def _orbit(w0, cartan, cap):
-    """Full Weyl orbit of w0 as rows in lexicographic order, and a status.
+# the benchmark's tracer counts dominant steps through this entry
+PURE_KERNELS = {"domrep": _domrep_py}
+
+# an orbit coordinate is the pairing of w with a coroot, at most 2 * sum|w|
+# for the classical types; this bound keeps the kernel's int64 products exact
+_ORBIT_COORD_LIMIT = 1 << 56
+
+
+def weyl_orbit_array(rs, w, cap=1_000_000):
+    """The full Weyl orbit of a weight as int64 rows in lexicographic order.
 
     The walk descends from the dominant representative one length level at a
     time: s_j lowers w exactly when w_j > 0, so each level is the image of the
-    previous one under those reflections and meets no earlier level.
+    previous one under those reflections and meets no earlier level.  More
+    than ``cap`` elements raise.
     """
-    n = w0.shape[0]
-    rep = w0.tolist()
-    if _domrep_py(rep, cartan_support(cartan.tolist())) < 0:
-        return np.empty((0, n), np.int64), ARITH_ERROR
-    row = np.dtype((np.void, 8 * n))  # one int64 row as one opaque item
+    where = f"orbit({rs.lie_type}, {w})"
+    if sum(abs(int(c)) for c in w) >= _ORBIT_COORD_LIMIT:
+        raise KernelCapacityError(f"{where}: coordinates exceed the int64 range")
+    rep = [int(c) for c in w]
+    _domrep_py(rep, rs.cartan_support)
+    cartan = rs.cartan_np
+    row = np.dtype((np.void, 8 * len(rep)))  # one int64 row as one opaque item
     level = np.array([rep], dtype=np.int64)
     rows = []
     total = 0
@@ -77,38 +83,11 @@ def _orbit(w0, cartan, cap):
         level = level[first]
         total += level.shape[0]
         if total > cap:
-            return np.empty((0, n), np.int64), CAP_EXCEEDED
+            raise KernelCapacityError(f"{where}: enumeration cap exceeded")
         rows.append(level)
         level = (level[:, None, :] - level[:, :, None] * cartan[None])[level > 0]
     out = np.concatenate(rows)
-    return out[np.lexsort(out.T[::-1])], OK
-
-
-PURE_KERNELS = {"orbit": _orbit, "domrep": _domrep_py}
-orbit_kernel = _orbit
-
-
-def _check_status(status, what):
-    if status == OK:
-        return
-    if status == CAP_EXCEEDED:
-        raise KernelCapacityError(f"{what}: enumeration cap exceeded")
-    raise KernelCapacityError(f"{what}: dominant step guard tripped ({status})")
-
-
-# an orbit coordinate is the pairing of w with a coroot, at most 2 * sum|w|
-# for the classical types; this bound keeps the kernel's int64 products exact
-_ORBIT_COORD_LIMIT = 1 << 56
-
-
-def weyl_orbit_array(rs, w, cap=1_000_000):
-    """The full Weyl orbit of a weight as an int64 array."""
-    if sum(abs(int(c)) for c in w) >= _ORBIT_COORD_LIMIT:
-        raise KernelCapacityError(f"orbit({rs.lie_type}, {w}): coordinates exceed the int64 range")
-    w_np = np.array(w, dtype=np.int64)
-    out, status = orbit_kernel(w_np, rs.cartan_np, np.int64(cap))
-    _check_status(status, f"orbit({rs.lie_type}, {w})")
-    return out
+    return out[np.lexsort(out.T[::-1])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,8 +158,7 @@ def freudenthal_table(rs, lam, maxdom=2_000_000):
                 nu = [a + b for a, b in zip(nu, root)]
                 pair += root_norm
                 rep = nu[:]
-                if _domrep_py(rep, cartan) < 0:
-                    raise KernelCapacityError(f"{where}: dominant step guard tripped")
+                _domrep_py(rep, cartan)
                 m = mults.get(tuple(rep))
                 if m is None:
                     break

@@ -198,14 +198,6 @@ class RootSystem:
     def weyl_order(self) -> int:
         return weyl_group_order(self.lie_type)
 
-    def form(self, v_rc, w_rc):
-        """Exact inner product of two vectors given in root coordinates."""
-        return Fraction(_scaled_form(self, v_rc, w_rc), self.form_scale)
-
-    def form_weight_root(self, w, alpha_rc):
-        """(w, alpha) for w in weight coordinates, alpha in root coordinates."""
-        return Fraction(_scaled_form_weight_root(self, w, alpha_rc), self.form_scale)
-
 
 def _scaled_form(rs: RootSystem, v_rc, w_rc):
     """form_scale * (v, w); (alpha_i, alpha_j) = cartan[i][j] * slen2[j] / form_scale."""
@@ -262,17 +254,6 @@ def scaled_root_coords(rs: RootSystem, w):
     inv = rs.inv_cartan_scaled
     n = rs.rank
     return tuple(sum(w[i] * inv[i][j] for i in range(n) if w[i]) for j in range(n))
-
-
-def integral_root_coords(rs: RootSystem, w):
-    """Root coordinates of w as ints, or None when w is not in the root lattice."""
-    out = []
-    for x in scaled_root_coords(rs, w):
-        q, r = divmod(x, rs.inv_den)
-        if r:
-            return None
-        out.append(q)
-    return tuple(out)
 
 
 def weight_to_root_coords(rs: RootSystem, w):

@@ -165,9 +165,6 @@ def eval_int(expr: str, env) -> int:
     return v
 
 
-_CMP = re.compile(r"^(.*?)(>=|<=|!=|%|=|<|>)(.*)$")
-
-
 def check_clause(clause: str, env) -> bool:
     """Constraint clauses: 'l>=2', 't%2=0', 'l=1', 'sub=Dn', 'a>b'."""
     m = re.match(r"^(\w+)%(\d+)=(\d+)$", clause)

@@ -41,8 +41,6 @@ def dominant_representative(rs: RootSystem, w):
     """The unique dominant weight in the orbit of w, plus a word length."""
     rep = list(rs.check_weight(w))
     steps = kernels._domrep_py(rep, rs.cartan_support)
-    if steps < 0:
-        raise kernels.KernelCapacityError(f"dominant representative of {w} did not terminate")
     return tuple(rep), steps
 
 
@@ -69,5 +67,4 @@ def orbit_enumerate(rs: RootSystem, w, cap=None):
             f"orbit of {w} on {rs.lie_type} has {size} elements, cap {cap}"
         )
     arr = kernels.weyl_orbit_array(rs, rs.check_weight(w), cap=cap)
-    out = sorted(tuple(int(x) for x in row) for row in arr)
-    return out
+    return [tuple(row) for row in arr.tolist()]

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_checker import full_character
 from weylbranch.charcalc import (
     Characteristic,
     freudenthal,
-    full_character,
     irr_dim,
     mult_rule_118,
     mult_rule_bwt,

@@ -1,5 +1,6 @@
 """Branching oracle, necessary filters, entry verification, scans."""
 
+import functools
 import heapq
 import itertools
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances
 from weylbranch import checker, kernels
-from weylbranch.charcalc import Characteristic, freudenthal, full_character
+from weylbranch.charcalc import Characteristic, freudenthal
 from weylbranch.checker import (
     ClassificationEntry,
     branch_p0,
@@ -36,6 +37,23 @@ def p0_cases(draw):
     ambient, e = draw(st.sampled_from(P0_INSTANCES))
     lam = draw(st.sampled_from(dominant_weights_bounded(ambient.rank, 2)))
     return build_root_system(ambient), e, lam
+
+
+@functools.lru_cache(maxsize=2048)
+def _full_character_cached(t, lam):
+    rs = build_root_system(t)
+    out = {}
+    for dom, m in freudenthal(rs, lam).entries.items():
+        for row in kernels.weyl_orbit_array(rs, dom).tolist():
+            out[tuple(row)] = m
+    return out
+
+
+def full_character(rs, lam):
+    """The complete W-invariant weight multiset of W(lam), kept as an oracle:
+    every weight of every Weyl orbit, where the package reads only the
+    dominant ones."""
+    return _full_character_cached(rs.lie_type, tuple(int(c) for c in lam))
 
 
 def full_restricted_multiset(rs, lam, e):

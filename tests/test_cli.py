@@ -119,6 +119,17 @@ def test_scan_assert_requires_p0(capsys):
     assert code == 2 and "requires --p 0" in err
 
 
+def test_verify_rejects_bad_p_before_any_record(capsys):
+    # 4 is not a prime; the records for p = 0 must not be written first
+    code, out, err = run(capsys, "verify", "shipped:c2", "--p", "0,4", "--rank-cap", "4")
+    assert code == 2 and out == "" and "prime" in err
+
+
+def test_scan_assert_rejected_before_any_record(capsys):
+    code, out, err = run(capsys, "scan", "B", "3", "c1:Dn", "--bound", "2", "--p", "5", "--assert")
+    assert code == 2 and out == "" and "requires --p 0" in err
+
+
 def test_branch_torus_normalizer(capsys):
     code, out, _ = run(capsys, "branch", "A", "3", "0,1,0", "c2:l=0,t=4")
     assert code == 0

@@ -11,6 +11,7 @@ import pytest
 from test_checker import full_restricted_multiset
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal
+from weylbranch.checker import dominant_weights_bounded
 from weylbranch.embeddings import (
     FAMILY_TAGS,
     _swap,
@@ -465,6 +466,23 @@ def test_embedding_digest():
 
 
 EMBEDDING_DIGEST = "23c1a85171d92bfa0355c49302235eeca992f629379a3859f6947870aa97b2f1"
+
+
+def test_central_multiplicity_is_constant_on_component_orbits():
+    # verify_entry predicts the factors of V|H^0 as {c: central_multiplicity(e, c)}
+    # over the component orbit of lam_h and reads kappa as their sum; that sum
+    # is kappa_of only when the multiplicity is the same at every c
+    checks = 0
+    for e in INSTANCES_12:
+        if e.ambient.rank > 8:
+            continue
+        for lam in dominant_weights_bounded(e.ambient.rank, 2):
+            lam_h = restrict_weight(e, lam)
+            predicted = {c: central_multiplicity(e, c) for c in component_orbit_set(e, lam_h)}
+            assert len(set(predicted.values())) == 1, (e.ambient, e.family, lam)
+            assert sum(predicted.values()) == kappa_of(e, lam_h)
+            checks += 1
+    assert checks == 3124
 
 
 def test_generators_preserve_restricted_modules():

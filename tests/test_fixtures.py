@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from weylbranch.charcalc import Characteristic, freudenthal, full_character, weyl_dim
+from test_checker import full_character
+from weylbranch.charcalc import Characteristic, freudenthal, weyl_dim
 from weylbranch.checker import ClassificationEntry, scan_candidates, verify_entry
 from weylbranch.embeddings import build_embedding, geom_family
 from weylbranch.rootsys import LieType, build_root_system

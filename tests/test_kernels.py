@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal, weyl_dim
 from weylbranch.rootsys import LieType, build_root_system
-from weylbranch.weylgroup import orbit_size
+from weylbranch.weylgroup import dominant_representative, orbit_size
 
 
 def _pack_py(w, bits, off):
@@ -85,12 +85,12 @@ def scalar_orbit(w0, cartan, bits, cap):
             break
         seen = np.unique(np.concatenate((seen, new[:nnew])))
         if seen.shape[0] > cap:
-            return np.empty((0, n), np.int64), kernels.CAP_EXCEEDED
+            raise kernels.KernelCapacityError("enumeration cap exceeded")
         frontier = new[:nnew]
     out = np.empty((seen.shape[0], n), np.int64)
     for i in range(seen.shape[0]):
         _unpack_py(seen[i], n, bits, off, out[i])
-    return out, kernels.OK
+    return out
 
 
 ORBIT_TYPES = [(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 8)]
@@ -119,18 +119,18 @@ def test_orbit_matches_scalar_oracle(case):
     rs, w, size = case
     w_np = np.array(w, dtype=np.int64)
     bits = np.int64(oracle_bits(w))
-    out, status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(10**6))
-    ref, ref_status = scalar_orbit(w_np, rs.cartan_np, bits, np.int64(10**6))
-    assert status == ref_status == kernels.OK
+    out = kernels.weyl_orbit_array(rs, w, cap=10**6)
+    ref = scalar_orbit(w_np, rs.cartan_np, bits, np.int64(10**6))
     assert out.dtype == ref.dtype and np.array_equal(out, ref)
     assert len(out) == size
-    assert kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(size))[1] == kernels.OK
-    short, short_status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(size - 1))
-    assert short_status == kernels.CAP_EXCEEDED and short.shape == (0, rs.rank)
+    assert np.array_equal(kernels.weyl_orbit_array(rs, w, cap=size), out)
+    with pytest.raises(kernels.KernelCapacityError):
+        kernels.weyl_orbit_array(rs, w, cap=size - 1)
     if size > 1:
         # the oracle checks the cap only after a level is added, so a
         # one-element orbit passes cap 0 there
-        assert scalar_orbit(w_np, rs.cartan_np, bits, np.int64(size - 1))[1] == kernels.CAP_EXCEEDED
+        with pytest.raises(kernels.KernelCapacityError):
+            scalar_orbit(w_np, rs.cartan_np, bits, np.int64(size - 1))
 
 
 def test_orbit_beyond_packed_key_range():
@@ -139,10 +139,8 @@ def test_orbit_beyond_packed_key_range():
     # did not fit 62 bits; the oracle packs them into the bits given here
     for lie, w, bits in ((("B", 3), (3, 0, 1), 6), (("B", 13), (1,) + (0,) * 12, 4)):
         rs = build_root_system(LieType(*lie))
-        w_np = np.array(w, dtype=np.int64)
-        out, status = kernels.orbit_kernel(w_np, rs.cartan_np, np.int64(10**6))
-        ref, ref_status = scalar_orbit(w_np, rs.cartan_np, np.int64(bits), np.int64(10**6))
-        assert status == ref_status == kernels.OK
+        out = kernels.weyl_orbit_array(rs, w)
+        ref = scalar_orbit(np.array(w, dtype=np.int64), rs.cartan_np, np.int64(bits), np.int64(10**6))
         assert np.array_equal(out, ref) and len(out) == orbit_size(rs, w).orbit_size
 
 
@@ -170,3 +168,16 @@ def test_dominant_rep_array():
     assert tuple(rep) == (1, 1) and steps == 3
     rep = [2, 1]
     assert kernels._domrep_py(rep, rs.cartan_support) == 0 and tuple(rep) == (2, 1)
+
+
+def test_domrep_step_guard_raises(monkeypatch):
+    # A2 (-1,-1) needs three steps; with a one-step guard the dominant step
+    # raises, and so do the orbit kernel and dominant_representative
+    rs = build_root_system(LieType("A", 2))
+    monkeypatch.setattr(kernels, "_STEP_GUARD", 1)
+    with pytest.raises(kernels.KernelCapacityError):
+        kernels._domrep_py([-1, -1], rs.cartan_support)
+    with pytest.raises(kernels.KernelCapacityError):
+        kernels.weyl_orbit_array(rs, (-1, -1))
+    with pytest.raises(kernels.KernelCapacityError):
+        dominant_representative(rs, (-1, -1))

@@ -10,11 +10,11 @@ from weylbranch.rootsys import (
     LieType,
     build_root_system,
     fundamental_weight,
-    integral_root_coords,
     is_root,
     minimal_weights,
     pairing,
     root_coords_to_weight,
+    scaled_root_coords,
     weight_to_root_coords,
 )
 
@@ -184,14 +184,12 @@ def test_root_coord_round_trip(data):
         w = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
         rc = weight_to_root_coords(rs, w)
         assert root_coords_to_weight(rs, rc) == w
-        lattice = all(x.denominator == 1 for x in rc)
-        assert integral_root_coords(rs, w) == (tuple(int(x) for x in rc) if lattice else None)
         for i in range(n):
             alpha = tuple(int(k == i) for k in range(n))
             assert pairing(rs, w, alpha) == w[i]
         for beta in rs.positive_roots:
             beta_w = root_coords_to_weight(rs, beta)
-            assert integral_root_coords(rs, beta_w) == beta
+            assert scaled_root_coords(rs, beta_w) == tuple(x * rs.inv_den for x in beta)
             assert pairing(rs, beta_w, beta) == 2
             expected = fraction_pairing(rs, w, beta)
             assert expected.denominator == 1
