@@ -8,6 +8,12 @@ of W(lam) is decomposed into product Weyl characters.  At positive characteristi
 necessary conditions (restriction-orbit membership, the h and ell invariants,
 multiplicity bookkeeping) and closed-form dimension identities are evaluated;
 anything beyond them is reported INCONCLUSIVE rather than guessed.
+
+The necessary filters read a table built once per embedding: the diagram
+chains beta of G, their coroot pairings, their images R beta and those images
+in scaled factor root coordinates.  One int64 array step then tests every
+certified chain weight against every element of the component orbit; a
+weight too large for exact int64 arithmetic raises KernelCapacityError.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from . import charcalc, kernels
 from .charcalc import Characteristic, freudenthal, weyl_dim
@@ -35,7 +44,6 @@ from .rootsys import (
     fundamental_weight,
     pairing,
     root_coords_to_weight,
-    scaled_root_coords,
 )
 from .weylgroup import orbit_cap
 
@@ -168,18 +176,6 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
 # necessary-condition filters (valid in every characteristic)
 
 
-def _scaled_coords(e: Embedding, w):
-    """(charges, scaled root coordinates of every factor part, concatenated).
-
-    w is under c exactly when the charges agree and every coordinate of c
-    minus the matching one of w is non-negative and divisible by its factor's
-    ``inv_den``, since the scaled coordinates are linear in the weight; the
-    quotients then sum to the number of factor simple roots in c - w.
-    """
-    parts, charges = e.split(w)
-    return charges, tuple(x for rs, a in zip(e.factor_systems, parts) for x in scaled_root_coords(rs, a))
-
-
 @functools.lru_cache(maxsize=None)
 def _diagram_chains(rs):
     """Connected chains in the Dynkin diagram, each summing to a positive root beta.
@@ -208,22 +204,71 @@ def _diagram_chains(rs):
     return tuple(chains)
 
 
-def _chain_weights(rs, lam, chi):
-    """lam minus connected simple-root chains, certified to lie in L(lam).
+class _ChainTable(NamedTuple):
+    labels: tuple  # per chain: 1-based (first, last) node labels
+    coroots: np.ndarray  # chains x rank: <lam, beta-coroot> = coroots @ lam
+    betas: np.ndarray  # chains x rank: beta in weight coordinates
+    images: np.ndarray  # chains x width: R beta
+    scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
+    scaled_images: np.ndarray  # chains x ss: R beta through ``scale``
+    inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
+    keys: np.ndarray  # chains x width: -(R beta) through ``scale`` mod inv_den, then its negated charges
+    limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
 
-    Each chain sums to a positive root beta.  The weight lam - beta is
-    guaranteed for every characteristic when <lam, beta-coroot> does not
-    vanish mod p (the commutator [e, f] acts by it on the highest vector),
-    and for all of the Weyl support when p = 0 or p > e(G).
+
+CHAIN_TABLE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
+def _chain_table(ambient, family):
+    """The diagram chains of G and their images under the restriction of one embedding.
+
+    ``build_embedding`` is a pure function of (ambient, family), so those two
+    name the restriction map R.  ``scale`` is each factor's
+    ``inv_cartan_scaled`` on its block, and zero on the torus charges.
     """
-    out = []
-    saturated = charcalc.premet_applies(rs, chi)
-    for label, coroot, beta_w in _diagram_chains(rs):
-        c = sum(a * b for a, b in zip(coroot, lam))
-        if c <= 0 or (not saturated and c % chi.p == 0):
-            continue
-        out.append((label, tuple(a - b for a, b in zip(lam, beta_w))))
-    return out
+    e = build_embedding(ambient, family)
+    chains = _diagram_chains(build_root_system(ambient))
+    ss = e.semisimple_rank
+    scale = np.zeros((e.width, ss), dtype=np.int64)
+    for off, frs in zip(e.factor_offsets, e.factor_systems):
+        scale[off:off + frs.rank, off:off + frs.rank] = frs.inv_cartan_scaled
+    inv_den = np.array([frs.inv_den for frs in e.factor_systems for _ in range(frs.rank)], dtype=np.int64)
+    coroots = np.array([c for _, c, _ in chains], dtype=np.int64)
+    betas = np.array([beta for _, _, beta in chains], dtype=np.int64)
+    images = betas @ e.restriction
+    scaled_images = images @ scale
+    # a call's int64 values are at most growth * sum|lam| + offset in size:
+    # the pairings, lam_h = R lam, c - lam_h for c in its component orbit,
+    # that difference through ``scale`` plus a chain image, and the sum of
+    # the quotients over the semisimple coordinates
+    terms = max(ss, 1)
+    growth = max(
+        int(np.abs(coroots).max()),
+        terms * 2 * e.width * int(np.abs(e.restriction).max()) * max(int(np.abs(scale).max(initial=0)), 1),
+    )
+    offset = terms * int(np.abs(scaled_images).max(initial=0))
+    return _ChainTable(
+        labels=tuple(label for label, _, _ in chains),
+        coroots=coroots,
+        betas=betas,
+        images=images,
+        scale=scale,
+        scaled_images=scaled_images,
+        inv_den=inv_den,
+        keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1),
+        limit=((1 << 63) - 1 - offset) // growth,
+    )
+
+
+def _exact_chain_table(e: Embedding, lam):
+    """The chain table of e, once lam is known to keep its int64 products exact."""
+    t = _chain_table(e.ambient, e.family)
+    if sum(abs(c) for c in lam) >= t.limit:
+        raise kernels.KernelCapacityError(
+            f"filters({e.ambient}, {e.family}, {lam}): coordinates exceed the int64 range"
+        )
+    return t
 
 
 def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
@@ -233,58 +278,82 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     a known weight of L(lam) whose restriction escapes the component orbit of
     lam, or more weights landing on one restricted weight than the factors can
     carry.  Sound in every characteristic.
+
+    The known weights are lam - beta for the diagram chains beta whose
+    pairing <lam, beta-coroot> certifies them: it does not vanish mod p (the
+    commutator [e, f] acts by it on the highest vector), or merely is
+    positive when p = 0 or p > e(G), where all of the Weyl support is in
+    L(lam).  mu_h = R(lam - beta) lies under c exactly when the charges agree
+    and every scaled factor root coordinate of c - mu_h is non-negative and
+    divisible by its factor's ``inv_den``; the quotients then sum to the
+    number of factor simple roots in c - mu_h.  The scaled coordinates are
+    linear and c - mu_h = (c - lam_h) + R beta, so divisibility is a match of
+    residues, those of c - lam_h against those of -R beta, and every (chain,
+    orbit element) pair is decided in one array step.
     """
-    lam = tuple(int(c) for c in lam)
-    lam_h = restrict_weight(e, lam)
+    lam = rs.check_weight(lam)
+    t = _exact_chain_table(e, lam)
+    lam_a = np.array(lam, dtype=np.int64)
+    lam_h_a = lam_a @ e.restriction
+    lam_h = tuple(lam_h_a.tolist())
     orbit = component_orbit_set(e, lam_h)
-    dens = [frs.inv_den for frs in e.factor_systems for _ in range(frs.rank)]
-    scaled_orbit = [(c, *_scaled_coords(e, c)) for c in orbit]
+    pair = t.coroots @ lam_a
+    keep = pair > 0
+    if not charcalc.premet_applies(rs, chi):
+        keep &= pair % chi.p != 0
+    chains = np.flatnonzero(keep)
+    ss = e.semisimple_rank
+    diff = np.array(orbit, dtype=np.int64) - lam_h_a
+    scaled = diff @ t.scale
+    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
+    # chains x orbit x coordinates
+    under = (scaled[None] + t.scaled_images[chains, None] >= 0).all(axis=2) & (
+        key[None] == t.keys[chains, None]
+    ).all(axis=2)
     findings = []
     groups = {}
-    for chain, mu in _chain_weights(rs, lam, chi):
-        mu_h = restrict_weight(e, mu)
-        ch, sw = _scaled_coords(e, mu_h)
-        # each c of the orbit above mu_h -> the number of simple roots in c - mu_h
-        above = {
-            c: sum((a - b) // q for a, b, q in zip(sc, sw, dens))
-            for c, chc, sc in scaled_orbit
-            if chc == ch and all(a >= b and (a - b) % q == 0 for a, b, q in zip(sc, sw, dens))
+    for row, (k, mu, mu_h, hit) in enumerate(zip(
+        chains.tolist(),
+        (lam_a - t.betas[chains]).tolist(),
+        (lam_h_a - t.images[chains]).tolist(),
+        under.any(axis=1).tolist(),
+    )):
+        if hit:
+            groups.setdefault(tuple(mu_h), []).append((row, mu))
+            continue
+        finding = {
+            "kind": "restriction-not-under-orbit",
+            "chain": list(t.labels[k]),
+            "mu": mu,
+            "h_mu": sum(mu_h[:ss]),
+            "h_lam": sum(lam_h[:ss]),
         }
-        if not above:
-            finding = {
-                "kind": "restriction-not-under-orbit",
-                "chain": list(chain),
-                "mu": list(mu),
-                "h_mu": int(sum(mu_h[: e.semisimple_rank])),
-                "h_lam": int(sum(lam_h[: e.semisimple_rank])),
-            }
-            if e.family.tag == "c4ii":
-                ident = tuple(range(len(e.factors)))
-                try:
-                    ell, _ = ell_value(e, mu_h, lam_h, ident)
-                    finding["ell"] = str(ell)
-                except ValueError:
-                    pass
-            findings.append(finding)
-        else:
-            groups.setdefault(mu_h, []).append((chain, mu, above))
+        if e.family.tag == "c4ii":
+            ident = tuple(range(len(e.factors)))
+            try:
+                ell, _ = ell_value(e, mu_h, lam_h, ident)
+                finding["ell"] = str(ell)
+            except ValueError:
+                pass
+        findings.append(finding)
     for mu_h, items in sorted(groups.items()):
         if len(items) < 2:
             continue
-        conjs = set()
-        for _, _, above in items:
-            conjs.update(above)
-        if len(conjs) != 1:
+        rows = [row for row, _ in items]
+        above = np.flatnonzero(under[rows].any(axis=0)).tolist()  # orbit elements above mu_h
+        if len(above) != 1:
             continue
-        (c0,) = conjs
-        if items[0][2][c0] != 1:  # c0 - mu_h is not one simple root of one factor
+        (j,) = above
+        # the number of factor simple roots in c0 - mu_h
+        steps = (scaled[j] + t.scaled_images[chains[rows[0]]]) // t.inv_den
+        if int(steps.sum()) != 1:
             continue
-        capacity = central_multiplicity(e, c0)
+        capacity = central_multiplicity(e, orbit[j])
         if len(items) > capacity:
             findings.append({
                 "kind": "multiplicity-bound-exceeded",
                 "target": list(mu_h),
-                "witnesses": [list(mu) for _, mu, _ in items],
+                "witnesses": [mu for _, mu in items],
                 "capacity": capacity,
             })
     return findings
@@ -349,6 +418,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
+    _exact_chain_table(e, lam)  # the filters below are int64 array work
     lam_h = restrict_weight(e, lam)
     # Clifford theory: V|H is irreducible exactly when V|H^0 is the component
     # orbit of lam_h, each factor with the multiplicity its central cover forces

@@ -35,6 +35,17 @@ def _lie_type(family: str, rank: str) -> LieType:
     return LieType(family.upper(), int(rank))
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _weight(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
@@ -252,15 +263,15 @@ def build_parser():
     p = sub.add_parser("verify", help="verify classification-table rows")
     p.add_argument("table", help="path to a table file, or shipped:all / shipped:c2 / ...")
     p.add_argument("--p", default="0", help="comma-separated characteristics")
-    p.add_argument("--rank-cap", type=int, default=8)
-    p.add_argument("--pattern-bound", type=int, default=3)
+    p.add_argument("--rank-cap", type=_count, default=8)
+    p.add_argument("--pattern-bound", type=_count, default=3)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("scan", help="classify all bounded dominant candidates")
     p.add_argument("family")
     p.add_argument("rank")
     p.add_argument("subgroup")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count, default=2)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--assert", dest="assert_tables", action="store_true",
                    help="compare the irreducible set against the shipped tables")

@@ -155,10 +155,6 @@ def central_multiplicity(e: Embedding, hw) -> int:
     return 1 << ((t - 1) // 2)
 
 
-def kappa_of(e: Embedding, hw) -> int:
-    return len(component_orbit_set(e, hw)) * central_multiplicity(e, hw)
-
-
 def ell_value(e: Embedding, mu_h, lambda_h, sigma):
     """The ell invariant: total root-coefficient sum of mu_h - sigma(lambda_h).
 

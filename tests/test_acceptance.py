@@ -16,7 +16,7 @@ from weylbranch.charcalc import (
 )
 from weylbranch.checker import (
     ClassificationEntry,
-    _chain_weights,
+    _diagram_chains,
     branch_p0,
     dominant_weights_bounded,
     necessary_filters,
@@ -25,10 +25,11 @@ from weylbranch.checker import (
 )
 from weylbranch.embeddings import (
     build_embedding,
+    central_multiplicity,
+    component_orbit_set,
     ell_value,
     existence_ok,
     geom_family,
-    kappa_of,
     restrict_weight,
 )
 from weylbranch.rootsys import LieType, build_root_system
@@ -37,6 +38,12 @@ from weylbranch.checker import p_condition_ok
 
 P0 = Characteristic(0)
 PRIMES = (0, 2, 3, 5, 7)
+
+
+def kappa_of(e, hw):
+    """kappa from the component orbit of hw, kept as an oracle: the package
+    reads it off the predicted-factor map in ``verify_entry``."""
+    return len(component_orbit_set(e, hw)) * central_multiplicity(e, hw)
 
 
 def _report(num, ok, text):
@@ -336,7 +343,11 @@ def test_criterion_8_ell_invariant():
         assert lam_one in row_lams
         for lam in sorted(row_lams):
             lam_h = restrict_weight(e, lam)
-            for chain, mu in _chain_weights(rs, lam, P0):
+            # at p = 0 every chain with a positive pairing is certified
+            for chain, coroot, beta in _diagram_chains(rs):
+                if sum(a * b for a, b in zip(coroot, lam)) <= 0:
+                    continue
+                mu = tuple(a - b for a, b in zip(lam, beta))
                 ell, _ = ell_value(e, restrict_weight(e, mu), lam_h, ident)
                 assert ell <= 0, (str(ambient), lam, chain, ell)
                 checked += 1

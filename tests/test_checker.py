@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances
 from weylbranch import checker, kernels
-from weylbranch.charcalc import Characteristic, freudenthal
+from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
 from weylbranch.checker import (
     ClassificationEntry,
     branch_p0,
@@ -24,8 +24,21 @@ from weylbranch.checker import (
     scan_candidates,
     verify_entry,
 )
-from weylbranch.embeddings import build_embedding, geom_family
-from weylbranch.rootsys import LieType, build_root_system, fundamental_weight, weight_to_root_coords
+from weylbranch.embeddings import (
+    build_embedding,
+    central_multiplicity,
+    component_orbit_set,
+    ell_value,
+    geom_family,
+    restrict_weight,
+)
+from weylbranch.rootsys import (
+    LieType,
+    build_root_system,
+    fundamental_weight,
+    scaled_root_coords,
+    weight_to_root_coords,
+)
 
 P0 = Characteristic(0)
 P0_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(4)]
@@ -151,6 +164,147 @@ def test_restricted_orbits_are_shared_across_weights():
     assert (cached.cache_info().hits, cached.cache_info().misses) == (0, 2)
     restricted_multiset(rs, fundamental_weight(rs, 2), e)
     assert (cached.cache_info().hits, cached.cache_info().misses) == (2, 3)
+
+
+def _scaled_coords(e, w):
+    """(charges, scaled root coordinates of every factor part, concatenated)."""
+    parts, charges = e.split(w)
+    return charges, tuple(x for rs, a in zip(e.factor_systems, parts) for x in scaled_root_coords(rs, a))
+
+
+def _chain_weights(rs, lam, chi):
+    """lam minus each diagram chain whose pairing certifies it, as (label, weight)."""
+    out = []
+    saturated = premet_applies(rs, chi)
+    for label, coroot, beta_w in checker._diagram_chains(rs):
+        c = sum(a * b for a, b in zip(coroot, lam))
+        if c <= 0 or (not saturated and c % chi.p == 0):
+            continue
+        out.append((label, tuple(a - b for a, b in zip(lam, beta_w))))
+    return out
+
+
+def scalar_necessary_filters(rs, lam, e, chi):
+    """The former body of ``necessary_filters``, kept as an oracle.
+
+    One chain at a time: each chain weight is restricted with
+    ``restrict_weight`` and compared with every component-orbit element in
+    scaled factor root coordinates over Python ints.
+    """
+    lam = tuple(int(c) for c in lam)
+    lam_h = restrict_weight(e, lam)
+    orbit = component_orbit_set(e, lam_h)
+    dens = [frs.inv_den for frs in e.factor_systems for _ in range(frs.rank)]
+    scaled_orbit = [(c, *_scaled_coords(e, c)) for c in orbit]
+    findings = []
+    groups = {}
+    for chain, mu in _chain_weights(rs, lam, chi):
+        mu_h = restrict_weight(e, mu)
+        ch, sw = _scaled_coords(e, mu_h)
+        above = {
+            c: sum((a - b) // q for a, b, q in zip(sc, sw, dens))
+            for c, chc, sc in scaled_orbit
+            if chc == ch and all(a >= b and (a - b) % q == 0 for a, b, q in zip(sc, sw, dens))
+        }
+        if not above:
+            finding = {
+                "kind": "restriction-not-under-orbit",
+                "chain": list(chain),
+                "mu": list(mu),
+                "h_mu": int(sum(mu_h[: e.semisimple_rank])),
+                "h_lam": int(sum(lam_h[: e.semisimple_rank])),
+            }
+            if e.family.tag == "c4ii":
+                try:
+                    ell, _ = ell_value(e, mu_h, lam_h, tuple(range(len(e.factors))))
+                    finding["ell"] = str(ell)
+                except ValueError:
+                    pass
+            findings.append(finding)
+        else:
+            groups.setdefault(mu_h, []).append((chain, mu, above))
+    for mu_h, items in sorted(groups.items()):
+        if len(items) < 2:
+            continue
+        conjs = set()
+        for _, _, above in items:
+            conjs.update(above)
+        if len(conjs) != 1:
+            continue
+        (c0,) = conjs
+        if items[0][2][c0] != 1:
+            continue
+        capacity = central_multiplicity(e, c0)
+        if len(items) > capacity:
+            findings.append({
+                "kind": "multiplicity-bound-exceeded",
+                "target": list(mu_h),
+                "witnesses": [list(mu) for _, mu, _ in items],
+                "capacity": capacity,
+            })
+    return findings
+
+
+FILTER_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(5)]
+FILTER_PRIMES = (0, 2, 3, 5, 7)
+
+
+def _assert_plain(value):
+    # records are written by json.dumps: no numpy scalar may reach them
+    if isinstance(value, dict):
+        for k, v in value.items():
+            assert type(k) is str, k
+            _assert_plain(v)
+    elif isinstance(value, list):
+        for v in value:
+            _assert_plain(v)
+    else:
+        assert type(value) in (int, str), (value, type(value))
+
+
+def test_filters_match_scalar_oracle():
+    cases = 0
+    for ambient, e in FILTER_INSTANCES:
+        rs = build_root_system(ambient)
+        for w in dominant_weights_bounded(ambient.rank, 3):
+            for p in FILTER_PRIMES:
+                chi = Characteristic(p)
+                got = necessary_filters(rs, w, e, chi)
+                assert got == scalar_necessary_filters(rs, w, e, chi), (ambient, e.family, w, p)
+                for finding in got:
+                    _assert_plain(finding)
+                cases += 1
+    assert len(FILTER_INSTANCES) == 42 and cases == 1532 * len(FILTER_PRIMES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_filters_match_scalar_oracle_on_large_weights(data):
+    ambient, e = data.draw(st.sampled_from(FILTER_INSTANCES))
+    coeff = st.one_of(st.integers(0, 12), st.integers(0, 1 << 40))
+    w = tuple(data.draw(st.lists(coeff, min_size=ambient.rank, max_size=ambient.rank)))
+    chi = Characteristic(data.draw(st.sampled_from(FILTER_PRIMES)))
+    rs = build_root_system(ambient)
+    got = necessary_filters(rs, w, e, chi)
+    assert got == scalar_necessary_filters(rs, w, e, chi)
+    for finding in got:
+        _assert_plain(finding)
+
+
+def test_filters_int64_guard():
+    # the last weight below the guard still agrees with the Python-int oracle;
+    # the first one past it raises instead of wrapping
+    for ambient, e in FILTER_INSTANCES:
+        rs = build_root_system(ambient)
+        limit = checker._chain_table(ambient, e.family).limit
+        assert limit > 1 << 48
+        for i in (0, ambient.rank - 1):
+            w = [0] * ambient.rank
+            w[i] = limit - 1
+            assert necessary_filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
+            w[i] = limit
+            with pytest.raises(kernels.KernelCapacityError):
+                necessary_filters(rs, w, e, P0)
 
 
 def lam(n, *pairs):

@@ -3,8 +3,12 @@
 import hashlib
 import json
 
-from weylbranch import charcalc
+import pytest
+
+from weylbranch import charcalc, checker
 from weylbranch.cli import main
+from weylbranch.embeddings import geom_family
+from weylbranch.rootsys import LieType
 
 
 def run(capsys, *argv):
@@ -157,3 +161,28 @@ def test_report_digests(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "B", "3", "c1:Dn", "--bound", "-1"),
+    ("verify", "shipped:all", "--rank-cap", "4", "--pattern-bound", "-1"),
+    ("verify", "shipped:all", "--rank-cap", "-1"),
+])
+def test_negative_bounds_rejected_before_any_record(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "expected a non-negative integer, got '-1'" in captured.err
+
+
+def test_verify_weight_past_int64_guard(capsys, tmp_path):
+    # the filters work in int64 arrays; a weight too large for them is a
+    # usage error, reported before any record, never a wrapped result
+    limit = checker._chain_table(LieType("B", 3), geom_family("c1", sub="Dn")).limit
+    table = tmp_path / "huge.tsv"
+    for coef in (limit, 1 << 64):
+        table.write_text(f"c1\tB:3\tsub=Dn\t{coef}*L(1)\tany\t-\t-\n")
+        code, out, err = run(capsys, "verify", str(table))
+        assert code == 2 and out == ""
+        assert err.startswith("error: filters(") and "int64" in err and "Traceback" not in err

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal
@@ -22,7 +23,6 @@ from weylbranch.embeddings import (
     existence_ok,
     format_h0_weight,
     geom_family,
-    kappa_of,
     restrict_weight,
 )
 from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system, fundamental_weight
