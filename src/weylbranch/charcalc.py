@@ -99,12 +99,6 @@ def weyl_dim(rs: RootSystem, lam) -> int:
     return num // den
 
 
-def saturate(rs: RootSystem, lam):
-    """All dominant weights under lam (the dominant support of W(lam))."""
-    lam = _require_dominant(rs.check_weight(lam))
-    return set(kernels.dominant_table(rs, lam)[0])
-
-
 def premet_applies(rs: RootSystem, chi: Characteristic) -> bool:
     """True iff p = 0 or p > e(G); then L(lam) and W(lam) share their weight set."""
     return chi.p == 0 or chi.p > rs.eG

@@ -4,7 +4,9 @@ At characteristic zero the composition factors of a restriction are computed
 exactly from the H-dominant part of the restricted character: the Weyl orbit
 of each dominant weight is pushed through the embedding once per embedding,
 only its H-dominant images are kept, and their sum over the dominant weights
-of W(lam) is decomposed into product Weyl characters.  At positive characteristic only
+of W(lam) is decomposed into product Weyl characters, and the restriction is
+irreducible exactly when those factors are the ones ``clifford_prediction``
+predicts from the component orbit.  At positive characteristic only
 necessary conditions (restriction-orbit membership, the h and ell invariants,
 multiplicity bookkeeping) and closed-form dimension identities are evaluated;
 anything beyond them is reported INCONCLUSIVE rather than guessed.
@@ -112,37 +114,24 @@ def restricted_multiset(rs, lam, e: Embedding, cap=None):
     return out
 
 
-def clifford_classify(e: Embedding, factors):
-    """(irreducible?, kappa, reasons) for a factor multiset at p = 0."""
-    reasons = []
-    hws = sorted(factors)
-    orbit = component_orbit_set(e, hws[-1])
-    kappa = sum(factors.values())
-    if set(hws) != set(orbit):
-        reasons.append({
-            "kind": "factors-not-single-orbit",
-            "orbit_size": len(orbit),
-            "factor_count": len(hws),
-        })
-        return False, kappa, reasons
-    mults = {factors[h] for h in hws}
-    if len(mults) != 1:
-        reasons.append({"kind": "unequal-orbit-multiplicities", "mults": sorted(mults)})
-        return False, kappa, reasons
-    mult = mults.pop()
-    allowed = central_multiplicity(e, hws[-1])
-    if mult != allowed:
-        reasons.append({
-            "kind": "multiplicity-without-central-cover",
-            "mult": mult,
-            "allowed": allowed,
-        })
-        return False, kappa, reasons
-    return True, kappa, reasons
+def clifford_prediction(e: Embedding, lam_h):
+    """The composition factors of V|H^0 that make V|H irreducible.
+
+    Clifford theory: V|H is irreducible exactly when V|H^0 is the component
+    orbit of lam_h, each factor with the multiplicity its central cover
+    forces.  That multiplicity is constant on the orbit, since the component
+    group only permutes equal factors where there is a central cover.  Keys
+    are in the sorted order of ``component_orbit_set``.
+    """
+    return dict.fromkeys(component_orbit_set(e, lam_h), central_multiplicity(e, lam_h))
 
 
 def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
-    """Exact composition factors of the restriction at p = 0."""
+    """Exact composition factors of the restriction at p = 0.
+
+    PASS exactly when they are ``clifford_prediction`` of the restricted lam;
+    a FAIL carries one branch-structure-mismatch record with both maps.
+    """
     lam = tuple(int(c) for c in lam)
     if any(c < 0 for c in lam) or not any(lam):
         raise ValueError("highest weight must be dominant and non-zero")
@@ -160,13 +149,20 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
         raise AssertionError(
             f"branch conservation failed: {total} != {expected} for {rs.lie_type} {lam}"
         )
-    ok, kappa, reasons = clifford_classify(e, factors)
+    predicted = clifford_prediction(e, restrict_weight(e, lam))
+    reasons = []
+    if factors != predicted:
+        reasons.append({
+            "kind": "branch-structure-mismatch",
+            "expected": sorted((list(k), v) for k, v in predicted.items()),
+            "found": sorted((list(k), v) for k, v in factors.items()),
+        })
     return BranchReport(
         factors=factors,
         dims=dims,
-        verdict=PASS if ok else FAIL,
+        verdict=FAIL if reasons else PASS,
         reasons=reasons,
-        kappa_found=kappa,
+        kappa_found=sum(factors.values()),
         dim_lhs=expected,
         dim_rhs=total,
     )
@@ -271,13 +267,15 @@ def _exact_chain_table(e: Embedding, lam):
     return t
 
 
-def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
+def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
     """Disqualifying findings for the candidate highest weight lam.
 
-    Every finding is a certificate that the restriction cannot be irreducible:
-    a known weight of L(lam) whose restriction escapes the component orbit of
-    lam, or more weights landing on one restricted weight than the factors can
-    carry.  Sound in every characteristic.
+    ``predicted`` is ``clifford_prediction`` of the restriction of lam: its
+    keys are the component orbit, its values the multiplicities the factors
+    can carry.  Every finding is a certificate that the restriction cannot be
+    irreducible: a known weight of L(lam) whose restriction escapes the
+    component orbit of lam, or more weights landing on one restricted weight
+    than the factors can carry.  Sound in every characteristic.
 
     The known weights are lam - beta for the diagram chains beta whose
     pairing <lam, beta-coroot> certifies them: it does not vanish mod p (the
@@ -296,7 +294,7 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     lam_a = np.array(lam, dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
     lam_h = tuple(lam_h_a.tolist())
-    orbit = component_orbit_set(e, lam_h)
+    orbit = list(predicted)
     pair = t.coroots @ lam_a
     keep = pair > 0
     if not charcalc.premet_applies(rs, chi):
@@ -348,7 +346,7 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
         steps = (scaled[j] + t.scaled_images[chains[rows[0]]]) // t.inv_den
         if int(steps.sum()) != 1:
             continue
-        capacity = central_multiplicity(e, orbit[j])
+        capacity = predicted[orbit[j]]
         if len(items) > capacity:
             findings.append({
                 "kind": "multiplicity-bound-exceeded",
@@ -388,10 +386,6 @@ def ford_condition_check(lam, n: int, chi: Characteristic) -> bool:
 # entry verification and candidate scans
 
 
-def _semisimple_part(e: Embedding, hw):
-    return tuple(hw[: e.semisimple_rank])
-
-
 def entry_gate(entry: ClassificationEntry, p: int):
     """(embedding, first reason the entry does not apply at p, or None).
 
@@ -419,13 +413,10 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
     _exact_chain_table(e, lam)  # the filters below are int64 array work
-    lam_h = restrict_weight(e, lam)
-    # Clifford theory: V|H is irreducible exactly when V|H^0 is the component
-    # orbit of lam_h, each factor with the multiplicity its central cover forces
-    predicted = {c: central_multiplicity(e, c) for c in component_orbit_set(e, lam_h)}
+    predicted = clifford_prediction(e, restrict_weight(e, lam))
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
-        found = {_semisimple_part(e, c) for c in predicted}
+        found = {c[: e.semisimple_rank] for c in predicted}
         if expected not in found:
             rep.verdict = FAIL
             rep.reasons.append({
@@ -444,28 +435,13 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
             "found": kappa,
         })
         return rep
-    findings = necessary_filters(rs, lam, e, chi)
+    findings = necessary_filters(rs, lam, e, chi, predicted)
     if findings:
         rep.verdict = FAIL
         rep.reasons.extend(findings)
         return rep
     if p == 0:
-        br = branch_p0(rs, lam, e, cap=cap)
-        rep.factors = br.factors
-        rep.dims = br.dims
-        rep.dim_lhs = br.dim_lhs
-        rep.dim_rhs = br.dim_rhs
-        rep.kappa_found = br.kappa_found
-        if br.factors != predicted:
-            rep.verdict = FAIL
-            rep.reasons.append({
-                "kind": "branch-structure-mismatch",
-                "expected": sorted((list(k), v) for k, v in predicted.items()),
-                "found": sorted((list(k), v) for k, v in br.factors.items()),
-            })
-            return rep
-        rep.verdict = PASS
-        return rep
+        return branch_p0(rs, lam, e, cap=cap)
     # positive characteristic: closed-form dimension identity or inconclusive
     dim_g = charcalc.irr_dim(rs, lam, chi)
     if dim_g is None:
@@ -474,8 +450,8 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     total = 0
     for c, mult in predicted.items():
         d = 1
-        for f, frs in enumerate(e.factor_systems):
-            part = e.split(c)[0][f]
+        parts, _ = e.split(c)
+        for f, (frs, part) in enumerate(zip(e.factor_systems, parts)):
             if any(x >= p for x in part):
                 rep.reasons.append({"kind": "factor-not-p-restricted", "factor": f + 1})
                 return rep
@@ -532,7 +508,7 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     rs = build_root_system(ambient)
     results = []
     for lam in dominant_weights_bounded(ambient.rank, coeff_sum_bound, chi.p):
-        findings = necessary_filters(rs, lam, e, chi)
+        findings = necessary_filters(rs, lam, e, chi, clifford_prediction(e, restrict_weight(e, lam)))
         if findings:
             results.append((lam, FILTERED))
             continue

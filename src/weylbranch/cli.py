@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # every characteristic is parsed before the first record is written
-    chis = [Characteristic(int(x)) for x in args.p.split(",")] if args.p else [Characteristic(0)]
+    chis = [Characteristic(int(x)) for x in args.p.split(",")]
     any_fail = False
     counts = {}
     out = sys.stdout

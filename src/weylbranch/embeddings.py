@@ -114,11 +114,13 @@ class Embedding:
 
 
 def restrict_weight(e: Embedding, w):
-    """Linear image of an ambient weight; factor coords then torus charges."""
+    """Linear image of an ambient weight; factor coords then torus charges.
+
+    Computed over Python ints, so it is exact for weights of any size.
+    """
     if len(w) != e.ambient.rank:
         raise ValueError(f"weight {w} has wrong rank for {e.ambient}")
-    vec = np.asarray(w, dtype=np.int64) @ e.restriction
-    return tuple(int(x) for x in vec)
+    return tuple(np.array([int(c) for c in w], dtype=object) @ e.restriction)
 
 
 def component_orbit_set(e: Embedding, hw):

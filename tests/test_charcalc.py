@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_checker import full_character
+from weylbranch import kernels
 from weylbranch.charcalc import (
     Characteristic,
     freudenthal,
@@ -19,7 +20,6 @@ from weylbranch.charcalc import (
     mult_rule_s816,
     premet_applies,
     product_weyl_dim,
-    saturate,
     weyl_character_subtract,
     weyl_dim,
 )
@@ -74,14 +74,14 @@ def test_weyl_dim_examples():
 
 def test_saturate_examples_and_oracle():
     rs = rsys("A", 1)
-    assert saturate(rs, (2,)) == {(2,), (0,)}
+    assert set(kernels.dominant_table(rs, (2,))[0]) == {(2,), (0,)}
     rs = rsys("B", 3)
-    assert saturate(rs, (1, 0, 1)) == {(1, 0, 1), (0, 0, 1)}
+    assert set(kernels.dominant_table(rs, (1, 0, 1))[0]) == {(1, 0, 1), (0, 0, 1)}
     for n in (4, 5):
         rs = rsys("D", n)
         lam = tuple(1 if i in (0, n - 1) else 0 for i in range(n))
         sub = tuple(1 if i == n - 2 else 0 for i in range(n))
-        assert saturate(rs, lam) == {lam, sub}
+        assert set(kernels.dominant_table(rs, lam)[0]) == {lam, sub}
     # oracle equality on a sample
     for f, n, lam in [
         ("A", 3, (1, 1, 0)),
@@ -90,14 +90,14 @@ def test_saturate_examples_and_oracle():
         ("D", 4, (1, 1, 0, 0)),
     ]:
         rs = rsys(f, n)
-        assert saturate(rs, lam) == box_saturate(rs, lam)
+        assert set(kernels.dominant_table(rs, lam)[0]) == box_saturate(rs, lam)
 
 
 def test_freudenthal_support_equals_saturation():
     for f, n, lam in [("A", 3, (1, 1, 1)), ("B", 3, (0, 1, 1)), ("C", 4, (1, 0, 0, 1))]:
         rs = rsys(f, n)
         ct = freudenthal(rs, lam)
-        assert set(ct.entries) == saturate(rs, lam)
+        assert set(ct.entries) == set(kernels.dominant_table(rs, lam)[0])
         assert all(m >= 1 for m in ct.entries.values())
         assert ct.entries[lam] == 1
 

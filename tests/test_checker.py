@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import _p0_instances
+from test_acceptance import _p0_instances, filters
 from weylbranch import checker, kernels
 from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
 from weylbranch.checker import (
@@ -269,7 +269,7 @@ def test_filters_match_scalar_oracle():
         for w in dominant_weights_bounded(ambient.rank, 3):
             for p in FILTER_PRIMES:
                 chi = Characteristic(p)
-                got = necessary_filters(rs, w, e, chi)
+                got = filters(rs, w, e, chi)
                 assert got == scalar_necessary_filters(rs, w, e, chi), (ambient, e.family, w, p)
                 for finding in got:
                     _assert_plain(finding)
@@ -285,7 +285,7 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
     w = tuple(data.draw(st.lists(coeff, min_size=ambient.rank, max_size=ambient.rank)))
     chi = Characteristic(data.draw(st.sampled_from(FILTER_PRIMES)))
     rs = build_root_system(ambient)
-    got = necessary_filters(rs, w, e, chi)
+    got = filters(rs, w, e, chi)
     assert got == scalar_necessary_filters(rs, w, e, chi)
     for finding in got:
         _assert_plain(finding)
@@ -301,10 +301,76 @@ def test_filters_int64_guard():
         for i in (0, ambient.rank - 1):
             w = [0] * ambient.rank
             w[i] = limit - 1
-            assert necessary_filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
+            assert filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
             w[i] = limit
             with pytest.raises(kernels.KernelCapacityError):
-                necessary_filters(rs, w, e, P0)
+                filters(rs, w, e, P0)
+
+
+def test_filters_guard_follows_exact_prediction():
+    # the prediction is built from the exact restriction before the filters
+    # run, so a weight past int64 still ends in the filters' guard, not in an
+    # OverflowError or a wrapped charge
+    ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
+    rs, e = build_root_system(ambient), build_embedding(ambient, fam)
+    limit = checker._chain_table(ambient, fam).limit
+    for w in ((limit, 0, 0), (0, 1 << 62, 1 << 62), (1 << 63, 0, 0), (0, 0, 1 << 64)):
+        predicted = checker.clifford_prediction(e, restrict_weight(e, w))
+        assert all(type(x) is int for c in predicted for x in c)
+        with pytest.raises(kernels.KernelCapacityError):
+            necessary_filters(rs, w, e, P0, predicted)
+
+
+def clifford_classify(e, factors):
+    """(irreducible?, kappa, reasons) for a factor multiset at p = 0.
+
+    The former verdict of ``branch_p0``, kept as an oracle: it searches the
+    component orbit of the highest factor, not of the restricted lam, and
+    checks single orbit, equal multiplicities and the central cover in turn.
+    """
+    reasons = []
+    hws = sorted(factors)
+    orbit = component_orbit_set(e, hws[-1])
+    kappa = sum(factors.values())
+    if set(hws) != set(orbit):
+        reasons.append({
+            "kind": "factors-not-single-orbit",
+            "orbit_size": len(orbit),
+            "factor_count": len(hws),
+        })
+        return False, kappa, reasons
+    mults = {factors[h] for h in hws}
+    if len(mults) != 1:
+        reasons.append({"kind": "unequal-orbit-multiplicities", "mults": sorted(mults)})
+        return False, kappa, reasons
+    mult = mults.pop()
+    allowed = central_multiplicity(e, hws[-1])
+    if mult != allowed:
+        reasons.append({
+            "kind": "multiplicity-without-central-cover",
+            "mult": mult,
+            "allowed": allowed,
+        })
+        return False, kappa, reasons
+    return True, kappa, reasons
+
+
+def test_branch_verdict_matches_clifford_oracle():
+    verdicts = {"PASS": 0, "FAIL": 0}
+    for ambient, e in FILTER_INSTANCES:
+        rs = build_root_system(ambient)
+        for w in dominant_weights_bounded(ambient.rank, 3):
+            rep = branch_p0(rs, w, e)
+            ok, kappa, _ = clifford_classify(e, rep.factors)
+            assert rep.verdict == ("PASS" if ok else "FAIL"), (ambient, e.family, w)
+            assert rep.kappa_found == kappa
+            if ok:
+                assert rep.reasons == []
+            else:
+                assert [r["kind"] for r in rep.reasons] == ["branch-structure-mismatch"]
+                assert rep.reasons[0]["found"] == sorted((list(k), v) for k, v in rep.factors.items())
+            verdicts[rep.verdict] += 1
+    assert verdicts == {"PASS": 75, "FAIL": 1457}
 
 
 def lam(n, *pairs):
@@ -370,18 +436,18 @@ def test_branch_rejects_zero_weight():
 def test_filters_examples():
     rs = build_root_system(LieType("B", 5))
     e = build_embedding(LieType("B", 5), geom_family("c1", sub="DlB", l=2))
-    assert necessary_filters(rs, lam(5, (2, 1), (5, 1)), e, P0)
-    assert not necessary_filters(rs, lam(5, (5, 1)), e, P0)
+    assert filters(rs, lam(5, (2, 1), (5, 1)), e, P0)
+    assert not filters(rs, lam(5, (5, 1)), e, P0)
     rs = build_root_system(LieType("B", 3))
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
-    assert not necessary_filters(rs, lam(3, (3, 1)), e, P0)
+    assert not filters(rs, lam(3, (3, 1)), e, P0)
     rs = build_root_system(LieType("C", 4))
     e = build_embedding(LieType("C", 4), geom_family("c2", l=2, t=2))
-    assert not necessary_filters(rs, lam(4, (1, 1)), e, P0)
+    assert not filters(rs, lam(4, (1, 1)), e, P0)
     # two certified weights over one simple-root drop that carries one copy
     rs = build_root_system(LieType("B", 4))
     e = build_embedding(LieType("B", 4), geom_family("c4ii", l=1, t=2))
-    findings = necessary_filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
+    findings = filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
     assert [f["kind"] for f in findings] == ["multiplicity-bound-exceeded"]
     assert findings[0]["target"] == [1, 5] and findings[0]["capacity"] == 1
     # lam_4 of A_5 restricts irreducibly to D_3.2 (the D_3 adjoint module);
@@ -389,7 +455,7 @@ def test_filters_examples():
     # root below the orbit, where the capacity bound does not apply
     rs = build_root_system(LieType("A", 5))
     e = build_embedding(LieType("A", 5), geom_family("c6"))
-    assert not necessary_filters(rs, lam(5, (4, 1)), e, P0)
+    assert not filters(rs, lam(5, (4, 1)), e, P0)
 
 
 def test_filters_chain_certification_at_small_p():
@@ -397,8 +463,8 @@ def test_filters_chain_certification_at_small_p():
     # so the symplectic-form row lambda_2 must pass the filters
     rs = build_root_system(LieType("C", 2))
     e = build_embedding(LieType("C", 2), geom_family("c2", l=1, t=2))
-    assert necessary_filters(rs, (0, 1), e, P0)  # reducible at p = 0
-    assert not necessary_filters(rs, (0, 1), e, Characteristic(2))
+    assert filters(rs, (0, 1), e, P0)  # reducible at p = 0
+    assert not filters(rs, (0, 1), e, Characteristic(2))
 
 
 def test_ford_condition():

@@ -129,6 +129,12 @@ def test_verify_rejects_bad_p_before_any_record(capsys):
     assert code == 2 and out == "" and "prime" in err
 
 
+def test_verify_rejects_empty_p(capsys):
+    # an empty --p is not a request for the default p = 0
+    code, out, err = run(capsys, "verify", "shipped:c2", "--p", "", "--rank-cap", "3")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_scan_assert_rejected_before_any_record(capsys):
     code, out, err = run(capsys, "scan", "B", "3", "c1:Dn", "--bound", "2", "--p", "5", "--assert")
     assert code == 2 and out == "" and "requires --p 0" in err

@@ -12,7 +12,7 @@ from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal
-from weylbranch.checker import dominant_weights_bounded
+from weylbranch.checker import clifford_prediction, dominant_weights_bounded
 from weylbranch.embeddings import (
     FAMILY_TAGS,
     _swap,
@@ -43,6 +43,16 @@ def test_c1_bn_dn():
     assert restrict_weight(e, (0, 0, 0)) == (0, 0, 0)
     assert component_orbit_set(e, (0, 0, 1)) == [(0, 0, 1), (0, 1, 0)]
     assert kappa_of(e, (0, 0, 1)) == 2
+
+
+def test_restrict_weight_is_exact():
+    # Python-int arithmetic: no wrapped charge, no OverflowError past int64
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    got = restrict_weight(e, (0, 1 << 62, 1 << 62))
+    assert got == (0, 1 << 62, 1 << 63)
+    assert restrict_weight(e, (1 << 63, 0, 0)) == (1 << 63, 0, 0)
+    assert restrict_weight(e, np.array((0, 1, 0))) == (0, 1, 1)
+    assert all(type(x) is int for x in got)
 
 
 def test_c1_dlb_and_dld():
@@ -469,9 +479,10 @@ EMBEDDING_DIGEST = "23c1a85171d92bfa0355c49302235eeca992f629379a3859f6947870aa97
 
 
 def test_central_multiplicity_is_constant_on_component_orbits():
-    # verify_entry predicts the factors of V|H^0 as {c: central_multiplicity(e, c)}
-    # over the component orbit of lam_h and reads kappa as their sum; that sum
-    # is kappa_of only when the multiplicity is the same at every c
+    # checker.clifford_prediction gives every c in the component orbit of
+    # lam_h the central multiplicity of lam_h, and verify_entry reads kappa as
+    # their sum; both are right only when the multiplicity is the same at
+    # every c
     checks = 0
     for e in INSTANCES_12:
         if e.ambient.rank > 8:
@@ -480,6 +491,7 @@ def test_central_multiplicity_is_constant_on_component_orbits():
             lam_h = restrict_weight(e, lam)
             predicted = {c: central_multiplicity(e, c) for c in component_orbit_set(e, lam_h)}
             assert len(set(predicted.values())) == 1, (e.ambient, e.family, lam)
+            assert clifford_prediction(e, lam_h) == predicted
             assert sum(predicted.values()) == kappa_of(e, lam_h)
             checks += 1
     assert checks == 3124

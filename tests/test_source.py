@@ -39,6 +39,24 @@ def test_no_numba_import():
     assert not found, found
 
 
+# the Clifford prediction is the one place the checker reads the component
+# orbit or the central multiplicities; every verdict reads its result
+CLIFFORD_INPUTS = {"component_orbit_set", "central_multiplicity"}
+
+
+def test_clifford_inputs_read_only_in_prediction():
+    tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
+    callers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in CLIFFORD_INPUTS:
+                    callers.append((getattr(top, "name", None), name, node.lineno))
+    assert {caller for caller, _, _ in callers} == {"clifford_prediction"}, callers
+    assert {name for _, name, _ in callers} == CLIFFORD_INPUTS
+
+
 # caches keyed on a root system alone: one entry per Lie type in use
 PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_root_table", "_diagram_chains"}
 
