@@ -23,7 +23,7 @@ from .checker import (
     scan_candidates,
     verify_entry,
 )
-from .embeddings import build_embedding, format_h0_weight, geom_family
+from .embeddings import FAMILY_TAGS, build_embedding, format_h0_weight, geom_family
 from .kernels import KernelCapacityError
 from .rootsys import LieType, build_root_system, minimal_weights
 from .weylgroup import orbit_cap, orbit_enumerate, orbit_size
@@ -53,44 +53,53 @@ def _weight(text: str, n: int):
     return tuple(int(p) for p in parts)
 
 
+# the flags a family spec may carry, and the selector each one sets; c6:Dm
+# only names the D_m factor of c6 on A
+_FLAGS = {
+    "c1": {"Dn": ("sub", "Dn")},
+    "c2": {"Bl": ("kind", "Bl"), "Dl": ("kind", "Dl")},
+    "c4ii": {"Cl": ("kind", "Cl"), "Dl": ("kind", "Dl")},
+    "c6": {"Dm": None},
+}
+
+# the selector a spec without a flag takes, per (tag, ambient family)
+_DEFAULT_SELECTORS = {
+    ("c1", "B"): ("sub", "DlB"),
+    ("c1", "D"): ("sub", "DlD"),
+    ("c2", "D"): ("kind", "Dl"),
+    ("c4ii", "D"): ("kind", "Cl"),
+}
+
+
 def parse_family_spec(spec: str, ambient: LieType):
-    """'c1:Dn', 'c2:l=1,t=2', 'c2:Dl,l=2,t=2', 'c6:Dm', 'c4i:a=1,b=2', ...'"""
+    """'c1:Dn', 'c2:l=1,t=2', 'c2:Dl,l=2,t=2', 'c6:Dm', 'c4i:a=1,b=2', ...
+
+    Every part of the spec reaches the family; ``build_embedding`` rejects a
+    family that is not an instance at the ambient type.
+    """
     tag, _, rest = spec.partition(":")
     tag = tag.strip()
-    flags = []
+    if tag not in FAMILY_TAGS:
+        raise ValueError(f"unknown family spec {spec!r}")
+    flags = _FLAGS.get(tag, {})
     params = {}
-    if rest:
-        for token in rest.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token:
-                k, v = token.split("=")
-                params[k.strip()] = int(v)
-            else:
-                flags.append(token)
-    if tag == "c1":
-        if "Dn" in flags:
-            return geom_family("c1", sub="Dn")
-        sub = "DlB" if ambient.family == "B" else "DlD"
-        return geom_family("c1", sub=sub, **params)
-    if tag == "c2":
-        if ambient.family == "D":
-            kind = "Bl" if "Bl" in flags else "Dl"
-            return geom_family("c2", kind=kind, **params)
-        return geom_family("c2", **params)
-    if tag == "c3":
-        return geom_family("c3")
-    if tag == "c4i":
-        return geom_family("c4i", **params)
-    if tag == "c4ii":
-        if ambient.family == "D":
-            kind = "Dl" if "Dl" in flags else "Cl"
-            return geom_family("c4ii", kind=kind, **params)
-        return geom_family("c4ii", **params)
-    if tag == "c6":
-        return geom_family("c6")
-    raise ValueError(f"unknown family spec {spec!r}")
+    for token in filter(None, (t.strip() for t in rest.split(","))):
+        if "=" in token:
+            k, v = token.split("=")
+            selector = (k.strip(), int(v))
+        elif token in flags:
+            selector = flags[token]
+        else:
+            raise ValueError(f"unknown flag {token!r} in family spec {spec!r}")
+        if selector is None:
+            continue
+        if selector[0] in params:
+            raise ValueError(f"{selector[0]} set twice in family spec {spec!r}")
+        params[selector[0]] = selector[1]
+    default = _DEFAULT_SELECTORS.get((tag, ambient.family))
+    if default is not None:
+        params.setdefault(*default)
+    return geom_family(tag, **params)
 
 
 def _shipped_rows(name: str):

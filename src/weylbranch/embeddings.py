@@ -30,8 +30,9 @@ Conventions:
 * simple-root images are stored per ambient simple root and are required to
   agree with the matrix image of the Cartan row.
 
-``build_embedding`` caches its result per (ambient, family), so instances are
-shared; their restriction matrix is read-only.
+``instance_params`` is the one statement of which instances exist;
+``build_embedding`` builds exactly those and caches its result per (ambient,
+family), so instances are shared; their restriction matrix is read-only.
 """
 
 from __future__ import annotations
@@ -392,22 +393,11 @@ def _units(kinds):
 def _build_c1(ambient, family):
     n = ambient.rank
     fam = ambient.family
-    sub = family.get("sub")
     l = family.get("l")
     existence = "p!=2" if fam == "B" else "any"
-    if fam == "B" and sub == "Dn":
-        if n < 3:
-            raise ValueError("B_n > D_n.2 needs n >= 3")
+    if family.get("sub") == "Dn":
         kinds = [("D", n)]
         return _embed(ambient, family, kinds, _units(kinds), [_flip(kinds, 0)], existence=existence)
-    if fam == "B" and sub == "DlB":
-        if not (l is not None and 1 <= l < n and n >= 3):
-            raise ValueError("B_n > D_l B_{n-l}.2 needs 1 <= l < n, n >= 3")
-    elif fam == "D" and sub == "DlD":
-        if not (l is not None and 1 <= l < Fraction(n, 2) and n >= 4):
-            raise ValueError("D_n > D_l D_{n-l}.2 needs 1 <= l < n/2, n >= 4")
-    else:
-        raise ValueError(f"invalid c1 family {family} on {ambient}")
     if l == 1:  # D_1 is the torus rotating the plane of epsilon_1
         kinds = [(fam, n - 1)]
         gen = _charge_swap(kinds, 0, 0, -1) + (_flip(kinds, 0) if fam == "D" else [])
@@ -424,11 +414,7 @@ def _build_c1(ambient, family):
 
 def _build_c3(ambient, family):
     n = ambient.rank
-    if ambient.family not in ("C", "D"):
-        raise ValueError("c3 exists on C_n and D_n only")
     existence = "p!=2" if ambient.family == "C" else "any"
-    if ambient.family == "D" and n % 2 != 0:
-        raise ValueError("c3 on D_n needs n even")
     kinds = [("A", n - 1)]
     gen = _flip(kinds, 0) + _charge_swap(kinds, 0, 0, -1)
     return _embed(ambient, family, kinds, _units(kinds), [gen],
@@ -441,114 +427,60 @@ def _build_c3(ambient, family):
 
 def _build_c6(ambient, family):
     n = ambient.rank
-    if ambient.family == "A":
-        if (n + 1) % 2 != 0:
-            raise ValueError("c6 on A_n needs n odd")
-        m = (n + 1) // 2
-        if m < 3:
-            raise ValueError("c6 A_{2m-1} > D_m.2 needs m >= 3 (D_m simple)")
-        kinds = [("D", m)]
-        eps = [[(0, j, 1)] for j in range(m)] + [[(0, m - 1 - j, -1)] for j in range(m)]
-        # independently recorded simple-root images: alpha_i -> beta_i,
-        # alpha_{m+i} -> beta_{m-i} (1 <= i <= m-1), alpha_m -> beta_m - beta_{m-1}
-        beta = build_root_system(LieType("D", m)).cartan
-        images = [
-            beta[k - 1] if k < m else beta[2 * m - k - 1] if k > m
-            else tuple(a - b for a, b in zip(beta[m - 1], beta[m - 2]))
-            for k in range(1, n + 1)
-        ]
-        return _embed(ambient, family, kinds, eps, [_flip(kinds, 0)], existence="p!=2",
-                      simple_root_images=images)
     if ambient.family == "C":
-        if n < 3:
-            raise ValueError("c6 C_n > D_n.2 needs n >= 3")
         kinds = [("D", n)]
         return _embed(ambient, family, kinds, _units(kinds), [_flip(kinds, 0)], existence="p=2")
-    raise ValueError(f"invalid c6 family on {ambient}")
+    m = (n + 1) // 2
+    kinds = [("D", m)]
+    eps = [[(0, j, 1)] for j in range(m)] + [[(0, m - 1 - j, -1)] for j in range(m)]
+    # independently recorded simple-root images: alpha_i -> beta_i,
+    # alpha_{m+i} -> beta_{m-i} (1 <= i <= m-1), alpha_m -> beta_m - beta_{m-1}
+    beta = build_root_system(LieType("D", m)).cartan
+    images = [
+        beta[k - 1] if k < m else beta[2 * m - k - 1] if k > m
+        else tuple(a - b for a, b in zip(beta[m - 1], beta[m - 2]))
+        for k in range(1, n + 1)
+    ]
+    return _embed(ambient, family, kinds, eps, [_flip(kinds, 0)], existence="p!=2",
+                  simple_root_images=images)
 
 
 # ---------------------------------------------------------------------------
 # C2: imprimitive subgroups, W = W1 + ... + Wt
 
 
-def _build_c2_a(ambient, family):
+def _build_c2(ambient, family):
     n = ambient.rank
+    fam = ambient.family
     l = family.get("l")
     t = family.get("t")
-    if l is None or t is None or not (l >= 0 and t >= 2 and n + 1 == (l + 1) * t):
-        raise ValueError("c2 on A_n needs n + 1 = (l+1) t, l >= 0, t >= 2")
-    # GL_{l+1}^t: the torus coordinate i carries the determinant of block i,
-    # less its share of the trace
-    kinds = [("A", l)] * t if l else []
-    charges = [tuple((n + 1) * (j // (l + 1) == i) - (l + 1) for i in range(t)) for j in range(n + 1)]
-    gens = [(_swap(kinds, i, i + 1) if l else []) + _charge_swap(kinds, i, i + 1) for i in range(t - 1)]
-    eps = _units(kinds) if l else [[]] * (n + 1)
-    return _embed(ambient, family, kinds, eps, gens, charges=charges, charge_scale=n + 1)
-
-
-def _build_c2_c(ambient, family):
-    n = ambient.rank
-    l = family.get("l")
-    t = family.get("t")
-    if l is None or t is None or not (l >= 1 and t >= 2 and n == l * t):
-        raise ValueError("c2 on C_n needs n = l t, l >= 1, t >= 2")
-    kinds = [("C", l)] * t
-    return _embed(ambient, family, kinds, _units(kinds), _block_swaps(kinds, t))
-
-
-def _build_c2_bl(ambient, family):
-    """(2^{t-1} x B_l^t).S_t inside B_n (t odd) or D_n (t even)."""
-    n = ambient.rank
-    l = family.get("l")
-    t = family.get("t")
-    if ambient.family == "B":
-        if l is None or t is None or not (l >= 1 and t >= 3 and t % 2 == 1 and 2 * n + 1 == (2 * l + 1) * t):
-            raise ValueError("c2 B_l^t on B_n needs 2n+1 = (2l+1)t, l >= 1, t >= 3 odd")
-    elif ambient.family == "D":
-        if l is None or t is None or not (l >= 1 and t >= 2 and t % 2 == 0 and 2 * n == (2 * l + 1) * t):
-            raise ValueError("c2 B_l^t on D_n needs 2n = (2l+1)t, l >= 1, t >= 2 even")
-    else:
-        raise ValueError("B_l^t lives in B_n or D_n")
-    # each pair of summands spends 2l epsilons, and its two zero weights make
-    # up one more epsilon that restricts to zero
-    kinds = [("B", l)] * t
-    eps = []
-    for j in range(n):
-        q, r = divmod(j, 2 * l + 1)
-        eps.append([(2 * q + r // l, r % l, 1)] if r < 2 * l else [])
-    return _embed(ambient, family, kinds, eps, _block_swaps(kinds, t), existence="p!=2", central2=True)
-
-
-def _build_c2_dl(ambient, family):
-    n = ambient.rank
-    l = family.get("l")
-    t = family.get("t")
-    if ambient.family != "D" or l is None or t is None or not (l >= 1 and t >= 2 and n == l * t and n >= 4):
-        raise ValueError("c2 D_l^t on D_n needs n = l t, l >= 1, t >= 2, n >= 4")
-    if l == 1:
+    if fam == "A":
+        # GL_{l+1}^t: the torus coordinate i carries the determinant of block
+        # i, less its share of the trace
+        kinds = [("A", l)] * t if l else []
+        charges = [tuple((n + 1) * (j // (l + 1) == i) - (l + 1) for i in range(t)) for j in range(n + 1)]
+        gens = [(_swap(kinds, i, i + 1) if l else []) + _charge_swap(kinds, i, i + 1) for i in range(t - 1)]
+        eps = _units(kinds) if l else [[]] * (n + 1)
+        return _embed(ambient, family, kinds, eps, gens, charges=charges, charge_scale=n + 1)
+    if fam == "B" or family.get("kind") == "Bl":
+        # (2^{t-1} x B_l^t).S_t: each pair of summands spends 2l epsilons, and
+        # its two zero weights make up one more epsilon that restricts to zero
+        kinds = [("B", l)] * t
+        eps = []
+        for j in range(n):
+            q, r = divmod(j, 2 * l + 1)
+            eps.append([(2 * q + r // l, r % l, 1)] if r < 2 * l else [])
+        return _embed(ambient, family, kinds, eps, _block_swaps(kinds, t), existence="p!=2", central2=True)
+    if fam == "D" and l == 1:
         # normalizer of a maximal torus: the charges are doubled epsilon-coordinates
         charges = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
         gens = [_charge_swap([], i, i + 1) for i in range(n - 1)] + [_charge_swap([], n - 2, n - 1, -1)]
         return _embed(ambient, family, [], [[]] * n, gens, charges=charges, charge_scale=2)
-    kinds = [("D", l)] * t
-    # even numbers of D-flips: generated by the pairwise flip on factors 1, 2
-    gens = _block_swaps(kinds, t) + [_flip(kinds, 0) + _flip(kinds, 1)]
+    kinds = [(fam, l)] * t
+    gens = _block_swaps(kinds, t)
+    if fam == "D":  # even numbers of D-flips: generated by the pairwise flip on factors 1, 2
+        gens.append(_flip(kinds, 0) + _flip(kinds, 1))
     return _embed(ambient, family, kinds, _units(kinds), gens)
-
-
-def _build_c2(ambient, family):
-    if ambient.family == "A":
-        return _build_c2_a(ambient, family)
-    if ambient.family == "C":
-        return _build_c2_c(ambient, family)
-    if ambient.family == "B":
-        return _build_c2_bl(ambient, family)
-    if ambient.family == "D":
-        kind = family.get("kind", "Dl")
-        if kind == "Bl":
-            return _build_c2_bl(ambient, family)
-        return _build_c2_dl(ambient, family)
-    raise ValueError(f"invalid c2 family on {ambient}")
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +492,12 @@ def _build_c2(ambient, family):
 def _build_c4i(ambient, family):
     a = family.get("a")
     bb = family.get("b")
-    n = ambient.rank
-    if ambient.family == "C":
-        if a is None or bb is None or not (a >= 1 and bb >= 2 and n == 2 * a * bb):
-            raise ValueError("c4i on C_n needs n = 2ab, a >= 1, b >= 2")
-        kinds = [("C", a), ("D", bb)]
-    elif ambient.family == "D":
-        if a is None or bb is None or not (a > bb >= 2 and n == 2 * a * bb):
-            raise ValueError("c4i on D_n needs n = 2ab, a > b >= 2")
-        kinds = [("D", a), ("D", bb)]
-    else:
-        raise ValueError("c4i lives in C_n or D_n")
+    kinds = [(ambient.family, a), ("D", bb)]
     eps = []
     for j in range(bb):
         eps += [[(0, i, 1), (1, j, 1)] for i in range(a)]
         eps += [[(0, a - 1 - i, -1), (1, j, 1)] for i in range(a)]
-    if ambient.family == "C":
-        gens = [_flip(kinds, 1)]
-    else:
-        gens = [_flip(kinds, 0), _flip(kinds, 1)]
+    gens = ([_flip(kinds, 0)] if ambient.family == "D" else []) + [_flip(kinds, 1)]
     return _embed(ambient, family, kinds, eps, gens, existence="p!=2")
 
 
@@ -586,43 +505,16 @@ def _build_c4ii(ambient, family):
     l = family.get("l")
     t = family.get("t")
     n = ambient.rank
-    if l is None or t is None:
-        raise ValueError("c4ii needs parameters l and t")
     fam = ambient.family
+    factor = family.get("kind", fam)[0]  # on D the kind names the factor type
+    d = _natural_dim(factor, l)
+    kinds = [(factor, l)] * t
     if fam == "A":
-        if not (l >= 2 and t >= 2 and n + 1 == (l + 1) ** t):
-            raise ValueError("c4ii on A_n needs n + 1 = (l+1)^t, l >= 2, t >= 2")
-        d = l + 1
-        kinds = [("A", l)] * t
         existence = "any"
-    elif fam == "B":
-        if not (l >= 1 and t >= 2 and 2 * n + 1 == (2 * l + 1) ** t):
-            raise ValueError("c4ii on B_n needs 2n + 1 = (2l+1)^t, l >= 1, t >= 2")
-        d = 2 * l + 1
-        kinds = [("B", l)] * t
+    elif fam == "D" and factor == "C":
+        existence = "any" if t % 2 == 0 else "p=2"
+    else:
         existence = "p!=2"
-    elif fam == "C":
-        if not (l >= 1 and t >= 3 and t % 2 == 1 and 2 * n == (2 * l) ** t):
-            raise ValueError("c4ii on C_n needs 2n = (2l)^t, l >= 1, t >= 3 odd")
-        d = 2 * l
-        kinds = [("C", l)] * t
-        existence = "p!=2"
-    else:  # D
-        kind = family.get("kind", "Cl")
-        if kind == "Cl":
-            if not (l >= 1 and t >= 2 and 2 * n == (2 * l) ** t):
-                raise ValueError("c4ii C_l^t on D_n needs 2n = (2l)^t")
-            d = 2 * l
-            kinds = [("C", l)] * t
-            existence = "any" if t % 2 == 0 else "p=2"
-        elif kind == "Dl":
-            if not (l >= 3 and t >= 2 and 2 * n == (2 * l) ** t):
-                raise ValueError("c4ii D_l^t on D_n needs 2n = (2l)^t, l >= 3")
-            d = 2 * l
-            kinds = [("D", l)] * t
-            existence = "p!=2"
-        else:
-            raise ValueError(f"unknown c4ii kind {kind!r}")
 
     # digit model: ambient epsilon j is the tensor basis vector whose factor-i
     # digit is r_i, factors little-endian; digit r of a factor of dimension d
@@ -638,9 +530,88 @@ def _build_c4ii(ambient, family):
         for j in range(n + 1 if fam == "A" else n)
     ]
     gens = _block_swaps(kinds, t)
-    if kinds[0][0] == "D":
+    if factor == "D":
         gens += [_flip(kinds, f) for f in range(t)]
     return _embed(ambient, family, kinds, eps, gens, existence=existence)
+
+
+# ---------------------------------------------------------------------------
+# which instances exist: the one statement, read by build_embedding and the
+# classification tables
+
+
+def _natural_dim(letter, n):
+    """Dimension of the natural module W of a classical group of type letter_n."""
+    return {"A": n + 1, "B": 2 * n + 1}.get(letter, 2 * n)
+
+
+def _tensor_powers(dim):
+    """The pairs (d, t) with d ** t == dim and t >= 2, by increasing d."""
+    for d in range(2, dim):
+        t, v = 0, dim
+        while v % d == 0:
+            v //= d
+            t += 1
+        if v == 1 and t >= 2:
+            yield d, t
+
+
+def instance_params(tag, letter, n):
+    """Yield the parameter dicts of every instance of family ``tag`` in letter_n.
+
+    c6 on A also carries m, the rank of its D_m factor, which the tables read;
+    ``family_of`` drops it.
+    """
+    dim = _natural_dim(letter, n)
+    if tag == "c1":
+        if letter == "B" and n >= 3:
+            yield {"sub": "Dn"}
+            for l in range(1, n):
+                yield {"sub": "DlB", "l": l}
+        if letter == "D" and n >= 4:
+            for l in range(1, (n + 1) // 2):
+                yield {"sub": "DlD", "l": l}
+    elif tag == "c2":
+        # W is t orthogonal summands of dimension d
+        splits = [(dim // t, t) for t in range(2, dim + 1) if dim % t == 0]
+        if letter == "A":
+            yield from ({"l": d - 1, "t": t} for d, t in splits)
+        elif letter == "B":
+            yield from ({"l": d // 2, "t": t} for d, t in splits if d >= 3)
+        elif letter == "C":
+            yield from ({"l": d // 2, "t": t} for d, t in splits if d % 2 == 0)
+        elif letter == "D" and n >= 4:
+            yield from ({"kind": "Bl", "l": d // 2, "t": t} for d, t in splits if d % 2 and d >= 3)
+            yield from ({"kind": "Dl", "l": d // 2, "t": t} for d, t in splits if d % 2 == 0)
+    elif tag == "c3":
+        if letter == "C" or (letter == "D" and n % 2 == 0):
+            yield {}
+    elif tag == "c4i":
+        for b in range(2, n):
+            a, r = divmod(n, 2 * b)
+            if r == 0 and (letter == "C" or (letter == "D" and a > b)):
+                yield {"a": a, "b": b}
+    elif tag == "c4ii":
+        # W is the t-th tensor power of a factor's natural module of dimension d
+        for d, t in _tensor_powers(dim):
+            if letter == "A" and d >= 3:
+                yield {"l": d - 1, "t": t}
+            elif letter == "B" or (letter == "C" and t % 2 == 1):
+                yield {"l": d // 2, "t": t}
+            elif letter == "D":
+                yield {"kind": "Cl", "l": d // 2, "t": t}
+                if d >= 6:
+                    yield {"kind": "Dl", "l": d // 2, "t": t}
+    elif tag == "c6":
+        if letter == "A" and n % 2 == 1 and n >= 5:
+            yield {"m": (n + 1) // 2}
+        if letter == "C" and n >= 3:
+            yield {}
+
+
+def family_of(tag, params):
+    """The family of one enumerated parameter dict."""
+    return geom_family(tag, **{k: v for k, v in params.items() if k != "m"})
 
 
 _BUILDERS = {
@@ -655,7 +626,14 @@ _BUILDERS = {
 
 @functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
 def build_embedding(ambient: LieType, family: GeomFamily) -> Embedding:
-    """Construct the frozen restriction data for one family instance (cached)."""
+    """Construct the frozen restriction data for one family instance (cached).
+
+    Accepts exactly the instances that ``instance_params`` enumerates.
+    """
+    valid = [family_of(family.tag, p) for p in instance_params(family.tag, ambient.family, ambient.rank)]
+    if family not in valid:
+        listed = ", ".join(map(str, valid)) or "none"
+        raise ValueError(f"no instance {family} on {ambient}; the {family.tag} instances on {ambient} are: {listed}")
     return _BUILDERS[family.tag](ambient, family)
 
 

@@ -7,12 +7,13 @@ One record per line, seven tab-separated fields:
 ``ambient`` is a family letter, optionally ``:rank`` to pin the rank.
 ``params`` is ``-`` or ``;``-separated clauses: string selectors
 (``sub=Dn``, ``kind=Bl``) and integer constraints (``l>=2``, ``t%2=0``,
-``l=1``) over the enumerated parameters.  ``lambda`` is a sum of ``L(i)``
-terms with integer-expression indices, optionally ``@k=lo..hi`` iterated,
-or one of the generic patterns ``ford``/``sz``/``noan``.  ``kappa`` is an
-integer expression; ``restriction`` a sum of ``w(f,j)`` terms and
-``S(i=lo..hi, expr)`` sums, ``-`` when there is no semisimple part, or the
-pattern name for pattern rows.  Lines starting with ``#`` are comments.
+``l=1``) over the enumerated parameters, which ``embeddings.instance_params``
+yields.  ``lambda`` is a sum of ``L(i)`` terms with integer-expression
+indices, optionally ``@k=lo..hi`` iterated, or one of the generic patterns
+``ford``/``sz``/``noan``.  ``kappa`` is an integer expression;
+``restriction`` a sum of ``w(f,j)`` terms and ``S(i=lo..hi, expr)`` sums,
+``-`` when there is no semisimple part, or the pattern name for pattern
+rows.  Lines starting with ``#`` are comments.
 
 Rank-generic rows are instantiated up to a rank cap; pattern rows are
 expanded at a concrete characteristic.
@@ -26,8 +27,11 @@ from math import comb
 
 from .checker import ClassificationEntry, dominant_weights_bounded, ford_condition_check
 from .charcalc import Characteristic
-from .embeddings import build_embedding, geom_family, p_condition_ok
-from .rootsys import _MIN_RANK, LieType
+from .embeddings import FAMILY_TAGS, build_embedding, family_of, instance_params, p_condition_ok
+from .rootsys import _MIN_RANK, FAMILIES, LieType
+
+# the benchmark's tests import the enumerator from here under its older names
+from .embeddings import family_of as _family_from_params, instance_params as _int_solutions  # noqa: F401
 
 
 @dataclass
@@ -61,7 +65,14 @@ def parse_table(text: str, source: str = "<table>"):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 7:
             raise TableError(f"{source}:{lineno}: expected 7 tab-separated fields, got {len(parts)}")
-        rows.append(TableRow(*[p.strip() for p in parts], source=source, lineno=lineno))
+        row = TableRow(*[p.strip() for p in parts], source=source, lineno=lineno)
+        if row.family not in FAMILY_TAGS:
+            raise TableError(f"{source}:{lineno}: unknown family tag {row.family!r}; choose from {FAMILY_TAGS}")
+        letter, colon, rank = row.ambient.partition(":")
+        if letter not in FAMILIES or (colon and not (rank.isdigit() and int(rank) >= _MIN_RANK[letter])):
+            raise TableError(f"{source}:{lineno}: unknown ambient type {row.ambient!r}; "
+                             f"expected one of {FAMILIES}, optionally with :rank at or above its least rank")
+        rows.append(row)
     return rows
 
 
@@ -284,102 +295,6 @@ def parse_restriction(expr: str, env, emb):
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# parameter enumeration per family
-
-
-def _int_solutions(tag, amb, n):
-    """Yield parameter dicts for every instance of the family at rank n."""
-    if tag == "c1":
-        if amb == "B" and n >= 3:
-            yield {"sub": "Dn"}
-            for l in range(1, n):
-                yield {"sub": "DlB", "l": l}
-        if amb == "D" and n >= 4:
-            for l in range(1, (n + 1) // 2):
-                if 2 * l < n:
-                    yield {"sub": "DlD", "l": l}
-    elif tag == "c2":
-        if amb == "A":
-            for t in range(2, n + 2):
-                if (n + 1) % t == 0:
-                    yield {"l": (n + 1) // t - 1, "t": t}
-        elif amb == "B":
-            for t in range(3, 2 * n + 2, 2):
-                if (2 * n + 1) % t == 0 and (2 * n + 1) // t >= 3:
-                    yield {"l": ((2 * n + 1) // t - 1) // 2, "t": t}
-        elif amb == "C":
-            for t in range(2, n + 1):
-                if n % t == 0:
-                    yield {"l": n // t, "t": t}
-        elif amb == "D" and n >= 4:
-            for t in range(2, 2 * n + 1, 2):
-                if (2 * n) % t == 0 and (2 * n) // t % 2 == 1 and (2 * n) // t >= 3:
-                    yield {"kind": "Bl", "l": ((2 * n) // t - 1) // 2, "t": t}
-            for t in range(2, n + 1):
-                if n % t == 0:
-                    yield {"kind": "Dl", "l": n // t, "t": t}
-    elif tag == "c3":
-        if amb == "C" or (amb == "D" and n % 2 == 0):
-            yield {}
-    elif tag == "c4i":
-        if amb == "C":
-            for b in range(2, n):
-                if n % (2 * b) == 0:
-                    yield {"a": n // (2 * b), "b": b}
-        elif amb == "D":
-            for b in range(2, n):
-                if n % (2 * b) == 0 and n // (2 * b) > b:
-                    yield {"a": n // (2 * b), "b": b}
-    elif tag == "c4ii":
-        if amb == "A":
-            for l in range(2, n):
-                d = l + 1
-                t = 0
-                v = n + 1
-                while v % d == 0:
-                    v //= d
-                    t += 1
-                if v == 1 and t >= 2:
-                    yield {"l": l, "t": t}
-        elif amb == "B":
-            for l in range(1, n):
-                d = 2 * l + 1
-                t = 0
-                v = 2 * n + 1
-                while v % d == 0:
-                    v //= d
-                    t += 1
-                if v == 1 and t >= 2:
-                    yield {"l": l, "t": t}
-        elif amb in ("C", "D"):
-            for l in range(1, n):
-                d = 2 * l
-                t = 0
-                v = 2 * n
-                while v % d == 0 and v > 1:
-                    v //= d
-                    t += 1
-                if v == 1 and t >= 2:
-                    if amb == "C":
-                        if t % 2 == 1 and t >= 3:
-                            yield {"l": l, "t": t}
-                    else:
-                        yield {"kind": "Cl", "l": l, "t": t}
-                        if l >= 3:
-                            yield {"kind": "Dl", "l": l, "t": t}
-    elif tag == "c6":
-        if amb == "A" and n % 2 == 1 and (n + 1) // 2 >= 3:
-            yield {"m": (n + 1) // 2}
-        if amb == "C" and n >= 3:
-            yield {}
-
-
-def _family_from_params(tag, params):
-    clean = {k: v for k, v in params.items() if k != "m"}
-    return geom_family(tag, **clean)
-
-
 def instantiate_rows(rows, rank_cap: int, chi: Characteristic, pattern_bound: int = 3):
     """Expand table rows into concrete classification entries at one characteristic."""
     entries = []
@@ -394,16 +309,13 @@ def instantiate_rows(rows, rank_cap: int, chi: Characteristic, pattern_bound: in
         for n in ranks:
             if n > rank_cap:
                 continue
-            for params in _int_solutions(row.family, letter, n):
+            for params in instance_params(row.family, letter, n):
                 env = {"n": n, "p": chi.p, **params}
                 if not params_match(row.params, env):
                     continue
                 ambient = LieType(letter, n)
-                fam = _family_from_params(row.family, params)
-                try:
-                    emb = build_embedding(ambient, fam)
-                except ValueError:
-                    continue
+                fam = family_of(row.family, params)
+                emb = build_embedding(ambient, fam)
                 for lam, scope in _expand_lambda(row, env, n, chi, pattern_bound):
                     if chi.p and any(c >= chi.p for c in lam):
                         continue

@@ -30,11 +30,13 @@ from weylbranch.embeddings import (
     component_orbit_set,
     ell_value,
     existence_ok,
+    family_of,
     geom_family,
+    instance_params,
     restrict_weight,
 )
 from weylbranch.rootsys import LieType, build_root_system
-from weylbranch.tables import _family_from_params, _int_solutions, instantiate_rows
+from weylbranch.tables import instantiate_rows
 from weylbranch.checker import p_condition_ok
 
 P0 = Characteristic(0)
@@ -290,13 +292,10 @@ def _p0_instances(rank_cap):
     for fam_letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for n in range(lo, rank_cap + 1):
             for tag in ("c1", "c2", "c3", "c4i", "c4ii", "c6"):
-                for params in _int_solutions(tag, fam_letter, n):
+                for params in instance_params(tag, fam_letter, n):
                     ambient = LieType(fam_letter, n)
-                    gf = _family_from_params(tag, params)
-                    try:
-                        e = build_embedding(ambient, gf)
-                    except ValueError:
-                        continue
+                    gf = family_of(tag, params)
+                    e = build_embedding(ambient, gf)
                     if existence_ok(e, 0):
                         yield ambient, gf, e
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances, filters
-from weylbranch import checker, kernels
+from weylbranch import charcalc, checker, kernels
 from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
 from weylbranch.checker import (
     ClassificationEntry,
@@ -424,6 +424,26 @@ def test_branch_spin_multiplicity_two():
     rep = branch_p0(rs, (0, 0, 0, 1), e)
     assert rep.factors == {(1, 1, 1): 2}
     assert rep.verdict == "PASS" and rep.kappa_found == 2
+
+
+def test_branch_verdict_compares_multiplicities(monkeypatch):
+    # the factors hit the predicted orbit exactly, at unequal multiplicities;
+    # each factor has dimension 32, so conservation (768) still holds
+    rs = build_root_system(LieType("B", 4))
+    e = build_embedding(LieType("B", 4), geom_family("c2", l=1, t=3))
+    lam_b4 = (0, 0, 1, 1)
+    predicted = {(1, 3, 3): 2, (3, 1, 3): 2, (3, 3, 1): 2}
+    assert checker.clifford_prediction(e, restrict_weight(e, lam_b4)) == predicted
+    skewed = {(1, 3, 3): 12, (3, 1, 3): 8, (3, 3, 1): 4}
+    monkeypatch.setattr(charcalc, "weyl_character_subtract", lambda systems, multiset: dict(skewed))
+    rep = branch_p0(rs, lam_b4, e)
+    assert rep.dim_lhs == rep.dim_rhs == 768
+    assert rep.verdict == "FAIL" and rep.kappa_found == 24
+    assert rep.reasons == [{
+        "kind": "branch-structure-mismatch",
+        "expected": sorted((list(k), v) for k, v in predicted.items()),
+        "found": sorted((list(k), v) for k, v in skewed.items()),
+    }]
 
 
 def test_branch_rejects_zero_weight():

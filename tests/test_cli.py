@@ -6,8 +6,8 @@ import json
 import pytest
 
 from weylbranch import charcalc, checker
-from weylbranch.cli import main
-from weylbranch.embeddings import geom_family
+from weylbranch.cli import main, parse_family_spec
+from weylbranch.embeddings import build_embedding, geom_family
 from weylbranch.rootsys import LieType
 
 
@@ -66,6 +66,55 @@ def test_verify_shipped_and_exit_codes(capsys, tmp_path):
     broken.write_text("c1\tB\tsub=Dn\n")
     code, _, err = run(capsys, "verify", str(broken))
     assert code == 2 and "broken.tsv:1" in err
+
+
+@pytest.mark.parametrize("row", [
+    "c9\tB:3\tsub=Dn\tL(3)\tany\t2\tw(1,3)\n",
+    "c1\tE:6\t-\tL(1)\tany\t1\t-\n",
+], ids=["unknown-tag", "unknown-ambient"])
+def test_verify_rejects_unknown_tag_or_ambient(capsys, tmp_path, row):
+    table = tmp_path / "odd.tsv"
+    table.write_text("# header\n" + row)
+    code, out, err = run(capsys, "verify", str(table))
+    assert code == 2 and out == "" and err.startswith("error: ") and "odd.tsv:2" in err
+
+
+# a spec names an existing instance: stray parameters and flags, and
+# instances that do not exist at that rank, exit 2
+@pytest.mark.parametrize("argv", [
+    ("B", "3", "1,0,0", "c1:Dn,l=7"),
+    ("A", "3", "1,0,0", "c2:Zz,l=1,t=2"),
+    ("C", "3", "1,0,0", "c6:foo=3"),
+    ("D", "3", "1,0,0", "c2:Bl,l=1,t=2"),
+])
+def test_branch_rejects_specs_naming_no_instance(capsys, argv):
+    code, out, err = run(capsys, "branch", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_family_specs_are_unchanged():
+    cases = [
+        ("B", 3, "c1:Dn", geom_family("c1", sub="Dn")),
+        ("B", 5, "c1:l=2", geom_family("c1", sub="DlB", l=2)),
+        ("D", 5, "c1:l=2", geom_family("c1", sub="DlD", l=2)),
+        ("A", 3, "c2:l=1,t=2", geom_family("c2", l=1, t=2)),
+        ("B", 4, "c2:l=1,t=3", geom_family("c2", l=1, t=3)),
+        ("D", 6, "c2:l=3,t=2", geom_family("c2", kind="Dl", l=3, t=2)),
+        ("D", 6, "c2:Dl,l=3,t=2", geom_family("c2", kind="Dl", l=3, t=2)),
+        ("D", 6, "c2:Bl,l=1,t=4", geom_family("c2", kind="Bl", l=1, t=4)),
+        ("C", 4, "c3", geom_family("c3")),
+        ("C", 4, "c4i:a=1,b=2", geom_family("c4i", a=1, b=2)),
+        ("B", 4, "c4ii:l=1,t=2", geom_family("c4ii", l=1, t=2)),
+        ("D", 8, "c4ii:l=2,t=2", geom_family("c4ii", kind="Cl", l=2, t=2)),
+        ("D", 8, "c4ii:Cl,l=1,t=4", geom_family("c4ii", kind="Cl", l=1, t=4)),
+        ("D", 18, "c4ii:Dl,l=3,t=2", geom_family("c4ii", kind="Dl", l=3, t=2)),
+        ("A", 5, "c6:Dm", geom_family("c6")),
+        ("C", 3, "c6", geom_family("c6")),
+    ]
+    for letter, n, spec, fam in cases:
+        ambient = LieType(letter, n)
+        assert parse_family_spec(spec, ambient) == fam, spec
+        build_embedding(ambient, fam)
 
 
 def test_verify_determinism(capsys):

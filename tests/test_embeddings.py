@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import json
 from collections import Counter
 
@@ -21,12 +22,13 @@ from weylbranch.embeddings import (
     component_orbit_set,
     ell_value,
     existence_ok,
+    family_of,
     format_h0_weight,
     geom_family,
+    instance_params,
     restrict_weight,
 )
 from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system, fundamental_weight
-from weylbranch.tables import _family_from_params, _int_solutions
 
 
 def lam(n, *pairs):
@@ -421,11 +423,8 @@ def _instances(max_rank):
     for tag in FAMILY_TAGS:
         for letter in "ABCD":
             for n in range(_MIN_RANK[letter], max_rank + 1):
-                for params in _int_solutions(tag, letter, n):
-                    try:
-                        out.append(build_embedding(LieType(letter, n), _family_from_params(tag, params)))
-                    except ValueError:
-                        continue
+                for params in instance_params(tag, letter, n):
+                    out.append(build_embedding(LieType(letter, n), family_of(tag, params)))
     return out
 
 
@@ -451,6 +450,53 @@ def _generator_matrices(e):
 def test_instance_counts():
     counts = Counter(e.family.tag for e in INSTANCES_12)
     assert counts == {"c1": 104, "c2": 82, "c3": 16, "c4i": 9, "c4ii": 7, "c6": 14}
+
+
+# the search box: each tag's own selector values and integer parameters, every
+# integer absent or in 0..2n+1; every enumerated instance with one foreign
+# parameter added
+BOX_SELECTORS = {"c1": ("sub", ("Dn", "DlB", "DlD")), "c2": ("kind", ("Bl", "Dl")), "c4ii": ("kind", ("Cl", "Dl"))}
+BOX_INTEGERS = {"c1": ("l",), "c2": ("l", "t"), "c3": (), "c4i": ("a", "b"), "c4ii": ("l", "t"), "c6": ()}
+BOX_STRAYS = (("l", 1), ("t", 2), ("a", 1), ("b", 2), ("m", 3), ("sub", "Dn"), ("kind", "Bl"), ("kind", "Cl"))
+
+
+def _builds(ambient, family):
+    try:
+        build_embedding(ambient, family)
+    except ValueError:
+        return False
+    return True
+
+
+def test_build_embedding_accepts_exactly_the_enumerated_instances():
+    for tag in FAMILY_TAGS:
+        key, values = BOX_SELECTORS.get(tag, (None, ()))
+        selectors = [{}] + [{key: v} for v in values]
+        names = BOX_INTEGERS[tag]
+        for letter in "ABCD":
+            for n in range(_MIN_RANK[letter], 9):
+                ambient = LieType(letter, n)
+                valid = {family_of(tag, p) for p in instance_params(tag, letter, n)}
+                box = set()
+                for sel in selectors:
+                    for combo in itertools.product([None, *range(2 * n + 2)], repeat=len(names)):
+                        box.add(geom_family(tag, **sel, **{k: v for k, v in zip(names, combo) if v is not None}))
+                assert valid <= box, (ambient, tag)
+                for fam in valid:
+                    box.update(geom_family(tag, **dict(fam.params), **{k: v}) for k, v in BOX_STRAYS if fam.get(k) is None)
+                assert {fam for fam in box if _builds(ambient, fam)} == valid, (ambient, tag)
+
+
+def test_invalid_family_error_lists_the_instances():
+    with pytest.raises(ValueError, match=r"no instance c1:l=7,sub=Dn on B3; .* are: c1:sub=Dn, c1:l=1,sub=DlB, c1:l=2,sub=DlB$"):
+        build_embedding(LieType("B", 3), geom_family("c1", sub="Dn", l=7))
+    # c2 on D needs n >= 4, also for the B_l^t kind
+    with pytest.raises(ValueError, match="c2 instances on D3 are: none"):
+        build_embedding(LieType("D", 3), geom_family("c2", kind="Bl", l=1, t=2))
+    # m scopes the tables only; it is not a parameter of the family
+    assert [family_of("c6", p) for p in instance_params("c6", "A", 5)] == [geom_family("c6")]
+    with pytest.raises(ValueError, match="c6 instances on A5 are: c6$"):
+        build_embedding(LieType("A", 5), geom_family("c6", m=3))
 
 
 def test_embedding_digest():

@@ -57,6 +57,22 @@ def test_clifford_inputs_read_only_in_prediction():
     assert {name for _, name, _ in callers} == CLIFFORD_INPUTS
 
 
+def test_tables_state_no_family_arithmetic():
+    # which instances exist is stated once, in embeddings.instance_params; the
+    # tables iterate it and never branch on a family tag themselves
+    from weylbranch.embeddings import FAMILY_TAGS
+
+    tree = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
+    found = [
+        f"tables.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in ast.walk(node)
+        if isinstance(operand, ast.Constant) and operand.value in FAMILY_TAGS
+    ]
+    assert not found, found
+
+
 # caches keyed on a root system alone: one entry per Lie type in use
 PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_root_table", "_diagram_chains"}
 

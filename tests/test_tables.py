@@ -66,6 +66,14 @@ def test_malformed_line_reports_position():
     assert "bad.tsv:1" in str(exc.value)
 
 
+def test_unknown_tag_and_ambient_report_position():
+    with pytest.raises(TableError, match=r"bad\.tsv:2: unknown family tag 'c9'"):
+        parse_table("c1\tB\t-\tL(1)\tany\t-\t-\nc9\tB\t-\tL(1)\tany\t-\t-", source="bad.tsv")
+    for ambient in ("E:6", "B:x", "B:1", "B:"):
+        with pytest.raises(TableError, match=rf"bad\.tsv:1: unknown ambient type '{ambient}'"):
+            parse_table(f"c1\t{ambient}\t-\tL(1)\tany\t-\t-", source="bad.tsv")
+
+
 def test_instantiation_counts():
     chi = P0
     counts = {}
