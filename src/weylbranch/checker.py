@@ -12,15 +12,19 @@ multiplicity bookkeeping) and closed-form dimension identities are evaluated;
 anything beyond them is reported INCONCLUSIVE rather than guessed.
 
 The necessary filters read a table built once per embedding: the diagram
-chains beta of G, their coroot pairings, their images R beta and those images
-in scaled factor root coordinates.  One int64 array step then tests every
-certified chain weight against every element of the component orbit; a
-weight too large for exact int64 arithmetic raises KernelCapacityError.
+chains beta of G, their coroot pairings, their images R beta (also in
+scaled factor root coordinates) and the groups of chains that share one
+image.  One int64 array step tests every (candidate, component-orbit element)
+row against every chain image and folds the rows per candidate; a weight too
+large for exact int64 arithmetic raises KernelCapacityError.  A scan restricts its bounded candidates in one int64
+product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows; each
+survivor goes on to the branching with its prediction already made.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -133,6 +137,11 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     a FAIL carries one branch-structure-mismatch record with both maps.
     """
     lam = tuple(int(c) for c in lam)
+    return _branch_p0(rs, lam, e, clifford_prediction(e, restrict_weight(e, lam)), cap)
+
+
+def _branch_p0(rs, lam, e: Embedding, predicted, cap) -> BranchReport:
+    """``branch_p0`` of lam, given its ``clifford_prediction``."""
     if any(c < 0 for c in lam) or not any(lam):
         raise ValueError("highest weight must be dominant and non-zero")
     multiset = restricted_multiset(rs, lam, e, cap=cap)
@@ -149,7 +158,6 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
         raise AssertionError(
             f"branch conservation failed: {total} != {expected} for {rs.lie_type} {lam}"
         )
-    predicted = clifford_prediction(e, restrict_weight(e, lam))
     reasons = []
     if factors != predicted:
         reasons.append({
@@ -205,6 +213,8 @@ class _ChainTable(NamedTuple):
     coroots: np.ndarray  # chains x rank: <lam, beta-coroot> = coroots @ lam
     betas: np.ndarray  # chains x rank: beta in weight coordinates
     images: np.ndarray  # chains x width: R beta
+    shared: np.ndarray  # chains x groups: 1 where the chain is in the group; a group is an image R beta of two chains or more
+    lead: np.ndarray  # per group: its first chain
     scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
     scaled_images: np.ndarray  # chains x ss: R beta through ``scale``
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
@@ -220,8 +230,10 @@ def _chain_table(ambient, family):
     """The diagram chains of G and their images under the restriction of one embedding.
 
     ``build_embedding`` is a pure function of (ambient, family), so those two
-    name the restriction map R.  ``scale`` is each factor's
-    ``inv_cartan_scaled`` on its block, and zero on the torus charges.
+    name the restriction map R.  Chains that share one image R beta form a
+    group: their weights lam - beta restrict to one weight for every lam.
+    ``scale`` is each factor's ``inv_cartan_scaled`` on its block, and zero
+    on the torus charges.
     """
     e = build_embedding(ambient, family)
     chains = _diagram_chains(build_root_system(ambient))
@@ -233,6 +245,13 @@ def _chain_table(ambient, family):
     coroots = np.array([c for _, c, _ in chains], dtype=np.int64)
     betas = np.array([beta for _, _, beta in chains], dtype=np.int64)
     images = betas @ e.restriction
+    by_image = {}
+    for k, row in enumerate(map(tuple, images.tolist())):
+        by_image.setdefault(row, []).append(k)
+    groups = [ks for ks in by_image.values() if len(ks) > 1]
+    shared = np.zeros((len(chains), len(groups)), dtype=np.int64)
+    for g, ks in enumerate(groups):
+        shared[ks, g] = 1
     scaled_images = images @ scale
     # a call's int64 values are at most growth * sum|lam| + offset in size:
     # the pairings, lam_h = R lam, c - lam_h for c in its component orbit,
@@ -249,6 +268,8 @@ def _chain_table(ambient, family):
         coroots=coroots,
         betas=betas,
         images=images,
+        shared=shared,
+        lead=np.array([ks[0] for ks in groups], dtype=np.intp),
         scale=scale,
         scaled_images=scaled_images,
         inv_den=inv_den,
@@ -257,14 +278,65 @@ def _chain_table(ambient, family):
     )
 
 
-def _exact_chain_table(e: Embedding, lam):
-    """The chain table of e, once lam is known to keep its int64 products exact."""
+def _exact_chain_table(e: Embedding, lams):
+    """The chain table of e, once every weight in lams is known to keep its int64 products exact."""
     t = _chain_table(e.ambient, e.family)
-    if sum(abs(c) for c in lam) >= t.limit:
-        raise kernels.KernelCapacityError(
-            f"filters({e.ambient}, {e.family}, {lam}): coordinates exceed the int64 range"
-        )
+    for lam in lams:
+        if sum(abs(c) for c in lam) >= t.limit:
+            raise kernels.KernelCapacityError(
+                f"filters({e.ambient}, {e.family}, {lam}): coordinates exceed the int64 range"
+            )
     return t
+
+
+class _Screen(NamedTuple):
+    certified: np.ndarray  # candidates x chains: the pairing certifies lam - beta as a weight of L(lam)
+    escaped: np.ndarray  # candidates x chains: certified, and R(lam - beta) lies under no orbit element
+    exceeded: np.ndarray  # candidates x groups: the group's certified chains exceed its capacity
+    capacity: np.ndarray  # candidates x groups: that capacity, where ``exceeded``
+
+    def filtered(self):
+        """Per candidate: whether any finding disqualifies it."""
+        return self.escaped.any(axis=1) | self.exceeded.any(axis=1)
+
+
+def _screen(rs, e: Embedding, chi: Characteristic, t: _ChainTable, lam_a, lam_h_a, predictions):
+    """The necessary filters' decision for a block of candidates, in one array step.
+
+    ``lam_a`` holds the candidates as rows, ``lam_h_a`` their restrictions
+    and ``predictions`` their ``clifford_prediction`` maps.  Every
+    (candidate, orbit element) pair is one row of the "under" test against
+    every chain; ``reduceat`` folds each candidate's rows.
+    """
+    ss = e.semisimple_rank
+    pair = lam_a @ t.coroots.T
+    certified = pair > 0
+    if not charcalc.premet_applies(rs, chi):
+        certified &= pair % chi.p != 0
+    sizes = [len(predicted) for predicted in predictions]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    orbit = np.array([c for predicted in predictions for c in predicted], dtype=np.int64)
+    diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
+    scaled = diff @ t.scale
+    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
+    # orbit rows x chains x coordinates
+    under = (scaled[:, None] + t.scaled_images >= 0).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
+    above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)  # candidates x chains: orbit elements over mu_h
+    exceeded = np.zeros((len(sizes), len(t.lead)), dtype=bool)
+    capacity = np.zeros(exceeded.shape, dtype=np.int64)
+    if t.lead.size:
+        # a group's certified weights restrict to one weight; one factor
+        # simple root below a single orbit element, they are at most that
+        # element's multiplicity
+        count = certified @ t.shared
+        cand, grp = np.nonzero((count >= 2) & (above[:, t.lead] == 1))
+        if cand.size:
+            lead = t.lead[grp]
+            row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
+            steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
+            capacity[cand, grp] = np.array([m for predicted in predictions for m in predicted.values()])[row]
+            exceeded[cand, grp] = (steps == 1) & (count[cand, grp] > capacity[cand, grp])
+    return _Screen(certified, certified & (above == 0), exceeded, capacity)
 
 
 def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
@@ -286,39 +358,25 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
     divisible by its factor's ``inv_den``; the quotients then sum to the
     number of factor simple roots in c - mu_h.  The scaled coordinates are
     linear and c - mu_h = (c - lam_h) + R beta, so divisibility is a match of
-    residues, those of c - lam_h against those of -R beta, and every (chain,
-    orbit element) pair is decided in one array step.
+    residues, those of c - lam_h against those of -R beta, and ``_screen``
+    decides every (chain, orbit element) pair in one array step.  This call
+    renders its decision for one candidate; ``scan_candidates`` reads it for
+    blocks of them.
     """
     lam = rs.check_weight(lam)
-    t = _exact_chain_table(e, lam)
-    lam_a = np.array(lam, dtype=np.int64)
+    t = _exact_chain_table(e, [lam])
+    lam_a = np.array([lam], dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
-    lam_h = tuple(lam_h_a.tolist())
-    orbit = list(predicted)
-    pair = t.coroots @ lam_a
-    keep = pair > 0
-    if not charcalc.premet_applies(rs, chi):
-        keep &= pair % chi.p != 0
-    chains = np.flatnonzero(keep)
+    s = _screen(rs, e, chi, t, lam_a, lam_h_a, [predicted])
+    if not s.filtered()[0]:
+        return []
     ss = e.semisimple_rank
-    diff = np.array(orbit, dtype=np.int64) - lam_h_a
-    scaled = diff @ t.scale
-    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
-    # chains x orbit x coordinates
-    under = (scaled[None] + t.scaled_images[chains, None] >= 0).all(axis=2) & (
-        key[None] == t.keys[chains, None]
-    ).all(axis=2)
+    lam_h = tuple(lam_h_a[0].tolist())
+    escaped = np.flatnonzero(s.escaped[0])
     findings = []
-    groups = {}
-    for row, (k, mu, mu_h, hit) in enumerate(zip(
-        chains.tolist(),
-        (lam_a - t.betas[chains]).tolist(),
-        (lam_h_a - t.images[chains]).tolist(),
-        under.any(axis=1).tolist(),
-    )):
-        if hit:
-            groups.setdefault(tuple(mu_h), []).append((row, mu))
-            continue
+    for k, mu, mu_h in zip(
+        escaped.tolist(), (lam_a[0] - t.betas[escaped]).tolist(), (lam_h_a[0] - t.images[escaped]).tolist()
+    ):
         finding = {
             "kind": "restriction-not-under-orbit",
             "chain": list(t.labels[k]),
@@ -334,26 +392,14 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
             except ValueError:
                 pass
         findings.append(finding)
-    for mu_h, items in sorted(groups.items()):
-        if len(items) < 2:
-            continue
-        rows = [row for row, _ in items]
-        above = np.flatnonzero(under[rows].any(axis=0)).tolist()  # orbit elements above mu_h
-        if len(above) != 1:
-            continue
-        (j,) = above
-        # the number of factor simple roots in c0 - mu_h
-        steps = (scaled[j] + t.scaled_images[chains[rows[0]]]) // t.inv_den
-        if int(steps.sum()) != 1:
-            continue
-        capacity = predicted[orbit[j]]
-        if len(items) > capacity:
-            findings.append({
-                "kind": "multiplicity-bound-exceeded",
-                "target": list(mu_h),
-                "witnesses": [mu for _, mu in items],
-                "capacity": capacity,
-            })
+    over = np.flatnonzero(s.exceeded[0])
+    for mu_h, g in sorted(zip((lam_h_a[0] - t.images[t.lead[over]]).tolist(), over.tolist())):
+        findings.append({
+            "kind": "multiplicity-bound-exceeded",
+            "target": mu_h,
+            "witnesses": (lam_a[0] - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
+            "capacity": int(s.capacity[0, g]),
+        })
     return findings
 
 
@@ -412,7 +458,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
-    _exact_chain_table(e, lam)  # the filters below are int64 array work
+    _exact_chain_table(e, [lam])  # the filters below are int64 array work
     predicted = clifford_prediction(e, restrict_weight(e, lam))
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
@@ -441,7 +487,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.extend(findings)
         return rep
     if p == 0:
-        return branch_p0(rs, lam, e, cap=cap)
+        return _branch_p0(rs, lam, e, predicted, cap)
     # positive characteristic: closed-form dimension identity or inconclusive
     dim_g = charcalc.irr_dim(rs, lam, chi)
     if dim_g is None:
@@ -499,22 +545,50 @@ FILTERED = "FILTERED"
 UNRESOLVED = "UNRESOLVED"
 
 
+# orbit rows (candidate, component-orbit element) screened in one array step;
+# a candidate whose orbit alone is longer gets a block of its own
+SCREEN_BLOCK_ROWS = 256
+
+
+def _prediction_blocks(e: Embedding, lam_hs):
+    """The ``clifford_prediction`` of each restricted candidate, in blocks of
+    at most SCREEN_BLOCK_ROWS orbit rows (one candidate at least)."""
+    block, rows = [], 0
+    for lam_h in lam_hs:
+        predicted = clifford_prediction(e, tuple(lam_h))
+        if block and rows + len(predicted) > SCREEN_BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(predicted)
+        rows += len(predicted)
+    if block:
+        yield block
+
+
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):
     """Classify all bounded dominant candidates for one embedding.
 
     p = 0: IRREDUCIBLE / REDUCIBLE / FILTERED (exact, via the branching
     oracle).  p > 0: FILTERED / UNRESOLVED (necessary conditions only).
+    The candidates are restricted in one int64 product and screened by the
+    necessary filters in blocks; a survivor's branching reuses its
+    prediction.
     """
     rs = build_root_system(ambient)
+    lams = dominant_weights_bounded(ambient.rank, coeff_sum_bound, chi.p)
+    t = _exact_chain_table(e, lams)
+    lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), ambient.rank)
+    lam_h_a = lam_a @ e.restriction
     results = []
-    for lam in dominant_weights_bounded(ambient.rank, coeff_sum_bound, chi.p):
-        findings = necessary_filters(rs, lam, e, chi, clifford_prediction(e, restrict_weight(e, lam)))
-        if findings:
-            results.append((lam, FILTERED))
-            continue
-        if chi.p != 0:
-            results.append((lam, UNRESOLVED))
-            continue
-        rep = branch_p0(rs, lam, e, cap=cap)
-        results.append((lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE))
+    for predictions in _prediction_blocks(e, lam_h_a.tolist()):
+        block = slice(len(results), len(results) + len(predictions))
+        screen = _screen(rs, e, chi, t, lam_a[block], lam_h_a[block], predictions)
+        for lam, predicted, filtered in zip(lams[block], predictions, screen.filtered().tolist()):
+            if filtered:
+                results.append((lam, FILTERED))
+            elif chi.p != 0:
+                results.append((lam, UNRESOLVED))
+            else:
+                rep = _branch_p0(rs, lam, e, predicted, cap)
+                results.append((lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE))
     return results

@@ -38,6 +38,7 @@ family), so instances are shared; their restriction matrix is read-only.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,21 +125,35 @@ def restrict_weight(e: Embedding, w):
     return tuple(np.array([int(c) for c in w], dtype=object) @ e.restriction)
 
 
+@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
+def _doubled_getters(generators):
+    """Each generator as one lookup taking a doubled weight (w, -w) to (g w, -g w).
+
+    Doubling turns a sign change into an index shift, so a signed
+    permutation is a single ``itemgetter`` call, and its 2 * width indices
+    make it return a tuple at every width.
+    """
+    getters = []
+    for idx, sgn in generators:
+        n = len(idx)
+        pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
+        getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
+    return tuple(getters)
+
+
 def component_orbit_set(e: Embedding, hw):
-    """The orbit of hw under the component group, as a sorted list."""
-    start = tuple(hw)
-    seen = {start}
-    frontier = [start]
+    """The orbit of hw under the component group, as a sorted list.
+
+    A breadth-first search over doubled weights, one ``itemgetter`` lookup
+    per generator and element.
+    """
+    getters = _doubled_getters(e.generators)
+    n = len(hw)
+    seen = frontier = {tuple(hw) + tuple(-c for c in hw)}
     while frontier:
-        nxt = []
-        for w in frontier:
-            for idx, sgn in e.generators:
-                y = tuple([s * w[i] for i, s in zip(idx, sgn)])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+        frontier = {g(w) for w in frontier for g in getters} - seen
+        seen |= frontier
+    return sorted(w[:n] for w in seen)
 
 
 def central_multiplicity(e: Embedding, hw) -> int:

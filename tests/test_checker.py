@@ -291,6 +291,43 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
         _assert_plain(finding)
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_filtered(ambient, family, w, p):
+    e = build_embedding(ambient, family)
+    return bool(scalar_necessary_filters(build_root_system(ambient), w, e, Characteristic(p)))
+
+
+@pytest.mark.parametrize("block_rows", [1, checker.SCREEN_BLOCK_ROWS])
+def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
+    # the block screen against the one-chain-at-a-time oracle, which shares
+    # no code with it, on blocks of one candidate and at the default size
+    monkeypatch.setattr(checker, "SCREEN_BLOCK_ROWS", block_rows)
+    screen = checker._screen
+    blocks = []
+    monkeypatch.setattr(checker, "_screen", lambda *args: blocks.append(len(args[-1])) or screen(*args))
+    scans = 0
+    for ambient, e in FILTER_INSTANCES:
+        rs = build_root_system(ambient)
+        for p in FILTER_PRIMES:
+            res = scan_candidates(ambient, e, Characteristic(p), 3)
+            assert [w for w, _ in res] == dominant_weights_bounded(ambient.rank, 3, p)
+            filtered = {w for w, v in res if v == "FILTERED"}
+            assert filtered == {w for w, _ in res if _scalar_filtered(ambient, e.family, w, p)}, (ambient, e.family, p)
+            for w, v in res:
+                if v == "FILTERED":
+                    continue
+                if p:
+                    assert v == "UNRESOLVED"
+                else:
+                    assert v == ("IRREDUCIBLE" if branch_p0(rs, w, e).verdict == "PASS" else "REDUCIBLE")
+            scans += 1
+    if block_rows == 1:
+        assert set(blocks) == {1}
+    else:
+        # some scan spans several blocks, and some block holds several candidates
+        assert len(blocks) > scans and max(blocks) > 1
+
+
 def test_filters_int64_guard():
     # the last weight below the guard still agrees with the Python-int oracle;
     # the first one past it raises instead of wrapping

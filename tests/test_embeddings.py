@@ -447,6 +447,40 @@ def _generator_matrices(e):
     return sorted([list(g(u)) for u in units] for g in _generator_maps(e))
 
 
+def component_orbit_oracle(e, hw):
+    """The former body of ``component_orbit_set``, kept as an oracle: a
+    breadth-first search applying each generator as a list comprehension."""
+    start = tuple(hw)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for idx, sgn in e.generators:
+                y = tuple([s * w[i] for i, s in zip(idx, sgn)])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def test_component_orbit_matches_oracle():
+    checks = 0
+    for e in INSTANCES_12:
+        if e.ambient.rank > 8:
+            continue
+        weights = [restrict_weight(e, lam) for lam in dominant_weights_bounded(e.ambient.rank, 2)]
+        if e.torus_rank:
+            # the last restricted weight with every torus charge made negative
+            w = weights[-1]
+            weights.append(w[: e.semisimple_rank] + tuple(-abs(c) - 1 for c in w[e.semisimple_rank:]))
+        for w in weights:
+            assert component_orbit_set(e, w) == component_orbit_oracle(e, w), (e.ambient, e.family, w)
+            checks += 1
+    assert checks == 3164
+
+
 def test_instance_counts():
     counts = Counter(e.family.tag for e in INSTANCES_12)
     assert counts == {"c1": 104, "c2": 82, "c3": 16, "c4i": 9, "c4ii": 7, "c6": 14}

@@ -57,6 +57,33 @@ def test_clifford_inputs_read_only_in_prediction():
     assert {name for _, name, _ in callers} == CLIFFORD_INPUTS
 
 
+# the scan restricts its candidates in one int64 product and reads each
+# component orbit from its one prediction; the object-dtype restriction and
+# a second orbit search stay off that path
+SCAN_PATH_EXCLUDED = {"restrict_weight", "component_orbit_set"}
+
+
+def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
+    tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    # the checker functions scan_candidates reaches; the prediction is the
+    # sanctioned reader of the component group and is not entered
+    reached, todo, calls = set(), ["scan_candidates"], []
+    while todo:
+        name = todo.pop()
+        if name in reached or name == "clifford_prediction":
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.append((name, callee, node.lineno))
+                if callee in functions:
+                    todo.append(callee)
+    assert {"_screen", "_prediction_blocks", "_branch_p0"} <= reached
+    assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
+
+
 def test_tables_state_no_family_arithmetic():
     # which instances exist is stated once, in embeddings.instance_params; the
     # tables iterate it and never branch on a family tag themselves
