@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .rootsys import (
-    LieType,
-    RootSystem,
-    build_root_system,
-    fundamental_weight,
-    scaled_root_coords,
-)
+from .rootsys import LieType, RootSystem, build_root_system
 from .weylgroup import dominant_representative, orbit_size
 
 
@@ -59,7 +53,7 @@ class CharacterTable:
 def _require_dominant(lam):
     if any(c < 0 for c in lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return tuple(int(c) for c in lam)
+    return lam
 
 
 FREUDENTHAL_CACHE_SIZE = 4096
@@ -80,20 +74,14 @@ def freudenthal(rs: RootSystem, lam) -> CharacterTable:
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
-    """Weyl's dimension formula, evaluated exactly."""
+    """Weyl's dimension formula, prod <lam + rho, beta-coroot> / <rho, beta-coroot>, exactly."""
     lam = _require_dominant(rs.check_weight(lam))
-    n = rs.rank
+    shifted = [c + 1 for c in lam]
     num = 1
     den = 1
-    for rc in rs.positive_roots:
-        a = 0
-        b = 0
-        for i in range(n):
-            if rc[i]:
-                a += rc[i] * (lam[i] + 1) * rs.slen2[i]
-                b += rc[i] * rs.slen2[i]
-        num *= a
-        den *= b
+    for row in rs.coroots:
+        num *= sum(a * c for a, c in zip(row, shifted))
+        den *= sum(row)
     if num % den:
         raise ArithmeticError(f"Weyl dimension of {lam} on {rs.lie_type} is not integral")
     return num // den
@@ -260,10 +248,7 @@ def _height_scalers(rs_list):
     """Integer per-coordinate height vectors, common scale across factors."""
     # the height of lambda_i is sums[i] / inv_den, reduced to lowest terms
     # before taking the common denominator
-    vecs = []
-    for rs in rs_list:
-        sums = [sum(scaled_root_coords(rs, fundamental_weight(rs, i))) for i in range(1, rs.rank + 1)]
-        vecs.append((rs.inv_den, sums))
+    vecs = [(rs.inv_den, [sum(row) for row in rs.inv_cartan_scaled]) for rs in rs_list]
     denom = math.lcm(*(d // math.gcd(x, d) for d, sums in vecs for x in sums))
     return [tuple(x * denom // d for x in sums) for d, sums in vecs]
 

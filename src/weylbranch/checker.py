@@ -44,13 +44,7 @@ from .embeddings import (
     p_condition_ok,
     restrict_weight,
 )
-from .rootsys import (
-    LieType,
-    build_root_system,
-    fundamental_weight,
-    pairing,
-    root_coords_to_weight,
-)
+from .rootsys import LieType, build_root_system
 from .weylgroup import orbit_cap
 
 PASS = "PASS"
@@ -136,7 +130,7 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     PASS exactly when they are ``clifford_prediction`` of the restricted lam;
     a FAIL carries one branch-structure-mismatch record with both maps.
     """
-    lam = tuple(int(c) for c in lam)
+    lam = rs.check_weight(lam)
     return _branch_p0(rs, lam, e, clifford_prediction(e, restrict_weight(e, lam)), cap)
 
 
@@ -202,9 +196,8 @@ def _diagram_chains(rs):
         paths += [list(range(i, n - 2)) + [n - 1] for i in range(n - 2)]
     chains = []
     for nodes in paths:
-        beta = tuple(1 if k in nodes else 0 for k in range(n))
-        coroot = tuple(pairing(rs, fundamental_weight(rs, i + 1), beta) for i in range(n))
-        chains.append(((nodes[0] + 1, nodes[-1] + 1), coroot, root_coords_to_weight(rs, beta)))
+        k = rs.root_index[tuple(1 if j in nodes else 0 for j in range(n))]
+        chains.append(((nodes[0] + 1, nodes[-1] + 1), rs.coroots[k], rs.root_weights[k]))
     return tuple(chains)
 
 
@@ -408,9 +401,7 @@ def ford_condition_check(lam, n: int, chi: Characteristic) -> bool:
     if chi.p == 2:
         raise ValueError("condition undefined at p = 2")
     p = chi.p
-    lam = tuple(int(c) for c in lam)
-    if len(lam) != n:
-        raise ValueError("weight length does not match the rank")
+    lam = build_root_system(LieType("B", n)).check_weight(lam)
     if lam[n - 1] != 1:
         return False
 
@@ -454,7 +445,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append(reason)
         return rep
     rs = build_root_system(entry.ambient)
-    lam = tuple(int(c) for c in entry.lam)
+    lam = rs.check_weight(entry.lam)
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep

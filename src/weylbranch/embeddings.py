@@ -120,9 +120,8 @@ def restrict_weight(e: Embedding, w):
 
     Computed over Python ints, so it is exact for weights of any size.
     """
-    if len(w) != e.ambient.rank:
-        raise ValueError(f"weight {w} has wrong rank for {e.ambient}")
-    return tuple(np.array([int(c) for c in w], dtype=object) @ e.restriction)
+    w = build_root_system(e.ambient).check_weight(w)
+    return tuple(np.array(w, dtype=object) @ e.restriction)
 
 
 @functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
@@ -213,25 +212,31 @@ def ell_value(e: Embedding, mu_h, lambda_h, sigma):
     return total, tuple(comps)
 
 
-def p_condition_ok(cond: str, p: int) -> bool:
-    """Whether p satisfies a condition: 'any', or '&'-joined 'p!=k', 'p>=k', 'p=k'."""
+_P_RELATIONS = {"p!=": operator.ne, "p>=": operator.ge, "p=": operator.eq}
+
+
+def p_condition_clauses(cond: str):
+    """The (relation, k) clauses of a condition: 'any', or '&'-joined 'p!=k', 'p>=k', 'p=k'.
+
+    Every clause is parsed, so a malformed one raises ValueError whatever p is.
+    """
     cond = cond.strip()
     if cond in ("", "any"):
-        return True
+        return ()
+    clauses = []
     for clause in cond.split("&"):
         clause = clause.strip()
-        if clause.startswith("p!="):
-            if p == int(clause[3:]):
-                return False
-        elif clause.startswith("p>="):
-            if p < int(clause[3:]):
-                return False
-        elif clause.startswith("p="):
-            if p != int(clause[2:]):
-                return False
-        else:
+        op = next((op for op in _P_RELATIONS if clause.startswith(op)), None)
+        k = clause[len(op):].strip() if op else ""
+        if not k.isdecimal():
             raise ValueError(f"unparseable p-condition {cond!r}")
-    return True
+        clauses.append((_P_RELATIONS[op], int(k)))
+    return tuple(clauses)
+
+
+def p_condition_ok(cond: str, p: int) -> bool:
+    """Whether p satisfies every clause of a condition (see ``p_condition_clauses``)."""
+    return all(rel(p, k) for rel, k in p_condition_clauses(cond))
 
 
 def existence_ok(e: Embedding, p: int) -> bool:

@@ -2,8 +2,9 @@
 
 Saturation and the Freudenthal recursion run over Python ints on weight
 tuples, so they are exact at every rank; the only bound is the ``maxdom`` cap
-on the size of a dominant table.  The per-root data they read is built once
-per root system (``_root_table``).  Every dominant step, in these kernels, in
+on the size of a dominant table.  The per-root data they read is the table
+each ``RootSystem`` builds once (``root_weights``, ``root_forms``,
+``root_norms``).  Every dominant step, in these kernels, in
 the orbit kernel and in ``weylgroup.dominant_representative``, goes through
 the one helper ``_domrep_py``.
 
@@ -17,11 +18,7 @@ Weights are in fundamental-weight coordinates throughout.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-
-from .rootsys import root_coords_to_weight
 
 # numba is not used: there is one kernel path, and code that records which
 # path ran reads this constant
@@ -90,18 +87,6 @@ def weyl_orbit_array(rs, w, cap=1_000_000):
     return out[np.lexsort(out.T[::-1])]
 
 
-@functools.lru_cache(maxsize=None)
-def _root_table(rs):
-    """Per positive root beta: (beta in weight coordinates, its height, the
-    row form_scale * (lambda_i, beta) over i, form_scale * (beta, beta))."""
-    out = []
-    for beta in rs.positive_roots:
-        wc = root_coords_to_weight(rs, beta)
-        form = tuple(b * s for b, s in zip(beta, rs.slen2))
-        out.append((wc, sum(beta), form, sum(a * f for a, f in zip(wc, form))))
-    return tuple(out)
-
-
 def dominant_table(rs, lam, maxdom=2_000_000):
     """(weights, heights): the dominant weights under lam, highest first.
 
@@ -110,13 +95,14 @@ def dominant_table(rs, lam, maxdom=2_000_000):
     while staying dominant.  More than ``maxdom`` weights raise.
     """
     lam = tuple(int(c) for c in lam)
+    roots = tuple(zip(rs.root_weights, map(sum, rs.positive_roots)))
     heights = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             hw = heights[w]
-            for root, ht, _, _ in _root_table(rs):
+            for root, ht in roots:
                 v = tuple(a - b for a, b in zip(w, root))
                 if min(v) < 0 or v in heights:
                     continue
@@ -141,7 +127,7 @@ def freudenthal_table(rs, lam, maxdom=2_000_000):
     weights, _ = dominant_table(rs, lam, maxdom)
     cartan, gram = rs.cartan_support, rs.gram_scaled
     where = f"freudenthal({rs.lie_type}, {lam})"
-    roots = _root_table(rs)
+    roots = tuple(zip(rs.root_weights, rs.root_forms, rs.root_norms))
 
     def norm(w):  # form_scale * |w + rho|^2
         sh = [c + 1 for c in w]
@@ -151,7 +137,7 @@ def freudenthal_table(rs, lam, maxdom=2_000_000):
     mults = {weights[0]: 1}
     for mu in weights[1:]:
         acc = 0
-        for root, _, form, root_norm in roots:
+        for root, form, root_norm in roots:
             pair = sum(f * c for f, c in zip(form, mu))  # form_scale * (mu, beta)
             nu = mu
             while True:

@@ -144,6 +144,9 @@ class RootSystem:
     lengths (short = 1), ``positive_roots`` in integer root coordinates,
     ``rho`` the half-sum of positive roots in weight coordinates (all ones),
     and ``eG`` the maximal squared length ratio (1 for A/D, 2 for B/C).
+    The per-root table ``root_weights``, ``root_forms``, ``root_norms``,
+    ``coroots`` (rows in ``positive_roots`` order) and ``root_index`` (root
+    -> row) is the one source of per-positive-root data.
 
     Instances are immutable; obtain them through :func:`build_root_system`,
     which caches per type.
@@ -159,7 +162,6 @@ class RootSystem:
         self.rho = (1,) * n
         self.eG = 1 if lie_type.family in ("A", "D") else 2
         self.inverse_cartan = _invert_fraction_matrix(self.cartan)
-        self.positive_root_set = frozenset(self.positive_roots)
         # inv_den * inverse_cartan is integral: inv_den is n+1 for A_n, 2 for
         # B/C, and 2 or 4 for D
         self.inv_den = math.lcm(*(x.denominator for row in self.inverse_cartan for x in row))
@@ -187,31 +189,37 @@ class RootSystem:
         # numpy mirror for the orbit kernel
         self.cartan_np = np.array(self.cartan, dtype=np.int64)
 
+        # One row per positive root beta, in ``positive_roots`` order:
+        # root_weights beta in weight coordinates, root_forms the row
+        # form_scale * (lambda_i, beta) = beta_i * slen2[i], root_norms
+        # form_scale * (beta, beta), and coroots the row <lambda_i, beta-coroot>.
+        betas = np.array(self.positive_roots, dtype=np.int64)
+        weights = betas @ self.cartan_np
+        forms = betas * np.array(self.slen2, dtype=np.int64)
+        norms = (weights * forms).sum(axis=1)
+        coroots, rem = np.divmod(2 * forms, norms[:, None])
+        if rem.any():
+            raise ArithmeticError(f"a coroot of {lie_type} pairs non-integrally with a fundamental weight")
+        self.root_weights = tuple(map(tuple, weights.tolist()))
+        self.root_forms = tuple(map(tuple, forms.tolist()))
+        self.root_norms = tuple(norms.tolist())
+        self.coroots = tuple(map(tuple, coroots.tolist()))
+        self.root_index = {beta: k for k, beta in enumerate(self.positive_roots)}
+
     def __repr__(self):
         return f"RootSystem({self.lie_type})"
 
     def check_weight(self, w):
+        """w as a tuple of ints; a wrong length or a non-integral coordinate raises."""
         if len(w) != self.rank:
             raise ValueError(f"weight {w} has wrong length for {self.lie_type}")
-        return tuple(int(c) for c in w)
+        out = tuple(int(c) for c in w)
+        if out != tuple(w):
+            raise ValueError(f"weight {w} has a non-integral coordinate")
+        return out
 
     def weyl_order(self) -> int:
         return weyl_group_order(self.lie_type)
-
-
-def _scaled_form(rs: RootSystem, v_rc, w_rc):
-    """form_scale * (v, w); (alpha_i, alpha_j) = cartan[i][j] * slen2[j] / form_scale."""
-    n = rs.rank
-    return sum(
-        v_rc[i] * w_rc[j] * rs.cartan[i][j] * rs.slen2[j]
-        for i in range(n) if v_rc[i]
-        for j in range(n) if w_rc[j]
-    )
-
-
-def _scaled_form_weight_root(rs: RootSystem, w, alpha_rc):
-    """form_scale * (w, alpha); (lambda_i, alpha_j) = delta_ij * slen2[j] / form_scale."""
-    return sum(a * c * s for a, c, s in zip(alpha_rc, w, rs.slen2) if a)
 
 
 def weyl_group_order(t: LieType) -> int:
@@ -229,24 +237,28 @@ def build_root_system(t: LieType) -> RootSystem:
     return RootSystem(t)
 
 
-def is_root(rs: RootSystem, alpha_rc) -> bool:
+def _root_position(rs: RootSystem, alpha_rc):
+    """(sign, k) with alpha = sign * positive_roots[k], or None for a non-root."""
     if all(x == int(x) for x in alpha_rc):
-        ai = tuple(int(x) for x in alpha_rc)
-        return ai in rs.positive_root_set or tuple(-x for x in ai) in rs.positive_root_set
-    return False
+        for sign in (1, -1):
+            k = rs.root_index.get(tuple(sign * int(x) for x in alpha_rc))
+            if k is not None:
+                return sign, k
+    return None
+
+
+def is_root(rs: RootSystem, alpha_rc) -> bool:
+    return _root_position(rs, alpha_rc) is not None
 
 
 def pairing(rs: RootSystem, w, alpha_rc) -> int:
-    """<w, alpha> = 2 (w, alpha) / (alpha, alpha), exactly; alpha must be a root."""
-    if not is_root(rs, alpha_rc):
+    """<w, alpha-coroot>, exactly; alpha must be a root."""
+    found = _root_position(rs, alpha_rc)
+    if found is None:
         raise ValueError(f"{alpha_rc} is not a root of {rs.lie_type}")
+    sign, k = found
     w = rs.check_weight(w)
-    beta = tuple(int(x) for x in alpha_rc)
-    num = 2 * _scaled_form_weight_root(rs, w, beta)
-    den = _scaled_form(rs, beta, beta)
-    if num % den:
-        raise ArithmeticError("pairing of a weight with a coroot must be integral")
-    return num // den
+    return sign * sum(c * x for c, x in zip(rs.coroots[k], w))
 
 
 def scaled_root_coords(rs: RootSystem, w):

@@ -27,7 +27,14 @@ from math import comb
 
 from .checker import ClassificationEntry, dominant_weights_bounded, ford_condition_check
 from .charcalc import Characteristic
-from .embeddings import FAMILY_TAGS, build_embedding, family_of, instance_params, p_condition_ok
+from .embeddings import (
+    FAMILY_TAGS,
+    build_embedding,
+    family_of,
+    instance_params,
+    p_condition_clauses,
+    p_condition_ok,
+)
 from .rootsys import _MIN_RANK, FAMILIES, LieType
 
 # the benchmark's tests import the enumerator from here under its older names
@@ -72,6 +79,10 @@ def parse_table(text: str, source: str = "<table>"):
         if letter not in FAMILIES or (colon and not (rank.isdigit() and int(rank) >= _MIN_RANK[letter])):
             raise TableError(f"{source}:{lineno}: unknown ambient type {row.ambient!r}; "
                              f"expected one of {FAMILIES}, optionally with :rank at or above its least rank")
+        try:
+            p_condition_clauses(row.p_cond)
+        except ValueError as exc:
+            raise TableError(f"{source}:{lineno}: {exc}") from None
         rows.append(row)
     return rows
 

@@ -533,6 +533,11 @@ def test_ford_condition():
     assert ford_condition_check((0, 0, 2), 3, Characteristic(7)) is False
     with pytest.raises(ValueError):
         ford_condition_check((0, 0, 1), 3, Characteristic(2))
+    # a non-integral or short weight is refused, not truncated
+    with pytest.raises(ValueError, match="non-integral"):
+        ford_condition_check((0.5, 0, 1), 3, P0)
+    with pytest.raises(ValueError, match="wrong length"):
+        ford_condition_check((0, 1), 3, P0)
     # adjacent-support congruence: a_i + a_j = i - j (mod p)
     assert ford_condition_check((0, 2, 3, 1), 4, Characteristic(3)) is True
     assert ford_condition_check((0, 2, 3, 1), 4, Characteristic(7)) is False
@@ -628,6 +633,9 @@ def test_p_condition_ok():
     assert p_condition_ok("p>=3", 5) and not p_condition_ok("p>=3", 0)
     with pytest.raises(ValueError):
         p_condition_ok("q=1", 0)
+    # a malformed clause raises even after a clause that fails at p
+    with pytest.raises(ValueError):
+        p_condition_ok("p!=2&p>2", 2)
 
 
 def test_branch_concurrent_callers_agree():

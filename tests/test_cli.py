@@ -79,6 +79,17 @@ def test_verify_rejects_unknown_tag_or_ambient(capsys, tmp_path, row):
     assert code == 2 and out == "" and err.startswith("error: ") and "odd.tsv:2" in err
 
 
+@pytest.mark.parametrize("cond", ["p>2", "p!=2&p<5", "p=two", "p!=2&"])
+def test_verify_rejects_bad_p_condition_before_any_record(capsys, tmp_path, cond):
+    # every clause is parsed with the table, also one after a clause that
+    # already fails at some p
+    table = tmp_path / "bad.tsv"
+    table.write_text(f"c1\tB:3\tsub=Dn\tL(3)\tany\t2\tw(1,3)\nc1\tB:3\tsub=Dn\tL(3)\t{cond}\t2\tw(1,3)\n")
+    code, out, err = run(capsys, "verify", str(table), "--p", "0,3", "--rank-cap", "3")
+    assert code == 2 and out == "" and err.startswith("error: ") and "bad.tsv:2" in err
+    assert "unparseable p-condition" in err
+
+
 # a spec names an existing instance: stray parameters and flags, and
 # instances that do not exist at that rank, exit 2
 @pytest.mark.parametrize("argv", [

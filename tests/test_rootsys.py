@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylbranch.charcalc import freudenthal, weyl_dim
+from weylbranch.checker import branch_p0, dominant_weights_bounded
+from weylbranch.embeddings import build_embedding, geom_family, restrict_weight
 from weylbranch.rootsys import (
     LieType,
     build_root_system,
@@ -88,6 +92,97 @@ def oracle_pairing(t, w, alpha_rc):
     xe = e_coords(t, w)
     ae = e_coords(t, aw)
     return 2 * e_form(t, xe, ae) / e_form(t, ae, ae)
+
+
+def scaled_form(rs, v_rc, w_rc):
+    """form_scale * (v, w) for root coordinates; (alpha_i, alpha_j) =
+    cartan[i][j] * slen2[j] / form_scale.  The former package form, kept as
+    an oracle for the per-root table."""
+    n = rs.rank
+    return sum(
+        v_rc[i] * w_rc[j] * rs.cartan[i][j] * rs.slen2[j]
+        for i in range(n) if v_rc[i]
+        for j in range(n) if w_rc[j]
+    )
+
+
+def scaled_form_weight_root(rs, w, alpha_rc):
+    """form_scale * (w, alpha); (lambda_i, alpha_j) = delta_ij * slen2[j] / form_scale."""
+    return sum(a * c * s for a, c, s in zip(alpha_rc, w, rs.slen2) if a)
+
+
+def form_pairing(rs, w, beta):
+    """The former ``pairing``: 2 (w, beta) / (beta, beta) through the scaled form."""
+    num = 2 * scaled_form_weight_root(rs, w, beta)
+    den = scaled_form(rs, beta, beta)
+    assert num % den == 0
+    return num // den
+
+
+def slen2_weyl_dim(rs, lam):
+    """The former ``weyl_dim`` body: prod (lam + rho, beta) / (rho, beta) over slen2."""
+    num = den = 1
+    for rc in rs.positive_roots:
+        a = b = 0
+        for i in range(rs.rank):
+            if rc[i]:
+                a += rc[i] * (lam[i] + 1) * rs.slen2[i]
+                b += rc[i] * rs.slen2[i]
+        num *= a
+        den *= b
+    assert num % den == 0
+    return num // den
+
+
+def test_root_table_matches_former_forms():
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        n = t.rank
+        assert rs.root_index == {beta: k for k, beta in enumerate(rs.positive_roots)}
+        for k, beta in enumerate(rs.positive_roots):
+            assert rs.root_weights[k] == root_coords_to_weight(rs, beta)
+            assert rs.root_norms[k] == scaled_form(rs, beta, beta)
+            for i in range(1, n + 1):
+                lam_i = fundamental_weight(rs, i)
+                assert rs.root_forms[k][i - 1] == scaled_form_weight_root(rs, lam_i, beta)
+                assert rs.coroots[k][i - 1] == form_pairing(rs, lam_i, beta)
+
+
+def test_weyl_dim_matches_former_formula():
+    checks = 0
+    for t in ALL_TYPES:
+        if t.rank > 6:
+            continue
+        rs = build_root_system(t)
+        for lam in dominant_weights_bounded(t.rank, 3):
+            assert weyl_dim(rs, lam) == slen2_weyl_dim(rs, lam), (t, lam)
+            checks += 1
+    assert checks == 794
+
+
+def test_non_integral_weights_are_rejected():
+    b2 = build_root_system(LieType("B", 2))
+    b3 = build_root_system(LieType("B", 3))
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    for call in (
+        lambda: b2.check_weight((1.5, 0)),
+        lambda: weyl_dim(b2, (1.5, 0)),
+        lambda: freudenthal(b2, (1, 0.5)),
+        lambda: pairing(b2, (1.5, 0), (1, 0)),
+        lambda: restrict_weight(e, (0, 0, 1.9)),
+        lambda: branch_p0(b3, (0, 0, 1.9), e),
+    ):
+        with pytest.raises(ValueError, match="non-integral"):
+            call()
+    # integral values of other number types are still weights
+    one, zero = np.int64(1), np.int64(0)
+    assert b2.check_weight((one, zero)) == (1, 0)
+    assert b2.check_weight((2.0, Fraction(1))) == (2, 1)
+    assert weyl_dim(b2, (one, zero)) == weyl_dim(b2, np.array([1, 0])) == 5
+    assert freudenthal(b2, (one, zero)) == freudenthal(b2, (1, 0))
+    assert pairing(b2, (one, zero), (1, 1)) == pairing(b2, (1, 0), (1, 1)) == 2
+    assert restrict_weight(e, (zero, zero, one)) == restrict_weight(e, (0, 0, 1))
+    assert branch_p0(b3, (zero, zero, one), e).factors == branch_p0(b3, (0, 0, 1), e).factors
 
 
 def test_positive_root_counts():

@@ -100,8 +100,28 @@ def test_tables_state_no_family_arithmetic():
     assert not found, found
 
 
+# per-positive-root data is derived once, in the table RootSystem builds;
+# every other module reads that table instead of deriving its own
+ROOT_TABLE_CALLS = {"root_coords_to_weight", "pairing"}
+
+
+def test_per_root_data_derived_only_in_rootsys():
+    found = []
+    for name, tree in _trees():
+        if name == "rootsys.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "slen2":
+                found.append(f"{name}:{node.lineno} .slen2")
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in ROOT_TABLE_CALLS:
+                    found.append(f"{name}:{node.lineno} {callee}()")
+    assert not found, found
+
+
 # caches keyed on a root system alone: one entry per Lie type in use
-PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_root_table", "_diagram_chains"}
+PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains"}
 
 
 def test_lru_caches_are_bounded():
