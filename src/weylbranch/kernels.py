@@ -8,9 +8,16 @@ each ``RootSystem`` builds once (``root_weights``, ``root_forms``,
 the orbit kernel and in ``weylgroup.dominant_representative``, goes through
 the one helper ``_domrep_py``.
 
-The orbit kernel is one whole-array numpy function.  Each length level is
-deduplicated by whole rows, so neither the rank nor a packing width limits
-it, only the int64 range of the coordinates; the orbit comes back in
+The orbit kernel walks one chain of standard parabolic subgroups per root
+system, W = W_0 > W_1 > ... > W_{n-1} with W_k on the nodes k..n-1: the
+minimal coset representatives of each step are one cached int64 block, and
+an orbit costs one matrix product per node at which it moves.  Rows repeat
+only at the zero nodes of the dominant representative, so only those stages
+are deduplicated, by whole rows.  The orbit size comes from the stabilizer's
+type before any row is made, so the enumeration cap is checked up front.
+Rows are sorted and deduplicated through int64 keys that each pack as many
+coordinates as fit, so neither the rank nor a packing width limits the
+kernel, only the int64 range of the coordinates; the orbit comes back in
 lexicographic row order.
 
 Weights are in fundamental-weight coordinates throughout.
@@ -18,7 +25,11 @@ Weights are in fundamental-weight coordinates throughout.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from .rootsys import parabolic_index
 
 # numba is not used: there is one kernel path, and code that records which
 # path ran reads this constant
@@ -57,34 +68,111 @@ PURE_KERNELS = {"domrep": _domrep_py}
 _ORBIT_COORD_LIMIT = 1 << 56
 
 
+@functools.lru_cache(maxsize=None)
+def _coset_stages(rs):
+    """Per node k, the minimal coset representatives of W_{k+1} in W_k.
+
+    W_k is the standard parabolic subgroup on the nodes k..n-1, so
+    W = U_0 U_1 ... U_{n-1} with U_k the representatives of stage k.  Each
+    stage is one int64 block of shape (n, |U_k| * n): row weights times the
+    block, reshaped to n columns, give every representative's image of every
+    row.  The stabilizer of omega_k in W_k is W_{k+1}, so the representatives
+    are read off the orbit of omega_k under W_k, walked down one length level
+    at a time: s_j lowers a weight v exactly when v_j > 0, and the product of
+    the reflections along such a walk is the representative of minimal length.
+    """
+    n = rs.rank
+    cartan = rs.cartan
+    eye = np.eye(n, dtype=np.int64)
+    refl = [eye - np.outer(eye[j], rs.cartan_np[j]) for j in range(n)]
+    stages = []
+    for k in range(n):
+        mats = []
+        level = {tuple(eye[k].tolist()): eye}
+        while level:
+            mats += level.values()
+            nxt = {}
+            for v, m in level.items():
+                for j in range(k, n):
+                    if v[j] > 0:
+                        u = tuple(a - v[j] * b for a, b in zip(v, cartan[j]))
+                        if u not in nxt:
+                            nxt[u] = m @ refl[j]
+            level = nxt
+        block = np.concatenate(mats, axis=1)
+        block.flags.writeable = False  # shared by every caller through the cache
+        stages.append(block)
+    return tuple(stages)
+
+
+@functools.lru_cache(maxsize=256)
+def _key_weights(n, radix):
+    """(n, m) int64 powers of an odd radix that pack a row of n digits in
+    -(radix // 2)..radix // 2 into m int64 keys, as many digits per key as
+    keep it within 2**61.  A balanced radix puts the first digit most
+    significant, so the key columns order the rows lexicographically."""
+    per = 1
+    while per < n and radix ** (per + 1) <= 1 << 62:
+        per += 1
+    out = np.zeros((n, -(-n // per)), dtype=np.int64)
+    for i in range(n):
+        key, pos = divmod(i, per)
+        out[i, key] = radix ** (min(per, n - key * per) - 1 - pos)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _lex_sorted(rows, bound, unique=False):
+    """The rows in lexicographic order, repeats dropped if ``unique``; every
+    coordinate lies in -bound..bound."""
+    keys = rows @ _key_weights(rows.shape[1], 2 * bound + 1)
+    order = np.lexsort(keys.T[::-1])
+    if unique:
+        keys = keys[order]
+        keep = np.empty(order.shape[0], dtype=bool)
+        keep[0] = True
+        np.any(keys[1:] != keys[:-1], axis=1, out=keep[1:])
+        order = order[keep]
+    return rows[order]
+
+
 def weyl_orbit_array(rs, w, cap=1_000_000):
     """The full Weyl orbit of a weight as int64 rows in lexicographic order.
 
-    The walk descends from the dominant representative one length level at a
-    time: s_j lowers w exactly when w_j > 0, so each level is the image of the
-    previous one under those reflections and meets no earlier level.  More
-    than ``cap`` elements raise.
+    The orbit of the dominant representative mu is U_0 U_1 ... U_{n-1} mu
+    (see ``_coset_stages``), so the walk applies the stages from the last
+    node to the first, one matrix product each, and skips the stages whose
+    nodes are all 0 on mu, which fix every row so far.  The rows of one
+    stage repeat only where mu_k = 0, the one place the stabilizer grows, so
+    only those stages are deduplicated by whole rows.  The orbit size
+    |W : W_mu| is known from the zero nodes of mu up front: more than ``cap``
+    elements raise before any is enumerated, and so does a walk that does not
+    end with exactly that many rows.
     """
     where = f"orbit({rs.lie_type}, {w})"
-    if sum(abs(int(c)) for c in w) >= _ORBIT_COORD_LIMIT:
+    span = sum(abs(int(c)) for c in w)
+    if span >= _ORBIT_COORD_LIMIT:
         raise KernelCapacityError(f"{where}: coordinates exceed the int64 range")
     rep = [int(c) for c in w]
     _domrep_py(rep, rs.cartan_support)
-    cartan = rs.cartan_np
-    row = np.dtype((np.void, 8 * len(rep)))  # one int64 row as one opaque item
-    level = np.array([rep], dtype=np.int64)
-    rows = []
-    total = 0
-    while level.shape[0]:
-        _, first = np.unique(level.view(row), return_index=True)
-        level = level[first]
-        total += level.shape[0]
-        if total > cap:
-            raise KernelCapacityError(f"{where}: enumeration cap exceeded")
-        rows.append(level)
-        level = (level[:, None, :] - level[:, :, None] * cartan[None])[level > 0]
-    out = np.concatenate(rows)
-    return out[np.lexsort(out.T[::-1])]
+    size, _ = parabolic_index(rs, [i for i, c in enumerate(rep) if c == 0])
+    if size > cap:
+        raise KernelCapacityError(f"{where}: the orbit has {size} elements, cap {cap}")
+    n = len(rep)
+    bound = 2 * span  # every orbit coordinate pairs w with a coroot
+    stages = _coset_stages(rs)
+    rows = np.array([rep], dtype=np.int64)
+    ordered = True
+    for k in reversed(range(n)):
+        if not any(rep[k:]):
+            continue
+        rows = (rows @ stages[k]).reshape(-1, n)
+        ordered = rep[k] == 0
+        if ordered:
+            rows = _lex_sorted(rows, bound, unique=True)
+    if rows.shape[0] != size:
+        raise KernelCapacityError(f"{where}: the walk gave {rows.shape[0]} rows, not the orbit size {size}")
+    return rows if ordered else _lex_sorted(rows, bound)
 
 
 def dominant_table(rs, lam, maxdom=2_000_000):

@@ -321,6 +321,21 @@ def subdiagram_type(rs: RootSystem, nodes) -> LieType:
     return LieType("A", k)
 
 
+def parabolic_index(rs: RootSystem, nodes):
+    """(|W : W_J|, the sorted component types of W_J) for the standard
+    parabolic subgroup W_J on a set J of 0-based Dynkin nodes.
+
+    With J the zero nodes of a dominant weight, W_J is its stabilizer and the
+    index is the size of its Weyl orbit.
+    """
+    types = tuple(sorted(subdiagram_type(rs, c) for c in connected_components(rs, nodes)))
+    order = math.prod(weyl_group_order(t) for t in types)
+    total = rs.weyl_order()
+    if total % order:
+        raise ArithmeticError(f"parabolic order {order} does not divide |W| = {total}")
+    return total // order, types
+
+
 def fundamental_weight(rs: RootSystem, i: int):
     """lambda_i as a Weight (1-based index)."""
     if not 1 <= i <= rs.rank:

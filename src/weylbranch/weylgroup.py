@@ -6,12 +6,7 @@ import os
 from dataclasses import dataclass
 
 from . import kernels
-from .rootsys import (
-    RootSystem,
-    connected_components,
-    subdiagram_type,
-    weyl_group_order,
-)
+from .rootsys import RootSystem, parabolic_index
 
 DEFAULT_CAP = 1_000_000
 
@@ -47,24 +42,13 @@ def dominant_representative(rs: RootSystem, w):
 def orbit_size(rs: RootSystem, w) -> OrbitSummary:
     """|W| / |W_stab| via the parabolic stabilizer of the dominant representative."""
     dom, _ = dominant_representative(rs, w)
-    comps = connected_components(rs, [i for i in range(rs.rank) if dom[i] == 0])
-    types = tuple(sorted(subdiagram_type(rs, c) for c in comps))
-    stab = 1
-    for t in types:
-        stab *= weyl_group_order(t)
-    total = rs.weyl_order()
-    if total % stab:
-        raise ArithmeticError(f"stabilizer order {stab} does not divide |W| = {total}")
-    return OrbitSummary(dominant_rep=dom, orbit_size=total // stab, stabilizer_type=types)
+    size, types = parabolic_index(rs, [i for i in range(rs.rank) if dom[i] == 0])
+    return OrbitSummary(dominant_rep=dom, orbit_size=size, stabilizer_type=types)
 
 
 def orbit_enumerate(rs: RootSystem, w, cap=None):
-    """The full orbit, deduplicated, in lexicographic order."""
+    """The full orbit, deduplicated, in lexicographic order; more than ``cap``
+    elements raise before any is enumerated."""
     cap = orbit_cap() if cap is None else cap
-    size = orbit_size(rs, w).orbit_size
-    if size > cap:
-        raise kernels.KernelCapacityError(
-            f"orbit of {w} on {rs.lie_type} has {size} elements, cap {cap}"
-        )
     arr = kernels.weyl_orbit_array(rs, rs.check_weight(w), cap=cap)
     return [tuple(row) for row in arr.tolist()]

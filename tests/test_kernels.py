@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal, weyl_dim
-from weylbranch.rootsys import LieType, build_root_system
+from weylbranch.rootsys import LieType, build_root_system, parabolic_index
 from weylbranch.weylgroup import dominant_representative, orbit_size
+
+from test_rootsys import ALL_TYPES
 
 
 def _pack_py(w, bits, off):
@@ -142,6 +144,63 @@ def test_orbit_beyond_packed_key_range():
         out = kernels.weyl_orbit_array(rs, w)
         ref = scalar_orbit(np.array(w, dtype=np.int64), rs.cartan_np, np.int64(bits), np.int64(10**6))
         assert np.array_equal(out, ref) and len(out) == orbit_size(rs, w).orbit_size
+
+
+def test_coset_stages_factor_the_weyl_group():
+    # stage k holds the minimal coset representatives of W_{k+1} in W_k, W_k
+    # the parabolic subgroup on the nodes k..n-1, so its size is the index of
+    # the parabolic on k+1..n-1 inside the one on k..n-1, and the sizes
+    # multiply to |W|
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        n = rs.rank
+        orders = [rs.weyl_order() // parabolic_index(rs, range(k, n))[0] for k in range(n + 1)]
+        sizes = [block.shape[1] // n for block in kernels._coset_stages(rs)]
+        assert sizes == [orders[k] // orders[k + 1] for k in range(n)], t
+        assert np.prod(sizes, dtype=object) == rs.weyl_order(), t
+
+
+def test_orbit_cap_edges():
+    rs = build_root_system(LieType("D", 8))
+    with pytest.raises(kernels.KernelCapacityError, match="1 elements, cap 0"):
+        kernels.weyl_orbit_array(rs, (0,) * 8, cap=0)
+    # only the first stage acts on omega_1: its 16 images are the orbit
+    omega1 = (1,) + (0,) * 7
+    with pytest.raises(kernels.KernelCapacityError, match="16 elements, cap 15"):
+        kernels.weyl_orbit_array(rs, omega1, cap=15)
+    out = kernels.weyl_orbit_array(rs, omega1, cap=16)
+    assert len(out) == 16 and len({tuple(r) for r in out.tolist()}) == 16
+
+
+def test_orbit_walk_checks_its_count(monkeypatch):
+    # a walk that ends with other than |W : W_mu| rows raises, also under -O
+    rs = build_root_system(LieType("B", 3))
+    monkeypatch.setattr(kernels, "parabolic_index", lambda rs, nodes: (7, ()))
+    with pytest.raises(kernels.KernelCapacityError, match="not the orbit size 7"):
+        kernels.weyl_orbit_array(rs, (0, 0, 1))
+
+
+def test_orbit_beyond_oracle_size():
+    # 80 640 elements, beyond the scalar oracle's reach: distinct rows in
+    # lexicographic order, each with the dominant representative mu
+    rs = build_root_system(LieType("B", 7))
+    mu = (1, 0, 1, 0, 1, 0, 1)
+    out = kernels.weyl_orbit_array(rs, mu)
+    rows = [tuple(r) for r in out.tolist()]
+    assert len(rows) == orbit_size(rs, mu).orbit_size == 80640
+    assert rows == sorted(set(rows))
+    assert {dominant_representative(rs, r)[0] for r in rows} == {mu}
+
+
+def test_orbit_scales_with_the_weight():
+    # w -> c w commutes with W and keeps lexicographic order, so the orbit of
+    # c w is c times the orbit of w; large c packs fewer coordinates per sort
+    # key, down to one, and 2**54 brings sum|c w| near the int64 guard
+    for lie, w in ((("B", 3), (1, 0, 1)), (("D", 5), (0, 1, 0, 0, 1)), (("B", 13), (1,) + (0,) * 12)):
+        rs = build_root_system(LieType(*lie))
+        out = kernels.weyl_orbit_array(rs, w)
+        for c in (3, 10**6, 10**12, 2**54):
+            assert np.array_equal(kernels.weyl_orbit_array(rs, tuple(c * x for x in w)), c * out), (lie, c)
 
 
 def test_capacity_guard():

@@ -121,7 +121,7 @@ def test_per_root_data_derived_only_in_rootsys():
 
 
 # caches keyed on a root system alone: one entry per Lie type in use
-PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains"}
+PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains", "_coset_stages"}
 
 
 def test_lru_caches_are_bounded():
