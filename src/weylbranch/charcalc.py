@@ -44,6 +44,7 @@ class CharacterTable:
     highest_weight: tuple
     entries: dict  # dominant Weight -> multiplicity
     total_dim: int
+    largest_orbit: int  # the most elements in the Weyl orbit of one dominant weight
 
     def multiplicity(self, rs: RootSystem, w) -> int:
         rep, _ = dominant_representative(rs, w)
@@ -63,8 +64,9 @@ FREUDENTHAL_CACHE_SIZE = 4096
 def _freudenthal_cached(t: LieType, lam):
     rs = build_root_system(t)
     entries = dict(sorted(kernels.freudenthal_table(rs, lam).items()))
-    total = sum(m * orbit_size(rs, w).orbit_size for w, m in entries.items())
-    return CharacterTable(highest_weight=tuple(lam), entries=entries, total_dim=total)
+    sizes = [orbit_size(rs, w).orbit_size for w in entries]
+    total = sum(m * size for m, size in zip(entries.values(), sizes))
+    return CharacterTable(highest_weight=tuple(lam), entries=entries, total_dim=total, largest_orbit=max(sizes))
 
 
 def freudenthal(rs: RootSystem, lam) -> CharacterTable:

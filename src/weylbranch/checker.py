@@ -16,7 +16,12 @@ chains beta of G, their coroot pairings, their images R beta (also in
 scaled factor root coordinates) and the groups of chains that share one
 image.  One int64 array step tests every (candidate, component-orbit element)
 row against every chain image and folds the rows per candidate; a weight too
-large for exact int64 arithmetic raises KernelCapacityError.  A scan restricts its bounded candidates in one int64
+large for exact int64 arithmetic raises KernelCapacityError.  That geometry
+does not depend on p: only the certification <lam, beta-coroot> != 0 (mod p)
+does.  So an entry's characteristic-free part (its restriction, its
+``clifford_prediction`` and the filters' geometry) is decided once per
+(ambient, family, lam) and cached, and each characteristic runs only the
+certification on it.  A scan restricts its bounded candidates in one int64
 product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows; each
 survivor goes on to the branching with its prediction already made.
 """
@@ -27,6 +32,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -102,11 +108,17 @@ def restricted_multiset(rs, lam, e: Embedding, cap=None):
     Keys are restricted weights whose factor coordinates are all
     non-negative, values their multiplicities.  The restricted character is
     W_H-invariant, so this part fixes it.  ``cap`` bounds each full Weyl orbit
-    enumerated on the way.
+    enumerated on the way; a table with an orbit past it is refused before
+    the first one is enumerated.
     """
     cap = orbit_cap() if cap is None else cap
+    table = freudenthal(rs, lam)
+    if table.largest_orbit > cap:
+        raise kernels.KernelCapacityError(
+            f"restrict({rs.lie_type}, {tuple(lam)}): W(lam) has a Weyl orbit of {table.largest_orbit} elements, cap {cap}"
+        )
     out = {}
-    for mu, m in freudenthal(rs, lam).entries.items():
+    for mu, m in table.entries.items():
         for w, c in _h_dominant_orbit(e.ambient, e.family, mu, cap):
             out[w] = out.get(w, 0) + m * c
     return out
@@ -282,6 +294,46 @@ def _exact_chain_table(e: Embedding, lams):
     return t
 
 
+class _Geometry(NamedTuple):
+    pair: np.ndarray  # candidates x chains: <lam, beta-coroot>
+    bare: np.ndarray  # candidates x chains: R(lam - beta) lies under no orbit element
+    single: np.ndarray  # candidates x groups: the group's image lies one factor simple root under exactly one orbit element
+    capacity: np.ndarray  # candidates x groups: that element's multiplicity, where its image lies under it alone
+
+
+def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, predictions):
+    """The characteristic-free part of the filters for a block of candidates.
+
+    ``lam_a`` holds the candidates as rows, ``lam_h_a`` their restrictions
+    and ``predictions`` their ``clifford_prediction`` maps.  Every
+    (candidate, orbit element) pair is one row of the "under" test against
+    every chain; ``reduceat`` folds each candidate's rows.
+    """
+    ss = e.semisimple_rank
+    sizes = [len(predicted) for predicted in predictions]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    orbit = np.array([c for predicted in predictions for c in predicted], dtype=np.int64)
+    diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
+    scaled = diff @ t.scale
+    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
+    # orbit rows x chains x coordinates
+    under = (scaled[:, None] + t.scaled_images >= 0).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
+    above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)  # candidates x chains: orbit elements over mu_h
+    single = np.zeros((len(sizes), len(t.lead)), dtype=bool)
+    capacity = np.zeros(single.shape, dtype=np.int64)
+    # a group's weights restrict to one weight; where it lies one factor
+    # simple root below a single orbit element, the certified ones are at
+    # most that element's multiplicity, which ``_screen`` checks at p
+    cand, grp = np.nonzero(above[:, t.lead] == 1)
+    if cand.size:
+        lead = t.lead[grp]
+        row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
+        steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
+        capacity[cand, grp] = np.array([m for predicted in predictions for m in predicted.values()])[row]
+        single[cand, grp] = steps == 1
+    return _Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
+
+
 class _Screen(NamedTuple):
     certified: np.ndarray  # candidates x chains: the pairing certifies lam - beta as a weight of L(lam)
     escaped: np.ndarray  # candidates x chains: certified, and R(lam - beta) lies under no orbit element
@@ -293,49 +345,49 @@ class _Screen(NamedTuple):
         return self.escaped.any(axis=1) | self.exceeded.any(axis=1)
 
 
-def _screen(rs, e: Embedding, chi: Characteristic, t: _ChainTable, lam_a, lam_h_a, predictions):
-    """The necessary filters' decision for a block of candidates, in one array step.
-
-    ``lam_a`` holds the candidates as rows, ``lam_h_a`` their restrictions
-    and ``predictions`` their ``clifford_prediction`` maps.  Every
-    (candidate, orbit element) pair is one row of the "under" test against
-    every chain; ``reduceat`` folds each candidate's rows.
-    """
-    ss = e.semisimple_rank
-    pair = lam_a @ t.coroots.T
-    certified = pair > 0
+def _screen(rs, chi: Characteristic, t: _ChainTable, g: _Geometry):
+    """The necessary filters' decision at p, from the candidates' geometry."""
+    certified = g.pair > 0
     if not charcalc.premet_applies(rs, chi):
-        certified &= pair % chi.p != 0
-    sizes = [len(predicted) for predicted in predictions]
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    orbit = np.array([c for predicted in predictions for c in predicted], dtype=np.int64)
-    diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
-    scaled = diff @ t.scale
-    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
-    # orbit rows x chains x coordinates
-    under = (scaled[:, None] + t.scaled_images >= 0).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
-    above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)  # candidates x chains: orbit elements over mu_h
-    exceeded = np.zeros((len(sizes), len(t.lead)), dtype=bool)
-    capacity = np.zeros(exceeded.shape, dtype=np.int64)
-    if t.lead.size:
-        # a group's certified weights restrict to one weight; one factor
-        # simple root below a single orbit element, they are at most that
-        # element's multiplicity
-        count = certified @ t.shared
-        cand, grp = np.nonzero((count >= 2) & (above[:, t.lead] == 1))
-        if cand.size:
-            lead = t.lead[grp]
-            row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
-            steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-            capacity[cand, grp] = np.array([m for predicted in predictions for m in predicted.values()])[row]
-            exceeded[cand, grp] = (steps == 1) & (count[cand, grp] > capacity[cand, grp])
-    return _Screen(certified, certified & (above == 0), exceeded, capacity)
+        certified &= g.pair % chi.p != 0
+    count = certified @ t.shared
+    exceeded = g.single & (count >= 2) & (count > g.capacity)
+    return _Screen(certified, certified & g.bare, exceeded, g.capacity)
 
 
-def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
+class _EntryRecord(NamedTuple):
+    table: _ChainTable  # the embedding's chain table, shared with every other weight
+    lam_h: np.ndarray  # 1 x width: R lam
+    predicted: MappingProxyType  # ``clifford_prediction`` of R lam, read-only
+    geometry: _Geometry  # one row: the filters' characteristic-free part
+
+
+ENTRY_RECORD_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=ENTRY_RECORD_CACHE_SIZE)
+def _entry_record(ambient, family, lam):
+    """Everything the checks of one (ambient, family, lam) share across p.
+
+    ``build_embedding`` is a pure function of (ambient, family).  The int64
+    guard is checked first, so a weight past it is never cached; the arrays
+    and the prediction are read-only, since every caller shares them.
+    """
+    e = build_embedding(ambient, family)
+    t = _exact_chain_table(e, [lam])
+    lam_a = np.array([lam], dtype=np.int64)
+    lam_h_a = lam_a @ e.restriction
+    predicted = clifford_prediction(e, tuple(lam_h_a[0].tolist()))
+    geometry = _geometry(e, t, lam_a, lam_h_a, [predicted])
+    for a in (lam_h_a, *geometry):
+        a.flags.writeable = False
+    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry)
+
+
+def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     """Disqualifying findings for the candidate highest weight lam.
 
-    ``predicted`` is ``clifford_prediction`` of the restriction of lam: its
+    The filters read ``clifford_prediction`` of the restriction of lam: its
     keys are the component orbit, its values the multiplicities the factors
     can carry.  Every finding is a certificate that the restriction cannot be
     irreducible: a known weight of L(lam) whose restriction escapes the
@@ -351,24 +403,27 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
     divisible by its factor's ``inv_den``; the quotients then sum to the
     number of factor simple roots in c - mu_h.  The scaled coordinates are
     linear and c - mu_h = (c - lam_h) + R beta, so divisibility is a match of
-    residues, those of c - lam_h against those of -R beta, and ``_screen``
-    decides every (chain, orbit element) pair in one array step.  This call
-    renders its decision for one candidate; ``scan_candidates`` reads it for
-    blocks of them.
+    residues, those of c - lam_h against those of -R beta, and ``_geometry``
+    decides every (chain, orbit element) pair in one array step.
+
+    Only the certification depends on p.  The restriction, the prediction
+    and that geometry are decided once per (ambient, family, lam), in
+    ``_entry_record``, and ``_screen`` certifies the chains at p from them.
+    This call renders the decision for one candidate; ``scan_candidates``
+    reads it for blocks of them.
     """
     lam = rs.check_weight(lam)
-    t = _exact_chain_table(e, [lam])
-    lam_a = np.array([lam], dtype=np.int64)
-    lam_h_a = lam_a @ e.restriction
-    s = _screen(rs, e, chi, t, lam_a, lam_h_a, [predicted])
+    t, lam_h_a, _, geometry = _entry_record(e.ambient, e.family, lam)
+    s = _screen(rs, chi, t, geometry)
     if not s.filtered()[0]:
         return []
     ss = e.semisimple_rank
+    lam_a = np.array(lam, dtype=np.int64)
     lam_h = tuple(lam_h_a[0].tolist())
     escaped = np.flatnonzero(s.escaped[0])
     findings = []
     for k, mu, mu_h in zip(
-        escaped.tolist(), (lam_a[0] - t.betas[escaped]).tolist(), (lam_h_a[0] - t.images[escaped]).tolist()
+        escaped.tolist(), (lam_a - t.betas[escaped]).tolist(), (lam_h_a[0] - t.images[escaped]).tolist()
     ):
         finding = {
             "kind": "restriction-not-under-orbit",
@@ -390,7 +445,7 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic, predicted):
         findings.append({
             "kind": "multiplicity-bound-exceeded",
             "target": mu_h,
-            "witnesses": (lam_a[0] - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
+            "witnesses": (lam_a - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
             "capacity": int(s.capacity[0, g]),
         })
     return findings
@@ -449,8 +504,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
-    _exact_chain_table(e, [lam])  # the filters below are int64 array work
-    predicted = clifford_prediction(e, restrict_weight(e, lam))
+    predicted = _entry_record(e.ambient, e.family, lam).predicted
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
         found = {c[: e.semisimple_rank] for c in predicted}
@@ -472,7 +526,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
             "found": kappa,
         })
         return rep
-    findings = necessary_filters(rs, lam, e, chi, predicted)
+    findings = necessary_filters(rs, lam, e, chi)
     if findings:
         rep.verdict = FAIL
         rep.reasons.extend(findings)
@@ -573,7 +627,7 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     results = []
     for predictions in _prediction_blocks(e, lam_h_a.tolist()):
         block = slice(len(results), len(results) + len(predictions))
-        screen = _screen(rs, e, chi, t, lam_a[block], lam_h_a[block], predictions)
+        screen = _screen(rs, chi, t, _geometry(e, t, lam_a[block], lam_h_a[block], predictions))
         for lam, predicted, filtered in zip(lams[block], predictions, screen.filtered().tolist()):
             if filtered:
                 results.append((lam, FILTERED))

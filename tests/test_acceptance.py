@@ -18,7 +18,6 @@ from weylbranch.checker import (
     ClassificationEntry,
     _diagram_chains,
     branch_p0,
-    clifford_prediction,
     dominant_weights_bounded,
     necessary_filters,
     scan_candidates,
@@ -47,11 +46,6 @@ def kappa_of(e, hw):
     """kappa from the component orbit of hw, kept as an oracle: the package
     reads it off the predicted-factor map of ``clifford_prediction``."""
     return len(component_orbit_set(e, hw)) * central_multiplicity(e, hw)
-
-
-def filters(rs, lam, e, chi):
-    """``necessary_filters`` of lam, given the prediction its callers build."""
-    return necessary_filters(rs, lam, e, chi, clifford_prediction(e, restrict_weight(e, lam)))
 
 
 def _report(num, ok, text):
@@ -321,7 +315,7 @@ def test_criterion_7_scan_completeness():
         # filter soundness: no certified row is rejected by the filters
         rs = build_root_system(ambient)
         for w in expected:
-            assert not filters(rs, w, e, P0)
+            assert not necessary_filters(rs, w, e, P0)
         instances += 1
     elapsed = time.perf_counter() - t0
     _report(7, elapsed < 600, f"scan completeness on {instances} embeddings, {elapsed:.0f}s (< 600s)")

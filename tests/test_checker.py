@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_acceptance import _p0_instances, filters
+from test_acceptance import _p0_instances, _shipped_rows
 from weylbranch import charcalc, checker, kernels
 from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
 from weylbranch.checker import (
@@ -39,6 +39,8 @@ from weylbranch.rootsys import (
     scaled_root_coords,
     weight_to_root_coords,
 )
+from weylbranch.tables import instantiate_rows
+from weylbranch.weylgroup import orbit_size
 
 P0 = Characteristic(0)
 P0_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(4)]
@@ -153,6 +155,27 @@ def test_restricted_multiset_is_h_dominant_part(tag, data):
     assert restricted_multiset(rs, lam, e) == dominant
 
 
+def test_over_cap_table_enumerates_no_orbit(monkeypatch):
+    # the Freudenthal table knows every orbit size of W(lam), so a table with
+    # an orbit past the cap is refused before the first orbit is walked
+    rs = build_root_system(LieType("B", 3))
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    lam = (1, 0, 1)
+    table = freudenthal(rs, lam)
+    largest = table.largest_orbit
+    assert largest == max(orbit_size(rs, mu).orbit_size for mu in table.entries) == 24
+    walk = kernels.weyl_orbit_array
+    calls = []
+    monkeypatch.setattr(kernels, "weyl_orbit_array", lambda *args, **kw: calls.append(args[1]) or walk(*args, **kw))
+    checker._h_dominant_orbit.cache_clear()
+    with pytest.raises(kernels.KernelCapacityError, match=f"{largest} elements, cap {largest - 1}"):
+        branch_p0(rs, lam, e, cap=largest - 1)
+    assert calls == []
+    rep = branch_p0(rs, lam, e, cap=largest)
+    assert rep.dim_rhs == rep.dim_lhs == 48
+    assert sorted(calls) == sorted(table.entries)
+
+
 def test_restricted_orbits_are_shared_across_weights():
     # omega_1 and omega_2 of B3 share the dominant weights omega_1 and 0, so
     # restricting omega_2 after omega_1 enumerates only the orbit of omega_2
@@ -263,18 +286,22 @@ def _assert_plain(value):
 
 
 def test_filters_match_scalar_oracle():
+    # each weight's cached record is first filled at p = 0 and then at p = 7,
+    # so every other characteristic reads a record filled at another p
     cases = 0
     for ambient, e in FILTER_INSTANCES:
         rs = build_root_system(ambient)
         for w in dominant_weights_bounded(ambient.rank, 3):
-            for p in FILTER_PRIMES:
-                chi = Characteristic(p)
-                got = filters(rs, w, e, chi)
-                assert got == scalar_necessary_filters(rs, w, e, chi), (ambient, e.family, w, p)
-                for finding in got:
-                    _assert_plain(finding)
-                cases += 1
-    assert len(FILTER_INSTANCES) == 42 and cases == 1532 * len(FILTER_PRIMES)
+            expected = {p: scalar_necessary_filters(rs, w, e, Characteristic(p)) for p in FILTER_PRIMES}
+            for primes in (FILTER_PRIMES, FILTER_PRIMES[::-1]):
+                checker._entry_record.cache_clear()
+                for p in primes:
+                    got = necessary_filters(rs, w, e, Characteristic(p))
+                    assert got == expected[p], (ambient, e.family, w, p, primes[0])
+                    for finding in got:
+                        _assert_plain(finding)
+                    cases += 1
+    assert len(FILTER_INSTANCES) == 42 and cases == 1532 * len(FILTER_PRIMES) * 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,7 +312,7 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
     w = tuple(data.draw(st.lists(coeff, min_size=ambient.rank, max_size=ambient.rank)))
     chi = Characteristic(data.draw(st.sampled_from(FILTER_PRIMES)))
     rs = build_root_system(ambient)
-    got = filters(rs, w, e, chi)
+    got = necessary_filters(rs, w, e, chi)
     assert got == scalar_necessary_filters(rs, w, e, chi)
     for finding in got:
         _assert_plain(finding)
@@ -302,9 +329,9 @@ def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
     # the block screen against the one-chain-at-a-time oracle, which shares
     # no code with it, on blocks of one candidate and at the default size
     monkeypatch.setattr(checker, "SCREEN_BLOCK_ROWS", block_rows)
-    screen = checker._screen
+    geometry = checker._geometry
     blocks = []
-    monkeypatch.setattr(checker, "_screen", lambda *args: blocks.append(len(args[-1])) or screen(*args))
+    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[-1])) or geometry(*args))
     scans = 0
     for ambient, e in FILTER_INSTANCES:
         rs = build_root_system(ambient)
@@ -338,16 +365,16 @@ def test_filters_int64_guard():
         for i in (0, ambient.rank - 1):
             w = [0] * ambient.rank
             w[i] = limit - 1
-            assert filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
+            assert necessary_filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
             w[i] = limit
             with pytest.raises(kernels.KernelCapacityError):
-                filters(rs, w, e, P0)
+                necessary_filters(rs, w, e, P0)
 
 
 def test_filters_guard_follows_exact_prediction():
-    # the prediction is built from the exact restriction before the filters
-    # run, so a weight past int64 still ends in the filters' guard, not in an
-    # OverflowError or a wrapped charge
+    # the exact prediction of a weight past int64 is plain ints, and the
+    # filters check their guard before the int64 restriction, so such a
+    # weight ends in the guard, not in an OverflowError or a wrapped charge
     ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
     rs, e = build_root_system(ambient), build_embedding(ambient, fam)
     limit = checker._chain_table(ambient, fam).limit
@@ -355,7 +382,60 @@ def test_filters_guard_follows_exact_prediction():
         predicted = checker.clifford_prediction(e, restrict_weight(e, w))
         assert all(type(x) is int for c in predicted for x in c)
         with pytest.raises(kernels.KernelCapacityError):
-            necessary_filters(rs, w, e, P0, predicted)
+            necessary_filters(rs, w, e, P0)
+
+
+def test_entry_record_is_read_only():
+    # every caller shares the record; none may change it for the next
+    ambient, fam = LieType("B", 4), geom_family("c2", l=1, t=3)
+    e = build_embedding(ambient, fam)
+    record = checker._entry_record(ambient, fam, (1, 0, 0, 1))
+    assert record.table is checker._chain_table(ambient, fam)
+    assert record.predicted == checker.clifford_prediction(e, restrict_weight(e, (1, 0, 0, 1)))
+    for a in (record.lam_h, *record.geometry):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    with pytest.raises(TypeError):
+        record.predicted[next(iter(record.predicted))] = 0
+
+
+def test_verify_reports_do_not_depend_on_the_order_of_p():
+    # the per-entry record is filled at whichever p comes first; it carries
+    # nothing that depends on p, so the order of the primes changes no report
+    rows = _shipped_rows()
+
+    def reports(primes):
+        checker._entry_record.cache_clear()
+        out = {}
+        for p in primes:
+            chi = Characteristic(p)
+            out[p] = [(ent.entry_id, verify_entry(ent, chi)) for ent in instantiate_rows(rows, 5, chi)]
+        return out
+
+    forward = reports(FILTER_PRIMES)
+    assert sum(map(len, forward.values())) == 483
+    assert reports(FILTER_PRIMES[::-1]) == forward
+
+
+def test_verify_guard_holds_after_a_smaller_weight_is_cached():
+    # a wrong kappa stops verify_entry after the record is made and before
+    # the branching, so a weight just below the guard is cached; the weight
+    # at the guard, and one past int64, still raise the capacity error
+    ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
+    limit = checker._chain_table(ambient, fam).limit
+
+    def entry(lam):
+        return ClassificationEntry(ambient, fam, lam, "any", None, -1, "test", "guard")
+
+    checker._entry_record.cache_clear()
+    rep = verify_entry(entry((limit - 1, 0, 0)), P0)
+    assert rep.verdict == "FAIL" and rep.reasons[0]["kind"] == "kappa-mismatch"
+    assert checker._entry_record.cache_info().currsize == 1
+    for lam in ((limit, 0, 0), (limit - 1, 1, 0), (1 << 63, 0, 0)):
+        with pytest.raises(kernels.KernelCapacityError):
+            verify_entry(entry(lam), P0)
+    assert checker._entry_record.cache_info().currsize == 1
 
 
 def clifford_classify(e, factors):
@@ -493,18 +573,18 @@ def test_branch_rejects_zero_weight():
 def test_filters_examples():
     rs = build_root_system(LieType("B", 5))
     e = build_embedding(LieType("B", 5), geom_family("c1", sub="DlB", l=2))
-    assert filters(rs, lam(5, (2, 1), (5, 1)), e, P0)
-    assert not filters(rs, lam(5, (5, 1)), e, P0)
+    assert necessary_filters(rs, lam(5, (2, 1), (5, 1)), e, P0)
+    assert not necessary_filters(rs, lam(5, (5, 1)), e, P0)
     rs = build_root_system(LieType("B", 3))
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
-    assert not filters(rs, lam(3, (3, 1)), e, P0)
+    assert not necessary_filters(rs, lam(3, (3, 1)), e, P0)
     rs = build_root_system(LieType("C", 4))
     e = build_embedding(LieType("C", 4), geom_family("c2", l=2, t=2))
-    assert not filters(rs, lam(4, (1, 1)), e, P0)
+    assert not necessary_filters(rs, lam(4, (1, 1)), e, P0)
     # two certified weights over one simple-root drop that carries one copy
     rs = build_root_system(LieType("B", 4))
     e = build_embedding(LieType("B", 4), geom_family("c4ii", l=1, t=2))
-    findings = filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
+    findings = necessary_filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
     assert [f["kind"] for f in findings] == ["multiplicity-bound-exceeded"]
     assert findings[0]["target"] == [1, 5] and findings[0]["capacity"] == 1
     # lam_4 of A_5 restricts irreducibly to D_3.2 (the D_3 adjoint module);
@@ -512,7 +592,7 @@ def test_filters_examples():
     # root below the orbit, where the capacity bound does not apply
     rs = build_root_system(LieType("A", 5))
     e = build_embedding(LieType("A", 5), geom_family("c6"))
-    assert not filters(rs, lam(5, (4, 1)), e, P0)
+    assert not necessary_filters(rs, lam(5, (4, 1)), e, P0)
 
 
 def test_filters_chain_certification_at_small_p():
@@ -520,8 +600,8 @@ def test_filters_chain_certification_at_small_p():
     # so the symplectic-form row lambda_2 must pass the filters
     rs = build_root_system(LieType("C", 2))
     e = build_embedding(LieType("C", 2), geom_family("c2", l=1, t=2))
-    assert filters(rs, (0, 1), e, P0)  # reducible at p = 0
-    assert not filters(rs, (0, 1), e, Characteristic(2))
+    assert necessary_filters(rs, (0, 1), e, P0)  # reducible at p = 0
+    assert not necessary_filters(rs, (0, 1), e, Characteristic(2))
 
 
 def test_ford_condition():

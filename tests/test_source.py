@@ -57,18 +57,21 @@ def test_clifford_inputs_read_only_in_prediction():
     assert {name for _, name, _ in callers} == CLIFFORD_INPUTS
 
 
-# the scan restricts its candidates in one int64 product and reads each
-# component orbit from its one prediction; the object-dtype restriction and
-# a second orbit search stay off that path
+# the scan and the entry verification restrict in one int64 product and read
+# each component orbit from its one prediction; the object-dtype restriction
+# and a second orbit search stay off both paths
 SCAN_PATH_EXCLUDED = {"restrict_weight", "component_orbit_set"}
 
 
-def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
+def _checker_reach(root):
+    """(checker functions reached from root, their calls as (caller, callee, line)).
+
+    The prediction is the sanctioned reader of the component group and is
+    not entered.
+    """
     tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-    # the checker functions scan_candidates reaches; the prediction is the
-    # sanctioned reader of the component group and is not entered
-    reached, todo, calls = set(), ["scan_candidates"], []
+    reached, todo, calls = set(), [root], []
     while todo:
         name = todo.pop()
         if name in reached or name == "clifford_prediction":
@@ -80,7 +83,20 @@ def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
                 calls.append((name, callee, node.lineno))
                 if callee in functions:
                     todo.append(callee)
-    assert {"_screen", "_prediction_blocks", "_branch_p0"} <= reached
+    return reached, calls
+
+
+def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
+    reached, calls = _checker_reach("scan_candidates")
+    assert {"_geometry", "_screen", "_prediction_blocks", "_branch_p0"} <= reached
+    assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
+
+
+def test_verify_path_calls_no_scalar_restriction_or_orbit_search():
+    # verify_entry reads the restriction and the prediction from its cached
+    # per-entry record, and the filters read the same record
+    reached, calls = _checker_reach("verify_entry")
+    assert {"_entry_record", "necessary_filters", "_geometry", "_screen", "_branch_p0"} <= reached
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
 
