@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
+from .kernels import dominant_representative, orbit_size
 from .rootsys import LieType, RootSystem, build_root_system
-from .weylgroup import dominant_representative, orbit_size
 
 
 def _is_prime(p: int) -> bool:
@@ -128,17 +128,11 @@ def mult_rule_bwt(n: int, chi: Characteristic) -> int:
     return n
 
 
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _is_p_restricted(lam, chi: Characteristic) -> bool:
     return chi.p == 0 or all(c < chi.p for c in lam)
+
+
+IRR_DIM_CACHE_SIZE = 4096
 
 
 def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
@@ -146,13 +140,17 @@ def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
     lam = _require_dominant(rs.check_weight(lam))
     if not _is_p_restricted(lam, chi):
         raise ValueError(f"{lam} is not {chi.p}-restricted")
-    n = rs.rank
-    fam = rs.lie_type.family
-    p = chi.p
+    return _irr_dim_cached(rs.lie_type, lam, chi.p)
+
+
+@functools.lru_cache(maxsize=IRR_DIM_CACHE_SIZE)
+def _irr_dim_cached(t: LieType, lam, p):
+    n = t.rank
+    fam = t.family
     if all(c == 0 for c in lam):
         return 1, "trivial"
     if p == 0:
-        return weyl_dim(rs, lam), "weyl-char-0"
+        return weyl_dim(build_root_system(t), lam), "weyl-char-0"
 
     support = [(i + 1, c) for i, c in enumerate(lam) if c]
 
@@ -162,7 +160,7 @@ def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
     # single-orbit (minimal weight) modules: dimension is characteristic-free
     if fam == "A" and len(support) == 1 and support[0][1] == 1:
         k = support[0][0]
-        return _binom(n + 1, k), "minimal"
+        return math.comb(n + 1, k), "minimal"
     if fam == "B" and is_fund(n):
         if p == 2:
             return None, "unknown"
@@ -177,7 +175,7 @@ def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
     if fam == "A":
         if len(support) == 1 and support[0][0] in (1, n):
             a = support[0][1]
-            return _binom(n + a, a), "table"
+            return math.comb(n + a, a), "table"
         return None, "unknown"
 
     if fam == "B":
@@ -219,7 +217,7 @@ def irr_dim_with_rule(rs: RootSystem, lam, chi: Characteristic):
     if support in ([(n - 1, 2)], [(n, 2)]):
         if p == 2:
             return 1 << (n - 1), "table"
-        return _binom(2 * n, n) // 2, "table"
+        return math.comb(2 * n, n) // 2, "table"
     if support in ([(1, 1), (n - 1, 1)], [(1, 1), (n, 1)]):
         if n % p == 0:
             return (1 << n) * (n - 1), "table"

@@ -48,10 +48,9 @@ from .embeddings import (
     ell_value,
     existence_ok,
     p_condition_ok,
-    restrict_weight,
 )
+from .kernels import orbit_cap
 from .rootsys import LieType, build_root_system
-from .weylgroup import orbit_cap
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -143,7 +142,7 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     a FAIL carries one branch-structure-mismatch record with both maps.
     """
     lam = rs.check_weight(lam)
-    return _branch_p0(rs, lam, e, clifford_prediction(e, restrict_weight(e, lam)), cap)
+    return _branch_p0(rs, lam, e, _entry_record(e.ambient, e.family, lam).predicted, cap)
 
 
 def _branch_p0(rs, lam, e: Embedding, predicted, cap) -> BranchReport:
@@ -619,21 +618,27 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     necessary filters in blocks; a survivor's branching reuses its
     prediction.
     """
+    return list(_scan_verdicts(ambient, e, chi, coeff_sum_bound, cap))
+
+
+def _scan_verdicts(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap):
+    """``scan_candidates`` one (lam, verdict) at a time, each yielded as it
+    is decided, so that an error leaves the verdicts before it with the caller."""
     rs = build_root_system(ambient)
     lams = dominant_weights_bounded(ambient.rank, coeff_sum_bound, chi.p)
     t = _exact_chain_table(e, lams)
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), ambient.rank)
     lam_h_a = lam_a @ e.restriction
-    results = []
+    start = 0
     for predictions in _prediction_blocks(e, lam_h_a.tolist()):
-        block = slice(len(results), len(results) + len(predictions))
+        block = slice(start, start + len(predictions))
+        start = block.stop
         screen = _screen(rs, chi, t, _geometry(e, t, lam_a[block], lam_h_a[block], predictions))
         for lam, predicted, filtered in zip(lams[block], predictions, screen.filtered().tolist()):
             if filtered:
-                results.append((lam, FILTERED))
+                yield lam, FILTERED
             elif chi.p != 0:
-                results.append((lam, UNRESOLVED))
+                yield lam, UNRESOLVED
             else:
                 rep = _branch_p0(rs, lam, e, predicted, cap)
-                results.append((lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE))
-    return results
+                yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

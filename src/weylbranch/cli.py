@@ -1,8 +1,8 @@
 """Command-line surface: dim, branch, verify, scan, rootsys-info, orbit.
 
 Reports are emitted as line-delimited JSON records with stable field names
-and deterministic ordering; human-oriented summaries go to stderr.  The
-WEYLBRANCH_CAP environment variable overrides the orbit enumeration cap.
+and deterministic ordering; human-oriented summaries go to stderr.  Setting
+WEYLBRANCH_CAP to a positive integer overrides the orbit enumeration cap.
 Exit codes: 2 for a usage error, 3 for a failed internal invariant.
 """
 
@@ -18,15 +18,14 @@ from .charcalc import Characteristic
 from .checker import (
     FAIL,
     IRREDUCIBLE,
+    _scan_verdicts,
     branch_p0,
     entry_gate,
-    scan_candidates,
     verify_entry,
 )
 from .embeddings import FAMILY_TAGS, build_embedding, format_h0_weight, geom_family
-from .kernels import KernelCapacityError
+from .kernels import KernelCapacityError, orbit_cap, orbit_size, weyl_orbit_array
 from .rootsys import LieType, build_root_system, minimal_weights
-from .weylgroup import orbit_cap, orbit_enumerate, orbit_size
 
 SHIPPED = ("all", "c136", "c2", "c4i", "c4ii")
 
@@ -197,10 +196,12 @@ def cmd_scan(args) -> int:
     if args.assert_tables and chi.p != 0:
         print("error: --assert requires --p 0 (full verdicts)", file=sys.stderr)
         return 2
-    results = scan_candidates(t, e, chi, args.bound)
     out = sys.stdout
-    for lam, verdict in results:
+    found = []
+    for lam, verdict in _scan_verdicts(t, e, chi, args.bound, None):
         _emit({"weight": list(lam), "verdict": verdict}, out)
+        if verdict == IRREDUCIBLE:
+            found.append(lam)
     if args.assert_tables:
         rows = _shipped_rows("all")
         entries = tables.instantiate_rows(rows, t.rank, chi, args.bound)
@@ -212,7 +213,7 @@ def cmd_scan(args) -> int:
             and sum(entry.lam) <= args.bound
             and entry_gate(entry, chi.p)[1] is None
         )
-        found = sorted(lam for lam, v in results if v == IRREDUCIBLE)
+        found.sort()
         record = {"assert": found == expected, "expected": [list(x) for x in expected], "found": [list(x) for x in found]}
         _emit(record, out)
         if found != expected:
@@ -241,13 +242,13 @@ def cmd_orbit(args) -> int:
     rs = build_root_system(t)
     w = _weight(args.coeffs, t.rank)
     summary = orbit_size(rs, w)
-    elements = orbit_enumerate(rs, w) if args.list else []
+    rows = weyl_orbit_array(rs, w).tolist() if args.list else []
     print(f"dominant_rep\t{','.join(map(str, summary.dominant_rep))}")
     print(f"orbit_size\t{summary.orbit_size}")
     stab = " x ".join(str(x) for x in summary.stabilizer_type) or "trivial"
     print(f"stabilizer\t{stab}")
-    for el in elements:
-        print(",".join(map(str, el)))
+    for row in rows:
+        print(",".join(map(str, row)))
     return 0
 
 

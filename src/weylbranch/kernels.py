@@ -5,7 +5,7 @@ tuples, so they are exact at every rank; the only bound is the ``maxdom`` cap
 on the size of a dominant table.  The per-root data they read is the table
 each ``RootSystem`` builds once (``root_weights``, ``root_forms``,
 ``root_norms``).  Every dominant step, in these kernels, in
-the orbit kernel and in ``weylgroup.dominant_representative``, goes through
+the orbit kernel and in ``dominant_representative``, goes through
 the one helper ``_domrep_py``.
 
 The orbit kernel walks one chain of standard parabolic subgroups per root
@@ -14,7 +14,8 @@ minimal coset representatives of each step are one cached int64 block, and
 an orbit costs one matrix product per node at which it moves.  Rows repeat
 only at the zero nodes of the dominant representative, so only those stages
 are deduplicated, by whole rows.  The orbit size comes from the stabilizer's
-type before any row is made, so the enumeration cap is checked up front.
+type before any row is made (``orbit_size``), so the enumeration cap
+(``orbit_cap``) is checked up front.
 Rows are sorted and deduplicated through int64 keys that each pack as many
 coordinates as fit, so neither the rank nor a packing width limits the
 kernel, only the int64 range of the coordinates; the orbit comes back in
@@ -26,6 +27,8 @@ Weights are in fundamental-weight coordinates throughout.
 from __future__ import annotations
 
 import functools
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +39,9 @@ from .rootsys import parabolic_index
 HAVE_NUMBA = False
 
 _STEP_GUARD = 10_000_000  # dominant steps; unreachable for valid Cartan data
+
+DEFAULT_CAP = 1_000_000  # orbit elements
+DEFAULT_MAXDOM = 2_000_000  # weights in one dominant table
 
 
 class KernelCapacityError(Exception):
@@ -62,6 +68,42 @@ def _domrep_py(w, cartan):
 
 # the benchmark's tracer counts dominant steps through this entry
 PURE_KERNELS = {"domrep": _domrep_py}
+
+
+def orbit_cap() -> int:
+    """Enumeration cap; overridable through WEYLBRANCH_CAP (a positive integer)."""
+    v = os.environ.get("WEYLBRANCH_CAP", "")
+    if not v:
+        return DEFAULT_CAP
+    try:
+        cap = int(v)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError(f"WEYLBRANCH_CAP must be a positive integer, got {v!r}")
+    return cap
+
+
+@dataclass(frozen=True)
+class OrbitSummary:
+    dominant_rep: tuple
+    orbit_size: int
+    stabilizer_type: tuple  # sorted tuple of LieType
+
+
+def dominant_representative(rs, w):
+    """The unique dominant weight in the orbit of w, plus a word length."""
+    rep = list(rs.check_weight(w))
+    steps = _domrep_py(rep, rs.cartan_support)
+    return tuple(rep), steps
+
+
+def orbit_size(rs, w) -> OrbitSummary:
+    """|W| / |W_stab| via the parabolic stabilizer of the dominant representative."""
+    dom, _ = dominant_representative(rs, w)
+    size, types = parabolic_index(rs, [i for i in range(rs.rank) if dom[i] == 0])
+    return OrbitSummary(dominant_rep=dom, orbit_size=size, stabilizer_type=types)
+
 
 # an orbit coordinate is the pairing of w with a coroot, at most 2 * sum|w|
 # for the classical types; this bound keeps the kernel's int64 products exact
@@ -136,7 +178,7 @@ def _lex_sorted(rows, bound, unique=False):
     return rows[order]
 
 
-def weyl_orbit_array(rs, w, cap=1_000_000):
+def weyl_orbit_array(rs, w, cap=None):
     """The full Weyl orbit of a weight as int64 rows in lexicographic order.
 
     The orbit of the dominant representative mu is U_0 U_1 ... U_{n-1} mu
@@ -146,16 +188,17 @@ def weyl_orbit_array(rs, w, cap=1_000_000):
     stage repeat only where mu_k = 0, the one place the stabilizer grows, so
     only those stages are deduplicated by whole rows.  The orbit size
     |W : W_mu| is known from the zero nodes of mu up front: more than ``cap``
-    elements raise before any is enumerated, and so does a walk that does not
-    end with exactly that many rows.
+    elements (``orbit_cap()`` if None) raise before any is enumerated, and so
+    does a walk that does not end with exactly that many rows.
     """
+    w = rs.check_weight(w)
     where = f"orbit({rs.lie_type}, {w})"
-    span = sum(abs(int(c)) for c in w)
+    span = sum(map(abs, w))
     if span >= _ORBIT_COORD_LIMIT:
         raise KernelCapacityError(f"{where}: coordinates exceed the int64 range")
-    rep = [int(c) for c in w]
-    _domrep_py(rep, rs.cartan_support)
-    size, _ = parabolic_index(rs, [i for i, c in enumerate(rep) if c == 0])
+    summary = orbit_size(rs, w)
+    rep, size = summary.dominant_rep, summary.orbit_size
+    cap = orbit_cap() if cap is None else cap
     if size > cap:
         raise KernelCapacityError(f"{where}: the orbit has {size} elements, cap {cap}")
     n = len(rep)
@@ -175,7 +218,7 @@ def weyl_orbit_array(rs, w, cap=1_000_000):
     return rows if ordered else _lex_sorted(rows, bound)
 
 
-def dominant_table(rs, lam, maxdom=2_000_000):
+def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     """(weights, heights): the dominant weights under lam, highest first.
 
     heights[i] is the coefficient sum of lam - weights[i] over the simple
@@ -203,7 +246,7 @@ def dominant_table(rs, lam, maxdom=2_000_000):
     return weights, [heights[w] for w in weights]
 
 
-def freudenthal_table(rs, lam, maxdom=2_000_000):
+def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     """Dominant weights of the Weyl module W(lam) -> multiplicities.
 
     Freudenthal's recursion over the dominant table, highest weight first:

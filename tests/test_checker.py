@@ -32,6 +32,7 @@ from weylbranch.embeddings import (
     geom_family,
     restrict_weight,
 )
+from weylbranch.kernels import orbit_size
 from weylbranch.rootsys import (
     LieType,
     build_root_system,
@@ -40,7 +41,6 @@ from weylbranch.rootsys import (
     weight_to_root_coords,
 )
 from weylbranch.tables import instantiate_rows
-from weylbranch.weylgroup import orbit_size
 
 P0 = Characteristic(0)
 P0_INSTANCES = [(ambient, e) for ambient, _, e in _p0_instances(4)]
@@ -383,6 +383,19 @@ def test_filters_guard_follows_exact_prediction():
         assert all(type(x) is int for c in predicted for x in c)
         with pytest.raises(kernels.KernelCapacityError):
             necessary_filters(rs, w, e, P0)
+
+
+def test_branch_guard_raises_before_any_table(monkeypatch):
+    # branch_p0 reads its prediction from the per-entry record, whose int64
+    # guard is checked first: a weight past it raises the capacity error at
+    # once, before any Freudenthal table or orbit is made for it
+    ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
+    rs, e = build_root_system(ambient), build_embedding(ambient, fam)
+    limit = checker._chain_table(ambient, fam).limit
+    monkeypatch.setattr(checker, "restricted_multiset", lambda *args, **kw: pytest.fail("branched past the guard"))
+    for lam in ((limit, 0, 0), (0, 1 << 62, 1 << 62), (1 << 63, 0, 0)):
+        with pytest.raises(kernels.KernelCapacityError, match="int64"):
+            branch_p0(rs, lam, e)
 
 
 def test_entry_record_is_read_only():

@@ -169,6 +169,20 @@ def test_orbit_cap_env(capsys, monkeypatch):
     monkeypatch.delenv("WEYLBRANCH_CAP")
 
 
+def test_scan_keeps_records_decided_before_the_cap(capsys, monkeypatch):
+    # the 5th candidate (0,0,1,1) has a Weyl orbit of 96 elements; with cap 20
+    # the scan still writes the four verdicts decided before it, then exits 2
+    argv = ("scan", "B", "4", "c1:Dn", "--bound", "3")
+    monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)
+    code, full, _ = run(capsys, *argv)
+    assert code == 0 and len(full.splitlines()) == 34
+    monkeypatch.setenv("WEYLBRANCH_CAP", "20")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "(0, 0, 1, 1)" in err and "cap 20" in err
+    assert out == "".join(full.splitlines(keepends=True)[:4])
+    assert json.loads(full.splitlines()[4])["weight"] == [0, 0, 1, 1]
+
+
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     real = charcalc.product_weyl_dim
     monkeypatch.setattr(charcalc, "product_weyl_dim", lambda rs_list, hw: real(rs_list, hw) + 1)
@@ -222,6 +236,10 @@ def test_report_digests(capsys, monkeypatch):
          "4785fe5822437d9c7c83ab0fb20c5f6b77d51cb97a4b420fc7d9f74c3f0fea10"),
         (("scan", "B", "5", "c1:Dn", "--bound", "3"),
          "8393c158c806096a2c0b862d1f5d1f803ece7f3f279c5c54bece9ff876626087"),
+        (("orbit", "B", "3", "0,0,1", "--list"),
+         "e06689293a05327ed90f810b2d2686091a472629b49346e83c4315acde319bb6"),
+        (("orbit", "D", "4", "1,0,0,1", "--list"),
+         "5aa5d37f508597f6f9bb12b5f3178efb589b5b0335621c1ce7dfffe918e74e18"),
     ]
     for argv, digest in cases:
         code, out, _ = run(capsys, *argv)

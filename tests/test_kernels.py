@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal, weyl_dim
+from weylbranch.kernels import dominant_representative, orbit_size
 from weylbranch.rootsys import LieType, build_root_system, parabolic_index
-from weylbranch.weylgroup import dominant_representative, orbit_size
 
 from test_rootsys import ALL_TYPES
 

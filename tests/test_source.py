@@ -100,6 +100,17 @@ def test_verify_path_calls_no_scalar_restriction_or_orbit_search():
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
 
+def test_branch_path_calls_no_scalar_restriction_or_orbit_search():
+    # branch_p0 reads its prediction from the same per-entry record as
+    # verify_entry, and the checker no longer imports the scalar restriction
+    reached, calls = _checker_reach("branch_p0")
+    assert {"_entry_record", "_branch_p0"} <= reached
+    assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
+    tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "restrict_weight" not in imported
+
+
 def test_tables_state_no_family_arithmetic():
     # which instances exist is stated once, in embeddings.instance_params; the
     # tables iterate it and never branch on a family tag themselves
@@ -114,6 +125,20 @@ def test_tables_state_no_family_arithmetic():
         if isinstance(operand, ast.Constant) and operand.value in FAMILY_TAGS
     ]
     assert not found, found
+
+
+def test_orbit_cap_read_only_in_kernels():
+    # the enumeration cap and its environment override are stated once, in
+    # kernels.orbit_cap; every other module reads them through it
+    environ, literal = [], []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "environ":
+                environ.append(name)
+            elif isinstance(node, ast.Constant) and type(node.value) is int and node.value == 1_000_000:
+                literal.append(name)
+    assert environ == ["kernels.py"], environ
+    assert literal == ["kernels.py"], literal
 
 
 # per-positive-root data is derived once, in the table RootSystem builds;

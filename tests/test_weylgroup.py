@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylbranch.kernels import KernelCapacityError
+from weylbranch.kernels import KernelCapacityError, dominant_representative, orbit_size, weyl_orbit_array
 from weylbranch.rootsys import LieType, build_root_system, pairing, root_coords_to_weight
-from weylbranch.weylgroup import dominant_representative, orbit_enumerate, orbit_size
 
 TYPES = [
     LieType(f, n)
@@ -66,13 +65,16 @@ def test_orbit_sizes():
 
 def test_orbit_enumerate_examples():
     rs = build_root_system(LieType("A", 2))
-    assert orbit_enumerate(rs, (1, 0)) == [(-1, 1), (0, -1), (1, 0)]
+    assert weyl_orbit_array(rs, (1, 0)).tolist() == [[-1, 1], [0, -1], [1, 0]]
     rs = build_root_system(LieType("C", 2))
-    assert len(orbit_enumerate(rs, (1, 0))) == 4
+    assert len(weyl_orbit_array(rs, (1, 0))) == 4
     rs = build_root_system(LieType("D", 4))
-    assert orbit_enumerate(rs, (0, 0, 0, 0)) == [(0, 0, 0, 0)]
+    assert weyl_orbit_array(rs, (0, 0, 0, 0)).tolist() == [[0, 0, 0, 0]]
     with pytest.raises(KernelCapacityError):
-        orbit_enumerate(rs, (1, 1, 1, 1), cap=10)
+        weyl_orbit_array(rs, (1, 1, 1, 1), cap=10)
+    # a non-integral coordinate is refused, not truncated
+    with pytest.raises(ValueError, match="non-integral"):
+        weyl_orbit_array(rs, (1, 0, 0, 0.5))
 
 
 def test_orbit_enumerate_counts_match_sizes():
@@ -84,7 +86,7 @@ def test_orbit_enumerate_counts_match_sizes():
             rs = build_root_system(LieType(f, n))
             for lam in dominant_weights_bounded(n, 3):
                 summary = orbit_size(rs, lam)
-                assert len(orbit_enumerate(rs, lam)) == summary.orbit_size
+                assert len(weyl_orbit_array(rs, lam)) == summary.orbit_size
 
 
 def test_orbit_stabilizer_types_with_fork():
