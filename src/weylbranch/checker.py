@@ -22,8 +22,12 @@ does.  So an entry's characteristic-free part (its restriction, its
 ``clifford_prediction`` and the filters' geometry) is decided once per
 (ambient, family, lam) and cached, and each characteristic runs only the
 certification on it.  A scan restricts its bounded candidates in one int64
-product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows; each
-survivor goes on to the branching with its prediction already made.
+product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows.  At
+p = 0 a survivor goes on to the branching, with its prediction already made,
+only when the prediction's dimension sum (sum of m * dim over its factors)
+equals dim V; otherwise it is REDUCIBLE at once.  That is exact: IRREDUCIBLE
+means the factors are the prediction, and branch conservation makes their
+dimension sum dim V.
 """
 
 from __future__ import annotations
@@ -615,8 +619,10 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     p = 0: IRREDUCIBLE / REDUCIBLE / FILTERED (exact, via the branching
     oracle).  p > 0: FILTERED / UNRESOLVED (necessary conditions only).
     The candidates are restricted in one int64 product and screened by the
-    necessary filters in blocks; a survivor's branching reuses its
-    prediction.
+    necessary filters in blocks.  At p = 0 a survivor whose prediction's
+    dimension sum differs from dim V is REDUCIBLE without a branching, since
+    conservation gives an IRREDUCIBLE one exactly that sum; only the others
+    are branched, reusing their prediction, and only they can meet ``cap``.
     """
     return list(_scan_verdicts(ambient, e, chi, coeff_sum_bound, cap))
 
@@ -639,6 +645,10 @@ def _scan_verdicts(ambient: LieType, e: Embedding, chi: Characteristic, coeff_su
                 yield lam, FILTERED
             elif chi.p != 0:
                 yield lam, UNRESOLVED
+            elif sum(m * charcalc.product_weyl_dim(e.factor_systems, c) for c, m in predicted.items()) != weyl_dim(rs, lam):
+                # IRREDUCIBLE means the factors are ``predicted``, and
+                # conservation makes their dimension sum dim V
+                yield lam, REDUCIBLE
             else:
                 rep = _branch_p0(rs, lam, e, predicted, cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

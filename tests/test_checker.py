@@ -324,20 +324,29 @@ def _scalar_filtered(ambient, family, w, p):
     return bool(scalar_necessary_filters(build_root_system(ambient), w, e, Characteristic(p)))
 
 
+# (ambient, embedding, coefficient sum bound); B7 c1:Dn adds a rank where
+# nearly every unfiltered candidate is decided by its dimension sum
+SCAN_ORACLE_INSTANCES = [(ambient, e, 3) for ambient, e in FILTER_INSTANCES] + [
+    (LieType("B", 7), build_embedding(LieType("B", 7), geom_family("c1", sub="Dn")), 2)
+]
+
+
 @pytest.mark.parametrize("block_rows", [1, checker.SCREEN_BLOCK_ROWS])
 def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
     # the block screen against the one-chain-at-a-time oracle, which shares
-    # no code with it, on blocks of one candidate and at the default size
+    # no code with it, and every p = 0 verdict against branch_p0, which
+    # branches without the dimension-sum shortcut; on blocks of one
+    # candidate and at the default size
     monkeypatch.setattr(checker, "SCREEN_BLOCK_ROWS", block_rows)
     geometry = checker._geometry
     blocks = []
     monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[-1])) or geometry(*args))
     scans = 0
-    for ambient, e in FILTER_INSTANCES:
+    for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         rs = build_root_system(ambient)
         for p in FILTER_PRIMES:
-            res = scan_candidates(ambient, e, Characteristic(p), 3)
-            assert [w for w, _ in res] == dominant_weights_bounded(ambient.rank, 3, p)
+            res = scan_candidates(ambient, e, Characteristic(p), bound)
+            assert [w for w, _ in res] == dominant_weights_bounded(ambient.rank, bound, p)
             filtered = {w for w, v in res if v == "FILTERED"}
             assert filtered == {w for w, _ in res if _scalar_filtered(ambient, e.family, w, p)}, (ambient, e.family, p)
             for w, v in res:
@@ -353,6 +362,21 @@ def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
     else:
         # some scan spans several blocks, and some block holds several candidates
         assert len(blocks) > scans and max(blocks) > 1
+
+
+def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):
+    # of B5 c1:Dn's 15 unfiltered candidates at bound 3, only (0,0,0,0,1) has
+    # a prediction whose dimension sum is dim V; the rest are REDUCIBLE
+    # without a branching
+    ambient = LieType("B", 5)
+    e = build_embedding(ambient, geom_family("c1", sub="Dn"))
+    branch = checker._branch_p0
+    calls = []
+    monkeypatch.setattr(checker, "_branch_p0", lambda rs, lam, *args: calls.append(lam) or branch(rs, lam, *args))
+    res = scan_candidates(ambient, e, P0, 3)
+    assert sum(v != "FILTERED" for _, v in res) == 15
+    assert calls == [(0, 0, 0, 0, 1)]
+    assert dict(res)[(0, 0, 0, 0, 1)] == "IRREDUCIBLE"
 
 
 def test_filters_int64_guard():

@@ -8,7 +8,7 @@ import pytest
 from weylbranch import charcalc, checker
 from weylbranch.cli import main, parse_family_spec
 from weylbranch.embeddings import build_embedding, geom_family
-from weylbranch.rootsys import LieType
+from weylbranch.rootsys import LieType, build_root_system
 
 
 def run(capsys, *argv):
@@ -170,17 +170,34 @@ def test_orbit_cap_env(capsys, monkeypatch):
 
 
 def test_scan_keeps_records_decided_before_the_cap(capsys, monkeypatch):
-    # the 5th candidate (0,0,1,1) has a Weyl orbit of 96 elements; with cap 20
-    # the scan still writes the four verdicts decided before it, then exits 2
+    # the 4th candidate (0,0,0,1,0) is IRREDUCIBLE, so it is branched, and its
+    # Weyl orbit has 15 elements; with cap 14 the scan still writes the three
+    # verdicts decided before it, then exits 2
+    argv = ("scan", "A", "5", "c6:Dm", "--bound", "3")
+    monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)
+    code, full, _ = run(capsys, *argv)
+    assert code == 0 and len(full.splitlines()) == 55
+    monkeypatch.setenv("WEYLBRANCH_CAP", "14")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "(0, 0, 0, 1, 0)" in err and "cap 14" in err
+    assert out == "".join(full.splitlines(keepends=True)[:3])
+    assert json.loads(full.splitlines()[3]) == {"verdict": "IRREDUCIBLE", "weight": [0, 0, 0, 1, 0]}
+
+
+def test_scan_cap_spares_candidates_decided_by_dimension(capsys, monkeypatch):
+    # B4 c1:Dn's REDUCIBLE candidates have Weyl orbits of up to 192 elements,
+    # but each fails its prediction's dimension sum and is never branched, so
+    # cap 20 leaves the scan as it is
     argv = ("scan", "B", "4", "c1:Dn", "--bound", "3")
     monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)
     code, full, _ = run(capsys, *argv)
     assert code == 0 and len(full.splitlines()) == 34
+    rs = build_root_system(LieType("B", 4))
+    reducible = [r["weight"] for r in map(json.loads, full.splitlines()) if r["verdict"] == "REDUCIBLE"]
+    assert max(charcalc.freudenthal(rs, w).largest_orbit for w in reducible) == 192
     monkeypatch.setenv("WEYLBRANCH_CAP", "20")
     code, out, err = run(capsys, *argv)
-    assert code == 2 and "(0, 0, 1, 1)" in err and "cap 20" in err
-    assert out == "".join(full.splitlines(keepends=True)[:4])
-    assert json.loads(full.splitlines()[4])["weight"] == [0, 0, 1, 1]
+    assert code == 0 and out == full and err == ""
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
