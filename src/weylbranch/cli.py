@@ -23,7 +23,7 @@ from .checker import (
     entry_gate,
     verify_entry,
 )
-from .embeddings import FAMILY_TAGS, build_embedding, format_h0_weight, geom_family
+from .embeddings import FAMILY_TAGS, build_embedding, format_h0_weight, instances
 from .kernels import KernelCapacityError, orbit_cap, orbit_size, weyl_orbit_array
 from .rootsys import LieType, build_root_system, minimal_weights
 
@@ -52,53 +52,41 @@ def _weight(text: str, n: int):
     return tuple(int(p) for p in parts)
 
 
-# the flags a family spec may carry, and the selector each one sets; c6:Dm
-# only names the D_m factor of c6 on A
-_FLAGS = {
-    "c1": {"Dn": ("sub", "Dn")},
-    "c2": {"Bl": ("kind", "Bl"), "Dl": ("kind", "Dl")},
-    "c4ii": {"Cl": ("kind", "Cl"), "Dl": ("kind", "Dl")},
-    "c6": {"Dm": None},
-}
-
-# the selector a spec without a flag takes, per (tag, ambient family)
-_DEFAULT_SELECTORS = {
-    ("c1", "B"): ("sub", "DlB"),
-    ("c1", "D"): ("sub", "DlD"),
-    ("c2", "D"): ("kind", "Dl"),
-    ("c4ii", "D"): ("kind", "Cl"),
-}
+def _spec_value(text: str):
+    """A spec value: an integer parameter, or else a selector string."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def parse_family_spec(spec: str, ambient: LieType):
-    """'c1:Dn', 'c2:l=1,t=2', 'c2:Dl,l=2,t=2', 'c6:Dm', 'c4i:a=1,b=2', ...
+    """The instance at ``ambient`` named by a spec such as 'c1:Dn' or 'c2:l=1,t=2'.
 
-    Every part of the spec reaches the family; ``build_embedding`` rejects a
-    family that is not an instance at the ambient type.
+    That is the first instance, in enumeration order, whose parameters include
+    every ``k=v`` (a non-integer ``v`` is a selector value) and every bare
+    flag, and whose integer parameters the spec all gives.  So a selector is a
+    flag, a ``k=v``, or left out where one instance fits, and every instance
+    name the package prints parses back.  ``c6:Dm`` names plain ``c6``.
     """
     tag, _, rest = spec.partition(":")
     tag = tag.strip()
     if tag not in FAMILY_TAGS:
         raise ValueError(f"unknown family spec {spec!r}")
-    flags = _FLAGS.get(tag, {})
-    params = {}
-    for token in filter(None, (t.strip() for t in rest.split(","))):
-        if "=" in token:
-            k, v = token.split("=")
-            selector = (k.strip(), int(v))
-        elif token in flags:
-            selector = flags[token]
-        else:
-            raise ValueError(f"unknown flag {token!r} in family spec {spec!r}")
-        if selector is None:
-            continue
-        if selector[0] in params:
-            raise ValueError(f"{selector[0]} set twice in family spec {spec!r}")
-        params[selector[0]] = selector[1]
-    default = _DEFAULT_SELECTORS.get((tag, ambient.family))
-    if default is not None:
-        params.setdefault(*default)
-    return geom_family(tag, **params)
+    tokens = [[s.strip() for s in t.partition("=")] for t in rest.split(",") if t.strip()]
+    names = [k for k, _, _ in tokens]
+    if len(set(names)) < len(names):
+        raise ValueError(f"a parameter or flag is repeated in family spec {spec!r}")
+    given = {k: _spec_value(v) for k, eq, v in tokens if eq}
+    flags = {k for k, eq, _ in tokens if not eq} - ({"Dm"} if tag == "c6" else set())
+    families = instances(tag, ambient)
+    for fam in families:
+        params = dict(fam.params)
+        integers = {k for k, v in params.items() if isinstance(v, int)}
+        if given.items() <= params.items() and flags <= set(params.values()) and integers <= given.keys():
+            return fam
+    listed = ", ".join(map(str, families)) or "none"
+    raise ValueError(f"no instance {spec} on {ambient}; the {tag} instances on {ambient} are: {listed}")
 
 
 def _shipped_rows(name: str):

@@ -634,6 +634,11 @@ def family_of(tag, params):
     return geom_family(tag, **{k: v for k, v in params.items() if k != "m"})
 
 
+def instances(tag, ambient: LieType):
+    """The families of every instance of ``tag`` at ``ambient``, in enumeration order."""
+    return [family_of(tag, p) for p in instance_params(tag, ambient.family, ambient.rank)]
+
+
 _BUILDERS = {
     "c1": _build_c1,
     "c2": _build_c2,
@@ -650,7 +655,7 @@ def build_embedding(ambient: LieType, family: GeomFamily) -> Embedding:
 
     Accepts exactly the instances that ``instance_params`` enumerates.
     """
-    valid = [family_of(family.tag, p) for p in instance_params(family.tag, ambient.family, ambient.rank)]
+    valid = instances(family.tag, ambient)
     if family not in valid:
         listed = ", ".join(map(str, valid)) or "none"
         raise ValueError(f"no instance {family} on {ambient}; the {family.tag} instances on {ambient} are: {listed}")

@@ -5,15 +5,16 @@ One record per line, seven tab-separated fields:
     family  ambient  params  lambda  p_cond  kappa  restriction
 
 ``ambient`` is a family letter, optionally ``:rank`` to pin the rank.
-``params`` is ``-`` or ``;``-separated clauses: string selectors
-(``sub=Dn``, ``kind=Bl``) and integer constraints (``l>=2``, ``t%2=0``,
-``l=1``) over the enumerated parameters, which ``embeddings.instance_params``
-yields.  ``lambda`` is a sum of ``L(i)`` terms with integer-expression
-indices, optionally ``@k=lo..hi`` iterated, or one of the generic patterns
-``ford``/``sz``/``noan``.  ``kappa`` is an integer expression;
-``restriction`` a sum of ``w(f,j)`` terms and ``S(i=lo..hi, expr)`` sums,
-``-`` when there is no semisimple part, or the pattern name for pattern
-rows.  Lines starting with ``#`` are comments.
+``params`` is ``-`` or ``;``-separated clauses over the parameters that
+``embeddings.instance_params`` yields for each instance.  A selector, a
+parameter with a string value, takes ``=`` or ``!=`` (``sub=Dn``); any other
+clause is an integer constraint (``l>=2``, ``t%2=0``, ``l=1``), and a name
+the instance lacks is an error.  ``lambda`` is a sum of ``L(i)`` terms with
+integer-expression indices, optionally ``@k=lo..hi`` iterated, or one of the
+generic patterns ``ford``/``sz``/``noan``.  ``kappa`` is an integer
+expression; ``restriction`` a sum of ``w(f,j)`` terms and
+``S(i=lo..hi, expr)`` sums, ``-`` when there is no semisimple part, or the
+pattern name for pattern rows.  Lines starting with ``#`` are comments.
 
 Rank-generic rows are instantiated up to a rank cap; pattern rows are
 expanded at a concrete characteristic.
@@ -188,18 +189,22 @@ def eval_int(expr: str, env) -> int:
 
 
 def check_clause(clause: str, env) -> bool:
-    """Constraint clauses: 'l>=2', 't%2=0', 'l=1', 'sub=Dn', 'a>b'."""
+    """Constraint clauses: 'l>=2', 't%2=0', 'l=1', 'a>b', and selector clauses.
+
+    A clause whose left side names a string parameter of the instance, such
+    as 'sub=Dn', compares strings and takes only = and !=; any other left
+    side is an integer expression.
+    """
     m = re.match(r"^(\w+)%(\d+)=(\d+)$", clause)
     if m:
         return eval_int(m.group(1), env) % int(m.group(2)) == int(m.group(3))
     for op in (">=", "<=", "!=", "=", "<", ">"):
         if op in clause:
-            lhs, rhs = clause.split(op, 1)
-            lhs = lhs.strip()
-            rhs = rhs.strip()
-            if lhs in ("sub", "kind"):
-                sval = str(env.get(lhs, ""))
-                return (sval == rhs) if op == "=" else (sval != rhs)
+            lhs, rhs = (side.strip() for side in clause.split(op, 1))
+            if isinstance(env.get(lhs), str):
+                if op not in ("=", "!="):
+                    raise TableError(f"selector clause {clause!r} takes = or !=, not {op}")
+                return (env[lhs] == rhs) == (op == "=")
             a = eval_int(lhs, env)
             b = eval_int(rhs, env)
             return {"=": a == b, "!=": a != b, ">=": a >= b, "<=": a <= b, "<": a < b, ">": a > b}[op]
@@ -307,50 +312,49 @@ def parse_restriction(expr: str, env, emb):
 
 
 def instantiate_rows(rows, rank_cap: int, chi: Characteristic, pattern_bound: int = 3):
-    """Expand table rows into concrete classification entries at one characteristic."""
+    """Expand table rows into concrete classification entries at one characteristic.
+
+    An error in a row is raised as a ``TableError`` that names its ``source:lineno``.
+    """
     entries = []
     for row in rows:
-        amb_spec = row.ambient
-        if ":" in amb_spec:
-            letter, fixed = amb_spec.split(":")
-            ranks = [int(fixed)]
-        else:
-            letter = amb_spec
-            ranks = range(_MIN_RANK[letter], rank_cap + 1)
-        for n in ranks:
-            if n > rank_cap:
-                continue
-            for params in instance_params(row.family, letter, n):
-                env = {"n": n, "p": chi.p, **params}
-                if not params_match(row.params, env):
-                    continue
-                ambient = LieType(letter, n)
-                fam = family_of(row.family, params)
-                emb = build_embedding(ambient, fam)
-                for lam, scope in _expand_lambda(row, env, n, chi, pattern_bound):
-                    if chi.p and any(c >= chi.p for c in lam):
-                        continue
-                    kappa = eval_int(row.kappa, scope) if row.kappa != "-" else None
-                    restr = _expected_restriction(row, scope, emb, lam)
-                    pid = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
-                    entry_id = (
-                        f"{row.source.rsplit('/', 1)[-1]}:{row.lineno}:"
-                        f"{letter}{n}:{pid}:{','.join(map(str, lam))}"
-                    )
-                    entries.append(
-                        ClassificationEntry(
-                            ambient=ambient,
-                            family=fam,
-                            lam=lam,
-                            p_condition=row.p_cond,
-                            expected_restriction=restr,
-                            expected_kappa=kappa,
-                            source=f"{row.source}:{row.lineno}",
-                            entry_id=entry_id,
-                        )
-                    )
+        try:
+            entries += _row_entries(row, rank_cap, chi, pattern_bound)
+        except ValueError as exc:
+            raise TableError(f"{row.source}:{row.lineno}: {exc}") from None
     entries.sort(key=lambda e: e.entry_id)
     return entries
+
+
+def _row_entries(row, rank_cap, chi, pattern_bound):
+    """Yield the entries of one row, at every instance up to the rank cap."""
+    letter, _, fixed = row.ambient.partition(":")
+    ranks = [int(fixed)] if fixed else range(_MIN_RANK[letter], rank_cap + 1)
+    for n in ranks:
+        if n > rank_cap:
+            continue
+        for params in instance_params(row.family, letter, n):
+            env = {"n": n, "p": chi.p, **params}
+            if not params_match(row.params, env):
+                continue
+            ambient = LieType(letter, n)
+            fam = family_of(row.family, params)
+            emb = build_embedding(ambient, fam)
+            for lam, scope in _expand_lambda(row, env, n, chi, pattern_bound):
+                if chi.p and any(c >= chi.p for c in lam):
+                    continue
+                pid = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
+                weight = ",".join(map(str, lam))
+                yield ClassificationEntry(
+                    ambient=ambient,
+                    family=fam,
+                    lam=lam,
+                    p_condition=row.p_cond,
+                    expected_kappa=eval_int(row.kappa, scope) if row.kappa != "-" else None,
+                    expected_restriction=_expected_restriction(row, scope, emb, lam),
+                    source=f"{row.source}:{row.lineno}",
+                    entry_id=f"{row.source.rsplit('/', 1)[-1]}:{row.lineno}:{letter}{n}:{pid}:{weight}",
+                )
 
 
 def _expand_lambda(row, env, n, chi, pattern_bound):

@@ -7,8 +7,8 @@ import pytest
 
 from weylbranch import charcalc, checker
 from weylbranch.cli import main, parse_family_spec
-from weylbranch.embeddings import build_embedding, geom_family
-from weylbranch.rootsys import LieType, build_root_system
+from weylbranch.embeddings import FAMILY_TAGS, build_embedding, geom_family, instances
+from weylbranch.rootsys import _MIN_RANK, FAMILIES, LieType, build_root_system
 
 
 def run(capsys, *argv):
@@ -126,6 +126,44 @@ def test_family_specs_are_unchanged():
         ambient = LieType(letter, n)
         assert parse_family_spec(spec, ambient) == fam, spec
         build_embedding(ambient, fam)
+
+
+def test_every_instance_name_parses_back():
+    # the names the package prints (in errors, entry ids and reports) are
+    # specs the CLI accepts, each naming the instance it was printed for
+    names = 0
+    for tag in FAMILY_TAGS:
+        for letter in FAMILIES:
+            for n in range(_MIN_RANK[letter], 13):
+                ambient = LieType(letter, n)
+                for fam in instances(tag, ambient):
+                    assert parse_family_spec(str(fam), ambient) == fam, (ambient, str(fam))
+                    names += 1
+    assert names == 232
+
+
+def test_specs_naming_one_instance_by_its_parameters():
+    cases = [
+        # two instances share l=3,t=2; the first in enumeration order is taken
+        ("D", 18, "c4ii:l=3,t=2", geom_family("c4ii", kind="Cl", l=3, t=2)),
+        # only the orthogonal kind has l=1,t=4 on D6
+        ("D", 6, "c2:l=1,t=4", geom_family("c2", kind="Bl", l=1, t=4)),
+        ("B", 5, "c1:DlB,l=2", geom_family("c1", sub="DlB", l=2)),
+        ("B", 5, "c1:sub=DlB,l=2", geom_family("c1", sub="DlB", l=2)),
+        ("D", 8, "c1:DlD,l=3", geom_family("c1", sub="DlD", l=3)),
+        # the one c1 instance on B_n without parameters
+        ("B", 4, "c1", geom_family("c1", sub="Dn")),
+    ]
+    for letter, n, spec, fam in cases:
+        assert parse_family_spec(spec, LieType(letter, n)) == fam, spec
+
+
+def test_spec_errors_name_the_spec_as_typed(capsys):
+    code, out, err = run(capsys, "branch", "B", "3", "1,0,0", "c1:l=7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no instance c1:l=7 on B3; the c1 instances on B3 are: c1:sub=Dn, ")
+    code, _, err = run(capsys, "branch", "B", "3", "1,0,0", "c1:Dn,Dn")
+    assert code == 2 and "repeated" in err
 
 
 def test_verify_determinism(capsys):

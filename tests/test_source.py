@@ -127,6 +127,49 @@ def test_tables_state_no_family_arithmetic():
     assert not found, found
 
 
+def _selectors():
+    """Every selector key and value that embeddings.instance_params yields."""
+    from weylbranch.embeddings import FAMILY_TAGS, instance_params
+    from weylbranch.rootsys import _MIN_RANK, FAMILIES
+
+    found = set()
+    for tag in FAMILY_TAGS:
+        for letter in FAMILIES:
+            for n in range(_MIN_RANK[letter], 13):
+                for params in instance_params(tag, letter, n):
+                    found |= {item for item in params.items() if isinstance(item[1], str)}
+    keys, values = {k for k, _ in found}, {v for _, v in found}
+    assert keys and values
+    return keys | values
+
+
+def _docstrings(tree):
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_cli_and_tables_name_no_selector():
+    # which selectors exist, and which one a spec may leave out, is stated
+    # once, in embeddings.instance_params; the CLI and the tables read it
+    selectors = _selectors()
+    found = []
+    for name in ("cli.py", "tables.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        docs = _docstrings(tree)
+        found += [
+            f"{name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in docs and node.value in selectors
+        ]
+    assert not found, found
+
+
 def test_orbit_cap_read_only_in_kernels():
     # the enumeration cap and its environment override are stated once, in
     # kernels.orbit_cap; every other module reads them through it

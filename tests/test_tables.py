@@ -87,6 +87,37 @@ def test_instantiation_counts():
     assert total == sum(counts.values())
 
 
+def test_table_all_is_the_union_of_the_collection_tables():
+    # table_all.tsv stays a copy, since the entry ids of verify shipped:all
+    # carry its file name and line numbers; it must hold the same rows
+    parts = sorted(r.serialize() for name in ("c136", "c2", "c4i", "c4ii") for r in shipped(name))
+    assert sorted(r.serialize() for r in shipped("all")) == parts
+
+
+@pytest.mark.parametrize("op", [">=", "<=", "<", ">"])
+def test_selector_clause_takes_only_equality(op):
+    # a selector is a string; ordering it has no meaning, so the row is refused
+    # rather than read as some other comparison
+    rows = parse_table(f"c1\tB\tsub{op}DlB\tL(n)\tp!=2\t2\t-", source="sel.tsv")
+    with pytest.raises(TableError, match=r"sel\.tsv:1: selector clause"):
+        instantiate_rows(rows, 4, P0)
+    with pytest.raises(TableError):
+        params_match(f"sub{op}DlB", {"n": 3, "sub": "Dn"})
+
+
+def test_selector_clause_on_a_family_without_that_selector():
+    # c2 on B has no orthogonal/symplectic kind; the clause names nothing
+    rows = parse_table("c2\tB\tkind=Bl\tL(1)\tany\t1\t-", source="sel.tsv")
+    with pytest.raises(TableError, match=r"sel\.tsv:1: unknown symbol 'kind'"):
+        instantiate_rows(rows, 4, P0)
+
+
+def test_instantiation_errors_report_position():
+    rows = parse_table("# header\nc1\tB:3\tsub=Dn\tL(n+5)\tany\t2\t-", source="bad.tsv")
+    with pytest.raises(TableError, match=r"^bad\.tsv:2: lambda index 8 out of range 1\.\.3$"):
+        instantiate_rows(rows, 3, P0)
+
+
 def test_instantiation_is_deterministic():
     rows = shipped("all")
     a = [e.entry_id for e in instantiate_rows(rows, 6, P0)]
