@@ -1,9 +1,9 @@
 """Characters and dimensions for Weyl modules of the classical groups.
 
-Freudenthal multiplicity tables, Weyl's dimension formula, saturation of
-dominant weight sets, the closed-form irreducible dimensions with their
-congruence cases, special multiplicity rules, and the Weyl-character
-subtraction routine that serves as the branching oracle.
+Freudenthal multiplicity tables, Weyl's dimension formula, the closed-form
+irreducible dimensions with their congruence cases, special multiplicity
+rules, and the Weyl-character subtraction routine that serves as the
+branching oracle.
 """
 
 from __future__ import annotations
@@ -244,15 +244,6 @@ def _product_character_cached(types, hw_parts):
     return prod
 
 
-def _height_scalers(rs_list):
-    """Integer per-coordinate height vectors, common scale across factors."""
-    # the height of lambda_i is sums[i] / inv_den, reduced to lowest terms
-    # before taking the common denominator
-    vecs = [(rs.inv_den, [sum(row) for row in rs.inv_cartan_scaled]) for rs in rs_list]
-    denom = math.lcm(*(d // math.gcd(x, d) for d, sums in vecs for x in sums))
-    return [tuple(x * denom // d for x in sums) for d, sums in vecs]
-
-
 def weyl_character_subtract(rs_list, weight_multiset):
     """Express a W-invariant multiset as a sum of product Weyl characters.
 
@@ -269,7 +260,8 @@ def weyl_character_subtract(rs_list, weight_multiset):
     offs = [sum(rs.rank for rs in rs_list[:i]) for i in range(len(rs_list) + 1)]
     rank = offs[-1]
     types = tuple(rs.lie_type for rs in rs_list)
-    hvec = [x for hv in _height_scalers(rs_list) for x in hv]
+    # <lambda_i, 2 rho-coroot> per coordinate: positive on every positive root
+    hvec = [sum(col) for rs in rs_list for col in zip(*rs.coroots)]
 
     remaining = {}
     for w, m in weight_multiset.items():

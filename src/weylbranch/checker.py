@@ -20,7 +20,7 @@ large for exact int64 arithmetic raises KernelCapacityError.  That geometry
 does not depend on p: only the certification <lam, beta-coroot> != 0 (mod p)
 does.  So an entry's characteristic-free part (its restriction, its
 ``clifford_prediction`` and the filters' geometry) is decided once per
-(ambient, family, lam) and cached, and each characteristic runs only the
+(embedding, lam) and cached, and each characteristic runs only the
 certification on it.  A scan restricts its bounded candidates in one int64
 product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows.  At
 p = 0 a survivor goes on to the branching, with its prediction already made,
@@ -28,6 +28,9 @@ only when the prediction's dimension sum (sum of m * dim over its factors)
 equals dim V; otherwise it is REDUCIBLE at once.  That is exact: IRREDUCIBLE
 means the factors are the prediction, and branch conservation makes their
 dimension sum dim V.
+
+The embedding is the one handle on (G, H) and, hashed by identity, the key of
+every cache here; a public call that also takes G refuses any other G.
 """
 
 from __future__ import annotations
@@ -92,20 +95,18 @@ RESTRICTED_ORBIT_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=RESTRICTED_ORBIT_CACHE_SIZE)
-def _h_dominant_orbit(ambient, family, mu, cap):
+def _h_dominant_orbit(e: Embedding, mu, cap):
     """(weight, count) pairs: the H-dominant images of the Weyl orbit of mu.
 
-    ``build_embedding`` is a pure function of (ambient, family), so those two
-    name the restriction map.  H-dominant means every factor coordinate is
-    non-negative; torus charges are free.
+    H-dominant means every factor coordinate is non-negative; torus charges
+    are free.
     """
-    e = build_embedding(ambient, family)
-    res = kernels.weyl_orbit_array(build_root_system(ambient), mu, cap=cap) @ e.restriction
+    res = kernels.weyl_orbit_array(e.root_system, mu, cap=cap) @ e.restriction
     res = res[(res[:, : e.semisimple_rank] >= 0).all(axis=1)]
     return tuple(Counter(map(tuple, res.tolist())).items())
 
 
-def restricted_multiset(rs, lam, e: Embedding, cap=None):
+def restricted_multiset(e: Embedding, lam, cap=None):
     """H-dominant part of the character of W(lam) restricted to H.
 
     Keys are restricted weights whose factor coordinates are all
@@ -115,14 +116,14 @@ def restricted_multiset(rs, lam, e: Embedding, cap=None):
     the first one is enumerated.
     """
     cap = orbit_cap() if cap is None else cap
-    table = freudenthal(rs, lam)
+    table = freudenthal(e.root_system, lam)
     if table.largest_orbit > cap:
         raise kernels.KernelCapacityError(
-            f"restrict({rs.lie_type}, {tuple(lam)}): W(lam) has a Weyl orbit of {table.largest_orbit} elements, cap {cap}"
+            f"restrict({e.ambient}, {tuple(lam)}): W(lam) has a Weyl orbit of {table.largest_orbit} elements, cap {cap}"
         )
     out = {}
     for mu, m in table.entries.items():
-        for w, c in _h_dominant_orbit(e.ambient, e.family, mu, cap):
+        for w, c in _h_dominant_orbit(e, mu, cap):
             out[w] = out.get(w, 0) + m * c
     return out
 
@@ -139,21 +140,29 @@ def clifford_prediction(e: Embedding, lam_h):
     return dict.fromkeys(component_orbit_set(e, lam_h), central_multiplicity(e, lam_h))
 
 
+def _require_ambient(ambient: LieType, e: Embedding):
+    """Refuse a G that is not the ambient group of e."""
+    if ambient != e.ambient:
+        raise ValueError(f"{ambient} is not the ambient group {e.ambient} of the embedding {e.family}")
+
+
 def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     """Exact composition factors of the restriction at p = 0.
 
     PASS exactly when they are ``clifford_prediction`` of the restricted lam;
     a FAIL carries one branch-structure-mismatch record with both maps.
+    ``rs`` must be the root system of ``e.ambient``.
     """
+    _require_ambient(rs.lie_type, e)
     lam = rs.check_weight(lam)
-    return _branch_p0(rs, lam, e, _entry_record(e.ambient, e.family, lam).predicted, cap)
+    return _branch_p0(e, lam, _entry_record(e, lam).predicted, cap)
 
 
-def _branch_p0(rs, lam, e: Embedding, predicted, cap) -> BranchReport:
+def _branch_p0(e: Embedding, lam, predicted, cap) -> BranchReport:
     """``branch_p0`` of lam, given its ``clifford_prediction``."""
     if any(c < 0 for c in lam) or not any(lam):
         raise ValueError("highest weight must be dominant and non-zero")
-    multiset = restricted_multiset(rs, lam, e, cap=cap)
+    multiset = restricted_multiset(e, lam, cap=cap)
     factors = charcalc.weyl_character_subtract(e.factor_systems, multiset)
     dims = {}
     total = 0
@@ -161,11 +170,11 @@ def _branch_p0(rs, lam, e: Embedding, predicted, cap) -> BranchReport:
         d = charcalc.product_weyl_dim(e.factor_systems, hw)
         dims[hw] = d
         total += m * d
-    expected = weyl_dim(rs, lam)
+    expected = weyl_dim(e.root_system, lam)
     if total != expected:
         # conservation is structural; a failure means a genuine bug
         raise AssertionError(
-            f"branch conservation failed: {total} != {expected} for {rs.lie_type} {lam}"
+            f"branch conservation failed: {total} != {expected} for {e.ambient} {lam}"
         )
     reasons = []
     if factors != predicted:
@@ -234,17 +243,15 @@ CHAIN_TABLE_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
-def _chain_table(ambient, family):
-    """The diagram chains of G and their images under the restriction of one embedding.
+def _chain_table(e: Embedding):
+    """The diagram chains of G and their images under the restriction map R of e.
 
-    ``build_embedding`` is a pure function of (ambient, family), so those two
-    name the restriction map R.  Chains that share one image R beta form a
-    group: their weights lam - beta restrict to one weight for every lam.
-    ``scale`` is each factor's ``inv_cartan_scaled`` on its block, and zero
-    on the torus charges.
+    Chains that share one image R beta form a group: their weights
+    lam - beta restrict to one weight for every lam.  ``scale`` is each
+    factor's ``inv_cartan_scaled`` on its block, and zero on the torus
+    charges.
     """
-    e = build_embedding(ambient, family)
-    chains = _diagram_chains(build_root_system(ambient))
+    chains = _diagram_chains(e.root_system)
     ss = e.semisimple_rank
     scale = np.zeros((e.width, ss), dtype=np.int64)
     for off, frs in zip(e.factor_offsets, e.factor_systems):
@@ -288,7 +295,7 @@ def _chain_table(ambient, family):
 
 def _exact_chain_table(e: Embedding, lams):
     """The chain table of e, once every weight in lams is known to keep its int64 products exact."""
-    t = _chain_table(e.ambient, e.family)
+    t = _chain_table(e)
     for lam in lams:
         if sum(abs(c) for c in lam) >= t.limit:
             raise kernels.KernelCapacityError(
@@ -348,10 +355,10 @@ class _Screen(NamedTuple):
         return self.escaped.any(axis=1) | self.exceeded.any(axis=1)
 
 
-def _screen(rs, chi: Characteristic, t: _ChainTable, g: _Geometry):
+def _screen(e: Embedding, chi: Characteristic, t: _ChainTable, g: _Geometry):
     """The necessary filters' decision at p, from the candidates' geometry."""
     certified = g.pair > 0
-    if not charcalc.premet_applies(rs, chi):
+    if not charcalc.premet_applies(e.root_system, chi):
         certified &= g.pair % chi.p != 0
     count = certified @ t.shared
     exceeded = g.single & (count >= 2) & (count > g.capacity)
@@ -369,14 +376,13 @@ ENTRY_RECORD_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=ENTRY_RECORD_CACHE_SIZE)
-def _entry_record(ambient, family, lam):
-    """Everything the checks of one (ambient, family, lam) share across p.
+def _entry_record(e: Embedding, lam):
+    """Everything the checks of one (embedding, lam) share across p.
 
-    ``build_embedding`` is a pure function of (ambient, family).  The int64
-    guard is checked first, so a weight past it is never cached; the arrays
-    and the prediction are read-only, since every caller shares them.
+    The int64 guard is checked first, so a weight past it is never cached;
+    the arrays and the prediction are read-only, since every caller shares
+    them.
     """
-    e = build_embedding(ambient, family)
     t = _exact_chain_table(e, [lam])
     lam_a = np.array([lam], dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
@@ -387,7 +393,7 @@ def _entry_record(ambient, family, lam):
     return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry)
 
 
-def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
+def necessary_filters(e: Embedding, lam, chi: Characteristic):
     """Disqualifying findings for the candidate highest weight lam.
 
     The filters read ``clifford_prediction`` of the restriction of lam: its
@@ -410,14 +416,14 @@ def necessary_filters(rs, lam, e: Embedding, chi: Characteristic):
     decides every (chain, orbit element) pair in one array step.
 
     Only the certification depends on p.  The restriction, the prediction
-    and that geometry are decided once per (ambient, family, lam), in
+    and that geometry are decided once per (embedding, lam), in
     ``_entry_record``, and ``_screen`` certifies the chains at p from them.
     This call renders the decision for one candidate; ``scan_candidates``
     reads it for blocks of them.
     """
-    lam = rs.check_weight(lam)
-    t, lam_h_a, _, geometry = _entry_record(e.ambient, e.family, lam)
-    s = _screen(rs, chi, t, geometry)
+    lam = e.root_system.check_weight(lam)
+    t, lam_h_a, _, geometry = _entry_record(e, lam)
+    s = _screen(e, chi, t, geometry)
     if not s.filtered()[0]:
         return []
     ss = e.semisimple_rank
@@ -484,8 +490,9 @@ def ford_condition_check(lam, n: int, chi: Characteristic) -> bool:
 def entry_gate(entry: ClassificationEntry, p: int):
     """(embedding, first reason the entry does not apply at p, or None).
 
-    The embedding is None when the p-condition already fails, so that it is
-    only built for entries that get as far as the existence check.
+    The embedding is None when the p-condition already fails.  Otherwise it
+    is the cached instance of the entry's (ambient, family): for a table
+    entry, the one ``tables`` built when it instantiated the row.
     """
     if not p_condition_ok(entry.p_condition, p):
         return None, {"kind": "p-condition-unsatisfied", "condition": entry.p_condition, "p": p}
@@ -502,12 +509,12 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     if reason is not None:
         rep.reasons.append(reason)
         return rep
-    rs = build_root_system(entry.ambient)
+    rs = e.root_system
     lam = rs.check_weight(entry.lam)
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
-    predicted = _entry_record(e.ambient, e.family, lam).predicted
+    predicted = _entry_record(e, lam).predicted
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
         found = {c[: e.semisimple_rank] for c in predicted}
@@ -529,13 +536,13 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
             "found": kappa,
         })
         return rep
-    findings = necessary_filters(rs, lam, e, chi)
+    findings = necessary_filters(e, lam, chi)
     if findings:
         rep.verdict = FAIL
         rep.reasons.extend(findings)
         return rep
     if p == 0:
-        return _branch_p0(rs, lam, e, predicted, cap)
+        return _branch_p0(e, lam, predicted, cap)
     # positive characteristic: closed-form dimension identity or inconclusive
     dim_g = charcalc.irr_dim(rs, lam, chi)
     if dim_g is None:
@@ -623,23 +630,25 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     dimension sum differs from dim V is REDUCIBLE without a branching, since
     conservation gives an IRREDUCIBLE one exactly that sum; only the others
     are branched, reusing their prediction, and only they can meet ``cap``.
+    ``ambient`` must be ``e.ambient``.
     """
-    return list(_scan_verdicts(ambient, e, chi, coeff_sum_bound, cap))
+    _require_ambient(ambient, e)
+    return list(_scan_verdicts(e, chi, coeff_sum_bound, cap))
 
 
-def _scan_verdicts(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap):
+def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap):
     """``scan_candidates`` one (lam, verdict) at a time, each yielded as it
     is decided, so that an error leaves the verdicts before it with the caller."""
-    rs = build_root_system(ambient)
-    lams = dominant_weights_bounded(ambient.rank, coeff_sum_bound, chi.p)
+    rs = e.root_system
+    lams = dominant_weights_bounded(rs.rank, coeff_sum_bound, chi.p)
     t = _exact_chain_table(e, lams)
-    lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), ambient.rank)
+    lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
     start = 0
     for predictions in _prediction_blocks(e, lam_h_a.tolist()):
         block = slice(start, start + len(predictions))
         start = block.stop
-        screen = _screen(rs, chi, t, _geometry(e, t, lam_a[block], lam_h_a[block], predictions))
+        screen = _screen(e, chi, t, _geometry(e, t, lam_a[block], lam_h_a[block], predictions))
         for lam, predicted, filtered in zip(lams[block], predictions, screen.filtered().tolist()):
             if filtered:
                 yield lam, FILTERED
@@ -650,5 +659,5 @@ def _scan_verdicts(ambient: LieType, e: Embedding, chi: Characteristic, coeff_su
                 # conservation makes their dimension sum dim V
                 yield lam, REDUCIBLE
             else:
-                rep = _branch_p0(rs, lam, e, predicted, cap)
+                rep = _branch_p0(e, lam, predicted, cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

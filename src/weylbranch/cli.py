@@ -186,7 +186,7 @@ def cmd_scan(args) -> int:
         return 2
     out = sys.stdout
     found = []
-    for lam, verdict in _scan_verdicts(t, e, chi, args.bound, None):
+    for lam, verdict in _scan_verdicts(e, chi, args.bound, None):
         _emit({"weight": list(lam), "verdict": verdict}, out)
         if verdict == IRREDUCIBLE:
             found.append(lam)

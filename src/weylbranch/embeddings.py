@@ -82,7 +82,9 @@ def geom_family(tag, **params):
     return GeomFamily(tag, canon)
 
 
-@dataclass
+# compared and hashed by identity: build_embedding makes and caches every
+# instance, and the dataclass equality would compare the restriction array
+@dataclass(eq=False)
 class Embedding:
     ambient: LieType
     family: GeomFamily
@@ -106,7 +108,16 @@ class Embedding:
         self.factor_offsets = tuple(offs)
         self.semisimple_rank = off
         self.width = off + self.torus_rank
+        self.root_system = build_root_system(self.ambient)
         self.factor_systems = tuple(build_root_system(t) for t in self.factors)
+        # each generator as one lookup (w, -w) -> (g w, -g w), returning a
+        # tuple at every width; see ``component_orbit_set``
+        getters = []
+        for idx, sgn in self.generators:
+            n = len(idx)
+            pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
+            getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
+        self.doubled_getters = tuple(getters)
 
     def split(self, hw):
         parts = []
@@ -120,33 +131,18 @@ def restrict_weight(e: Embedding, w):
 
     Computed over Python ints, so it is exact for weights of any size.
     """
-    w = build_root_system(e.ambient).check_weight(w)
+    w = e.root_system.check_weight(w)
     return tuple(np.array(w, dtype=object) @ e.restriction)
-
-
-@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
-def _doubled_getters(generators):
-    """Each generator as one lookup taking a doubled weight (w, -w) to (g w, -g w).
-
-    Doubling turns a sign change into an index shift, so a signed
-    permutation is a single ``itemgetter`` call, and its 2 * width indices
-    make it return a tuple at every width.
-    """
-    getters = []
-    for idx, sgn in generators:
-        n = len(idx)
-        pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
-        getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
-    return tuple(getters)
 
 
 def component_orbit_set(e: Embedding, hw):
     """The orbit of hw under the component group, as a sorted list.
 
-    A breadth-first search over doubled weights, one ``itemgetter`` lookup
-    per generator and element.
+    A breadth-first search over doubled weights (w, -w), in which a sign
+    change is an index shift: each generator is one ``itemgetter`` lookup
+    per element, from ``e.doubled_getters``.
     """
-    getters = _doubled_getters(e.generators)
+    getters = e.doubled_getters
     n = len(hw)
     seen = frontier = {tuple(hw) + tuple(-c for c in hw)}
     while frontier:

@@ -175,8 +175,10 @@ class _Parser:
             b = self.expr()
             self.take(")")
             return comb(a, b)
+        if isinstance(self.env.get(t), str):
+            raise TableError(f"selector {t!r} cannot appear in an integer expression")
         if t in self.env:
-            return int(self.env[t])
+            return self.env[t]
         raise TableError(f"unknown symbol {t!r}")
 
 

@@ -35,6 +35,7 @@ from weylbranch.embeddings import (
 from weylbranch.kernels import orbit_size
 from weylbranch.rootsys import (
     LieType,
+    RootSystem,
     build_root_system,
     fundamental_weight,
     scaled_root_coords,
@@ -152,7 +153,7 @@ def test_restricted_multiset_is_h_dominant_part(tag, data):
     lam = data.draw(st.sampled_from(dominant_weights_bounded(ambient.rank, 2)))
     full = full_restricted_multiset(rs, lam, e)
     dominant = {w: m for w, m in full.items() if all(c >= 0 for c in w[: e.semisimple_rank])}
-    assert restricted_multiset(rs, lam, e) == dominant
+    assert restricted_multiset(e, lam) == dominant
 
 
 def test_over_cap_table_enumerates_no_orbit(monkeypatch):
@@ -183,9 +184,9 @@ def test_restricted_orbits_are_shared_across_weights():
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
     cached = checker._h_dominant_orbit
     cached.cache_clear()
-    restricted_multiset(rs, fundamental_weight(rs, 1), e)
+    restricted_multiset(e, fundamental_weight(rs, 1))
     assert (cached.cache_info().hits, cached.cache_info().misses) == (0, 2)
-    restricted_multiset(rs, fundamental_weight(rs, 2), e)
+    restricted_multiset(e, fundamental_weight(rs, 2))
     assert (cached.cache_info().hits, cached.cache_info().misses) == (2, 3)
 
 
@@ -296,7 +297,7 @@ def test_filters_match_scalar_oracle():
             for primes in (FILTER_PRIMES, FILTER_PRIMES[::-1]):
                 checker._entry_record.cache_clear()
                 for p in primes:
-                    got = necessary_filters(rs, w, e, Characteristic(p))
+                    got = necessary_filters(e, w, Characteristic(p))
                     assert got == expected[p], (ambient, e.family, w, p, primes[0])
                     for finding in got:
                         _assert_plain(finding)
@@ -312,7 +313,7 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
     w = tuple(data.draw(st.lists(coeff, min_size=ambient.rank, max_size=ambient.rank)))
     chi = Characteristic(data.draw(st.sampled_from(FILTER_PRIMES)))
     rs = build_root_system(ambient)
-    got = necessary_filters(rs, w, e, chi)
+    got = necessary_filters(e, w, chi)
     assert got == scalar_necessary_filters(rs, w, e, chi)
     for finding in got:
         _assert_plain(finding)
@@ -372,7 +373,7 @@ def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):
     e = build_embedding(ambient, geom_family("c1", sub="Dn"))
     branch = checker._branch_p0
     calls = []
-    monkeypatch.setattr(checker, "_branch_p0", lambda rs, lam, *args: calls.append(lam) or branch(rs, lam, *args))
+    monkeypatch.setattr(checker, "_branch_p0", lambda e, lam, *args: calls.append(lam) or branch(e, lam, *args))
     res = scan_candidates(ambient, e, P0, 3)
     assert sum(v != "FILTERED" for _, v in res) == 15
     assert calls == [(0, 0, 0, 0, 1)]
@@ -384,15 +385,15 @@ def test_filters_int64_guard():
     # the first one past it raises instead of wrapping
     for ambient, e in FILTER_INSTANCES:
         rs = build_root_system(ambient)
-        limit = checker._chain_table(ambient, e.family).limit
+        limit = checker._chain_table(e).limit
         assert limit > 1 << 48
         for i in (0, ambient.rank - 1):
             w = [0] * ambient.rank
             w[i] = limit - 1
-            assert necessary_filters(rs, w, e, P0) == scalar_necessary_filters(rs, w, e, P0)
+            assert necessary_filters(e, w, P0) == scalar_necessary_filters(rs, w, e, P0)
             w[i] = limit
             with pytest.raises(kernels.KernelCapacityError):
-                necessary_filters(rs, w, e, P0)
+                necessary_filters(e, w, P0)
 
 
 def test_filters_guard_follows_exact_prediction():
@@ -401,12 +402,12 @@ def test_filters_guard_follows_exact_prediction():
     # weight ends in the guard, not in an OverflowError or a wrapped charge
     ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
     rs, e = build_root_system(ambient), build_embedding(ambient, fam)
-    limit = checker._chain_table(ambient, fam).limit
+    limit = checker._chain_table(e).limit
     for w in ((limit, 0, 0), (0, 1 << 62, 1 << 62), (1 << 63, 0, 0), (0, 0, 1 << 64)):
         predicted = checker.clifford_prediction(e, restrict_weight(e, w))
         assert all(type(x) is int for c in predicted for x in c)
         with pytest.raises(kernels.KernelCapacityError):
-            necessary_filters(rs, w, e, P0)
+            necessary_filters(e, w, P0)
 
 
 def test_branch_guard_raises_before_any_table(monkeypatch):
@@ -415,7 +416,7 @@ def test_branch_guard_raises_before_any_table(monkeypatch):
     # once, before any Freudenthal table or orbit is made for it
     ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
     rs, e = build_root_system(ambient), build_embedding(ambient, fam)
-    limit = checker._chain_table(ambient, fam).limit
+    limit = checker._chain_table(e).limit
     monkeypatch.setattr(checker, "restricted_multiset", lambda *args, **kw: pytest.fail("branched past the guard"))
     for lam in ((limit, 0, 0), (0, 1 << 62, 1 << 62), (1 << 63, 0, 0)):
         with pytest.raises(kernels.KernelCapacityError, match="int64"):
@@ -426,8 +427,8 @@ def test_entry_record_is_read_only():
     # every caller shares the record; none may change it for the next
     ambient, fam = LieType("B", 4), geom_family("c2", l=1, t=3)
     e = build_embedding(ambient, fam)
-    record = checker._entry_record(ambient, fam, (1, 0, 0, 1))
-    assert record.table is checker._chain_table(ambient, fam)
+    record = checker._entry_record(e, (1, 0, 0, 1))
+    assert record.table is checker._chain_table(e)
     assert record.predicted == checker.clifford_prediction(e, restrict_weight(e, (1, 0, 0, 1)))
     for a in (record.lam_h, *record.geometry):
         assert not a.flags.writeable
@@ -460,7 +461,7 @@ def test_verify_guard_holds_after_a_smaller_weight_is_cached():
     # the branching, so a weight just below the guard is cached; the weight
     # at the guard, and one past int64, still raise the capacity error
     ambient, fam = LieType("B", 3), geom_family("c1", sub="Dn")
-    limit = checker._chain_table(ambient, fam).limit
+    limit = checker._chain_table(build_embedding(ambient, fam)).limit
 
     def entry(lam):
         return ClassificationEntry(ambient, fam, lam, "any", None, -1, "test", "guard")
@@ -608,37 +609,31 @@ def test_branch_rejects_zero_weight():
 
 
 def test_filters_examples():
-    rs = build_root_system(LieType("B", 5))
     e = build_embedding(LieType("B", 5), geom_family("c1", sub="DlB", l=2))
-    assert necessary_filters(rs, lam(5, (2, 1), (5, 1)), e, P0)
-    assert not necessary_filters(rs, lam(5, (5, 1)), e, P0)
-    rs = build_root_system(LieType("B", 3))
+    assert necessary_filters(e, lam(5, (2, 1), (5, 1)), P0)
+    assert not necessary_filters(e, lam(5, (5, 1)), P0)
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
-    assert not necessary_filters(rs, lam(3, (3, 1)), e, P0)
-    rs = build_root_system(LieType("C", 4))
+    assert not necessary_filters(e, lam(3, (3, 1)), P0)
     e = build_embedding(LieType("C", 4), geom_family("c2", l=2, t=2))
-    assert not necessary_filters(rs, lam(4, (1, 1)), e, P0)
+    assert not necessary_filters(e, lam(4, (1, 1)), P0)
     # two certified weights over one simple-root drop that carries one copy
-    rs = build_root_system(LieType("B", 4))
     e = build_embedding(LieType("B", 4), geom_family("c4ii", l=1, t=2))
-    findings = necessary_filters(rs, lam(4, (1, 1), (4, 1)), e, P0)
+    findings = necessary_filters(e, lam(4, (1, 1), (4, 1)), P0)
     assert [f["kind"] for f in findings] == ["multiplicity-bound-exceeded"]
     assert findings[0]["target"] == [1, 5] and findings[0]["capacity"] == 1
     # lam_4 of A_5 restricts irreducibly to D_3.2 (the D_3 adjoint module);
     # two of its certified weights restrict to one weight more than a simple
     # root below the orbit, where the capacity bound does not apply
-    rs = build_root_system(LieType("A", 5))
     e = build_embedding(LieType("A", 5), geom_family("c6"))
-    assert not necessary_filters(rs, lam(5, (4, 1)), e, P0)
+    assert not necessary_filters(e, lam(5, (4, 1)), P0)
 
 
 def test_filters_chain_certification_at_small_p():
     # at p = 2 on C_2 the chain running to the long root is not certified,
     # so the symplectic-form row lambda_2 must pass the filters
-    rs = build_root_system(LieType("C", 2))
     e = build_embedding(LieType("C", 2), geom_family("c2", l=1, t=2))
-    assert necessary_filters(rs, (0, 1), e, P0)  # reducible at p = 0
-    assert not necessary_filters(rs, (0, 1), e, Characteristic(2))
+    assert necessary_filters(e, (0, 1), P0)  # reducible at p = 0
+    assert not necessary_filters(e, (0, 1), Characteristic(2))
 
 
 def test_ford_condition():
@@ -734,6 +729,44 @@ def test_scan_p_positive_is_filter_only():
     verdicts = {v for _, v in res}
     assert verdicts <= {"FILTERED", "UNRESOLVED"}
     assert dict(res)[(0, 0, 1)] == "UNRESOLVED"
+
+
+def test_second_copy_of_g_must_be_the_ambient(monkeypatch):
+    # the embedding names G; a root system or ambient of another type given
+    # next to it is refused before any record, orbit or table is made (a C3
+    # scan with this B3 embedding once called (0,0,1) REDUCIBLE)
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    for name in ("_entry_record", "_scan_verdicts", "_branch_p0", "freudenthal"):
+        monkeypatch.setattr(checker, name, lambda *args, **kw: pytest.fail("worked before the ambient check"))
+    with pytest.raises(ValueError, match=r"^C3 is not the ambient group B3 of the embedding c1:sub=Dn$"):
+        scan_candidates(LieType("C", 3), e, P0, 2)
+    with pytest.raises(ValueError, match=r"^C3 is not the ambient group B3"):
+        branch_p0(build_root_system(LieType("C", 3)), (1, 0, 0), e)
+    monkeypatch.undo()
+    # types are compared, so a root system built directly is accepted
+    assert branch_p0(RootSystem(LieType("B", 3)), (0, 0, 1), e).verdict == "PASS"
+    assert dict(scan_candidates(LieType("B", 3), e, P0, 2))[(0, 0, 1)] == "IRREDUCIBLE"
+
+
+def test_rebuilt_embedding_gives_the_same_verdicts():
+    # the checker's caches are keyed on the embedding itself; a rebuilt one
+    # is a new key, and every verdict read through it is the same
+    ambient, fam = LieType("B", 4), geom_family("c2", l=1, t=3)
+    rs = build_root_system(ambient)
+
+    def verdicts(e):
+        return (
+            scan_candidates(ambient, e, P0, 2),
+            [necessary_filters(e, w, Characteristic(p)) for w in dominant_weights_bounded(4, 2) for p in (0, 3)],
+            [branch_p0(rs, w, e).factors for w in dominant_weights_bounded(4, 1)],
+        )
+
+    e = build_embedding(ambient, fam)
+    before = verdicts(e)
+    build_embedding.cache_clear()
+    rebuilt = build_embedding(ambient, fam)
+    assert rebuilt is not e and rebuilt != e
+    assert verdicts(rebuilt) == before
 
 
 def test_dominant_weights_bounded():

@@ -318,7 +318,7 @@ def test_negative_bounds_rejected_before_any_record(capsys, argv):
 def test_verify_weight_past_int64_guard(capsys, tmp_path):
     # the filters work in int64 arrays; a weight too large for them is a
     # usage error, reported before any record, never a wrapped result
-    limit = checker._chain_table(LieType("B", 3), geom_family("c1", sub="Dn")).limit
+    limit = checker._chain_table(build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))).limit
     table = tmp_path / "huge.tsv"
     for coef in (limit, 1 << 64):
         table.write_text(f"c1\tB:3\tsub=Dn\t{coef}*L(1)\tany\t-\t-\n")

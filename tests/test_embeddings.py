@@ -369,6 +369,14 @@ def test_build_embedding_is_shared_and_read_only():
         e.restriction[0, 0] = 7
 
 
+def test_embedding_is_hashed_by_identity():
+    # the checker's caches key on the embedding; the dataclass equality once
+    # compared the restriction array and raised on e == e
+    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
+    assert e == e and {e: 1}[e] == 1
+    assert e.root_system is build_root_system(e.ambient)
+
+
 def test_ell_value():
     # identity permutation, mu = lambda: zero correction
     e = build_embedding(LieType("C", 4), geom_family("c4ii", l=1, t=3))

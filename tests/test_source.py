@@ -111,6 +111,30 @@ def test_branch_path_calls_no_scalar_restriction_or_orbit_search():
     assert "restrict_weight" not in imported
 
 
+def test_embedding_is_the_checkers_handle_on_g_and_h():
+    # the embedding names (G, H): the checker builds it only in entry_gate,
+    # and no cache is keyed on an (ambient, family) pair to look it up again
+    tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
+    callers = [
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_embedding"
+    ]
+    assert callers == ["entry_gate"], callers
+    keyed = []
+    for name in ("checker.py", "embeddings.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name != "build_embedding"
+                and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
+            ):
+                params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+                keyed += [f"{name}:{node.lineno} {node.name}({p})" for p in sorted(params & {"ambient", "family"})]
+    assert not keyed, keyed
+
+
 def test_tables_state_no_family_arithmetic():
     # which instances exist is stated once, in embeddings.instance_params; the
     # tables iterate it and never branch on a family tag themselves

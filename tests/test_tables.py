@@ -112,6 +112,14 @@ def test_selector_clause_on_a_family_without_that_selector():
         instantiate_rows(rows, 4, P0)
 
 
+@pytest.mark.parametrize("params, kappa", [("sub+0=1", "1"), ("-", "sub")])
+def test_selector_in_integer_expression(params, kappa):
+    # a selector is a string, not a number; the row names it, not Python's int()
+    rows = parse_table(f"c1\tB:3\t{params}\tL(1)\tany\t{kappa}\t-", source="sel.tsv")
+    with pytest.raises(TableError, match=r"^sel\.tsv:1: selector 'sub' cannot appear in an integer expression$"):
+        instantiate_rows(rows, 3, P0)
+
+
 def test_instantiation_errors_report_position():
     rows = parse_table("# header\nc1\tB:3\tsub=Dn\tL(n+5)\tany\t2\t-", source="bad.tsv")
     with pytest.raises(TableError, match=r"^bad\.tsv:2: lambda index 8 out of range 1\.\.3$"):
