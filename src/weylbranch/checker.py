@@ -22,12 +22,19 @@ does.  So an entry's characteristic-free part (its restriction, its
 ``clifford_prediction`` and the filters' geometry) is decided once per
 (embedding, lam) and cached, and each characteristic runs only the
 certification on it.  A scan restricts its bounded candidates in one int64
-product and screens them in blocks of at most SCREEN_BLOCK_ROWS rows.  At
-p = 0 a survivor goes on to the branching, with its prediction already made,
-only when the prediction's dimension sum (sum of m * dim over its factors)
-equals dim V; otherwise it is REDUCIBLE at once.  That is exact: IRREDUCIBLE
-means the factors are the prediction, and branch conservation makes their
-dimension sum dim V.
+product, walks their component orbits together with
+``embeddings.component_orbits`` (a few array steps per chunk of
+candidates), and screens them in blocks of at most SCREEN_BLOCK_ROWS orbit
+rows that read those orbit rows as they are.  A single weight (an entry,
+``branch_p0``, ``necessary_filters``) keeps the search of
+``component_orbit_set``, which is several times faster on one weight than
+an array walk.  At p = 0 a survivor goes on to the branching, with its
+prediction already made, only when the prediction's dimension sum equals
+dim V; otherwise it is REDUCIBLE at once.  That is exact: IRREDUCIBLE means
+the factors are the prediction, and branch conservation makes their
+dimension sum dim V.  The component group acts on H^0 by automorphisms,
+which keep dimensions, and the multiplicity m is constant on the orbit, so
+that sum is one product, |orbit| * m * dim of lam_h.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -36,7 +43,6 @@ every cache here; a public call that also takes G refuses any other G.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -52,6 +58,7 @@ from .embeddings import (
     build_embedding,
     central_multiplicity,
     component_orbit_set,
+    component_orbits,
     ell_value,
     existence_ok,
     p_condition_ok,
@@ -293,14 +300,14 @@ def _chain_table(e: Embedding):
     )
 
 
-def _exact_chain_table(e: Embedding, lams):
-    """The chain table of e, once every weight in lams is known to keep its int64 products exact."""
+def _exact_chain_table(e: Embedding, lam):
+    """The chain table of e, once lam is known to keep its int64 products
+    exact; so is every weight whose sum |lam_i| is no larger."""
     t = _chain_table(e)
-    for lam in lams:
-        if sum(abs(c) for c in lam) >= t.limit:
-            raise kernels.KernelCapacityError(
-                f"filters({e.ambient}, {e.family}, {lam}): coordinates exceed the int64 range"
-            )
+    if sum(abs(c) for c in lam) >= t.limit:
+        raise kernels.KernelCapacityError(
+            f"filters({e.ambient}, {e.family}, {lam}): coordinates exceed the int64 range"
+        )
     return t
 
 
@@ -311,18 +318,18 @@ class _Geometry(NamedTuple):
     capacity: np.ndarray  # candidates x groups: that element's multiplicity, where its image lies under it alone
 
 
-def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, predictions):
+def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults):
     """The characteristic-free part of the filters for a block of candidates.
 
-    ``lam_a`` holds the candidates as rows, ``lam_h_a`` their restrictions
-    and ``predictions`` their ``clifford_prediction`` maps.  Every
-    (candidate, orbit element) pair is one row of the "under" test against
-    every chain; ``reduceat`` folds each candidate's rows.
+    ``lam_a`` holds the candidates as rows and ``lam_h_a`` their
+    restrictions; their ``clifford_prediction`` is read as arrays: the
+    component orbits one after another as the rows of ``orbit``, one orbit
+    size per candidate in ``sizes`` and one multiplicity in ``mults``.
+    Every (candidate, orbit element) pair is one row of the "under" test
+    against every chain; ``reduceat`` folds each candidate's rows.
     """
     ss = e.semisimple_rank
-    sizes = [len(predicted) for predicted in predictions]
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    orbit = np.array([c for predicted in predictions for c in predicted], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
     diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
     scaled = diff @ t.scale
     key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
@@ -339,7 +346,7 @@ def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, predictions):
         lead = t.lead[grp]
         row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
         steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-        capacity[cand, grp] = np.array([m for predicted in predictions for m in predicted.values()])[row]
+        capacity[cand, grp] = mults[cand]
         single[cand, grp] = steps == 1
     return _Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
 
@@ -383,11 +390,13 @@ def _entry_record(e: Embedding, lam):
     the arrays and the prediction are read-only, since every caller shares
     them.
     """
-    t = _exact_chain_table(e, [lam])
+    t = _exact_chain_table(e, lam)
     lam_a = np.array([lam], dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
     predicted = clifford_prediction(e, tuple(lam_h_a[0].tolist()))
-    geometry = _geometry(e, t, lam_a, lam_h_a, [predicted])
+    orbit = np.array(list(predicted), dtype=np.int64)
+    sizes, mults = np.array([[len(orbit)], [next(iter(predicted.values()))]])
+    geometry = _geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults)
     for a in (lam_h_a, *geometry):
         a.flags.writeable = False
     return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry)
@@ -605,19 +614,41 @@ UNRESOLVED = "UNRESOLVED"
 SCREEN_BLOCK_ROWS = 256
 
 
-def _prediction_blocks(e: Embedding, lam_hs):
-    """The ``clifford_prediction`` of each restricted candidate, in blocks of
-    at most SCREEN_BLOCK_ROWS orbit rows (one candidate at least)."""
-    block, rows = [], 0
-    for lam_h in lam_hs:
-        predicted = clifford_prediction(e, tuple(lam_h))
-        if block and rows + len(predicted) > SCREEN_BLOCK_ROWS:
-            yield block
-            block, rows = [], 0
-        block.append(predicted)
-        rows += len(predicted)
-    if block:
-        yield block
+class _Predictions(NamedTuple):
+    """The ``clifford_prediction`` of a block of candidates, as arrays."""
+
+    orbit: np.ndarray  # the component orbits one after another, each sorted
+    sizes: np.ndarray  # per candidate: its orbit size
+    mults: np.ndarray  # per candidate: the multiplicity of each factor in its orbit
+
+    def predicted(self, i):
+        """Candidate i's prediction as a ``clifford_prediction`` map."""
+        start = int(self.sizes[:i].sum())
+        rows = self.orbit[start:start + self.sizes[i]].tolist()
+        return dict.fromkeys(map(tuple, rows), int(self.mults[i]))
+
+
+def _prediction_blocks(e: Embedding, lam_h_a):
+    """The predictions of the restricted candidates ``lam_h_a``, in blocks of
+    at most SCREEN_BLOCK_ROWS orbit rows (one candidate at least).
+
+    This is the scan's ``clifford_prediction``: the orbits come from one
+    ``component_orbits`` walk over all the candidates, a few array steps
+    per chunk of them, not from one ``component_orbit_set`` search per
+    candidate.  An array step has a fixed cost that only a block repays: on
+    one weight the search takes about 30 us and the array walk about 180 us.
+    """
+    start = 0
+    for orbit, sizes in component_orbits(e, lam_h_a):
+        mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
+        start += len(sizes)
+        ends = np.cumsum(sizes)
+        first = 0
+        while first < len(sizes):
+            base = ends[first] - sizes[first]
+            last = max(int(np.searchsorted(ends, base + SCREEN_BLOCK_ROWS, side="right")), first + 1)
+            yield _Predictions(orbit[base:ends[last - 1]], sizes[first:last], mults[first:last])
+            first = last
 
 
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):
@@ -641,23 +672,29 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     is decided, so that an error leaves the verdicts before it with the caller."""
     rs = e.root_system
     lams = dominant_weights_bounded(rs.rank, coeff_sum_bound, chi.p)
-    t = _exact_chain_table(e, lams)
+    # the candidates are non-negative: the one with the largest coefficient
+    # sum passes the int64 guard only if every other one does
+    t = _exact_chain_table(e, max(lams, key=sum, default=()))
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
     start = 0
-    for predictions in _prediction_blocks(e, lam_h_a.tolist()):
-        block = slice(start, start + len(predictions))
-        start = block.stop
-        screen = _screen(e, chi, t, _geometry(e, t, lam_a[block], lam_h_a[block], predictions))
-        for lam, predicted, filtered in zip(lams[block], predictions, screen.filtered().tolist()):
+    for block in _prediction_blocks(e, lam_h_a):
+        rows = slice(start, start + len(block.sizes))
+        start = rows.stop
+        screen = _screen(e, chi, t, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block))
+        kappas = (block.sizes * block.mults).tolist()  # per candidate: |orbit| * m
+        for i, (lam, lam_h, filtered) in enumerate(zip(lams[rows], lam_h_a[rows].tolist(), screen.filtered().tolist())):
             if filtered:
                 yield lam, FILTERED
             elif chi.p != 0:
                 yield lam, UNRESOLVED
-            elif sum(m * charcalc.product_weyl_dim(e.factor_systems, c) for c, m in predicted.items()) != weyl_dim(rs, lam):
-                # IRREDUCIBLE means the factors are ``predicted``, and
-                # conservation makes their dimension sum dim V
+            elif kappas[i] * charcalc.product_weyl_dim(e.factor_systems, lam_h) != weyl_dim(rs, lam):
+                # IRREDUCIBLE means the factors are the prediction, and
+                # conservation makes their dimension sum dim V; the
+                # component group acts by automorphisms of H^0, which keep
+                # dimensions, and m is constant on the orbit, so that sum is
+                # |orbit| * m * dim of lam_h
                 yield lam, REDUCIBLE
             else:
-                rep = _branch_p0(e, lam, predicted, cap)
+                rep = _branch_p0(e, lam, block.predicted(i), cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

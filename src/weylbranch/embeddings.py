@@ -44,6 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .rootsys import LieType, build_root_system, scaled_root_coords
 
 A1 = LieType("A", 1)
@@ -118,6 +119,16 @@ class Embedding:
             pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
             getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
         self.doubled_getters = tuple(getters)
+        # the generators and their inverses as index and sign rows, each
+        # applied to a whole frontier in one step; see ``component_orbits``
+        steps = []
+        for g in self.generators:
+            inv = tuple(np.argsort(g[0]).tolist())
+            steps += dict.fromkeys((g, (inv, tuple(g[1][i] for i in inv))))
+        self.orbit_steps = (
+            np.array([idx for idx, _ in steps], dtype=np.intp).reshape(-1, self.width),
+            np.array([sgn for _, sgn in steps], dtype=np.int64).reshape(-1, self.width),
+        )
 
     def split(self, hw):
         parts = []
@@ -140,7 +151,10 @@ def component_orbit_set(e: Embedding, hw):
 
     A breadth-first search over doubled weights (w, -w), in which a sign
     change is an index shift: each generator is one ``itemgetter`` lookup
-    per element, from ``e.doubled_getters``.
+    per element, from ``e.doubled_getters``.  This is the walk for one
+    weight (``checker.clifford_prediction``): there it takes about 30 us,
+    where ``component_orbits``, the walk for a block of weights, takes
+    about 180 us, since each of its array steps has a fixed cost.
     """
     getters = e.doubled_getters
     n = len(hw)
@@ -149,6 +163,85 @@ def component_orbit_set(e: Embedding, hw):
         frontier = {g(w) for w in frontier for g in getters} - seen
         seen |= frontier
     return sorted(w[:n] for w in seen)
+
+
+# orbit rows that one chunk of ``component_orbits`` holds; a weight whose
+# orbit alone is longer makes a chunk of its own
+ORBIT_CHUNK_ROWS = 1 << 16
+
+
+def component_orbits(e: Embedding, rows):
+    """The component orbits of a block of restricted weights, chunk by chunk.
+
+    ``rows`` holds the weights as int64 rows, every coordinate below 2**60
+    in size, which keeps the keys exact.  Yields (orbit, sizes) for
+    consecutive chunks of them: ``sizes`` has one orbit size per weight and
+    ``orbit`` the orbits one after another as int64 rows, each in the sorted
+    order of ``component_orbit_set``.  One breadth-first walk serves a
+    whole chunk: a level applies every generator to the whole frontier as
+    one index-and-sign step, and matches the images by int64 keys that pack
+    (weight index, image), as many key columns as ``kernels._key_weights``
+    needs.  The steps hold each generator's inverse, so an image lies in the
+    level before, the level itself or the next one, and only those two are
+    matched.  A chunk whose rows pass ORBIT_CHUNK_ROWS sheds its trailing
+    weights, keeping one at least; the next chunk starts at the first one
+    shed and takes as many weights as the last one kept, or twice as many
+    when it shed none.  This is the walk for a block of weights (a scan's
+    candidates, in ``checker._prediction_blocks``); each array step has a
+    fixed cost, so on one weight the search of ``component_orbit_set`` is
+    about six times faster.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, e.width)
+    start, take = 0, len(rows)
+    while start < len(rows):
+        orbit, sizes = _orbit_chunk(e, rows[start:start + take])
+        start += len(sizes)
+        take = take * 2 if len(sizes) == take else len(sizes)
+        yield orbit, sizes
+
+
+def _orbit_chunk(e: Embedding, rows):
+    """``component_orbits`` of the leading rows whose orbits stay within
+    ORBIT_CHUNK_ROWS rows together (one row at least)."""
+    idx, sgn = e.orbit_steps
+    count = len(rows)
+    bound = int(np.abs(rows).max())
+    if bound >= 1 << 60:
+        raise kernels.KernelCapacityError(f"component orbits({e.ambient}, {e.family}): coordinates exceed 2**60")
+    weights = kernels._key_weights(e.width + 1, 2 * max(bound, count) + 1)
+
+    def level(weight, image):
+        return weight, image, np.concatenate((weight[:, None], image), axis=1) @ weights
+
+    levels = [level(np.arange(count), rows)]
+    sizes = np.ones(count, dtype=np.int64)
+    while len(levels[-1][0]):
+        weight, frontier, _ = levels[-1]
+        found = level(np.repeat(weight, len(idx)), (frontier[:, idx] * sgn).reshape(-1, e.width))
+        # the images in neither this level nor the one before, each once:
+        # an image sorts after an equal key of those levels
+        keys = np.concatenate([k for _, _, k in levels[-2:]] + [found[2]])
+        old = len(keys) - len(found[2])
+        tagged = keys.copy()
+        tagged[:, -1] = 2 * tagged[:, -1] + (np.arange(len(keys)) >= old)
+        order = _key_order(tagged)
+        sorted_keys = keys[order]
+        first = np.ones(len(order), dtype=bool)
+        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=first[1:])
+        new = order[first & (order >= old)] - old
+        levels.append(tuple(a[new] for a in found))
+        sizes += np.bincount(levels[-1][0], minlength=count)
+        if count > 1 and sizes.sum() > ORBIT_CHUNK_ROWS:
+            count = max(int(np.searchsorted(np.cumsum(sizes), ORBIT_CHUNK_ROWS, side="right")), 1)
+            sizes = sizes[:count]
+            levels = [tuple(a[lv[0] < count] for a in lv) for lv in levels]
+    _, orbit, keys = (np.concatenate(a) for a in zip(*levels))
+    return orbit[_key_order(keys)], sizes
+
+
+def _key_order(keys):
+    """The order that sorts int64 key rows lexicographically; equal rows in any order."""
+    return np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
 
 
 def central_multiplicity(e: Embedding, hw) -> int:

@@ -341,7 +341,8 @@ def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
     monkeypatch.setattr(checker, "SCREEN_BLOCK_ROWS", block_rows)
     geometry = checker._geometry
     blocks = []
-    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[-1])) or geometry(*args))
+    # the block's candidates are the rows of its lam_a, the third argument
+    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[2])) or geometry(*args))
     scans = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         rs = build_root_system(ambient)
@@ -378,6 +379,30 @@ def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):
     assert sum(v != "FILTERED" for _, v in res) == 15
     assert calls == [(0, 0, 0, 0, 1)]
     assert dict(res)[(0, 0, 0, 0, 1)] == "IRREDUCIBLE"
+
+
+def test_scan_dimension_test_is_one_product():
+    # the scan reads the prediction's dimension sum as |orbit| * m * dim of
+    # lam_h: the component group acts on H^0 by automorphisms, which keep
+    # dimensions, and m is constant on the orbit; against the sum over the
+    # orbit, on the predictions the scan itself makes
+    checks = 0
+    for ambient, e, bound in SCAN_ORACLE_INSTANCES:
+        lams = dominant_weights_bounded(ambient.rank, bound)
+        lam_h_a = np.array(lams, dtype=np.int64) @ e.restriction
+        i = 0
+        for block in checker._prediction_blocks(e, lam_h_a):
+            for k in range(len(block.sizes)):
+                lam_h = tuple(lam_h_a[i].tolist())
+                predicted = block.predicted(k)
+                assert predicted == checker.clifford_prediction(e, lam_h)
+                total = sum(m * charcalc.product_weyl_dim(e.factor_systems, c) for c, m in predicted.items())
+                product = int(block.sizes[k] * block.mults[k]) * charcalc.product_weyl_dim(e.factor_systems, lam_h)
+                assert total == product, (ambient, e.family, lams[i])
+                i += 1
+        assert i == len(lams)
+        checks += i
+    assert checks == 1567
 
 
 def test_filters_int64_guard():

@@ -11,7 +11,7 @@ import pytest
 
 from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
-from weylbranch import kernels
+from weylbranch import embeddings, kernels
 from weylbranch.charcalc import freudenthal
 from weylbranch.checker import clifford_prediction, dominant_weights_bounded
 from weylbranch.embeddings import (
@@ -20,6 +20,7 @@ from weylbranch.embeddings import (
     build_embedding,
     central_multiplicity,
     component_orbit_set,
+    component_orbits,
     ell_value,
     existence_ok,
     family_of,
@@ -473,20 +474,80 @@ def component_orbit_oracle(e, hw):
     return sorted(seen)
 
 
-def test_component_orbit_matches_oracle():
-    checks = 0
+def _oracle_weights():
+    """(embedding, restricted weights) up to rank 8: the weights with
+    coefficient sum <= 2, and with a torus, the last one with every charge
+    made negative."""
+    out = []
     for e in INSTANCES_12:
         if e.ambient.rank > 8:
             continue
         weights = [restrict_weight(e, lam) for lam in dominant_weights_bounded(e.ambient.rank, 2)]
         if e.torus_rank:
-            # the last restricted weight with every torus charge made negative
             w = weights[-1]
             weights.append(w[: e.semisimple_rank] + tuple(-abs(c) - 1 for c in w[e.semisimple_rank:]))
+        out.append((e, weights))
+    return out
+
+
+ORACLE_WEIGHTS = _oracle_weights()
+
+
+def test_component_orbit_matches_oracle():
+    checks = 0
+    for e, weights in ORACLE_WEIGHTS:
         for w in weights:
             assert component_orbit_set(e, w) == component_orbit_oracle(e, w), (e.ambient, e.family, w)
             checks += 1
     assert checks == 3164
+
+
+def _orbit_blocks(e, weights):
+    """``component_orbits`` of one block as (each weight's orbit rows, chunk sizes)."""
+    orbits, chunks = [], []
+    for orbit, sizes in component_orbits(e, np.array(weights, dtype=np.int64)):
+        assert orbit.dtype == np.int64 and orbit.shape == (sizes.sum(), e.width)
+        rows = orbit.tolist()
+        for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
+            orbits.append([tuple(c) for c in rows[end - size:end]])
+        chunks.append(sizes.tolist())
+    return orbits, chunks
+
+
+def test_component_orbits_match_oracle():
+    # each embedding's weights walked as one block: every orbit's rows, in
+    # the oracle's sorted order, and one size per weight
+    checks = 0
+    for e, weights in ORACLE_WEIGHTS:
+        orbits, chunks = _orbit_blocks(e, weights)
+        assert orbits == [component_orbit_oracle(e, w) for w in weights], (e.ambient, e.family)
+        assert [len(c) for c in orbits] == [n for sizes in chunks for n in sizes]
+        checks += len(weights)
+    assert checks == 3164
+
+
+def test_component_orbits_refuse_coordinates_past_their_keys():
+    e = build_embedding(LieType("D", 4), geom_family("c2", kind="Dl", l=1, t=4))
+    last = (1 << 60) - 1
+    orbits, _ = _orbit_blocks(e, [(last, 0, 0, 0)])
+    assert orbits == [component_orbit_oracle(e, (last, 0, 0, 0))]
+    with pytest.raises(kernels.KernelCapacityError, match="2\\*\\*60"):
+        _orbit_blocks(e, [(0, 0, 0, 0), (1 << 60, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_component_orbit_chunks_do_not_change_the_orbits(monkeypatch, rows):
+    # a chunk holds at most ORBIT_CHUNK_ROWS orbit rows, or one weight;
+    # where the chunks end changes no orbit
+    expected = [_orbit_blocks(e, weights)[0] for e, weights in ORACLE_WEIGHTS]
+    monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", rows)
+    split = 0
+    for (e, weights), orbits in zip(ORACLE_WEIGHTS, expected):
+        found, chunks = _orbit_blocks(e, weights)
+        assert found == orbits, (e.ambient, e.family)
+        assert all(sum(sizes) <= rows or len(sizes) == 1 for sizes in chunks)
+        split += len(chunks) > 1
+    assert split > 100
 
 
 def test_instance_counts():

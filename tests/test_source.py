@@ -40,8 +40,10 @@ def test_no_numba_import():
 
 
 # the Clifford prediction is the one place the checker reads the component
-# orbit or the central multiplicities; every verdict reads its result
-CLIFFORD_INPUTS = {"component_orbit_set", "central_multiplicity"}
+# orbit or the central multiplicities, made for one weight or for a scan's
+# block of them; every verdict reads its result
+CLIFFORD_INPUTS = {"component_orbit_set", "component_orbits", "central_multiplicity"}
+PREDICTIONS = {"clifford_prediction", "_prediction_blocks"}
 
 
 def test_clifford_inputs_read_only_in_prediction():
@@ -53,7 +55,7 @@ def test_clifford_inputs_read_only_in_prediction():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name in CLIFFORD_INPUTS:
                     callers.append((getattr(top, "name", None), name, node.lineno))
-    assert {caller for caller, _, _ in callers} == {"clifford_prediction"}, callers
+    assert {caller for caller, _, _ in callers} == PREDICTIONS, callers
     assert {name for _, name, _ in callers} == CLIFFORD_INPUTS
 
 
