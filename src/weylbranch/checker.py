@@ -2,8 +2,8 @@
 
 At characteristic zero the composition factors of a restriction are computed
 exactly from the H-dominant part of the restricted character: the Weyl orbit
-of each dominant weight is pushed through the embedding once per embedding,
-only its H-dominant images are kept, and their sum over the dominant weights
+of each dominant weight is pushed through the embedding, only its
+H-dominant images are kept, and their sum over the dominant weights
 of W(lam) is decomposed into product Weyl characters, and the restriction is
 irreducible exactly when those factors are the ones ``clifford_prediction``
 predicts from the component orbit.  At positive characteristic only
@@ -24,17 +24,17 @@ does.  So an entry's characteristic-free part (its restriction, its
 certification on it.  A scan restricts its bounded candidates in one int64
 product, walks their component orbits together with
 ``embeddings.component_orbits`` (a few array steps per chunk of
-candidates), and screens them in blocks of at most SCREEN_BLOCK_ROWS orbit
-rows that read those orbit rows as they are.  A single weight (an entry,
-``branch_p0``, ``necessary_filters``) keeps the search of
-``component_orbit_set``, which is several times faster on one weight than
-an array walk.  At p = 0 a survivor goes on to the branching, with its
-prediction already made, only when the prediction's dimension sum equals
-dim V; otherwise it is REDUCIBLE at once.  That is exact: IRREDUCIBLE means
-the factors are the prediction, and branch conservation makes their
-dimension sum dim V.  The component group acts on H^0 by automorphisms,
-which keep dimensions, and the multiplicity m is constant on the orbit, so
-that sum is one product, |orbit| * m * dim of lam_h.
+candidates), and screens each chunk whole, as the walk leaves it, so that
+the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's memory.  A
+single weight (an entry, ``branch_p0``, ``necessary_filters``) keeps the
+search of ``component_orbit_set``, which is several times faster on one
+weight than an array walk.  At p = 0 a survivor goes on to the branching,
+with its prediction already made, only when the prediction's dimension sum
+equals dim V; otherwise it is REDUCIBLE at once.  That is exact:
+IRREDUCIBLE means the factors are the prediction, and branch conservation
+makes their dimension sum dim V.  The component group acts on H^0 by
+automorphisms, which keep dimensions, and the multiplicity m is constant on
+the orbit, so that sum is one product, |orbit| * m * dim of lam_h.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -98,27 +98,14 @@ class BranchReport:
 # characteristic-zero branching
 
 
-RESTRICTED_ORBIT_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=RESTRICTED_ORBIT_CACHE_SIZE)
-def _h_dominant_orbit(e: Embedding, mu, cap):
-    """(weight, count) pairs: the H-dominant images of the Weyl orbit of mu.
-
-    H-dominant means every factor coordinate is non-negative; torus charges
-    are free.
-    """
-    res = kernels.weyl_orbit_array(e.root_system, mu, cap=cap) @ e.restriction
-    res = res[(res[:, : e.semisimple_rank] >= 0).all(axis=1)]
-    return tuple(Counter(map(tuple, res.tolist())).items())
-
-
 def restricted_multiset(e: Embedding, lam, cap=None):
     """H-dominant part of the character of W(lam) restricted to H.
 
     Keys are restricted weights whose factor coordinates are all
-    non-negative, values their multiplicities.  The restricted character is
-    W_H-invariant, so this part fixes it.  ``cap`` bounds each full Weyl orbit
+    non-negative (the torus charges are free), values their multiplicities.
+    The restricted character is W_H-invariant, so this part fixes it.  Each
+    dominant weight's Weyl orbit is pushed through R, and only its
+    H-dominant images are kept.  ``cap`` bounds each full Weyl orbit
     enumerated on the way; a table with an orbit past it is refused before
     the first one is enumerated.
     """
@@ -130,7 +117,9 @@ def restricted_multiset(e: Embedding, lam, cap=None):
         )
     out = {}
     for mu, m in table.entries.items():
-        for w, c in _h_dominant_orbit(e, mu, cap):
+        res = kernels.weyl_orbit_array(e.root_system, mu, cap=cap) @ e.restriction
+        res = res[(res[:, : e.semisimple_rank] >= 0).all(axis=1)]
+        for w, c in Counter(map(tuple, res.tolist())).items():
             out[w] = out.get(w, 0) + m * c
     return out
 
@@ -334,7 +323,7 @@ def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults)
     scaled = diff @ t.scale
     key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
     # orbit rows x chains x coordinates
-    under = (scaled[:, None] + t.scaled_images >= 0).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
+    under = (scaled[:, None] >= -t.scaled_images).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
     above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)  # candidates x chains: orbit elements over mu_h
     single = np.zeros((len(sizes), len(t.lead)), dtype=bool)
     capacity = np.zeros(single.shape, dtype=np.int64)
@@ -609,11 +598,6 @@ FILTERED = "FILTERED"
 UNRESOLVED = "UNRESOLVED"
 
 
-# orbit rows (candidate, component-orbit element) screened in one array step;
-# a candidate whose orbit alone is longer gets a block of its own
-SCREEN_BLOCK_ROWS = 256
-
-
 class _Predictions(NamedTuple):
     """The ``clifford_prediction`` of a block of candidates, as arrays."""
 
@@ -629,26 +613,23 @@ class _Predictions(NamedTuple):
 
 
 def _prediction_blocks(e: Embedding, lam_h_a):
-    """The predictions of the restricted candidates ``lam_h_a``, in blocks of
-    at most SCREEN_BLOCK_ROWS orbit rows (one candidate at least).
+    """The predictions of the restricted candidates ``lam_h_a``, one block
+    per chunk of ``component_orbits``: at most ``ORBIT_CHUNK_ROWS`` orbit
+    rows, or one candidate.
 
     This is the scan's ``clifford_prediction``: the orbits come from one
     ``component_orbits`` walk over all the candidates, a few array steps
     per chunk of them, not from one ``component_orbit_set`` search per
     candidate.  An array step has a fixed cost that only a block repays: on
     one weight the search takes about 30 us and the array walk about 180 us.
+    The chunk bound is also the one bound on the screen's memory, since
+    ``_geometry`` reads each chunk whole.
     """
     start = 0
     for orbit, sizes in component_orbits(e, lam_h_a):
         mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
         start += len(sizes)
-        ends = np.cumsum(sizes)
-        first = 0
-        while first < len(sizes):
-            base = ends[first] - sizes[first]
-            last = max(int(np.searchsorted(ends, base + SCREEN_BLOCK_ROWS, side="right")), first + 1)
-            yield _Predictions(orbit[base:ends[last - 1]], sizes[first:last], mults[first:last])
-            first = last
+        yield _Predictions(orbit, sizes, mults)
 
 
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):

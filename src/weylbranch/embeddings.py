@@ -119,15 +119,11 @@ class Embedding:
             pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
             getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
         self.doubled_getters = tuple(getters)
-        # the generators and their inverses as index and sign rows, each
-        # applied to a whole frontier in one step; see ``component_orbits``
-        steps = []
-        for g in self.generators:
-            inv = tuple(np.argsort(g[0]).tolist())
-            steps += dict.fromkeys((g, (inv, tuple(g[1][i] for i in inv))))
+        # the generators as index and sign rows, each applied to a whole
+        # frontier in one step; see ``component_orbits``
         self.orbit_steps = (
-            np.array([idx for idx, _ in steps], dtype=np.intp).reshape(-1, self.width),
-            np.array([sgn for _, sgn in steps], dtype=np.int64).reshape(-1, self.width),
+            np.array([idx for idx, _ in self.generators], dtype=np.intp).reshape(-1, self.width),
+            np.array([sgn for _, sgn in self.generators], dtype=np.int64).reshape(-1, self.width),
         )
 
     def split(self, hw):
@@ -165,9 +161,10 @@ def component_orbit_set(e: Embedding, hw):
     return sorted(w[:n] for w in seen)
 
 
-# orbit rows that one chunk of ``component_orbits`` holds; a weight whose
-# orbit alone is longer makes a chunk of its own
-ORBIT_CHUNK_ROWS = 1 << 16
+# orbit rows that one chunk of ``component_orbits`` holds, and so the rows
+# that one step of the scan's screen reads; a weight whose orbit alone is
+# longer makes a chunk of its own
+ORBIT_CHUNK_ROWS = 1 << 13
 
 
 def component_orbits(e: Embedding, rows):
@@ -181,15 +178,16 @@ def component_orbits(e: Embedding, rows):
     whole chunk: a level applies every generator to the whole frontier as
     one index-and-sign step, and matches the images by int64 keys that pack
     (weight index, image), as many key columns as ``kernels._key_weights``
-    needs.  The steps hold each generator's inverse, so an image lies in the
+    needs.  Every generator is an involution (``_embed`` builds each from
+    signed transpositions on disjoint coordinates), so an image lies in the
     level before, the level itself or the next one, and only those two are
     matched.  A chunk whose rows pass ORBIT_CHUNK_ROWS sheds its trailing
     weights, keeping one at least; the next chunk starts at the first one
     shed and takes as many weights as the last one kept, or twice as many
     when it shed none.  This is the walk for a block of weights (a scan's
-    candidates, in ``checker._prediction_blocks``); each array step has a
-    fixed cost, so on one weight the search of ``component_orbit_set`` is
-    about six times faster.
+    candidates, in ``checker._prediction_blocks``, which screens each chunk
+    whole); each array step has a fixed cost, so on one weight the search
+    of ``component_orbit_set`` is about six times faster.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, e.width)
     start, take = 0, len(rows)
@@ -224,11 +222,8 @@ def _orbit_chunk(e: Embedding, rows):
         old = len(keys) - len(found[2])
         tagged = keys.copy()
         tagged[:, -1] = 2 * tagged[:, -1] + (np.arange(len(keys)) >= old)
-        order = _key_order(tagged)
-        sorted_keys = keys[order]
-        first = np.ones(len(order), dtype=bool)
-        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=first[1:])
-        new = order[first & (order >= old)] - old
+        order = kernels._key_order(tagged)
+        new = order[kernels._run_starts(keys[order]) & (order >= old)] - old
         levels.append(tuple(a[new] for a in found))
         sizes += np.bincount(levels[-1][0], minlength=count)
         if count > 1 and sizes.sum() > ORBIT_CHUNK_ROWS:
@@ -236,12 +231,7 @@ def _orbit_chunk(e: Embedding, rows):
             sizes = sizes[:count]
             levels = [tuple(a[lv[0] < count] for a in lv) for lv in levels]
     _, orbit, keys = (np.concatenate(a) for a in zip(*levels))
-    return orbit[_key_order(keys)], sizes
-
-
-def _key_order(keys):
-    """The order that sorts int64 key rows lexicographically; equal rows in any order."""
-    return np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    return orbit[kernels._key_order(keys)], sizes
 
 
 def central_multiplicity(e: Embedding, hw) -> int:
@@ -436,7 +426,10 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
     the (factor, epsilon-index, sign) terms of the j-th ambient epsilon-weight
     of W; ``charges[j]`` is charge_scale times its charge on each torus
     coordinate.  Each generator is a list of signed transpositions (i, j, s)
-    of the restricted coordinates, meaning w'_i = s w_j and w'_j = s w_i.
+    of the restricted coordinates, meaning w'_i = s w_j and w'_j = s w_i
+    (i == j changes one sign).  The moves of one generator must touch
+    disjoint coordinates, so that every generator is an involution, which
+    ``component_orbits`` relies on; otherwise ValueError is raised.
     """
     factors, groups = _materialize(kinds)
     edims = [_edim(fam, r) for fam, r in kinds]
@@ -459,7 +452,11 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
     generators = []
     for moves in gens:
         idx, sgn = list(range(width)), [1] * width
+        moved = set()
         for i, j, s in moves:
+            if moved & {i, j}:
+                raise ValueError(f"generator {moves} of {family} on {ambient} moves a coordinate twice")
+            moved |= {i, j}
             idx[i], idx[j] = j, i
             sgn[i] = sgn[j] = s
         generators.append((tuple(idx), tuple(sgn)))

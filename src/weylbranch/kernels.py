@@ -164,17 +164,25 @@ def _key_weights(n, radix):
     return out
 
 
+def _key_order(keys):
+    """The order that sorts int64 key rows lexicographically; equal rows in any order."""
+    return np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+
+
+def _run_starts(keys):
+    """Per row of sorted int64 key rows: whether it differs from the row before."""
+    first = np.ones(len(keys), dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
+    return first
+
+
 def _lex_sorted(rows, bound, unique=False):
     """The rows in lexicographic order, repeats dropped if ``unique``; every
     coordinate lies in -bound..bound."""
     keys = rows @ _key_weights(rows.shape[1], 2 * bound + 1)
-    order = np.lexsort(keys.T[::-1])
+    order = _key_order(keys)
     if unique:
-        keys = keys[order]
-        keep = np.empty(order.shape[0], dtype=bool)
-        keep[0] = True
-        np.any(keys[1:] != keys[:-1], axis=1, out=keep[1:])
-        order = order[keep]
+        order = order[_run_starts(keys[order])]
     return rows[order]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances, _shipped_rows
-from weylbranch import charcalc, checker, kernels
+from weylbranch import charcalc, checker, embeddings, kernels
 from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
 from weylbranch.checker import (
     ClassificationEntry,
@@ -37,7 +37,6 @@ from weylbranch.rootsys import (
     LieType,
     RootSystem,
     build_root_system,
-    fundamental_weight,
     scaled_root_coords,
     weight_to_root_coords,
 )
@@ -168,26 +167,12 @@ def test_over_cap_table_enumerates_no_orbit(monkeypatch):
     walk = kernels.weyl_orbit_array
     calls = []
     monkeypatch.setattr(kernels, "weyl_orbit_array", lambda *args, **kw: calls.append(args[1]) or walk(*args, **kw))
-    checker._h_dominant_orbit.cache_clear()
     with pytest.raises(kernels.KernelCapacityError, match=f"{largest} elements, cap {largest - 1}"):
         branch_p0(rs, lam, e, cap=largest - 1)
     assert calls == []
     rep = branch_p0(rs, lam, e, cap=largest)
     assert rep.dim_rhs == rep.dim_lhs == 48
     assert sorted(calls) == sorted(table.entries)
-
-
-def test_restricted_orbits_are_shared_across_weights():
-    # omega_1 and omega_2 of B3 share the dominant weights omega_1 and 0, so
-    # restricting omega_2 after omega_1 enumerates only the orbit of omega_2
-    rs = build_root_system(LieType("B", 3))
-    e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
-    cached = checker._h_dominant_orbit
-    cached.cache_clear()
-    restricted_multiset(e, fundamental_weight(rs, 1))
-    assert (cached.cache_info().hits, cached.cache_info().misses) == (0, 2)
-    restricted_multiset(e, fundamental_weight(rs, 2))
-    assert (cached.cache_info().hits, cached.cache_info().misses) == (2, 3)
 
 
 def _scaled_coords(e, w):
@@ -332,17 +317,18 @@ SCAN_ORACLE_INSTANCES = [(ambient, e, 3) for ambient, e in FILTER_INSTANCES] + [
 ]
 
 
-@pytest.mark.parametrize("block_rows", [1, checker.SCREEN_BLOCK_ROWS])
-def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
+@pytest.mark.parametrize("chunk_rows", [1, embeddings.ORBIT_CHUNK_ROWS])
+def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     # the block screen against the one-chain-at-a-time oracle, which shares
     # no code with it, and every p = 0 verdict against branch_p0, which
-    # branches without the dimension-sum shortcut; on blocks of one
+    # branches without the dimension-sum shortcut; on orbit chunks of one
     # candidate and at the default size
-    monkeypatch.setattr(checker, "SCREEN_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", chunk_rows)
     geometry = checker._geometry
     blocks = []
-    # the block's candidates are the rows of its lam_a, the third argument
-    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[2])) or geometry(*args))
+    # a block's candidates are the rows of its lam_a, the third argument,
+    # and its orbit rows those of ``orbit``, the fifth
+    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append((len(args[2]), len(args[4]))) or geometry(*args))
     scans = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         rs = build_root_system(ambient)
@@ -359,11 +345,15 @@ def test_scan_matches_scalar_oracle(monkeypatch, block_rows):
                 else:
                     assert v == ("IRREDUCIBLE" if branch_p0(rs, w, e).verdict == "PASS" else "REDUCIBLE")
             scans += 1
-    if block_rows == 1:
-        assert set(blocks) == {1}
+    # the screen reads each orbit chunk whole: at most ORBIT_CHUNK_ROWS
+    # orbit rows, or one candidate
+    assert all(rows <= chunk_rows or count == 1 for count, rows in blocks)
+    counts = [count for count, _ in blocks]
+    if chunk_rows == 1:
+        assert set(counts) == {1}
     else:
         # some scan spans several blocks, and some block holds several candidates
-        assert len(blocks) > scans and max(blocks) > 1
+        assert len(blocks) > scans and max(counts) > 1
 
 
 def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):

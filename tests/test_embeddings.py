@@ -526,6 +526,34 @@ def test_component_orbits_match_oracle():
     assert checks == 3164
 
 
+def test_generators_are_involutions():
+    # the array walk applies the generators alone and matches each level
+    # against the one before and itself only, which is exact because every
+    # generator is its own inverse
+    for e in INSTANCES_12:
+        idx, sgn = e.orbit_steps
+        assert (np.take_along_axis(idx, idx, axis=1) == np.arange(e.width)).all(), (e.ambient, e.family)
+        assert (np.take_along_axis(sgn, idx, axis=1) * sgn == 1).all(), (e.ambient, e.family)
+
+
+def test_embed_refuses_generators_that_share_a_coordinate():
+    # (0 1)(1 2) on the torus normalizer's charges is a 3-cycle, not an
+    # involution; each move alone, or both on disjoint charges, is accepted
+    ambient = LieType("D", 4)
+    family = geom_family("c2", kind="Dl", l=1, t=4)
+    charges = [tuple(2 * (i == j) for i in range(4)) for j in range(4)]
+
+    def embed(gen):
+        return embeddings._embed(ambient, family, [], [[]] * 4, [gen], charges=charges, charge_scale=2)
+
+    assert embed([(0, 1, 1), (2, 3, -1)]).generators == (((1, 0, 3, 2), (1, 1, -1, -1)),)
+    assert embed([(1, 1, -1)]).generators == (((0, 1, 2, 3), (1, -1, 1, 1)),)
+    with pytest.raises(ValueError, match="moves a coordinate twice"):
+        embed([(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(ValueError, match="moves a coordinate twice"):
+        embed([(0, 1, 1), (1, 1, -1)])
+
+
 def test_component_orbits_refuse_coordinates_past_their_keys():
     e = build_embedding(LieType("D", 4), geom_family("c2", kind="Dl", l=1, t=4))
     last = (1 << 60) - 1
