@@ -23,18 +23,19 @@ does.  So an entry's characteristic-free part (its restriction, its
 (embedding, lam) and cached, and each characteristic runs only the
 certification on it.  A scan restricts its bounded candidates in one int64
 product, walks their component orbits together with
-``embeddings.component_orbits`` (a few array steps per chunk of
-candidates), and screens each chunk whole, as the walk leaves it, so that
-the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's memory.  A
-single weight (an entry, ``branch_p0``, ``necessary_filters``) keeps the
-search of ``component_orbit_set``, which is several times faster on one
-weight than an array walk.  At p = 0 a survivor goes on to the branching,
-with its prediction already made, only when the prediction's dimension sum
-equals dim V; otherwise it is REDUCIBLE at once.  That is exact:
-IRREDUCIBLE means the factors are the prediction, and branch conservation
-makes their dimension sum dim V.  The component group acts on H^0 by
-automorphisms, which keep dimensions, and the multiplicity m is constant on
-the orbit, so that sum is one product, |orbit| * m * dim of lam_h.
+``embeddings.component_orbits`` (one array step per stage of the component
+group's stabilizer chain), and screens each chunk whole, as the walk leaves
+it, so that the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's
+memory.  A single weight (an entry, ``branch_p0``, ``necessary_filters``)
+keeps the search of ``component_orbit_set``, which is about four times
+faster on one weight than the walk.  At p = 0 a survivor goes on to the
+branching, with its prediction already made, only when the prediction's
+dimension sum equals dim V; otherwise it is REDUCIBLE at once.  That is
+exact: IRREDUCIBLE means the factors are the prediction, and branch
+conservation makes their dimension sum dim V.  The component group acts on
+H^0 by automorphisms, which keep dimensions, and the multiplicity m is
+constant on the orbit, so that sum is one product, |orbit| * m * dim of
+lam_h.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -617,12 +618,11 @@ def _prediction_blocks(e: Embedding, lam_h_a):
     per chunk of ``component_orbits``: at most ``ORBIT_CHUNK_ROWS`` orbit
     rows, or one candidate.
 
-    This is the scan's ``clifford_prediction``: the orbits come from one
-    ``component_orbits`` walk over all the candidates, a few array steps
-    per chunk of them, not from one ``component_orbit_set`` search per
-    candidate.  An array step has a fixed cost that only a block repays: on
-    one weight the search takes about 30 us and the array walk about 180 us.
-    The chunk bound is also the one bound on the screen's memory, since
+    This is the scan's ``clifford_prediction``: one ``component_orbits``
+    walk over all the candidates, one array step per stage of the component
+    group's stabilizer chain, in place of one ``component_orbit_set`` search
+    per candidate (on one weight about 20 us against the walk's 80 us).  The
+    chunk bound is also the one bound on the screen's memory, since
     ``_geometry`` reads each chunk whole.
     """
     start = 0

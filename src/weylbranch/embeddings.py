@@ -119,12 +119,9 @@ class Embedding:
             pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
             getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
         self.doubled_getters = tuple(getters)
-        # the generators as index and sign rows, each applied to a whole
-        # frontier in one step; see ``component_orbits``
-        self.orbit_steps = (
-            np.array([idx for idx, _ in self.generators], dtype=np.intp).reshape(-1, self.width),
-            np.array([sgn for _, sgn in self.generators], dtype=np.int64).reshape(-1, self.width),
-        )
+        # the stages of ``component_orbits``, built by ``_stabilizer_chain``
+        # at its first call: an entry check never walks a block
+        self.orbit_chain = None
 
     def split(self, hw):
         parts = []
@@ -148,9 +145,9 @@ def component_orbit_set(e: Embedding, hw):
     A breadth-first search over doubled weights (w, -w), in which a sign
     change is an index shift: each generator is one ``itemgetter`` lookup
     per element, from ``e.doubled_getters``.  This is the walk for one
-    weight (``checker.clifford_prediction``): there it takes about 30 us,
+    weight (``checker.clifford_prediction``): there it takes about 20 us,
     where ``component_orbits``, the walk for a block of weights, takes
-    about 180 us, since each of its array steps has a fixed cost.
+    about 80 us, since each of its array steps has a fixed cost.
     """
     getters = e.doubled_getters
     n = len(hw)
@@ -161,77 +158,124 @@ def component_orbit_set(e: Embedding, hw):
     return sorted(w[:n] for w in seen)
 
 
-# orbit rows that one chunk of ``component_orbits`` holds, and so the rows
-# that one step of the scan's screen reads; a weight whose orbit alone is
-# longer makes a chunk of its own
+# rows that one stage of ``component_orbits`` may make, unless it walks one
+# weight alone: so also a bound on the rows one step of the scan's screen reads
 ORBIT_CHUNK_ROWS = 1 << 13
+
+
+def _stabilizer_chain(generators, width):
+    """A stabilizer chain of the component group, by Schreier-Sims with
+    Sims' filter on the 2 * width signed points (point i is e_i, point
+    width + i is -e_i; a permutation g lists g(p) per point p).
+
+    With G_j the stabilizer of the base points b_1 .. b_{j-1}, U_j holds one
+    element of G_j per point of G_j b_j, so G = U_1 ... U_k and, G being
+    closed under inverses, G x = U_k^-1 (... (U_1^-1 x)).  The Schreier
+    generators of G_j generate G_{j+1}; the filter keeps the group and one
+    per (first moved point, its image).  Returns U_1^-1 .. U_k^-1 as blocks
+    of (index rows, sign rows), like ``generators``: u takes e_i to +-e_q
+    with q = u(i) mod width, so u^-1 reads coordinate q into place i.
+    """
+    n = 2 * width
+    one = tuple(range(n))
+
+    def mul(a, b):  # a after b
+        return tuple([a[p] for p in b])
+
+    def inv(a):
+        out = [0] * n
+        for p, q in enumerate(a):
+            out[q] = p
+        return tuple(out)
+
+    def sims_filter(perms):  # (g, g^-1) per (first point i that g moves, g(i))
+        table = {}
+        for g in perms:
+            while g != one:
+                i = 0
+                while g[i] == i:
+                    i += 1
+                h = table.setdefault((i, g[i]), (g, inv(g)))
+                g = one if h[0] is g else mul(h[1], g)
+        return [g for g, _ in table.values()]
+
+    # each generator's inverse, e_i -> +-e_idx[i], which generate G as well
+    pos = ([j + width * (s < 0) for j, s in zip(idx, sgn)] for idx, sgn in generators)
+    gens, stages = sims_filter(tuple(p + [(q + width) % n for q in p]) for p in pos), []
+    while gens:
+        b = min(p for g in gens for p in range(n) if g[p] != p)
+        orbit, todo = {b: one}, [b]
+        for p in todo:
+            for g in gens:
+                if g[p] not in orbit:
+                    orbit[g[p]] = mul(g, orbit[p])
+                    todo.append(g[p])
+        images = np.array(list(orbit.values()), dtype=np.intp)[:, :width]
+        stages.append((images % width, np.where(images < width, 1, -1)))
+        back = {p: inv(u) for p, u in orbit.items()}
+        gens = sims_filter(mul(back[g[p]], mul(g, u)) for p, u in orbit.items() for g in gens)
+    return tuple(stages)
 
 
 def component_orbits(e: Embedding, rows):
     """The component orbits of a block of restricted weights, chunk by chunk.
 
     ``rows`` holds the weights as int64 rows, every coordinate below 2**60
-    in size, which keeps the keys exact.  Yields (orbit, sizes) for
-    consecutive chunks of them: ``sizes`` has one orbit size per weight and
-    ``orbit`` the orbits one after another as int64 rows, each in the sorted
-    order of ``component_orbit_set``.  One breadth-first walk serves a
-    whole chunk: a level applies every generator to the whole frontier as
-    one index-and-sign step, and matches the images by int64 keys that pack
-    (weight index, image), as many key columns as ``kernels._key_weights``
-    needs.  Every generator is an involution (``_embed`` builds each from
-    signed transpositions on disjoint coordinates), so an image lies in the
-    level before, the level itself or the next one, and only those two are
-    matched.  A chunk whose rows pass ORBIT_CHUNK_ROWS sheds its trailing
-    weights, keeping one at least; the next chunk starts at the first one
-    shed and takes as many weights as the last one kept, or twice as many
-    when it shed none.  This is the walk for a block of weights (a scan's
-    candidates, in ``checker._prediction_blocks``, which screens each chunk
-    whole); each array step has a fixed cost, so on one weight the search
-    of ``component_orbit_set`` is about six times faster.
+    in size, which keeps the keys exact.  Yields (orbit, sizes) per chunk of
+    consecutive weights: one orbit size per weight, and the orbits one after
+    another as int64 rows, each in the sorted order of
+    ``component_orbit_set``.  The walk follows ``e.orbit_chain``: a stage
+    applies one transversal to the chunk's rows as one index-and-sign step
+    and drops repeats by int64 keys of (weight, image).  Before a stage whose
+    rows times |U_j| would pass ORBIT_CHUNK_ROWS, the chunk sheds its
+    trailing weights (one stays); they keep their rows and resume there in
+    the next chunk, which takes as many weights as the last kept (twice as
+    many after no shed), so no weight is walked twice.  On one weight the
+    search of ``component_orbit_set`` is faster.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, e.width)
-    start, take = 0, len(rows)
-    while start < len(rows):
-        orbit, sizes = _orbit_chunk(e, rows[start:start + take])
-        start += len(sizes)
-        take = take * 2 if len(sizes) == take else len(sizes)
-        yield orbit, sizes
-
-
-def _orbit_chunk(e: Embedding, rows):
-    """``component_orbits`` of the leading rows whose orbits stay within
-    ORBIT_CHUNK_ROWS rows together (one row at least)."""
-    idx, sgn = e.orbit_steps
-    count = len(rows)
-    bound = int(np.abs(rows).max())
+    bound = int(np.abs(rows).max(initial=0))
     if bound >= 1 << 60:
         raise kernels.KernelCapacityError(f"component orbits({e.ambient}, {e.family}): coordinates exceed 2**60")
-    weights = kernels._key_weights(e.width + 1, 2 * max(bound, count) + 1)
+    stages = e.orbit_chain = e.orbit_chain or _stabilizer_chain(e.generators, e.width)
+    # the rows of the weights not yet yielded, sorted by weight, and per
+    # weight its next stage, which never rises from one weight to the next
+    weight, image = np.arange(len(rows)), rows
+    stage = np.zeros(len(rows), dtype=np.intp)
+    lo, take = 0, len(rows)
+    while lo < len(rows):
+        hi = top = min(lo + take, len(rows))
+        cut = np.searchsorted(weight, hi)
+        cw, ci, weight, image = weight[:cut] - lo, image[:cut], weight[cut:], image[cut:]
+        keys = kernels._key_weights(e.width + 1, 2 * max(bound, hi - lo) + 1)
+        for s in range(int(stage[hi - 1]), len(stages)):
+            # the rows of the weights not yet at stage s come first
+            start, size = np.searchsorted(cw, np.count_nonzero(stage[lo:hi] > s)), len(stages[s][0])
+            if (len(ci) - start) * size > ORBIT_CHUNK_ROWS and hi - lo > 1:
+                grow = np.bincount(cw[start:], minlength=hi - lo) * size
+                keep = max(int(np.searchsorted(np.cumsum(grow), ORBIT_CHUNK_ROWS, side="right")), 1)
+                stage[lo + keep:hi] = np.maximum(stage[lo + keep:hi], s)
+                hi, cut = lo + keep, np.searchsorted(cw, keep)
+                weight, image = np.concatenate((cw[cut:] + lo, weight)), np.concatenate((ci[cut:], image))
+                cw, ci = cw[:cut], ci[:cut]
+            if start < len(ci):  # the shed may leave only weights not yet at stage s
+                cw, ci = _orbit_stage(stages[s], cw, ci, start, keys)
+        yield ci, np.bincount(cw, minlength=hi - lo)
+        lo, take = hi, 2 * take if hi == top else hi - lo
 
-    def level(weight, image):
-        return weight, image, np.concatenate((weight[:, None], image), axis=1) @ weights
 
-    levels = [level(np.arange(count), rows)]
-    sizes = np.ones(count, dtype=np.int64)
-    while len(levels[-1][0]):
-        weight, frontier, _ = levels[-1]
-        found = level(np.repeat(weight, len(idx)), (frontier[:, idx] * sgn).reshape(-1, e.width))
-        # the images in neither this level nor the one before, each once:
-        # an image sorts after an equal key of those levels
-        keys = np.concatenate([k for _, _, k in levels[-2:]] + [found[2]])
-        old = len(keys) - len(found[2])
-        tagged = keys.copy()
-        tagged[:, -1] = 2 * tagged[:, -1] + (np.arange(len(keys)) >= old)
-        order = kernels._key_order(tagged)
-        new = order[kernels._run_starts(keys[order]) & (order >= old)] - old
-        levels.append(tuple(a[new] for a in found))
-        sizes += np.bincount(levels[-1][0], minlength=count)
-        if count > 1 and sizes.sum() > ORBIT_CHUNK_ROWS:
-            count = max(int(np.searchsorted(np.cumsum(sizes), ORBIT_CHUNK_ROWS, side="right")), 1)
-            sizes = sizes[:count]
-            levels = [tuple(a[lv[0] < count] for a in lv) for lv in levels]
-    _, orbit, keys = (np.concatenate(a) for a in zip(*levels))
-    return orbit[kernels._key_order(keys)], sizes
+def _orbit_stage(step, weight, image, start, keys):
+    """The (weight, image) rows with each one from ``start`` on replaced by
+    its images under one stage block, repeats dropped, in key order."""
+    idx, sgn = step
+    moved = np.repeat(weight[start:], len(idx))
+    images = (image[start:, idx] * sgn).reshape(len(moved), -1)
+    packed = images @ keys[1:] + moved[:, None] * keys[0]
+    order = kernels._key_order(packed)
+    order = order[kernels._run_starts(packed[order])]
+    if not start:
+        return moved[order], images[order]
+    return np.concatenate((weight[:start], moved[order])), np.concatenate((image[:start], images[order]))
 
 
 def central_multiplicity(e: Embedding, hw) -> int:
@@ -428,8 +472,8 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
     coordinate.  Each generator is a list of signed transpositions (i, j, s)
     of the restricted coordinates, meaning w'_i = s w_j and w'_j = s w_i
     (i == j changes one sign).  The moves of one generator must touch
-    disjoint coordinates, so that every generator is an involution, which
-    ``component_orbits`` relies on; otherwise ValueError is raised.
+    disjoint coordinates, which makes it an involution; otherwise the model
+    is wrong, and ValueError is raised.
     """
     factors, groups = _materialize(kinds)
     edims = [_edim(fam, r) for fam, r in kinds]

@@ -170,10 +170,8 @@ def _key_order(keys):
 
 
 def _run_starts(keys):
-    """Per row of sorted int64 key rows: whether it differs from the row before."""
-    first = np.ones(len(keys), dtype=bool)
-    np.any(keys[1:] != keys[:-1], axis=1, out=first[1:])
-    return first
+    """Per row of sorted int64 key rows, one at least: whether it differs from the row before."""
+    return np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
 
 
 def _lex_sorted(rows, bound, unique=False):
@@ -226,14 +224,26 @@ def weyl_orbit_array(rs, w, cap=None):
     return rows if ordered else _lex_sorted(rows, bound)
 
 
+def dominant_floor(rs, lam):
+    """A lower bound on the number of dominant weights under a dominant lam:
+    they include a chain from lam down to 0 or a minimal weight whose steps
+    are single positive roots (Stembridge, "The partial order of dominant
+    weights", Adv. Math. 136, 1998), each of height at most ht(theta)."""
+    low, top = rs.floor_heights
+    return (sum(a * h for a, h in zip(lam, rs.weight_heights)) - low) // top + 1
+
+
 def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     """(weights, heights): the dominant weights under lam, highest first.
 
     heights[i] is the coefficient sum of lam - weights[i] over the simple
     roots.  The set is the closure of {lam} under subtracting positive roots
-    while staying dominant.  More than ``maxdom`` weights raise.
+    while staying dominant.  More than ``maxdom`` weights raise, before any
+    is made when ``dominant_floor`` already passes ``maxdom``.
     """
     lam = tuple(int(c) for c in lam)
+    if dominant_floor(rs, lam) > maxdom:
+        raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): enumeration cap exceeded")
     roots = tuple(zip(rs.root_weights, map(sum, rs.positive_roots)))
     heights = {lam: 0}
     frontier = [lam]

@@ -168,6 +168,12 @@ class RootSystem:
         self.inv_cartan_scaled = tuple(
             tuple(int(x * self.inv_den) for x in row) for row in self.inverse_cartan
         )
+        # inv_den times the heights of the fundamental weights, of the highest
+        # of 0 and the minimal weights and of the highest root: exact integers
+        # for ``kernels.dominant_floor``
+        self.weight_heights = tuple(map(sum, self.inv_cartan_scaled))
+        low = max([0] + [self.weight_heights[m.index(1)] for m in minimal_weights(lie_type)])
+        self.floor_heights = (low, self.inv_den * max(map(sum, self.positive_roots)))
 
         # Scaled integer bilinear form on the weight lattice:
         # gram[i][j] = scale * (lambda_i, lambda_j), slen2[i] = scale * len_i / 2,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -325,3 +326,13 @@ def test_verify_weight_past_int64_guard(capsys, tmp_path):
         code, out, err = run(capsys, "verify", str(table))
         assert code == 2 and out == ""
         assert err.startswith("error: filters(") and "int64" in err and "Traceback" not in err
+
+
+def test_branch_refuses_a_huge_dominant_table_at_once(capsys):
+    # the dominant-table floor refuses B3 (2**50, 0, 0) before any weight is
+    # saturated; saturating up to the cap took tens of seconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, "branch", "B", "3", f"{2**50},0,0", "c1:Dn")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: saturate(B3, ({2**50}, 0, 0)): enumeration cap exceeded\n"

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -527,13 +528,53 @@ def test_component_orbits_match_oracle():
 
 
 def test_generators_are_involutions():
-    # the array walk applies the generators alone and matches each level
-    # against the one before and itself only, which is exact because every
-    # generator is its own inverse
+    # ``_embed`` builds each generator from signed transpositions on disjoint
+    # coordinates; the walks do not rely on it, but a generator that is not
+    # an involution would mean a model with overlapping moves
     for e in INSTANCES_12:
-        idx, sgn = e.orbit_steps
-        assert (np.take_along_axis(idx, idx, axis=1) == np.arange(e.width)).all(), (e.ambient, e.family)
-        assert (np.take_along_axis(sgn, idx, axis=1) * sgn == 1).all(), (e.ambient, e.family)
+        for idx, sgn in e.generators:
+            assert all(idx[idx[i]] == i and sgn[idx[i]] * sgn[i] == 1 for i in range(e.width)), (e.ambient, e.family)
+
+
+def _chain_sizes(e):
+    return [len(idx) for idx, _ in embeddings._stabilizer_chain(e.generators, e.width)]
+
+
+def _chain_order(e):
+    return math.prod(_chain_sizes(e))
+
+
+def test_chain_order_of_the_torus_normalizers_and_block_swaps():
+    # on t equal summands (c2) the block swaps generate S_t; with D_l
+    # summands an even number of them is flipped as well, and at l = 1 that
+    # group is W(D_n), the torus normalizer (instances from D4 on)
+    torus = 0
+    for e in INSTANCES_12:
+        if e.family.tag != "c2":
+            continue
+        t = e.family.get("t")
+        flips = e.family.get("kind") == "Dl"
+        order = math.factorial(t) << (t - 1 if flips else 0)
+        assert _chain_order(e) == order, (e.ambient, e.family)
+        torus += flips and e.family.get("l") == 1
+    assert torus == len(range(4, 13))
+
+
+def test_chain_order_matches_the_group_closure():
+    # a weight with distinct non-zero absolute coordinates has a trivial
+    # stabilizer in the signed permutations, so its orbit under the
+    # generators, walked by the oracle, has |G| elements; the first
+    # transversal is the largest, which bounds the walk's first stages
+    checked = 0
+    for e in INSTANCES_12:
+        order = _chain_order(e)
+        if e.ambient.rank > 8 or order > 10**5:
+            continue
+        assert order == len(component_orbit_oracle(e, range(1, e.width + 1))), (e.ambient, e.family)
+        sizes = _chain_sizes(e)
+        assert sizes[0] == max(sizes), (e.ambient, e.family)
+        checked += 1
+    assert checked == 111
 
 
 def test_embed_refuses_generators_that_share_a_coordinate():
@@ -563,19 +604,33 @@ def test_component_orbits_refuse_coordinates_past_their_keys():
         _orbit_blocks(e, [(0, 0, 0, 0), (1 << 60, 0, 0, 0)])
 
 
-@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("rows", [1, 7, 512, embeddings.ORBIT_CHUNK_ROWS])
 def test_component_orbit_chunks_do_not_change_the_orbits(monkeypatch, rows):
-    # a chunk holds at most ORBIT_CHUNK_ROWS orbit rows, or one weight;
-    # where the chunks end changes no orbit
+    # a stage makes at most ORBIT_CHUNK_ROWS rows, or walks one weight, so a
+    # chunk holds at most that many orbit rows, or one weight; a weight shed
+    # before a stage resumes there, so each one enters the first stage once;
+    # where the chunks end changes no orbit (at 512 rows a D8 torus-normalizer
+    # chunk once sheds every weight due at a stage, keeping only later ones)
     expected = [_orbit_blocks(e, weights)[0] for e, weights in ORACLE_WEIGHTS]
     monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", rows)
+    stage, calls = embeddings._orbit_stage, []
+
+    def record(step, weight, image, start, keys):
+        calls.append((step, weight[start:].tolist(), image[start:].tolist()))
+        return stage(step, weight, image, start, keys)
+
+    monkeypatch.setattr(embeddings, "_orbit_stage", record)
     split = 0
     for (e, weights), orbits in zip(ORACLE_WEIGHTS, expected):
+        calls.clear()
         found, chunks = _orbit_blocks(e, weights)
         assert found == orbits, (e.ambient, e.family)
         assert all(sum(sizes) <= rows or len(sizes) == 1 for sizes in chunks)
+        entered = [tuple(w) for step, _, image in calls if step is e.orbit_chain[0] for w in image]
+        assert sorted(entered) == sorted(weights), (e.ambient, e.family)
+        assert all(len(image) * len(step[0]) <= rows or len(set(weight)) == 1 for step, weight, image in calls)
         split += len(chunks) > 1
-    assert split > 100
+    assert split > (100 if rows < 8 else 0)
 
 
 def test_instance_counts():

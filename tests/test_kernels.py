@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weylbranch import kernels
 from weylbranch.charcalc import freudenthal, weyl_dim
+from weylbranch.checker import dominant_weights_bounded
 from weylbranch.kernels import dominant_representative, orbit_size
 from weylbranch.rootsys import LieType, build_root_system, parabolic_index
 
@@ -218,6 +219,23 @@ def test_capacity_guard():
     for big in (5 * 10**18, 3 * 10**19):
         with pytest.raises(kernels.KernelCapacityError):
             kernels.weyl_orbit_array(rs, (big, 0, 0))
+
+
+def test_dominant_floor_bounds_the_table():
+    # the floor from lam's height never passes the table it bounds, and it
+    # refuses a huge table before saturating (B3 (2**50, 0, 0): 6.8e14)
+    checked = 0
+    for family, lo, hi in (("A", 1, 5), ("B", 2, 5), ("C", 2, 5), ("D", 3, 5)):
+        for n in range(lo, hi + 1):
+            rs = build_root_system(LieType(family, n))
+            for lam in dominant_weights_bounded(n, 4):
+                assert kernels.dominant_floor(rs, lam) <= len(kernels.dominant_table(rs, lam)[0]), (family, n, lam)
+                checked += 1
+    assert checked == 958
+    rs = build_root_system(LieType("B", 3))
+    assert kernels.dominant_floor(rs, (2**50, 0, 0)) == 675539944105574
+    with pytest.raises(kernels.KernelCapacityError, match=r"saturate\(B3, .*\): enumeration cap exceeded"):
+        kernels.dominant_table(rs, (2**50, 0, 0))
 
 
 def test_dominant_rep_array():
