@@ -12,6 +12,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .kernels import dominant_representative, orbit_size
 from .rootsys import LieType, RootSystem, build_root_system
@@ -76,17 +78,31 @@ def freudenthal(rs: RootSystem, lam) -> CharacterTable:
 
 
 def weyl_dim(rs: RootSystem, lam) -> int:
-    """Weyl's dimension formula, prod <lam + rho, beta-coroot> / <rho, beta-coroot>, exactly."""
-    lam = _require_dominant(rs.check_weight(lam))
-    shifted = [c + 1 for c in lam]
-    num = 1
-    den = 1
-    for row in rs.coroots:
-        num *= sum(a * c for a, c in zip(row, shifted))
-        den *= sum(row)
-    if num % den:
-        raise ArithmeticError(f"Weyl dimension of {lam} on {rs.lie_type} is not integral")
-    return num // den
+    """Weyl's dimension formula prod <lam + rho, beta-coroot> / <rho, beta-coroot>, of one checked lam."""
+    return weyl_dims(rs, [_require_dominant(rs.check_weight(lam))])[0]
+
+
+def weyl_dims(rs: RootSystem, rows) -> list:
+    """``weyl_dim`` of each row of a block of dominant weights, unchecked, as Python ints.
+
+    One product of the rows lam + rho with ``rs.coroot_block`` gives every
+    pairing <lam + rho, beta-coroot>, at most (max lam_i + 1) <rho, beta-coroot>;
+    past int64 it runs in object dtype.  Each row's pairings are multiplied
+    over Python ints.
+    """
+    block = rs.coroot_block
+    heights = block.sum(axis=0).tolist()  # <rho, beta-coroot> per positive root
+    top = int(rows.max(initial=0)) if isinstance(rows, np.ndarray) else max(map(max, rows), default=0)
+    wide = top >= ((1 << 63) - 1) // max(heights) - 1
+    shifted = np.array(rows, dtype=object if wide else np.int64).reshape(-1, rs.rank) + 1
+    den = math.prod(heights)
+    out = []
+    for i, pairs in enumerate((shifted @ block).tolist()):
+        dim, rem = divmod(math.prod(pairs), den)
+        if rem:
+            raise ArithmeticError(f"Weyl dimension of {tuple(map(int, rows[i]))} on {rs.lie_type} is not integral")
+        out.append(dim)
+    return out
 
 
 def premet_applies(rs: RootSystem, chi: Characteristic) -> bool:
@@ -289,11 +305,13 @@ def weyl_character_subtract(rs_list, weight_multiset):
     return out
 
 
-def product_weyl_dim(rs_list, hw_flat):
-    """Product of factor Weyl dimensions for a flat concatenated weight."""
-    dim = 1
+def product_weyl_dims(rs_list, rows):
+    """Per row of a block of flat concatenated weights, the product of its
+    factor Weyl dimensions: one ``weyl_dims`` call per factor."""
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    dims = [1] * len(rows)
     off = 0
     for rs in rs_list:
-        dim *= weyl_dim(rs, hw_flat[off:off + rs.rank])
+        dims = [a * b for a, b in zip(dims, weyl_dims(rs, rows[:, off:off + rs.rank]))]
         off += rs.rank
-    return dim
+    return dims

@@ -13,15 +13,16 @@ anything beyond them is reported INCONCLUSIVE rather than guessed.
 
 The necessary filters read a table built once per embedding: the diagram
 chains beta of G, their coroot pairings, their images R beta (also in
-scaled factor root coordinates) and the groups of chains that share one
-image.  One int64 array step tests every (candidate, component-orbit element)
-row against every chain image and folds the rows per candidate; a weight too
-large for exact int64 arithmetic raises KernelCapacityError.  That geometry
-does not depend on p: only the certification <lam, beta-coroot> != 0 (mod p)
-does.  So an entry's characteristic-free part (its restriction, its
-``clifford_prediction`` and the filters' geometry) is decided once per
-(embedding, lam) and cached, and each characteristic runs only the
-certification on it.  A scan restricts its bounded candidates in one int64
+scaled factor root coordinates), the groups of chains that share one image,
+and each chain's residues and charges packed into an int64 key.  One
+rows x chains match of packed keys finds the (candidate, component-orbit
+element, chain) triples to test, only those are tested and folded per
+candidate, and a weight too large for exact int64 arithmetic raises
+KernelCapacityError.  That geometry does not depend on p: only the
+certification <lam, beta-coroot> != 0 (mod p) does.  So an entry's
+characteristic-free part (its restriction, its ``clifford_prediction`` and
+the filters' geometry) is decided once per (embedding, lam) and cached, and
+each characteristic runs only the certification on it.  A scan restricts its bounded candidates in one int64
 product, walks their component orbits together with
 ``embeddings.component_orbits`` (one array step per stage of the component
 group's stabilizer chain), and screens each chunk whole, as the walk leaves
@@ -35,7 +36,8 @@ exact: IRREDUCIBLE means the factors are the prediction, and branch
 conservation makes their dimension sum dim V.  The component group acts on
 H^0 by automorphisms, which keep dimensions, and the multiplicity m is
 constant on the orbit, so that sum is one product, |orbit| * m * dim of
-lam_h.
+lam_h, decided for a chunk's survivors by one ``charcalc.weyl_dims`` call
+per factor of H^0 and one for G.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -161,12 +163,8 @@ def _branch_p0(e: Embedding, lam, predicted, cap) -> BranchReport:
         raise ValueError("highest weight must be dominant and non-zero")
     multiset = restricted_multiset(e, lam, cap=cap)
     factors = charcalc.weyl_character_subtract(e.factor_systems, multiset)
-    dims = {}
-    total = 0
-    for hw, m in factors.items():
-        d = charcalc.product_weyl_dim(e.factor_systems, hw)
-        dims[hw] = d
-        total += m * d
+    dims = dict(zip(factors, charcalc.product_weyl_dims(e.factor_systems, list(factors))))
+    total = sum(m * dims[hw] for hw, m in factors.items())
     expected = weyl_dim(e.root_system, lam)
     if total != expected:
         # conservation is structural; a failure means a genuine bug
@@ -232,7 +230,9 @@ class _ChainTable(NamedTuple):
     scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
     scaled_images: np.ndarray  # chains x ss: R beta through ``scale``
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
-    keys: np.ndarray  # chains x width: -(R beta) through ``scale`` mod inv_den, then its negated charges
+    key_weights: np.ndarray  # width x key columns: ``kernels._key_weights`` for the key digits
+    charge_bound: int  # above every |charge| of a chain image: a charge clipped to it matches no chain
+    keys: np.ndarray  # chains x key columns: -(R beta) through ``scale`` mod inv_den, then its negated charges, packed
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
 
 
@@ -275,6 +275,10 @@ def _chain_table(e: Embedding):
         terms * 2 * e.width * int(np.abs(e.restriction).max()) * max(int(np.abs(scale).max(initial=0)), 1),
     )
     offset = terms * int(np.abs(scaled_images).max(initial=0))
+    # a key's digits are residues in 0..inv_den - 1 and charges clipped to
+    # +-charge_bound: balanced digits of this radix pack them exactly
+    charge_bound = int(np.abs(images[:, ss:]).max(initial=0)) + 1
+    key_weights = kernels._key_weights(e.width, 2 * max(int(inv_den.max(initial=1)) - 1, charge_bound) + 1)
     return _ChainTable(
         labels=tuple(label for label, _, _ in chains),
         coroots=coroots,
@@ -285,7 +289,9 @@ def _chain_table(e: Embedding):
         scale=scale,
         scaled_images=scaled_images,
         inv_den=inv_den,
-        keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1),
+        key_weights=key_weights,
+        charge_bound=charge_bound,
+        keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1) @ key_weights,
         limit=((1 << 63) - 1 - offset) // growth,
     )
 
@@ -314,30 +320,39 @@ def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults)
     ``lam_a`` holds the candidates as rows and ``lam_h_a`` their
     restrictions; their ``clifford_prediction`` is read as arrays: the
     component orbits one after another as the rows of ``orbit``, one orbit
-    size per candidate in ``sizes`` and one multiplicity in ``mults``.
-    Every (candidate, orbit element) pair is one row of the "under" test
-    against every chain; ``reduceat`` folds each candidate's rows.
+    size per candidate in ``sizes`` and one multiplicity in ``mults``.  A
+    (candidate, orbit element) row lies over a chain image only where its
+    packed residues and charges match the chain's key, in one rows x chains
+    step; only the matched pairs are tested for non-negative coordinates.
     """
     ss = e.semisimple_rank
-    starts = np.cumsum(sizes) - sizes
-    diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
+    n, k = len(sizes), len(t.labels)
+    owner = np.repeat(np.arange(n), sizes)  # per orbit row: its candidate
+    diff = orbit - lam_h_a[owner]
     scaled = diff @ t.scale
-    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
-    # orbit rows x chains x coordinates
-    under = (scaled[:, None] >= -t.scaled_images).all(axis=2) & (key[:, None] == t.keys).all(axis=2)
-    above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)  # candidates x chains: orbit elements over mu_h
-    single = np.zeros((len(sizes), len(t.lead)), dtype=bool)
+    charges = np.maximum(np.minimum(diff[:, ss:], t.charge_bound), -t.charge_bound)
+    key = np.concatenate((scaled % t.inv_den, charges), axis=1) @ t.key_weights
+    match = key[:, 0, None] == t.keys[:, 0]
+    for col in range(1, key.shape[1]):
+        match &= key[:, col, None] == t.keys[:, col]
+    row, chain = np.divmod(np.flatnonzero(match), k)  # faster than a 2-D nonzero past a few rows
+    under = (scaled[row] + t.scaled_images[chain] >= 0).all(axis=1)  # the matched pairs where mu_h lies under c
+    row, chain = row[under], chain[under]
+    cand = owner[row]
+    above = np.bincount(cand * k + chain, minlength=n * k).reshape(n, k)  # candidates x chains: orbit elements over mu_h
+    single = np.zeros((n, len(t.lead)), dtype=bool)
     capacity = np.zeros(single.shape, dtype=np.int64)
     # a group's weights restrict to one weight; where it lies one factor
     # simple root below a single orbit element, the certified ones are at
     # most that element's multiplicity, which ``_screen`` checks at p
-    cand, grp = np.nonzero(above[:, t.lead] == 1)
-    if cand.size:
+    hit, grp = np.nonzero(above[:, t.lead] == 1)
+    if hit.size:
         lead = t.lead[grp]
-        row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
-        steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-        capacity[cand, grp] = mults[cand]
-        single[cand, grp] = steps == 1
+        at = np.zeros(above.shape, dtype=np.intp)
+        at[cand, chain] = row  # the one row over mu_h, where there is one
+        steps = ((scaled[at[hit, lead]] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
+        capacity[hit, grp] = mults[hit]
+        single[hit, grp] = steps == 1
     return _Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
 
 
@@ -411,8 +426,9 @@ def necessary_filters(e: Embedding, lam, chi: Characteristic):
     divisible by its factor's ``inv_den``; the quotients then sum to the
     number of factor simple roots in c - mu_h.  The scaled coordinates are
     linear and c - mu_h = (c - lam_h) + R beta, so divisibility is a match of
-    residues, those of c - lam_h against those of -R beta, and ``_geometry``
-    decides every (chain, orbit element) pair in one array step.
+    residues, those of c - lam_h against those of -R beta: ``_geometry``
+    matches the packed residues and charges of every (chain, orbit element)
+    pair in one array step and tests the coordinates of the matched ones.
 
     Only the certification depends on p.  The restriction, the prediction
     and that geometry are decided once per (embedding, lam), in
@@ -662,19 +678,21 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     for block in _prediction_blocks(e, lam_h_a):
         rows = slice(start, start + len(block.sizes))
         start = rows.stop
-        screen = _screen(e, chi, t, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block))
-        kappas = (block.sizes * block.mults).tolist()  # per candidate: |orbit| * m
-        for i, (lam, lam_h, filtered) in enumerate(zip(lams[rows], lam_h_a[rows].tolist(), screen.filtered().tolist())):
-            if filtered:
+        filtered = _screen(e, chi, t, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block)).filtered()
+        # IRREDUCIBLE makes the dimension sum dim V (conservation), and it is
+        # |orbit| * m * dim of lam_h: automorphisms of H^0 keep dimensions and
+        # m is constant on the orbit; one ``weyl_dims`` call per factor and G
+        live = np.flatnonzero(~filtered & (chi.p == 0))
+        kappas = (block.sizes * block.mults)[live].tolist()
+        dims_h = charcalc.product_weyl_dims(e.factor_systems, lam_h_a[rows][live])
+        dims_v = charcalc.weyl_dims(rs, lam_a[rows][live])
+        agree = {i for i, k, d, v in zip(live.tolist(), kappas, dims_h, dims_v) if k * d == v}
+        for i, (lam, out) in enumerate(zip(lams[rows], filtered.tolist())):
+            if out:
                 yield lam, FILTERED
             elif chi.p != 0:
                 yield lam, UNRESOLVED
-            elif kappas[i] * charcalc.product_weyl_dim(e.factor_systems, lam_h) != weyl_dim(rs, lam):
-                # IRREDUCIBLE means the factors are the prediction, and
-                # conservation makes their dimension sum dim V; the
-                # component group acts by automorphisms of H^0, which keep
-                # dimensions, and m is constant on the orbit, so that sum is
-                # |orbit| * m * dim of lam_h
+            elif i not in agree:
                 yield lam, REDUCIBLE
             else:
                 rep = _branch_p0(e, lam, block.predicted(i), cap)

@@ -210,6 +210,9 @@ class RootSystem:
         self.root_forms = tuple(map(tuple, forms.tolist()))
         self.root_norms = tuple(norms.tolist())
         self.coroots = tuple(map(tuple, coroots.tolist()))
+        # the same pairings as a rank x roots block, for ``charcalc.weyl_dims``
+        self.coroot_block = np.ascontiguousarray(coroots.T)
+        self.coroot_block.flags.writeable = False
         self.root_index = {beta: k for k, beta in enumerate(self.positive_roots)}
 
     def __repr__(self):
@@ -253,10 +256,6 @@ def _root_position(rs: RootSystem, alpha_rc):
     return None
 
 
-def is_root(rs: RootSystem, alpha_rc) -> bool:
-    return _root_position(rs, alpha_rc) is not None
-
-
 def pairing(rs: RootSystem, w, alpha_rc) -> int:
     """<w, alpha-coroot>, exactly; alpha must be a root."""
     found = _root_position(rs, alpha_rc)
@@ -278,18 +277,6 @@ def weight_to_root_coords(rs: RootSystem, w):
     """Exact rational coordinates of a weight in the simple-root basis."""
     w = rs.check_weight(w)
     return tuple(Fraction(x, rs.inv_den) for x in scaled_root_coords(rs, w))
-
-
-def root_coords_to_weight(rs: RootSystem, rc):
-    """Inverse of :func:`weight_to_root_coords`; exact, errors if non-integral."""
-    n = rs.rank
-    out = []
-    for j in range(n):
-        v = sum(rc[i] * rs.cartan[i][j] for i in range(n))  # an int or a Fraction
-        if v != int(v):
-            raise ArithmeticError(f"root coordinates {rc} do not give an integral weight")
-        out.append(int(v))
-    return tuple(out)
 
 
 def connected_components(rs: RootSystem, nodes):
@@ -340,13 +327,6 @@ def parabolic_index(rs: RootSystem, nodes):
     if total % order:
         raise ArithmeticError(f"parabolic order {order} does not divide |W| = {total}")
     return total // order, types
-
-
-def fundamental_weight(rs: RootSystem, i: int):
-    """lambda_i as a Weight (1-based index)."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"index {i} out of range for {rs.lie_type}")
-    return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
 
 
 def minimal_weights(t: LieType):

@@ -298,7 +298,7 @@ def test_criterion_7_scan_completeness():
     """Oracle equivalence: p = 0 scans return exactly the applicable rows."""
     t0 = time.perf_counter()
     rows = _shipped_rows()
-    entries = instantiate_rows(rows, 7, P0, pattern_bound=3)
+    entries = instantiate_rows(rows, 8, P0, pattern_bound=3)
     applicable = {}
     for ent in entries:
         if not p_condition_ok(ent.p_condition, 0):
@@ -307,7 +307,7 @@ def test_criterion_7_scan_completeness():
             continue
         applicable.setdefault((ent.ambient, ent.family), set()).add(ent.lam)
     instances = 0
-    for ambient, gf, e in _p0_instances(7):
+    for ambient, gf, e in _p0_instances(8):
         res = scan_candidates(ambient, e, P0, 3)
         found = sorted(l for l, v in res if v == "IRREDUCIBLE")
         expected = sorted(w for w in applicable.get((ambient, gf), set()) if sum(w) <= 3)

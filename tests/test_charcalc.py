@@ -19,7 +19,7 @@ from weylbranch.charcalc import (
     mult_rule_bwt,
     mult_rule_s816,
     premet_applies,
-    product_weyl_dim,
+    product_weyl_dims,
     weyl_character_subtract,
     weyl_dim,
 )
@@ -240,8 +240,8 @@ def test_freudenthal_matches_weyl_dim_sample():
 
 def test_product_weyl_dim():
     rs1, rs2 = rsys("A", 1), rsys("B", 2)
-    assert product_weyl_dim((rs1, rs2), (1, 1, 0)) == 2 * 5
-    assert product_weyl_dim((rs1, rs2), (1, 0, 1)) == 2 * 4
+    assert product_weyl_dims((rs1, rs2), [(1, 1, 0), (1, 0, 1)]) == [2 * 5, 2 * 4]
+    assert product_weyl_dims((), [(3,), (4,)]) == [1, 1]  # a torus alone: charges only
 
 
 def test_freudenthal_sweep_digest():

@@ -304,6 +304,112 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
         _assert_plain(finding)
 
 
+def dense_geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults):
+    """The former ``_geometry``, kept as an oracle: every (candidate, orbit
+    element) row is tested against every chain across the whole width, in
+    one dense rows x chains x width product, and ``reduceat`` folds the rows."""
+    ss = e.semisimple_rank
+    starts = np.cumsum(sizes) - sizes
+    diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
+    scaled = diff @ t.scale
+    key = np.concatenate((scaled % t.inv_den, diff[:, ss:]), axis=1)  # residues, then charges
+    keys = np.concatenate((-t.scaled_images % t.inv_den, -t.images[:, ss:]), axis=1)
+    under = (scaled[:, None] >= -t.scaled_images).all(axis=2) & (key[:, None] == keys).all(axis=2)
+    above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)
+    single = np.zeros((len(sizes), len(t.lead)), dtype=bool)
+    capacity = np.zeros(single.shape, dtype=np.int64)
+    cand, grp = np.nonzero(above[:, t.lead] == 1)
+    if cand.size:
+        lead = t.lead[grp]
+        row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
+        steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
+        capacity[cand, grp] = mults[cand]
+        single[cand, grp] = steps == 1
+    return checker._Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
+
+
+def _assert_same_geometry(got, args):
+    """``got``, the geometry of ``args``, equals the dense oracle's, field by field."""
+    for name, a, b in zip(checker._Geometry._fields, got, dense_geometry(*args)):
+        assert a.shape == b.shape and a.dtype == b.dtype and (a == b).all(), (args[0].family, name)
+
+
+def _check_geometry(monkeypatch):
+    """Check every ``_geometry`` call against the dense oracle; the list it
+    returns gets (candidates, orbit rows) of each call."""
+    geometry, calls = checker._geometry, []
+
+    def checked(*args):
+        got = geometry(*args)
+        _assert_same_geometry(got, args)
+        # a block's candidates are the rows of its lam_a, the third
+        # argument, and its orbit rows those of ``orbit``, the fifth
+        calls.append((len(args[2]), len(args[4])))
+        return got
+
+    monkeypatch.setattr(checker, "_geometry", checked)
+    return calls
+
+
+def test_geometry_matches_dense_oracle_on_entries(monkeypatch):
+    # every entry record of shipped:all up to rank 8 at p = 0, 2, 3, 5 and
+    # 7: the single weights that verify_entry reads
+    calls = _check_geometry(monkeypatch)
+    checker._entry_record.cache_clear()
+    records = set()
+    for p in FILTER_PRIMES:
+        for entry in instantiate_rows(_shipped_rows(), 8, Characteristic(p), pattern_bound=3):
+            e, reason = checker.entry_gate(entry, p)
+            lam = tuple(entry.lam)
+            if reason is None and (p == 0 or max(lam) < p):
+                checker._entry_record(e, lam)
+                records.add((e, lam))
+    assert len(calls) == len(records) == 433
+    assert {count for count, _ in calls} == {1}
+
+
+def test_geometry_matches_dense_oracle_on_a_torus_normalizer():
+    # the first three orbit chunks of the D8 torus normalizer: no semisimple
+    # coordinate, so the key is eight charges; a chunk of nine candidates,
+    # then single candidates of 1 792 and 3 584 rows
+    ambient = LieType("D", 8)
+    e = build_embedding(ambient, geom_family("c2", kind="Dl", l=1, t=8))
+    assert e.semisimple_rank == 0
+    t = checker._chain_table(e)
+    lam_a = np.array(dominant_weights_bounded(8, 3), dtype=np.int64)
+    lam_h_a = lam_a @ e.restriction
+    start = 0
+    for block in itertools.islice(checker._prediction_blocks(e, lam_h_a), 3):
+        rows = slice(start, start + len(block.sizes))
+        start = rows.stop
+        args = (e, t, lam_a[rows], lam_h_a[rows], *block)
+        _assert_same_geometry(checker._geometry(*args), args)
+    assert start == 11
+
+
+def test_geometry_key_spans_several_columns(monkeypatch):
+    # a radix too large to pack two digits into one int64 gives each key
+    # digit its own column, so the match runs over every column
+    instances = FILTER_INSTANCES[::4]
+    checker._chain_table.cache_clear()
+    checker._entry_record.cache_clear()
+    try:
+        key_weights = kernels._key_weights
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_key_weights", lambda n, radix: key_weights(n, (1 << 31) + 1))
+            tables = [checker._chain_table(e) for _, e in instances]
+        assert [t.keys.shape[1] for t in tables] == [e.width for _, e in instances]
+        assert max(e.width for _, e in instances) >= 4
+        calls = _check_geometry(monkeypatch)
+        for ambient, e in instances:
+            for p in (0, 3):
+                scan_candidates(ambient, e, Characteristic(p), 3)
+        assert len(calls) >= 2 * len(instances)
+    finally:
+        checker._chain_table.cache_clear()
+        checker._entry_record.cache_clear()
+
+
 @functools.lru_cache(maxsize=None)
 def _scalar_filtered(ambient, family, w, p):
     e = build_embedding(ambient, family)
@@ -324,11 +430,8 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     # branches without the dimension-sum shortcut; on orbit chunks of one
     # candidate and at the default size
     monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", chunk_rows)
-    geometry = checker._geometry
-    blocks = []
-    # a block's candidates are the rows of its lam_a, the third argument,
-    # and its orbit rows those of ``orbit``, the fifth
-    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append((len(args[2]), len(args[4]))) or geometry(*args))
+    # every block's key-match geometry equals the dense oracle's
+    blocks = _check_geometry(monkeypatch)
     scans = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         rs = build_root_system(ambient)
@@ -348,6 +451,7 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     # the screen reads each orbit chunk whole: at most ORBIT_CHUNK_ROWS
     # orbit rows, or one candidate
     assert all(rows <= chunk_rows or count == 1 for count, rows in blocks)
+    assert len(blocks) == (6981 if chunk_rows == 1 else 219)
     counts = [count for count, _ in blocks]
     if chunk_rows == 1:
         assert set(counts) == {1}
@@ -386,8 +490,9 @@ def test_scan_dimension_test_is_one_product():
                 lam_h = tuple(lam_h_a[i].tolist())
                 predicted = block.predicted(k)
                 assert predicted == checker.clifford_prediction(e, lam_h)
-                total = sum(m * charcalc.product_weyl_dim(e.factor_systems, c) for c, m in predicted.items())
-                product = int(block.sizes[k] * block.mults[k]) * charcalc.product_weyl_dim(e.factor_systems, lam_h)
+                dims = charcalc.product_weyl_dims(e.factor_systems, [*predicted, lam_h])
+                total = sum(m * d for m, d in zip(predicted.values(), dims))
+                product = int(block.sizes[k] * block.mults[k]) * dims[-1]
                 assert total == product, (ambient, e.family, lams[i])
                 i += 1
         assert i == len(lams)

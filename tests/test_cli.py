@@ -240,8 +240,8 @@ def test_scan_cap_spares_candidates_decided_by_dimension(capsys, monkeypatch):
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
-    real = charcalc.product_weyl_dim
-    monkeypatch.setattr(charcalc, "product_weyl_dim", lambda rs_list, hw: real(rs_list, hw) + 1)
+    real = charcalc.product_weyl_dims
+    monkeypatch.setattr(charcalc, "product_weyl_dims", lambda rs_list, rows: [d + 1 for d in real(rs_list, rows)])
     code, _, err = run(capsys, "branch", "B", "3", "0,0,1", "c1:Dn")
     assert code == 3
     assert err.startswith("error: internal invariant failed: branch conservation failed")

@@ -12,6 +12,7 @@ import pytest
 
 from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
+from test_rootsys import fundamental_weight
 from weylbranch import embeddings, kernels
 from weylbranch.charcalc import freudenthal
 from weylbranch.checker import clifford_prediction, dominant_weights_bounded
@@ -30,7 +31,7 @@ from weylbranch.embeddings import (
     instance_params,
     restrict_weight,
 )
-from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system, fundamental_weight
+from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system
 
 
 def lam(n, *pairs):

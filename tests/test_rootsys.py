@@ -7,20 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylbranch.charcalc import freudenthal, weyl_dim
+from weylbranch.charcalc import freudenthal, weyl_dim, weyl_dims
 from weylbranch.checker import branch_p0, dominant_weights_bounded
 from weylbranch.embeddings import build_embedding, geom_family, restrict_weight
 from weylbranch.rootsys import (
     LieType,
+    _root_position,
     build_root_system,
-    fundamental_weight,
-    is_root,
     minimal_weights,
     pairing,
-    root_coords_to_weight,
     scaled_root_coords,
     weight_to_root_coords,
 )
+
+def is_root(rs, alpha_rc) -> bool:
+    return _root_position(rs, alpha_rc) is not None
+
+
+def root_coords_to_weight(rs, rc):
+    """Inverse of ``weight_to_root_coords``; exact, errors if non-integral."""
+    n = rs.rank
+    out = []
+    for j in range(n):
+        v = sum(rc[i] * rs.cartan[i][j] for i in range(n))  # an int or a Fraction
+        if v != int(v):
+            raise ArithmeticError(f"root coordinates {rc} do not give an integral weight")
+        out.append(int(v))
+    return tuple(out)
+
+
+def fundamental_weight(rs, i: int):
+    """lambda_i as a weight (1-based index)."""
+    return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
+
 
 ALL_TYPES = [
     LieType(f, n)
@@ -158,6 +177,59 @@ def test_weyl_dim_matches_former_formula():
             assert weyl_dim(rs, lam) == slen2_weyl_dim(rs, lam), (t, lam)
             checks += 1
     assert checks == 794
+
+
+def scalar_weyl_dim(rs, lam):
+    """The former ``weyl_dim`` body: one coroot pairing at a time over Python ints."""
+    shifted = [c + 1 for c in lam]
+    num = den = 1
+    for row in rs.coroots:
+        num *= sum(a * c for a, c in zip(row, shifted))
+        den *= sum(row)
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dims_match_scalar_formula():
+    # every dominant weight with coefficient sum <= 3, zero included, on
+    # A1-A8, B2-B8, C2-C8 and D3-D8: one row at a time, and as one block per
+    # type from a list and from an int64 array
+    checks = 0
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        lams = [(0,) * t.rank, *dominant_weights_bounded(t.rank, 3)]
+        expected = [scalar_weyl_dim(rs, lam) for lam in lams]
+        assert [weyl_dim(rs, lam) for lam in lams] == expected, t
+        assert weyl_dims(rs, lams) == weyl_dims(rs, np.array(lams, dtype=np.int64)) == expected, t
+        assert weyl_dims(rs, np.zeros((0, t.rank), dtype=np.int64)) == []
+        checks += len(lams)
+    assert checks == 1954
+
+
+def test_weyl_dims_are_exact_past_int64():
+    # coordinates of 2^62 and 2^80 are not refused: past the int64 bound the
+    # pairings run in object dtype on the same path, and come back exact
+    for t in ALL_TYPES:
+        rs = build_root_system(t)
+        lams = [
+            tuple(big if i in (0, t.rank - 1) else i % 2 for i in range(t.rank))
+            for big in (1 << 62, (1 << 62) + 3, 1 << 80)
+        ]
+        expected = [scalar_weyl_dim(rs, lam) for lam in lams]
+        assert [weyl_dim(rs, lam) for lam in lams] == expected, t
+        assert weyl_dims(rs, [(1,) * t.rank, *lams])[1:] == expected, t
+        assert weyl_dims(rs, np.array(lams[:2], dtype=np.int64)) == expected[:2], t
+        assert all(type(d) is int for d in weyl_dims(rs, lams))
+
+
+def test_weyl_dim_validates_its_weight():
+    b3 = build_root_system(LieType("B", 3))
+    with pytest.raises(ValueError, match="not dominant"):
+        weyl_dim(b3, (1, -1, 0))
+    with pytest.raises(ValueError, match="wrong length"):
+        weyl_dim(b3, (1, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        weyl_dim(b3, (1, 0.5, 0))
 
 
 def test_non_integral_weights_are_rejected():

@@ -234,25 +234,71 @@ def test_per_root_data_derived_only_in_rootsys():
 PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains", "_coset_stages"}
 
 
+def _caches(tree):
+    """(function, line, bounded) for each ``lru_cache`` or ``cache`` decorator
+    in tree, matched by callee name; bounded means a maxsize that is stated
+    and not None."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            callee = getattr(target, "id", getattr(target, "attr", None))
+            if callee not in ("lru_cache", "cache"):
+                continue
+            sizes = ([kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]) if call else []
+            bounded = callee == "lru_cache" and bool(sizes) and not (
+                isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+            )
+            out.append((node.name, node.lineno, bounded))
+    return out
+
+
 def test_lru_caches_are_bounded():
     # long scans must run in bounded memory, so every cache keyed on weights
     # or embeddings states a finite maxsize
     found, unbounded = set(), []
     for name, tree in _trees():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            for dec in node.decorator_list:
-                if "cache" not in ast.unparse(dec):
-                    continue
-                found.add(node.name)
-                sizes = [kw.value for kw in getattr(dec, "keywords", []) if kw.arg == "maxsize"]
-                if node.name not in PER_ROOT_SYSTEM_CACHES and (
-                    not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None)
-                ):
-                    unbounded.append(f"{name}:{node.lineno} {node.name}")
+        for func, line, bounded in _caches(tree):
+            found.add(func)
+            if not bounded and func not in PER_ROOT_SYSTEM_CACHES:
+                unbounded.append(f"{name}:{line} {func}")
     assert not unbounded, unbounded
     assert PER_ROOT_SYSTEM_CACHES <= found
+    # the rule itself, on a synthetic source: a cached property is one value
+    # per instance, not a cache; every form without a finite maxsize fails
+    synthetic = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def prop(self): pass\n"
+        "@functools.lru_cache(maxsize=8)\n"
+        "def keyword(x): pass\n"
+        "@lru_cache(16)\n"
+        "def positional(x): pass\n"
+        "@functools.cache\n"
+        "def cache_attr(x): pass\n"
+        "@cache\n"
+        "def cache_name(x): pass\n"
+        "@lru_cache()\n"
+        "def empty_call(x): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def none_size(x): pass\n"
+        "@lru_cache\n"
+        "def bare(x): pass\n"
+    )
+    assert {func: bounded for func, _, bounded in _caches(synthetic)} == {
+        "keyword": True,
+        "positional": True,
+        "cache_attr": False,
+        "cache_name": False,
+        "empty_call": False,
+        "none_size": False,
+        "bare": False,
+    }
 
 
 def test_public_api_stable():

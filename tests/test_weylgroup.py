@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_rootsys import root_coords_to_weight
 from weylbranch.kernels import KernelCapacityError, dominant_representative, orbit_size, weyl_orbit_array
-from weylbranch.rootsys import LieType, build_root_system, pairing, root_coords_to_weight
+from weylbranch.rootsys import LieType, build_root_system, pairing
 
 TYPES = [
     LieType(f, n)
