@@ -29,15 +29,16 @@ group's stabilizer chain), and screens each chunk whole, as the walk leaves
 it, so that the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's
 memory.  A single weight (an entry, ``branch_p0``, ``necessary_filters``)
 keeps the search of ``component_orbit_set``, which is about four times
-faster on one weight than the walk.  At p = 0 a survivor goes on to the
-branching, with its prediction already made, only when the prediction's
-dimension sum equals dim V; otherwise it is REDUCIBLE at once.  That is
-exact: IRREDUCIBLE means the factors are the prediction, and branch
-conservation makes their dimension sum dim V.  The component group acts on
-H^0 by automorphisms, which keep dimensions, and the multiplicity m is
-constant on the orbit, so that sum is one product, |orbit| * m * dim of
-lam_h, decided for a chunk's survivors by one ``charcalc.weyl_dims`` call
-per factor of H^0 and one for G.
+faster on one weight than the walk.  At p = 0 a survivor whose
+prediction's dimension sum differs from dim V is REDUCIBLE at once: an
+IRREDUCIBLE one has the prediction as its factors, and branch conservation
+makes their sum dim V.  The component group acts on H^0 by automorphisms,
+which keep dimensions, and m is constant on the orbit, so that sum is one
+product, |orbit| * m * dim of lam_h: one ``charcalc.weyl_dims`` call per
+factor of H^0 and one for G decide it for a chunk.  A sum that agrees is
+IRREDUCIBLE with no branching by Seitz's highest-weight-vector argument
+when ``_ChainTable.borel`` holds and m = 1 (the rule of ``_branch_p0``);
+only the rest are branched, reusing the prediction.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -46,6 +47,7 @@ every cache here; a public call that also takes G refuses any other G.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -101,6 +103,20 @@ class BranchReport:
 # characteristic-zero branching
 
 
+def _checked_cap(e: Embedding, lam, cap):
+    """``cap``, or ``orbit_cap()`` when it is None, once no Weyl orbit of
+    W(lam) is past it.  |W| bounds every orbit, so the Freudenthal table
+    is read only when |W| is past the cap."""
+    cap = orbit_cap() if cap is None else cap
+    if e.root_system.weyl_order() > cap:
+        largest = freudenthal(e.root_system, lam).largest_orbit
+        if largest > cap:
+            raise kernels.KernelCapacityError(
+                f"restrict({e.ambient}, {tuple(lam)}): W(lam) has a Weyl orbit of {largest} elements, cap {cap}"
+            )
+    return cap
+
+
 def restricted_multiset(e: Embedding, lam, cap=None):
     """H-dominant part of the character of W(lam) restricted to H.
 
@@ -112,14 +128,9 @@ def restricted_multiset(e: Embedding, lam, cap=None):
     enumerated on the way; a table with an orbit past it is refused before
     the first one is enumerated.
     """
-    cap = orbit_cap() if cap is None else cap
-    table = freudenthal(e.root_system, lam)
-    if table.largest_orbit > cap:
-        raise kernels.KernelCapacityError(
-            f"restrict({e.ambient}, {tuple(lam)}): W(lam) has a Weyl orbit of {table.largest_orbit} elements, cap {cap}"
-        )
+    cap = _checked_cap(e, lam, cap)
     out = {}
-    for mu, m in table.entries.items():
+    for mu, m in freudenthal(e.root_system, lam).entries.items():
         res = kernels.weyl_orbit_array(e.root_system, mu, cap=cap) @ e.restriction
         res = res[(res[:, : e.semisimple_rank] >= 0).all(axis=1)]
         for w, c in Counter(map(tuple, res.tolist())).items():
@@ -150,6 +161,7 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
 
     PASS exactly when they are ``clifford_prediction`` of the restricted lam;
     a FAIL carries one branch-structure-mismatch record with both maps.
+    A PASS decided by the rule of ``_branch_p0`` reads as the branching's.
     ``rs`` must be the root system of ``e.ambient``.
     """
     _require_ambient(rs.lie_type, e)
@@ -158,14 +170,26 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
 
 
 def _branch_p0(e: Embedding, lam, predicted, cap) -> BranchReport:
-    """``branch_p0`` of lam, given its ``clifford_prediction``."""
+    """``branch_p0`` of lam, given its ``clifford_prediction``.
+
+    The rule: with ``_chain_table(e).borel`` the highest weight vector of V
+    and its component-group images are B_H-highest, each generating one
+    L(c), c in the orbit; with m = 1, |orbit| * dim of lam_h = dim V makes
+    V|H^0 their sum: PASS, with no restriction.  Every other case (m > 1,
+    no ``borel``, a sum that differs) restricts W(lam) and subtracts.
+    """
     if any(c < 0 for c in lam) or not any(lam):
         raise ValueError("highest weight must be dominant and non-zero")
-    multiset = restricted_multiset(e, lam, cap=cap)
-    factors = charcalc.weyl_character_subtract(e.factor_systems, multiset)
-    dims = dict(zip(factors, charcalc.product_weyl_dims(e.factor_systems, list(factors))))
-    total = sum(m * dims[hw] for hw, m in factors.items())
     expected = weyl_dim(e.root_system, lam)
+    c, m = next(iter(predicted.items()))
+    dim_c = charcalc.product_weyl_dims(e.factor_systems, [c])[0]
+    if m == 1 and _chain_table(e).borel and len(predicted) * dim_c == expected:
+        _checked_cap(e, lam, cap)
+        factors, dims = dict(predicted), dict.fromkeys(predicted, dim_c)
+    else:
+        factors = charcalc.weyl_character_subtract(e.factor_systems, restricted_multiset(e, lam, cap=cap))
+        dims = dict(zip(factors, charcalc.product_weyl_dims(e.factor_systems, list(factors))))
+    total = sum(m * dims[hw] for hw, m in factors.items())
     if total != expected:
         # conservation is structural; a failure means a genuine bug
         raise AssertionError(
@@ -234,6 +258,7 @@ class _ChainTable(NamedTuple):
     charge_bound: int  # above every |charge| of a chain image: a charge clipped to it matches no chain
     keys: np.ndarray  # chains x key columns: -(R beta) through ``scale`` mod inv_den, then its negated charges, packed
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
+    borel: bool  # the highest weight vector of V is B_H-highest, and the component group keeps B_H
 
 
 CHAIN_TABLE_CACHE_SIZE = 1024
@@ -246,7 +271,8 @@ def _chain_table(e: Embedding):
     Chains that share one image R beta form a group: their weights
     lam - beta restrict to one weight for every lam.  ``scale`` is each
     factor's ``inv_cartan_scaled`` on its block, and zero on the torus
-    charges.
+    charges.  ``borel``: no positive root of G restricts to a negative root
+    of H^0 (zero charges), and every generator keeps H^0's positive roots positive.
     """
     chains = _diagram_chains(e.root_system)
     ss = e.semisimple_rank
@@ -279,6 +305,11 @@ def _chain_table(e: Embedding):
     # +-charge_bound: balanced digits of this radix pack them exactly
     charge_bound = int(np.abs(images[:, ss:]).max(initial=0)) + 1
     key_weights = kernels._key_weights(e.width, 2 * max(int(inv_den.max(initial=1)) - 1, charge_bound) + 1)
+    positive = {(0,) * off + beta + (0,) * (e.width - off - frs.rank)
+                for off, frs in zip(e.factor_offsets, e.factor_systems) for beta in frs.root_weights}
+    borel = positive.isdisjoint(map(tuple, (-np.array(e.root_system.root_weights) @ e.restriction).tolist())) and all(
+        {tuple(s * w[i] for i, s in zip(idx, sgn)) for w in positive} <= positive for idx, sgn in e.generators
+    )
     return _ChainTable(
         labels=tuple(label for label, _, _ in chains),
         coroots=coroots,
@@ -293,6 +324,7 @@ def _chain_table(e: Embedding):
         charge_bound=charge_bound,
         keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1) @ key_weights,
         limit=((1 << 63) - 1 - offset) // growth,
+        borel=borel,
     )
 
 
@@ -656,11 +688,15 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     The candidates are restricted in one int64 product and screened by the
     necessary filters in blocks.  At p = 0 a survivor whose prediction's
     dimension sum differs from dim V is REDUCIBLE without a branching, since
-    conservation gives an IRREDUCIBLE one exactly that sum; only the others
-    are branched, reusing their prediction, and only they can meet ``cap``.
-    ``ambient`` must be ``e.ambient``.
+    conservation gives an IRREDUCIBLE one exactly that sum; one whose sum
+    agrees is IRREDUCIBLE without one where ``_branch_p0``'s rule holds.
+    Only the rest (m > 1, no ``borel``) are branched, reusing their
+    prediction; an IRREDUCIBLE candidate can meet ``cap``.  ``ambient`` must
+    be ``e.ambient``, ``coeff_sum_bound`` a non-negative integer.
     """
     _require_ambient(ambient, e)
+    if not isinstance(coeff_sum_bound, numbers.Integral) or coeff_sum_bound < 0:
+        raise ValueError(f"coeff_sum_bound must be a non-negative integer, got {coeff_sum_bound!r}")
     return list(_scan_verdicts(e, chi, coeff_sum_bound, cap))
 
 
@@ -694,6 +730,9 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
                 yield lam, UNRESOLVED
             elif i not in agree:
                 yield lam, REDUCIBLE
+            elif t.borel and block.mults[i] == 1:  # the rule of ``_branch_p0``
+                _checked_cap(e, lam, cap)
+                yield lam, IRREDUCIBLE
             else:
                 rep = _branch_p0(e, lam, block.predicted(i), cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

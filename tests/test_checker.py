@@ -1,5 +1,6 @@
 """Branching oracle, necessary filters, entry verification, scans."""
 
+import dataclasses
 import functools
 import heapq
 import itertools
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances, _shipped_rows
 from weylbranch import charcalc, checker, embeddings, kernels
-from weylbranch.charcalc import Characteristic, freudenthal, premet_applies
+from weylbranch.charcalc import Characteristic, freudenthal, premet_applies, weyl_dim
 from weylbranch.checker import (
     ClassificationEntry,
     branch_p0,
@@ -38,7 +39,6 @@ from weylbranch.rootsys import (
     RootSystem,
     build_root_system,
     scaled_root_coords,
-    weight_to_root_coords,
 )
 from weylbranch.tables import instantiate_rows
 
@@ -87,22 +87,22 @@ def full_restricted_multiset(rs, lam, e):
     return out
 
 
-def full_route_factors(rs, lam, e):
-    """The former p = 0 decomposition, kept as an oracle.
+def full_route(rs, lam, e):
+    """The former p = 0 decomposition, kept as an oracle: (highest weight,
+    multiplicity) per factor, the highest first.
 
     Full product characters (every weight of every factor's Weyl orbits) are
     subtracted from the full restricted multiset, taking the highest
     remaining weight off a heap ordered by height in the factor root lattices.
     """
     remaining = full_restricted_multiset(rs, lam, e)
-
-    def height(key):
-        parts, _ = e.split(key)
-        return sum(sum(weight_to_root_coords(f, part)) for f, part in zip(e.factor_systems, parts))
-
-    heap = [(-height(k), tuple(-c for c in k), k) for k in remaining]
+    # den times the height, as ints: a heap of Fractions compares slowly
+    den = math.lcm(*(f.inv_den for f in e.factor_systems))
+    scale = [den // f.inv_den * h for f in e.factor_systems for h in f.weight_heights] + [0] * e.torus_rank
+    keys = list(remaining)
+    heights = (np.array(keys, dtype=np.int64).reshape(len(keys), e.width) @ np.array(scale, dtype=np.int64)).tolist()
+    heap = [(-h, tuple(-c for c in k), k) for h, k in zip(heights, keys)]
     heapq.heapify(heap)
-    factors = {}
     while heap:
         key = heapq.heappop(heap)[2]
         mult = remaining[key]
@@ -115,8 +115,12 @@ def full_route_factors(rs, lam, e):
             w = tuple(x for wt, _ in combo for x in wt) + charge
             remaining[w] = remaining.get(w, 0) - mult * math.prod(m for _, m in combo)
             assert remaining[w] >= 0, w
-        factors[key] = mult
-    return factors
+        yield key, mult
+
+
+def full_route_factors(rs, lam, e):
+    """``full_route`` as a factor map."""
+    return dict(full_route(rs, lam, e))
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,6 +177,23 @@ def test_over_cap_table_enumerates_no_orbit(monkeypatch):
     rep = branch_p0(rs, lam, e, cap=largest)
     assert rep.dim_rhs == rep.dim_lhs == 48
     assert sorted(calls) == sorted(table.entries)
+
+
+def test_rule_keeps_the_cap_refusal(monkeypatch):
+    # the rule of _branch_p0 decides B3 c1:Dn's spin module without a
+    # restriction, and still refuses it past the cap with the branching's
+    # message, in branch_p0 and in a scan, whose first candidate it is
+    ambient = LieType("B", 3)
+    rs, e = build_root_system(ambient), build_embedding(ambient, geom_family("c1", sub="Dn"))
+    assert freudenthal(rs, (0, 0, 1)).largest_orbit == 8
+    monkeypatch.setattr(checker, "restricted_multiset", lambda *args, **kw: pytest.fail("restricted"))
+    refusal = r"^restrict\(B3, \(0, 0, 1\)\): W\(lam\) has a Weyl orbit of 8 elements, cap 7$"
+    with pytest.raises(kernels.KernelCapacityError, match=refusal):
+        branch_p0(rs, (0, 0, 1), e, cap=7)
+    with pytest.raises(kernels.KernelCapacityError, match=refusal):
+        scan_candidates(ambient, e, P0, 1, cap=7)
+    assert branch_p0(rs, (0, 0, 1), e, cap=8).verdict == "PASS"
+    assert dict(scan_candidates(ambient, e, P0, 1, cap=8))[(0, 0, 1)] == "IRREDUCIBLE"
 
 
 def _scaled_coords(e, w):
@@ -423,18 +444,31 @@ SCAN_ORACLE_INSTANCES = [(ambient, e, 3) for ambient, e in FILTER_INSTANCES] + [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _full_route_irreducible(ambient, family, w):
+    """Whether the full route's factors are the prediction; it stops at the
+    first factor that is not."""
+    e = build_embedding(ambient, family)
+    predicted = checker.clifford_prediction(e, restrict_weight(e, w))
+    found = 0
+    for key, mult in full_route(build_root_system(ambient), w, e):
+        if predicted.get(key) != mult:
+            return False
+        found += 1
+    return found == len(predicted)
+
+
 @pytest.mark.parametrize("chunk_rows", [1, embeddings.ORBIT_CHUNK_ROWS])
 def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     # the block screen against the one-chain-at-a-time oracle, which shares
-    # no code with it, and every p = 0 verdict against branch_p0, which
-    # branches without the dimension-sum shortcut; on orbit chunks of one
-    # candidate and at the default size
+    # no code with it, and every p = 0 verdict against the full route, which
+    # shares no code with the dimension tests or the rule of _branch_p0; on
+    # orbit chunks of one candidate and at the default size
     monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", chunk_rows)
     # every block's key-match geometry equals the dense oracle's
     blocks = _check_geometry(monkeypatch)
     scans = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
-        rs = build_root_system(ambient)
         for p in FILTER_PRIMES:
             res = scan_candidates(ambient, e, Characteristic(p), bound)
             assert [w for w, _ in res] == dominant_weights_bounded(ambient.rank, bound, p)
@@ -446,12 +480,12 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
                 if p:
                     assert v == "UNRESOLVED"
                 else:
-                    assert v == ("IRREDUCIBLE" if branch_p0(rs, w, e).verdict == "PASS" else "REDUCIBLE")
+                    assert v == ("IRREDUCIBLE" if _full_route_irreducible(ambient, e.family, w) else "REDUCIBLE")
             scans += 1
     # the screen reads each orbit chunk whole: at most ORBIT_CHUNK_ROWS
-    # orbit rows, or one candidate
+    # orbit rows, or one candidate; only the scans make blocks here
     assert all(rows <= chunk_rows or count == 1 for count, rows in blocks)
-    assert len(blocks) == (6981 if chunk_rows == 1 else 219)
+    assert len(blocks) == (6787 if chunk_rows == 1 else 219)
     counts = [count for count, _ in blocks]
     if chunk_rows == 1:
         assert set(counts) == {1}
@@ -460,19 +494,124 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
         assert len(blocks) > scans and max(counts) > 1
 
 
-def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):
-    # of B5 c1:Dn's 15 unfiltered candidates at bound 3, only (0,0,0,0,1) has
-    # a prediction whose dimension sum is dim V; the rest are REDUCIBLE
-    # without a branching
-    ambient = LieType("B", 5)
-    e = build_embedding(ambient, geom_family("c1", sub="Dn"))
+def _record_branchings(monkeypatch):
+    """The weights ``_branch_p0`` is called on, in call order."""
     branch = checker._branch_p0
     calls = []
     monkeypatch.setattr(checker, "_branch_p0", lambda e, lam, *args: calls.append(lam) or branch(e, lam, *args))
-    res = scan_candidates(ambient, e, P0, 3)
+    return calls
+
+
+def test_scan_branches_only_where_the_dimensions_agree(monkeypatch):
+    # a survivor whose prediction's dimension sum differs from dim V is
+    # REDUCIBLE without a branching; one whose sum agrees is IRREDUCIBLE
+    # without one where the rule of _branch_p0 holds.  B5 c1:Dn has 15
+    # unfiltered candidates at bound 3 and branches none of them
+    calls = _record_branchings(monkeypatch)
+    ambient = LieType("B", 5)
+    res = scan_candidates(ambient, build_embedding(ambient, geom_family("c1", sub="Dn")), P0, 3)
     assert sum(v != "FILTERED" for _, v in res) == 15
-    assert calls == [(0, 0, 0, 0, 1)]
-    assert dict(res)[(0, 0, 0, 0, 1)] == "IRREDUCIBLE"
+    assert calls == [] and dict(res)[(0, 0, 0, 0, 1)] == "IRREDUCIBLE"
+    # two models without borel, each with a candidate of multiplicity 2,
+    # branch exactly their unfiltered candidates whose dimensions agree
+    b4 = build_embedding(LieType("B", 4), geom_family("c2", l=1, t=3))
+    d6 = build_embedding(LieType("D", 6), geom_family("c2", kind="Bl", l=1, t=4))
+    scans = {}
+    for e in (b4, d6):
+        assert not checker._chain_table(e).borel
+        calls.clear()
+        res = scans[e] = scan_candidates(e.ambient, e, P0, 3)
+        agree, mults = [], set()
+        for w, v in res:
+            predicted = checker.clifford_prediction(e, restrict_weight(e, w))
+            dims = charcalc.product_weyl_dims(e.factor_systems, list(predicted))
+            if v != "FILTERED" and sum(m * d for m, d in zip(predicted.values(), dims)) == weyl_dim(e.root_system, w):
+                agree.append(w)
+                mults.add(next(iter(predicted.values())))
+        assert calls == agree and mults == {1, 2}, e.family
+    # with borel forced on B4 c2:l=1,t=3, its m = 1 candidate (1,0,0,0) is
+    # decided by the rule, and its m = 2 one is still branched
+    monkeypatch.setattr(checker, "_chain_table", lambda e, table=checker._chain_table: table(e)._replace(borel=True))
+    calls.clear()
+    assert scan_candidates(b4.ambient, b4, P0, 3) == scans[b4]
+    assert calls == [(0, 0, 0, 1)]
+
+
+def test_rule_decided_candidates_match_the_full_route(monkeypatch):
+    # every candidate that a scan decides IRREDUCIBLE by the rule of
+    # _branch_p0, with no branching, on every instance up to rank 6 at
+    # bound 3: its factors by the full route, which shares no code with the
+    # rule, are its prediction, and branch_p0 reports it as the branching
+    # does when the rule is switched off
+    calls = _record_branchings(monkeypatch)
+    decided = []
+    for ambient, _, e in _p0_instances(6):
+        calls.clear()
+        decided += [(e, w) for w, v in scan_candidates(ambient, e, P0, 3) if v == "IRREDUCIBLE" and w not in calls]
+    monkeypatch.undo()
+    reports = [branch_p0(e.root_system, w, e) for e, w in decided]
+    monkeypatch.setattr(checker, "_chain_table", lambda e, table=checker._chain_table: table(e)._replace(borel=False))
+    for (e, w), rep in zip(decided, reports):
+        predicted = checker.clifford_prediction(e, restrict_weight(e, w))
+        assert full_route_factors(e.root_system, w, e) == predicted, (e.ambient, e.family, w)
+        assert rep == branch_p0(e.root_system, w, e) and rep.verdict == "PASS", (e.ambient, e.family, w)
+    assert len(decided) == 104
+
+
+def test_borel_flag():
+    # over every instance up to rank 12, the highest weight vector of V is
+    # B_H-highest except on ten c2 B_l^t models with paired zero weights;
+    # read from the positive roots in root coordinates, not from the table
+    from test_embeddings import INSTANCES_12
+
+    def weights(rs, roots):
+        return np.array(roots, dtype=np.int64).reshape(-1, rs.rank) @ np.array(rs.cartan, dtype=np.int64)
+
+    failing = set()
+    for e in INSTANCES_12:
+        h_roots = np.zeros((0, e.width), dtype=np.int64)
+        for off, frs in zip(e.factor_offsets, e.factor_systems):
+            block = np.zeros((len(frs.positive_roots), e.width), dtype=np.int64)
+            block[:, off:off + frs.rank] = weights(frs, frs.positive_roots)
+            h_roots = np.concatenate((h_roots, block))
+        positive = set(map(tuple, h_roots.tolist()))
+        images = weights(e.root_system, e.root_system.positive_roots) @ e.restriction
+        if positive & {tuple(-x for x in row) for row in images.tolist()}:
+            failing.add((str(e.ambient), str(e.family)))
+        # every generator keeps the positive roots of H^0 positive
+        for idx, sgn in e.generators:
+            assert {tuple(s * w[i] for i, s in zip(idx, sgn)) for w in positive} == positive, e.family
+        assert checker._chain_table(e).borel == ((str(e.ambient), str(e.family)) not in failing)
+    assert len(INSTANCES_12) == 232
+    assert failing == {
+        ("B4", "c2:l=1,t=3"), ("B7", "c2:l=2,t=3"), ("B7", "c2:l=1,t=5"), ("B10", "c2:l=3,t=3"),
+        ("B10", "c2:l=1,t=7"), ("B12", "c2:l=2,t=5"), ("D6", "c2:kind=Bl,l=1,t=4"),
+        ("D9", "c2:kind=Bl,l=1,t=6"), ("D10", "c2:kind=Bl,l=2,t=4"), ("D12", "c2:kind=Bl,l=1,t=8"),
+    }
+    # R composed with a simple reflection of one factor of H^0 takes a
+    # positive root of G to the negative of that factor's simple root
+    e = build_embedding(LieType("B", 5), geom_family("c1", sub="Dn"))
+    assert checker._chain_table(e).borel
+    frs, off = e.factor_systems[0], e.factor_offsets[0]
+    reflect = np.eye(e.width, dtype=np.int64)
+    reflect[off, off:off + frs.rank] -= frs.cartan[0]
+    mutated = dataclasses.replace(e, restriction=e.restriction @ reflect)
+    assert not checker._chain_table(mutated).borel
+    # as does an added generator w -> -w, which takes every positive root to a negative one
+    negate = (tuple(range(e.width)), (-1,) * e.width)
+    assert not checker._chain_table(dataclasses.replace(e, generators=e.generators + (negate,))).borel
+
+
+def test_scan_rejects_a_negative_or_non_integer_bound():
+    # dominant_weights_bounded yields nothing for a negative bound, so
+    # without the check a scan with one would return [] in silence
+    ambient = LieType("B", 3)
+    e = build_embedding(ambient, geom_family("c1", sub="Dn"))
+    for bound in (-1, 1.5, "2", None):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            scan_candidates(ambient, e, P0, bound)
+    assert scan_candidates(ambient, e, P0, 0) == []
+    assert scan_candidates(ambient, e, P0, np.int64(1)) == scan_candidates(ambient, e, P0, 1)
 
 
 def test_scan_dimension_test_is_one_product():

@@ -292,6 +292,11 @@ def test_report_digests(capsys, monkeypatch):
          "4785fe5822437d9c7c83ab0fb20c5f6b77d51cb97a4b420fc7d9f74c3f0fea10"),
         (("scan", "B", "5", "c1:Dn", "--bound", "3"),
          "8393c158c806096a2c0b862d1f5d1f803ece7f3f279c5c54bece9ff876626087"),
+        # decided by the dimension rule: the branching's table and conservation line
+        (("branch", "B", "5", "0,0,0,0,1", "c1:Dn"),
+         "79c5d5da60920a673d95c89796f56ff40fc89e1a4da4dcd83ea22277a0d3b58f"),
+        (("branch", "A", "5", "0,0,0,1,0", "c6:Dm"),
+         "3fa11ca39c25478a8b406717dc6c10ff27786514ecff9e96976c84aa8049a29e"),
         (("orbit", "B", "3", "0,0,1", "--list"),
          "e06689293a05327ed90f810b2d2686091a472629b49346e83c4315acde319bb6"),
         (("orbit", "D", "4", "1,0,0,1", "--list"),
