@@ -19,11 +19,15 @@ rows x chains match of packed keys finds the (candidate, component-orbit
 element, chain) triples to test, only those are tested and folded per
 candidate, and a weight too large for exact int64 arithmetic raises
 KernelCapacityError.  That geometry does not depend on p: only the
-certification <lam, beta-coroot> != 0 (mod p) does.  So an entry's
-characteristic-free part (its restriction, its ``clifford_prediction`` and
-the filters' geometry) is decided once per (embedding, lam) and cached, and
-each characteristic runs only the certification on it.  A scan restricts its bounded candidates in one int64
-product, walks their component orbits together with
+certification <lam, beta-coroot> != 0 (mod p) does, and where Premet's
+theorem applies (p = 0 or p > e(G)) it is <lam, beta-coroot> > 0, so
+there the filters' decision does not depend on p either.  So an entry's
+characteristic-free part (its restriction, its ``clifford_prediction``, the
+filters' geometry and their decision at p = 0) is decided once per
+(embedding, lam) and cached; only p <= e(G) (B and C at p = 2) or a
+filtered entry screens again.  ``verify_entry`` validates lam once and
+reads every dimension from ``charcalc``'s cache.  A scan restricts its
+bounded candidates in one int64 product, walks their component orbits with
 ``embeddings.component_orbits`` (one array step per stage of the component
 group's stabilizer chain), and screens each chunk whole, as the walk leaves
 it, so that the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's
@@ -47,6 +51,7 @@ every cache here; a public call that also takes G refuses any other G.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import charcalc, kernels
-from .charcalc import Characteristic, freudenthal, weyl_dim
+from .charcalc import Characteristic, freudenthal
 from .embeddings import (
     Embedding,
     GeomFamily,
@@ -165,27 +170,35 @@ def branch_p0(rs, lam, e: Embedding, cap=None) -> BranchReport:
     ``rs`` must be the root system of ``e.ambient``.
     """
     _require_ambient(rs.lie_type, e)
-    lam = rs.check_weight(lam)
+    lam = _highest_weight(rs, lam)
     return _branch_p0(e, lam, _entry_record(e, lam).predicted, cap)
 
 
+def _highest_weight(rs, lam):
+    """``rs.check_weight(lam)``, once lam is also dominant and non-zero."""
+    lam = rs.check_weight(lam)
+    if any(c < 0 for c in lam) or not any(lam):
+        raise ValueError("highest weight must be dominant and non-zero")
+    return lam
+
+
 def _branch_p0(e: Embedding, lam, predicted, cap) -> BranchReport:
-    """``branch_p0`` of lam, given its ``clifford_prediction``.
+    """``branch_p0`` of a checked lam, given its ``clifford_prediction``.
 
     The rule: with ``_chain_table(e).borel`` the highest weight vector of V
     and its component-group images are B_H-highest, each generating one
     L(c), c in the orbit; with m = 1, |orbit| * dim of lam_h = dim V makes
     V|H^0 their sum: PASS, with no restriction.  Every other case (m > 1,
     no ``borel``, a sum that differs) restricts W(lam) and subtracts.
+    Under the rule c is B_H-dominant, so both dimensions are cached reads.
     """
-    if any(c < 0 for c in lam) or not any(lam):
-        raise ValueError("highest weight must be dominant and non-zero")
-    expected = weyl_dim(e.root_system, lam)
+    expected = charcalc._irr_dim_cached(e.ambient, lam, 0)[0]
     c, m = next(iter(predicted.items()))
-    dim_c = charcalc.product_weyl_dims(e.factor_systems, [c])[0]
-    if m == 1 and _chain_table(e).borel and len(predicted) * dim_c == expected:
+    if m == 1 and _chain_table(e).borel and len(predicted) * math.prod(
+        charcalc._irr_dim_cached(frs.lie_type, part, 0)[0] for frs, part in zip(e.factor_systems, e.split(c)[0])
+    ) == expected:
         _checked_cap(e, lam, cap)
-        factors, dims = dict(predicted), dict.fromkeys(predicted, dim_c)
+        factors, dims = dict(predicted), dict.fromkeys(predicted, expected // len(predicted))
     else:
         factors = charcalc.weyl_character_subtract(e.factor_systems, restricted_multiset(e, lam, cap=cap))
         dims = dict(zip(factors, charcalc.product_weyl_dims(e.factor_systems, list(factors))))
@@ -410,10 +423,18 @@ def _screen(e: Embedding, chi: Characteristic, t: _ChainTable, g: _Geometry):
 
 
 class _EntryRecord(NamedTuple):
+    """The facts of one (embedding, lam) that no p changes: ``filtered``
+    is the filters' decision wherever Premet applies (only p <= e(G)
+    screens again), and ``parts`` feed the dimension sum, which validates
+    lam once and reads every dimension from the cache."""
+
     table: _ChainTable  # the embedding's chain table, shared with every other weight
     lam_h: np.ndarray  # 1 x width: R lam
     predicted: MappingProxyType  # ``clifford_prediction`` of R lam, read-only
     geometry: _Geometry  # one row: the filters' characteristic-free part
+    filtered: bool  # the filters disqualify lam at p = 0
+    restrictions: frozenset  # the semisimple parts of the predicted factors
+    parts: tuple  # per predicted factor, in its order: its ``e.split`` parts
 
 
 ENTRY_RECORD_CACHE_SIZE = 4096
@@ -421,7 +442,8 @@ ENTRY_RECORD_CACHE_SIZE = 4096
 
 @functools.lru_cache(maxsize=ENTRY_RECORD_CACHE_SIZE)
 def _entry_record(e: Embedding, lam):
-    """Everything the checks of one (embedding, lam) share across p.
+    """Everything the checks of one (embedding, lam) share across p, the
+    filters' decision where Premet applies and the factors' parts included.
 
     The int64 guard is checked first, so a weight past it is never cached;
     the arrays and the prediction are read-only, since every caller shares
@@ -436,7 +458,10 @@ def _entry_record(e: Embedding, lam):
     geometry = _geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults)
     for a in (lam_h_a, *geometry):
         a.flags.writeable = False
-    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry)
+    filtered = bool(_screen(e, Characteristic(0), t, geometry).filtered()[0])
+    restrictions = frozenset(c[: e.semisimple_rank] for c in predicted)
+    parts = tuple(e.split(c)[0] for c in predicted)
+    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry, filtered, restrictions, parts)
 
 
 def necessary_filters(e: Embedding, lam, chi: Characteristic):
@@ -462,15 +487,20 @@ def necessary_filters(e: Embedding, lam, chi: Characteristic):
     matches the packed residues and charges of every (chain, orbit element)
     pair in one array step and tests the coordinates of the matched ones.
 
-    Only the certification depends on p.  The restriction, the prediction
-    and that geometry are decided once per (embedding, lam), in
-    ``_entry_record``, and ``_screen`` certifies the chains at p from them.
+    Only the certification depends on p, and only where Premet does not
+    apply.  The restriction, the prediction, that geometry and the decision
+    at p = 0 are decided once per (embedding, lam), in ``_entry_record``.
+    Where Premet applies an unfiltered record is the answer; otherwise
+    (p <= e(G), or findings to render) ``_screen`` certifies the chains at p.
     This call renders the decision for one candidate; ``scan_candidates``
     reads it for blocks of them.
     """
     lam = e.root_system.check_weight(lam)
-    t, lam_h_a, _, geometry = _entry_record(e, lam)
-    s = _screen(e, chi, t, geometry)
+    record = _entry_record(e, lam)
+    if not record.filtered and charcalc.premet_applies(e.root_system, chi):
+        return []
+    t, lam_h_a = record.table, record.lam_h
+    s = _screen(e, chi, t, record.geometry)
     if not s.filtered()[0]:
         return []
     ss = e.semisimple_rank
@@ -557,20 +587,20 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append(reason)
         return rep
     rs = e.root_system
-    lam = rs.check_weight(entry.lam)
+    lam = _highest_weight(rs, entry.lam)
     if p > 0 and any(c >= p for c in lam):
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
-    predicted = _entry_record(e, lam).predicted
+    record = _entry_record(e, lam)
+    predicted = record.predicted
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
-        found = {c[: e.semisimple_rank] for c in predicted}
-        if expected not in found:
+        if expected not in record.restrictions:
             rep.verdict = FAIL
             rep.reasons.append({
                 "kind": "restriction-mismatch",
                 "expected": list(expected),
-                "found": sorted(list(x) for x in found),
+                "found": sorted(list(x) for x in record.restrictions),
             })
             return rep
     kappa = sum(predicted.values())
@@ -590,20 +620,20 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         return rep
     if p == 0:
         return _branch_p0(e, lam, predicted, cap)
-    # positive characteristic: closed-form dimension identity or inconclusive
-    dim_g = charcalc.irr_dim(rs, lam, chi)
+    # positive characteristic: closed-form dimension identity or inconclusive;
+    # lam is checked, and each factor part is checked where it is read
+    dim_g = charcalc._irr_dim_cached(rs.lie_type, lam, p)[0]
     if dim_g is None:
         rep.reasons.append({"kind": "dimension-unknown", "side": "ambient"})
         return rep
     total = 0
-    for c, mult in predicted.items():
+    for mult, parts in zip(predicted.values(), record.parts):
         d = 1
-        parts, _ = e.split(c)
         for f, (frs, part) in enumerate(zip(e.factor_systems, parts)):
             if any(x >= p for x in part):
                 rep.reasons.append({"kind": "factor-not-p-restricted", "factor": f + 1})
                 return rep
-            df = charcalc.irr_dim(frs, part, chi)
+            df = charcalc._irr_dim_cached(frs.lie_type, charcalc._require_dominant(part), p)[0]
             if df is None:
                 rep.reasons.append({
                     "kind": "dimension-unknown",

@@ -146,14 +146,17 @@ def cmd_verify(args) -> int:
     except tables.TableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # every characteristic is parsed before the first record is written
+    # every characteristic, and every row at it, is checked before the first record is written
     chis = [Characteristic(int(x)) for x in args.p.split(",")]
+    for i, chi in enumerate(chis):
+        if chi in chis[:i]:
+            raise ValueError(f"characteristic {chi.p} is repeated in --p {args.p!r}")
+    batches = [(chi, tables.instantiate_rows(rows, args.rank_cap, chi, args.pattern_bound)) for chi in chis]
     any_fail = False
     counts = {}
     out = sys.stdout
-    for chi in chis:
+    for chi, entries in batches:
         p = chi.p
-        entries = tables.instantiate_rows(rows, args.rank_cap, chi, args.pattern_bound)
         for entry in entries:
             rep = verify_entry(entry, chi)
             counts[rep.verdict] = counts.get(rep.verdict, 0) + 1

@@ -336,12 +336,15 @@ def ell_value(e: Embedding, mu_h, lambda_h, sigma):
 
 
 _P_RELATIONS = {"p!=": operator.ne, "p>=": operator.ge, "p=": operator.eq}
+P_CONDITION_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=P_CONDITION_CACHE_SIZE)
 def p_condition_clauses(cond: str):
     """The (relation, k) clauses of a condition: 'any', or '&'-joined 'p!=k', 'p>=k', 'p=k'.
 
-    Every clause is parsed, so a malformed one raises ValueError whatever p is.
+    Every clause is parsed, so a malformed one raises ValueError whatever p
+    is; an error is not cached, so it is raised on every call.
     """
     cond = cond.strip()
     if cond in ("", "any"):

@@ -343,6 +343,8 @@ def _row_entries(row, rank_cap, chi, pattern_bound):
             fam = family_of(row.family, params)
             emb = build_embedding(ambient, fam)
             for lam, scope in _expand_lambda(row, env, n, chi, pattern_bound):
+                if any(c < 0 for c in lam) or not any(lam):
+                    raise TableError(f"highest weight {lam} must be dominant and non-zero")
                 if chi.p and any(c >= chi.p for c in lam):
                     continue
                 pid = ";".join(f"{k}={v}" for k, v in sorted(params.items()))

@@ -377,14 +377,9 @@ def test_geometry_matches_dense_oracle_on_entries(monkeypatch):
     # 7: the single weights that verify_entry reads
     calls = _check_geometry(monkeypatch)
     checker._entry_record.cache_clear()
-    records = set()
-    for p in FILTER_PRIMES:
-        for entry in instantiate_rows(_shipped_rows(), 8, Characteristic(p), pattern_bound=3):
-            e, reason = checker.entry_gate(entry, p)
-            lam = tuple(entry.lam)
-            if reason is None and (p == 0 or max(lam) < p):
-                checker._entry_record(e, lam)
-                records.add((e, lam))
+    records = _entry_records()
+    for e, lam in records:
+        checker._entry_record(e, lam)
     assert len(calls) == len(records) == 433
     assert {count for count, _ in calls} == {1}
 
@@ -429,6 +424,62 @@ def test_geometry_key_spans_several_columns(monkeypatch):
     finally:
         checker._chain_table.cache_clear()
         checker._entry_record.cache_clear()
+
+
+def screened_filters(e, lam, chi):
+    """The former ``necessary_filters``, kept as an oracle: it screens the
+    record's geometry at p on every call, also where Premet applies."""
+    lam = e.root_system.check_weight(lam)
+    record = checker._entry_record(e, lam)
+    t, lam_h_a = record.table, record.lam_h
+    s = checker._screen(e, chi, t, record.geometry)
+    if not s.filtered()[0]:
+        return []
+    ss = e.semisimple_rank
+    lam_a = np.array(lam, dtype=np.int64)
+    lam_h = tuple(lam_h_a[0].tolist())
+    escaped = np.flatnonzero(s.escaped[0])
+    findings = []
+    for k, mu, mu_h in zip(
+        escaped.tolist(), (lam_a - t.betas[escaped]).tolist(), (lam_h_a[0] - t.images[escaped]).tolist()
+    ):
+        finding = {
+            "kind": "restriction-not-under-orbit",
+            "chain": list(t.labels[k]),
+            "mu": mu,
+            "h_mu": sum(mu_h[:ss]),
+            "h_lam": sum(lam_h[:ss]),
+        }
+        if e.family.tag == "c4ii":
+            ident = tuple(range(len(e.factors)))
+            try:
+                ell, _ = ell_value(e, mu_h, lam_h, ident)
+                finding["ell"] = str(ell)
+            except ValueError:
+                pass
+        findings.append(finding)
+    over = np.flatnonzero(s.exceeded[0])
+    for mu_h, g in sorted(zip((lam_h_a[0] - t.images[t.lead[over]]).tolist(), over.tolist())):
+        findings.append({
+            "kind": "multiplicity-bound-exceeded",
+            "target": mu_h,
+            "witnesses": (lam_a - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
+            "capacity": int(s.capacity[0, g]),
+        })
+    return findings
+
+
+def _entry_records():
+    """The (embedding, lam) of every entry record that ``verify_entry``
+    builds for shipped:all up to rank 8 at the ``FILTER_PRIMES``."""
+    records = set()
+    for p in FILTER_PRIMES:
+        for entry in instantiate_rows(_shipped_rows(), 8, Characteristic(p), pattern_bound=3):
+            e, reason = checker.entry_gate(entry, p)
+            lam = tuple(entry.lam)
+            if reason is None and (p == 0 or max(lam) < p):
+                records.add((e, lam))
+    return records
 
 
 @functools.lru_cache(maxsize=None)
@@ -492,6 +543,27 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     else:
         # some scan spans several blocks, and some block holds several candidates
         assert len(blocks) > scans and max(counts) > 1
+
+
+def test_record_decision_matches_the_screen_at_p():
+    # where Premet applies the record's p = 0 decision stands for p; the
+    # oracle screens at p every time.  On the entry records of shipped:all
+    # and every scan candidate; at p = 2 on B and C the decision can differ
+    # from p = 0, so a record read there in place of the screen fails here
+    records = _entry_records()
+    assert len(records) == 433
+    cases = sorted(records, key=repr) + [
+        (e, w) for ambient, e, bound in SCAN_ORACLE_INSTANCES for w in dominant_weights_bounded(ambient.rank, bound)
+    ]
+    differ = set()
+    for e, w in cases:
+        got = {p: necessary_filters(e, w, Characteristic(p)) for p in FILTER_PRIMES}
+        for p in FILTER_PRIMES:
+            assert got[p] == screened_filters(e, w, Characteristic(p)), (e.ambient, e.family, w, p)
+        if bool(got[2]) != bool(got[0]):
+            differ.add((e.ambient, e.family, w))
+    assert {ambient.family for ambient, _, _ in differ} == {"B", "C"}
+    assert (LieType("B", 3), geom_family("c1", sub="Dn"), (0, 1, 0)) in differ
 
 
 def _record_branchings(monkeypatch):
@@ -695,6 +767,9 @@ def test_entry_record_is_read_only():
             a[...] = 0
     with pytest.raises(TypeError):
         record.predicted[next(iter(record.predicted))] = 0
+    # the other facts are immutable by type
+    assert type(record.filtered) is bool and type(record.restrictions) is frozenset
+    assert all(type(part) is tuple for parts in record.parts for part in parts)
 
 
 def test_verify_reports_do_not_depend_on_the_order_of_p():
@@ -865,6 +940,18 @@ def test_branch_rejects_zero_weight():
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="Dn"))
     with pytest.raises(ValueError):
         branch_p0(rs, (0, 0, 0), e)
+
+
+def test_verify_refuses_a_zero_or_non_dominant_weight():
+    # past the gate, at every p, not only at p = 0 where the branching
+    # needs it: at p > 0 the trivial dimension rule would pass a zero weight
+    ambient, fam = LieType("C", 2), geom_family("c2", l=1, t=2)
+    for weight in ((0, 0), (-1, 1)):
+        for p in (0, 2, 3):
+            ent = entry(ambient, fam, weight)
+            assert checker.entry_gate(ent, p)[1] is None
+            with pytest.raises(ValueError, match="^highest weight must be dominant and non-zero$"):
+                verify_entry(ent, Characteristic(p))
 
 
 def test_filters_examples():
@@ -1042,9 +1129,11 @@ def test_p_condition_ok():
     assert p_condition_ok("p>=3", 5) and not p_condition_ok("p>=3", 0)
     with pytest.raises(ValueError):
         p_condition_ok("q=1", 0)
-    # a malformed clause raises even after a clause that fails at p
-    with pytest.raises(ValueError):
-        p_condition_ok("p!=2&p>2", 2)
+    # a malformed clause raises even after a clause that fails at p, and
+    # again on the next call: the parse cache keeps no error
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            p_condition_ok("p!=2&p>2", 2)
 
 
 def test_branch_concurrent_callers_agree():

@@ -239,11 +239,27 @@ def test_scan_cap_spares_candidates_decided_by_dimension(capsys, monkeypatch):
     assert code == 0 and out == full and err == ""
 
 
+def _inflate_cached_dims(monkeypatch):
+    """One too many on every cached dimension read: the rule's sum then
+    misses dim V, and the full route's factors do not add up to it."""
+    real = charcalc._irr_dim_cached
+    monkeypatch.setattr(charcalc, "_irr_dim_cached", lambda t, lam, p: (real(t, lam, p)[0] + 1, "inflated"))
+
+
 def test_internal_invariant_exit_code(capsys, monkeypatch):
-    real = charcalc.product_weyl_dims
-    monkeypatch.setattr(charcalc, "product_weyl_dims", lambda rs_list, rows: [d + 1 for d in real(rs_list, rows)])
+    _inflate_cached_dims(monkeypatch)
     code, _, err = run(capsys, "branch", "B", "3", "0,0,1", "c1:Dn")
     assert code == 3
+    assert err.startswith("error: internal invariant failed: branch conservation failed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_internal_invariant_exit_code_on_verify(capsys, monkeypatch, tmp_path):
+    table = tmp_path / "one.tsv"
+    table.write_text("c1\tB:3\tsub=Dn\tL(3)\tany\t2\t-\n")
+    _inflate_cached_dims(monkeypatch)
+    code, out, err = run(capsys, "verify", str(table), "--p", "0", "--rank-cap", "3")
+    assert code == 3 and out == ""
     assert err.startswith("error: internal invariant failed: branch conservation failed")
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -263,6 +279,23 @@ def test_verify_rejects_empty_p(capsys):
     # an empty --p is not a request for the default p = 0
     code, out, err = run(capsys, "verify", "shipped:c2", "--p", "", "--rank-cap", "3")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_verify_rejects_a_row_bad_only_at_a_later_p_before_any_record(capsys, tmp_path):
+    # the row's weight is 2*L(3) at p = 5 and zero at p = 3
+    table = tmp_path / "late.tsv"
+    table.write_text("c1\tB:3\tsub=Dn\t(p-3)*L(3)\tp>=3\t-\t-\n")
+    code, out, err = run(capsys, "verify", str(table), "--p", "5,3", "--rank-cap", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "late.tsv:1: highest weight (0, 0, 0)" in err
+
+
+def test_verify_rejects_repeated_p(capsys):
+    # a repeated characteristic would write each of its records twice
+    for primes in ("0,0", "3,0,3"):
+        code, out, err = run(capsys, "verify", "shipped:c2", "--p", primes, "--rank-cap", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: characteristic {primes[-1]} is repeated in --p {primes!r}\n"
 
 
 def test_scan_assert_rejected_before_any_record(capsys):

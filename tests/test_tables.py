@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from weylbranch.charcalc import Characteristic
+from weylbranch.cli import main
 from weylbranch.tables import (
     TableError,
     eval_int,
@@ -124,6 +125,22 @@ def test_instantiation_errors_report_position():
     rows = parse_table("# header\nc1\tB:3\tsub=Dn\tL(n+5)\tany\t2\t-", source="bad.tsv")
     with pytest.raises(TableError, match=r"^bad\.tsv:2: lambda index 8 out of range 1\.\.3$"):
         instantiate_rows(rows, 3, P0)
+
+
+@pytest.mark.parametrize("weight", ["0*L(1)", "-1*L(1)+L(3)"])
+def test_zero_or_non_dominant_weight_is_refused(capsys, tmp_path, weight):
+    # at p > 0 the trivial dimension rule would pass a zero weight (1 = 1);
+    # the row is refused by name at every p instead
+    table = tmp_path / "hw.tsv"
+    table.write_text(f"# header\nc1\tB\tsub=Dn\t{weight}\tany\t1\t-\n")
+    rows = parse_table(table.read_text(), source="hw.tsv")
+    for p in (0, 3):
+        with pytest.raises(TableError, match=r"^hw\.tsv:2: highest weight \(.*\) must be dominant and non-zero$"):
+            instantiate_rows(rows, 3, Characteristic(p))
+        code = main(["verify", str(table), "--p", str(p), "--rank-cap", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "hw.tsv:2: highest weight" in captured.err
 
 
 def test_instantiation_is_deterministic():
