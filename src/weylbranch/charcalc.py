@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .kernels import dominant_representative, orbit_size
-from .rootsys import LieType, RootSystem, build_root_system
+from .kernels import dominant_representative
+from .rootsys import LieType, RootSystem, build_root_system, parabolic_index
 
 
 def _is_prime(p: int) -> bool:
@@ -37,6 +39,12 @@ class Characteristic:
     p: int
 
     def __post_init__(self):
+        # an integer only (a numpy integer is stored as an int): 5.0 would
+        # compare and hash equal to 5 and poison every cache keyed on p
+        if type(self.p) is not int:
+            if isinstance(self.p, bool) or not isinstance(self.p, numbers.Integral):
+                raise ValueError(f"characteristic must be an integer, got {self.p!r}")
+            object.__setattr__(self, "p", int(self.p))
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
 
@@ -62,11 +70,22 @@ def _require_dominant(lam):
 FREUDENTHAL_CACHE_SIZE = 4096
 
 
+# (type, zero-node set) pairs: at most 2**rank per type
+ORBIT_SIZE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=ORBIT_SIZE_CACHE_SIZE)
+def _orbit_size_cached(t: LieType, zero):
+    """The orbit size |W : W_J| of a dominant weight whose zero nodes J are
+    the True entries of ``zero``, one per node."""
+    return parabolic_index(build_root_system(t), [i for i, z in enumerate(zero) if z])[0]
+
+
 @functools.lru_cache(maxsize=FREUDENTHAL_CACHE_SIZE)
 def _freudenthal_cached(t: LieType, lam):
     rs = build_root_system(t)
     entries = dict(sorted(kernels.freudenthal_table(rs, lam).items()))
-    sizes = [orbit_size(rs, w).orbit_size for w in entries]
+    sizes = [_orbit_size_cached(t, tuple(map(operator.not_, w))) for w in entries]
     total = sum(m * size for m, size in zip(entries.values(), sizes))
     return CharacterTable(highest_weight=tuple(lam), entries=entries, total_dim=total, largest_orbit=max(sizes))
 
@@ -86,18 +105,17 @@ def weyl_dims(rs: RootSystem, rows) -> list:
     """``weyl_dim`` of each row of a block of dominant weights, unchecked, as Python ints.
 
     One product of the rows lam + rho with ``rs.coroot_block`` gives every
-    pairing <lam + rho, beta-coroot>, at most (max lam_i + 1) <rho, beta-coroot>;
-    past int64 it runs in object dtype.  Each row's pairings are multiplied
-    over Python ints.
+    pairing <lam + rho, beta-coroot>, at most (max lam_i + 1) <rho, beta-coroot>
+    (``rs.coroot_heights``); past int64 it runs in object dtype.  Each row's
+    pairings are multiplied over Python ints and divided by the product of
+    the heights, ``rs.weyl_denominator``.
     """
-    block = rs.coroot_block
-    heights = block.sum(axis=0).tolist()  # <rho, beta-coroot> per positive root
     top = int(rows.max(initial=0)) if isinstance(rows, np.ndarray) else max(map(max, rows), default=0)
-    wide = top >= ((1 << 63) - 1) // max(heights) - 1
+    wide = top >= ((1 << 63) - 1) // max(rs.coroot_heights) - 1
     shifted = np.array(rows, dtype=object if wide else np.int64).reshape(-1, rs.rank) + 1
-    den = math.prod(heights)
+    den = rs.weyl_denominator
     out = []
-    for i, pairs in enumerate((shifted @ block).tolist()):
+    for i, pairs in enumerate((shifted @ rs.coroot_block).tolist()):
         dim, rem = divmod(math.prod(pairs), den)
         if rem:
             raise ArithmeticError(f"Weyl dimension of {tuple(map(int, rows[i]))} on {rs.lie_type} is not integral")

@@ -53,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -654,8 +655,19 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
     return rep
 
 
+BOUNDED_WEIGHTS_CACHE_SIZE = 256
+
+
 def dominant_weights_bounded(n, bound, p=0):
-    """Non-zero dominant weights with coefficient sum <= bound (p-restricted if p > 0)."""
+    """Non-zero dominant weights with coefficient sum <= bound (p-restricted if
+    p > 0), sorted; a fresh list from a bounded cache keyed by (n, bound, p).
+    A non-integral argument raises ``TypeError`` whatever the cache holds,
+    though 3.0 hashes like 3."""
+    return list(_dominant_weights_bounded(operator.index(n), operator.index(bound), operator.index(p)))
+
+
+@functools.lru_cache(maxsize=BOUNDED_WEIGHTS_CACHE_SIZE)
+def _dominant_weights_bounded(n, bound, p):
     out = []
 
     def rec(prefix, remaining):
@@ -668,7 +680,7 @@ def dominant_weights_bounded(n, bound, p=0):
             rec(prefix + [c], remaining - c)
 
     rec([], bound)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 IRREDUCIBLE = "IRREDUCIBLE"

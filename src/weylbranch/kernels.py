@@ -1,12 +1,17 @@
 """Exact integer kernels: dominant saturation, Freudenthal recursion, Weyl orbits.
 
-Saturation and the Freudenthal recursion run over Python ints on weight
-tuples, so they are exact at every rank; the only bound is the ``maxdom`` cap
-on the size of a dominant table.  The per-root data they read is the table
-each ``RootSystem`` builds once (``root_weights``, ``root_forms``,
-``root_norms``).  Every dominant step, in these kernels, in
-the orbit kernel and in ``dominant_representative``, goes through
-the one helper ``_domrep_py``.
+Saturation takes one array step per level: it subtracts every positive root
+from the whole frontier at once, keeps the dominant rows, and finds the new
+ones by int64 keys, whose radix the largest coroot pairing of lam bounds.
+The Freudenthal recursion reads every pairing and norm of a table from two
+products with the root system's blocks, exact past int64 in object dtype,
+and walks the root strings over Python ints on weight tuples; the bounds are
+the ``maxdom`` cap on the size of a dominant table and the int64 range of its
+coordinates.  The per-root data they read is the table each ``RootSystem``
+builds once (``root_weight_block``, ``form_block``, ``gram_block``,
+``root_norms``).  Every dominant step, in the recursion, in the orbit kernel
+and in ``dominant_representative``, goes through the one helper
+``_domrep_py``.
 
 The orbit kernel walks one chain of standard parabolic subgroups per root
 system, W = W_0 > W_1 > ... > W_{n-1} with W_k on the nodes k..n-1: the
@@ -164,9 +169,12 @@ def _key_weights(n, radix):
     return out
 
 
-def _key_order(keys):
-    """The order that sorts int64 key rows lexicographically; equal rows in any order."""
-    return np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+def _key_order(keys, stable=False):
+    """The order that sorts int64 key rows lexicographically; equal rows in
+    their input order if ``stable``, else in any order."""
+    if keys.shape[1] > 1:
+        return np.lexsort(keys.T[::-1])
+    return np.argsort(keys[:, 0], kind="stable" if stable else None)
 
 
 def _run_starts(keys):
@@ -233,35 +241,77 @@ def dominant_floor(rs, lam):
     return (sum(a * h for a, h in zip(lam, rs.weight_heights)) - low) // top + 1
 
 
+# a sum of non-negative int64 terms is exact while it stays below this
+_INT64_SUMS = 1 << 62
+
+
+def _widened(rows, top):
+    """The int64 rows, in object dtype when a product's sums of non-negative
+    terms, each at most ``top``, could leave the int64 range."""
+    return rows.astype(object) if top >= _INT64_SUMS else rows
+
+
+# candidate rows one saturation step makes at most: a level's frontier is
+# split so that each block of (frontier row, positive root) differences stays
+# below this many rows
+_SATURATE_BLOCK_ROWS = 1 << 16
+
+
 def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     """(weights, heights): the dominant weights under lam, highest first.
 
     heights[i] is the coefficient sum of lam - weights[i] over the simple
     roots.  The set is the closure of {lam} under subtracting positive roots
-    while staying dominant.  More than ``maxdom`` weights raise, before any
-    is made when ``dominant_floor`` already passes ``maxdom``.
+    while staying dominant (Stembridge, "The partial order of dominant
+    weights", 1998), walked one level at a time: a level subtracts every
+    positive root from the whole frontier in one array step, drops the rows
+    with a negative coordinate, and keeps the rows whose int64 keys
+    (``_key_weights``) are new.  Every coordinate of a dominant weight under
+    lam is at most <lam, theta_s-coroot> (``rs.highest_coroot``), which
+    bounds the key radix.  More than ``maxdom`` weights raise, before any is
+    made when ``dominant_floor`` already passes ``maxdom``.
     """
     lam = tuple(int(c) for c in lam)
     if dominant_floor(rs, lam) > maxdom:
         raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): enumeration cap exceeded")
-    roots = tuple(zip(rs.root_weights, map(sum, rs.positive_roots)))
-    heights = {lam: 0}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            hw = heights[w]
-            for root, ht in roots:
-                v = tuple(a - b for a, b in zip(w, root))
-                if min(v) < 0 or v in heights:
-                    continue
-                heights[v] = hw + ht
-                nxt.append(v)
-        if len(heights) > maxdom:
+    bound = sum(a * c for a, c in zip(lam, rs.highest_coroot))
+    if bound >= _ORBIT_COORD_LIMIT:
+        raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): coordinates exceed the int64 range")
+    n = rs.rank
+    key_weights = _key_weights(n, 2 * bound + 1)
+    steps = rs.root_weight_block
+    block = max(1, _SATURATE_BLOCK_ROWS // len(steps))
+    frontier = np.array([lam], dtype=np.int64)
+    rows, keys = [frontier], frontier @ key_weights
+    while True:
+        found = []
+        for at in range(0, len(frontier), block):
+            cand = (frontier[at:at + block, None, :] - steps).reshape(-1, n)
+            found.append(cand[cand.min(axis=1) >= 0])
+        cand = found[0] if len(found) == 1 else np.concatenate(found)
+        if not len(cand):
+            break
+        # the known keys first, then the candidates': a stable sort leads
+        # each run of equal keys with its known row if it has one, so the
+        # runs led by a candidate are the new weights
+        both = np.concatenate((keys, cand @ key_weights))
+        order = _key_order(both, stable=True)
+        first = order[_run_starts(both[order])]
+        new = first[first >= len(keys)] - len(keys)
+        if not len(new):
+            break
+        frontier = cand[new]
+        rows.append(frontier)
+        keys = both[first]
+        if len(keys) > maxdom:
             raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): enumeration cap exceeded")
-        frontier = nxt
-    weights = sorted(heights, key=lambda w: (heights[w], w))
-    return weights, [heights[w] for w in weights]
+    rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    # inv_den times the heights of lam and of each row: every term is
+    # non-negative and a row's sum is at most lam's
+    top = sum(a * h for a, h in zip(lam, rs.weight_heights))
+    heights = (top - _widened(rows, top) @ rs.weight_heights) // rs.inv_den
+    order = np.lexsort((*(rows @ key_weights).T[::-1], heights))  # the keys order the rows lexicographically
+    return list(map(tuple, rows[order].tolist())), heights[order].tolist()
 
 
 def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
@@ -271,23 +321,27 @@ def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum over beta > 0 and k >= 1 of
     m(mu + k beta) (mu + k beta, beta), with m read at the dominant
     representative; a beta-string through a weight is unbroken, so each walk
-    over k stops at the first weight outside the table.
+    over k stops at the first weight outside the table.  Every pairing
+    (mu, beta) and norm |mu+rho|^2 of the table comes from two products with
+    ``rs.form_block`` and ``rs.gram_block``.  Both sum non-negative terms,
+    and no sum passes |lam+rho|^2 or a root's norm (|mu+rho| <= |lam+rho|
+    for a dominant mu under lam, and (mu, beta) <= |mu| |beta|), so they run
+    in object dtype where that norm could leave int64.
     """
     weights, _ = dominant_table(rs, lam, maxdom)
-    cartan, gram = rs.cartan_support, rs.gram_scaled
+    cartan = rs.cartan_support
     where = f"freudenthal({rs.lie_type}, {lam})"
-    roots = tuple(zip(rs.root_weights, rs.root_forms, rs.root_norms))
-
-    def norm(w):  # form_scale * |w + rho|^2
-        sh = [c + 1 for c in w]
-        return sum(a * sum(g * b for g, b in zip(row, sh)) for a, row in zip(sh, gram))
-
-    top = norm(weights[0])
+    top_row = np.array(weights[0], dtype=object) + 1
+    top = int(top_row @ rs.gram_block @ top_row)  # form_scale * |lam + rho|^2
+    rows = _widened(np.array(weights, dtype=np.int64), top)
+    pairs = (rows @ rs.form_block).tolist()  # form_scale * (mu, beta)
+    shifted = rows + 1
+    norms = ((shifted @ rs.gram_block) * shifted).sum(axis=1).tolist()  # form_scale * |mu + rho|^2
+    roots = tuple(zip(rs.root_weights, rs.root_norms))
     mults = {weights[0]: 1}
-    for mu in weights[1:]:
+    for mu, mu_pairs, norm in zip(weights[1:], pairs[1:], norms[1:]):
         acc = 0
-        for root, form, root_norm in roots:
-            pair = sum(f * c for f, c in zip(form, mu))  # form_scale * (mu, beta)
+        for (root, root_norm), pair in zip(roots, mu_pairs):
             nu = mu
             while True:
                 nu = [a + b for a, b in zip(nu, root)]
@@ -298,7 +352,7 @@ def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
                 if m is None:
                     break
                 acc += m * pair
-        denom = top - norm(mu)
+        denom = top - norm
         num = 2 * acc
         if denom <= 0 or num <= 0 or num % denom:
             raise KernelCapacityError(f"{where}: recursion is not exact at {mu}")

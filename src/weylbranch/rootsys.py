@@ -136,6 +136,13 @@ def _invert_fraction_matrix(mat):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def _frozen(block):
+    """A read-only contiguous copy of an int64 block shared through the root system."""
+    out = np.ascontiguousarray(block)
+    out.flags.writeable = False
+    return out
+
+
 class RootSystem:
     """Root-system data for one classical type.
 
@@ -144,9 +151,10 @@ class RootSystem:
     lengths (short = 1), ``positive_roots`` in integer root coordinates,
     ``rho`` the half-sum of positive roots in weight coordinates (all ones),
     and ``eG`` the maximal squared length ratio (1 for A/D, 2 for B/C).
-    The per-root table ``root_weights``, ``root_forms``, ``root_norms``,
-    ``coroots`` (rows in ``positive_roots`` order) and ``root_index`` (root
-    -> row) is the one source of per-positive-root data.
+    The per-root table ``root_weights``, ``root_norms``, ``coroots`` (rows in
+    ``positive_roots`` order), its blocks ``form_block`` and ``coroot_block``
+    (one column per root) and ``root_index`` (root -> row) is the one source
+    of per-positive-root data.
 
     Instances are immutable; obtain them through :func:`build_root_system`,
     which caches per type.
@@ -176,7 +184,7 @@ class RootSystem:
         self.floor_heights = (low, self.inv_den * max(map(sum, self.positive_roots)))
 
         # Scaled integer bilinear form on the weight lattice:
-        # gram[i][j] = scale * (lambda_i, lambda_j), slen2[i] = scale * len_i / 2,
+        # gram_block[i][j] = scale * (lambda_i, lambda_j), slen2[i] = scale * len_i / 2,
         # where (lambda_i, lambda_j) = invcartan[i][j] * len_j / 2.
         gram_frac = [
             [self.inverse_cartan[i][j] * Fraction(self.root_lengths[j], 2) for j in range(n)]
@@ -186,9 +194,7 @@ class RootSystem:
         denoms |= {Fraction(l, 2).denominator for l in self.root_lengths}
         scale = math.lcm(*denoms)
         self.form_scale = scale
-        self.gram_scaled = tuple(
-            tuple(int(x * scale) for x in row) for row in gram_frac
-        )
+        self.gram_block = _frozen(np.array([[int(x * scale) for x in row] for row in gram_frac], dtype=np.int64))
         self.slen2 = tuple(int(Fraction(l, 2) * scale) for l in self.root_lengths)
 
         self.cartan_support = cartan_support(self.cartan)
@@ -196,7 +202,7 @@ class RootSystem:
         self.cartan_np = np.array(self.cartan, dtype=np.int64)
 
         # One row per positive root beta, in ``positive_roots`` order:
-        # root_weights beta in weight coordinates, root_forms the row
+        # root_weights beta in weight coordinates, forms the row
         # form_scale * (lambda_i, beta) = beta_i * slen2[i], root_norms
         # form_scale * (beta, beta), and coroots the row <lambda_i, beta-coroot>.
         betas = np.array(self.positive_roots, dtype=np.int64)
@@ -207,12 +213,22 @@ class RootSystem:
         if rem.any():
             raise ArithmeticError(f"a coroot of {lie_type} pairs non-integrally with a fundamental weight")
         self.root_weights = tuple(map(tuple, weights.tolist()))
-        self.root_forms = tuple(map(tuple, forms.tolist()))
         self.root_norms = tuple(norms.tolist())
         self.coroots = tuple(map(tuple, coroots.tolist()))
-        # the same pairings as a rank x roots block, for ``charcalc.weyl_dims``
-        self.coroot_block = np.ascontiguousarray(coroots.T)
-        self.coroot_block.flags.writeable = False
+        # the root weights as rows, for the array steps of
+        # ``kernels.dominant_table``; the coroot of the highest short root
+        # has the largest coefficients of all, so it gives a dominant
+        # weight's largest coroot pairing
+        self.root_weight_block = _frozen(weights)
+        self.highest_coroot = max(self.coroots, key=sum)
+        # the same pairings as a rank x roots block, with each root's
+        # <rho, beta-coroot> and their product, for ``charcalc.weyl_dims``
+        self.coroot_block = _frozen(coroots.T)
+        self.coroot_heights = tuple(coroots.sum(axis=1).tolist())
+        self.weyl_denominator = math.prod(self.coroot_heights)
+        # the forms as a rank x roots block, for the pairings of a whole
+        # table in ``kernels.freudenthal_table``
+        self.form_block = _frozen(forms.T)
         self.root_index = {beta: k for k, beta in enumerate(self.positive_roots)}
 
     def __repr__(self):
@@ -271,12 +287,6 @@ def scaled_root_coords(rs: RootSystem, w):
     inv = rs.inv_cartan_scaled
     n = rs.rank
     return tuple(sum(w[i] * inv[i][j] for i in range(n) if w[i]) for j in range(n))
-
-
-def weight_to_root_coords(rs: RootSystem, w):
-    """Exact rational coordinates of a weight in the simple-root basis."""
-    w = rs.check_weight(w)
-    return tuple(Fraction(x, rs.inv_den) for x in scaled_root_coords(rs, w))
 
 
 def connected_components(rs: RootSystem, nodes):

@@ -54,11 +54,6 @@ class TableRow:
     source: str = ""
     lineno: int = 0
 
-    def serialize(self) -> str:
-        return "\t".join(
-            [self.family, self.ambient, self.params, self.lam, self.p_cond, self.kappa, self.restriction]
-        )
-
 
 class TableError(ValueError):
     pass

@@ -5,11 +5,13 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_checker import full_character
+from test_rootsys import weight_to_root_coords
 from weylbranch import kernels
 from weylbranch.charcalc import (
     Characteristic,
@@ -23,7 +25,7 @@ from weylbranch.charcalc import (
     weyl_character_subtract,
     weyl_dim,
 )
-from weylbranch.rootsys import LieType, build_root_system, weight_to_root_coords
+from weylbranch.rootsys import LieType, build_root_system
 
 P0 = Characteristic(0)
 
@@ -100,6 +102,23 @@ def test_freudenthal_support_equals_saturation():
         assert set(ct.entries) == set(kernels.dominant_table(rs, lam)[0])
         assert all(m >= 1 for m in ct.entries.values())
         assert ct.entries[lam] == 1
+
+
+def test_characteristic_accepts_only_integers():
+    # 5.0 used to compare and hash equal to 5, so irr_dim at Characteristic(5.0)
+    # cached the float 62.0 for every later p = 5 call
+    rs = rsys("C", 3)
+    for bad in (5.0, 2.5, True, "5", None):
+        with pytest.raises(ValueError, match="integer"):
+            Characteristic(bad)
+    with pytest.raises(ValueError):
+        irr_dim(rs, (0, 1, 1), Characteristic(5.0))
+    dim = irr_dim(rs, (0, 1, 1), Characteristic(5))
+    assert dim == 62 and type(dim) is int
+    chi = Characteristic(np.int64(7))
+    assert type(chi.p) is int and chi == Characteristic(7)
+    with pytest.raises(ValueError, match="prime"):
+        Characteristic(np.int64(4))
 
 
 def test_premet():

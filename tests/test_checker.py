@@ -1119,6 +1119,12 @@ def test_dominant_weights_bounded():
     ws = dominant_weights_bounded(2, 2)
     assert ws == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert dominant_weights_bounded(2, 3, p=2) == [(0, 1), (1, 0), (1, 1)]
+    # each call gets a fresh list from the cache, and a float bound, which
+    # hashes like the int, is refused however warm the cache is
+    ws.clear()
+    assert dominant_weights_bounded(2, 2) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    with pytest.raises(TypeError):
+        dominant_weights_bounded(2, 2.0)
 
 
 def test_p_condition_ok():

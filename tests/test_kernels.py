@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylbranch import kernels
+from weylbranch import charcalc, kernels
 from weylbranch.charcalc import freudenthal, weyl_dim
 from weylbranch.checker import dominant_weights_bounded
 from weylbranch.kernels import dominant_representative, orbit_size
@@ -258,3 +258,76 @@ def test_domrep_step_guard_raises(monkeypatch):
         kernels.weyl_orbit_array(rs, (-1, -1))
     with pytest.raises(kernels.KernelCapacityError):
         dominant_representative(rs, (-1, -1))
+
+
+def bfs_dominant_table(rs, lam):
+    """The former saturation, kept as an oracle: a breadth-first search over
+    (weight, positive root) pairs on tuples of Python ints."""
+    roots = tuple(zip(rs.root_weights, map(sum, rs.positive_roots)))
+    heights = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for root, ht in roots:
+                v = tuple(a - b for a, b in zip(w, root))
+                if min(v) >= 0 and v not in heights:
+                    heights[v] = heights[w] + ht
+                    nxt.append(v)
+        frontier = nxt
+    weights = sorted(heights, key=lambda w: (heights[w], w))
+    return weights, [heights[w] for w in weights]
+
+
+def criterion_2_weights():
+    """(root system, weight) for the 794 weights of coefficient sum <= 3 on
+    A1-A6, B2-B6, C2-C6 and D3-D6."""
+    return [
+        (build_root_system(LieType(fam, n)), w)
+        for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+        for n in range(lo, 7)
+        for w in dominant_weights_bounded(n, 3)
+    ]
+
+
+def test_saturation_matches_the_breadth_first_oracle():
+    # same weights, heights and order on every criterion-2 weight
+    cases = criterion_2_weights()
+    assert len(cases) == 794
+    for rs, lam in cases:
+        assert kernels.dominant_table(rs, lam) == bfs_dominant_table(rs, lam), (rs, lam)
+    # A15 10*omega_1: its dominant weights are the 42 partitions of 10, and
+    # the radix 2 * 10 + 1 packs 14 coordinates per key, so two key columns
+    rs = build_root_system(LieType("A", 15))
+    lam = (10,) + (0,) * 14
+    assert kernels._key_weights(15, 2 * max(sum(a * c for a, c in zip(lam, co)) for co in rs.coroots) + 1).shape[1] > 1
+    table = kernels.dominant_table(rs, lam)
+    assert len(table[0]) == 42 and table == bfs_dominant_table(rs, lam)
+
+
+def test_saturation_splits_a_wide_frontier(monkeypatch):
+    # frontier blocks of one row give the same table as one block
+    monkeypatch.setattr(kernels, "_SATURATE_BLOCK_ROWS", 1)
+    for f, n, lam in (("B", 4, (1, 1, 0, 1)), ("D", 6, (0, 1, 0, 1, 0, 1)), ("C", 3, (3, 0, 0))):
+        rs = build_root_system(LieType(f, n))
+        assert kernels.dominant_table(rs, lam) == bfs_dominant_table(rs, lam)
+
+
+def test_table_orbit_sizes_match_the_orbit_kernel():
+    # the orbit sizes read from the zero-node cache equal orbit_size on every
+    # entry of every criterion-2 table, and so do the totals built from them
+    for rs, lam in criterion_2_weights():
+        table = freudenthal(rs, lam)
+        sizes = [orbit_size(rs, w).orbit_size for w in table.entries]
+        assert sizes == [charcalc._orbit_size_cached(rs.lie_type, tuple(c == 0 for c in w)) for w in table.entries]
+        assert table.total_dim == sum(m * s for m, s in zip(table.entries.values(), sizes)), (rs, lam)
+        assert table.largest_orbit == max(sizes)
+
+
+def test_table_sums_run_over_python_ints_past_int64(monkeypatch):
+    # a table whose norms pass int64 is far too large to build, so the
+    # object path is forced by lowering its threshold; the tables do not change
+    cases = [(rs, lam) for rs, lam in criterion_2_weights() if rs.rank in (3, 5)]
+    expected = [(kernels.dominant_table(rs, lam), kernels.freudenthal_table(rs, lam)) for rs, lam in cases]
+    monkeypatch.setattr(kernels, "_INT64_SUMS", 0)
+    assert [(kernels.dominant_table(rs, lam), kernels.freudenthal_table(rs, lam)) for rs, lam in cases] == expected

@@ -17,8 +17,14 @@ from weylbranch.rootsys import (
     minimal_weights,
     pairing,
     scaled_root_coords,
-    weight_to_root_coords,
 )
+
+
+def weight_to_root_coords(rs, w):
+    """Exact rational coordinates of a weight in the simple-root basis."""
+    w = rs.check_weight(w)
+    return tuple(Fraction(x, rs.inv_den) for x in scaled_root_coords(rs, w))
+
 
 def is_root(rs, alpha_rc) -> bool:
     return _root_position(rs, alpha_rc) is not None
@@ -163,7 +169,7 @@ def test_root_table_matches_former_forms():
             assert rs.root_norms[k] == scaled_form(rs, beta, beta)
             for i in range(1, n + 1):
                 lam_i = fundamental_weight(rs, i)
-                assert rs.root_forms[k][i - 1] == scaled_form_weight_root(rs, lam_i, beta)
+                assert rs.form_block[i - 1, k] == scaled_form_weight_root(rs, lam_i, beta)
                 assert rs.coroots[k][i - 1] == form_pairing(rs, lam_i, beta)
 
 

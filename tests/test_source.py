@@ -113,6 +113,40 @@ def test_branch_path_calls_no_scalar_restriction_or_orbit_search():
     assert "restrict_weight" not in imported
 
 
+def _function(module, name):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+# what a loop in dominant_table may read: lam's coordinates with per-node data
+# of the root system, or the blocks of a level's frontier
+SATURATION_LOOP_NAMES = {"lam", "rs", "zip", "int", "range", "len", "frontier", "block"}
+SATURATION_LOOP_ATTRIBUTES = {"highest_coroot", "weight_heights"}
+
+
+def test_table_build_does_no_per_weight_python_work():
+    # a table reads its orbit sizes from the (type, zero-node set) cache, not
+    # from one orbit_size call per weight, and its saturation steps whole
+    # frontiers: no loop in dominant_table walks the positive roots
+    cached = _function("charcalc.py", "_freudenthal_cached")
+    calls = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(cached)
+        if isinstance(node, ast.Call)
+    }
+    assert "_orbit_size_cached" in calls and "orbit_size" not in calls, calls
+    loops = [node.iter for node in ast.walk(_function("kernels.py", "dominant_table"))
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops
+    found = [
+        ast.unparse(it)
+        for it in loops
+        if {n.id for n in ast.walk(it) if isinstance(n, ast.Name)} - SATURATION_LOOP_NAMES
+        or {n.attr for n in ast.walk(it) if isinstance(n, ast.Attribute)} - SATURATION_LOOP_ATTRIBUTES
+    ]
+    assert not found, found
+
+
 def test_embedding_is_the_checkers_handle_on_g_and_h():
     # the embedding names (G, H): the checker builds it only in entry_gate,
     # and no cache is keyed on an (ambient, family) pair to look it up again

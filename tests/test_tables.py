@@ -18,6 +18,11 @@ from weylbranch.tables import (
 P0 = Characteristic(0)
 
 
+def serialize(row):
+    """A parsed row as its table line: the seven tab-separated fields."""
+    return "\t".join([row.family, row.ambient, row.params, row.lam, row.p_cond, row.kappa, row.restriction])
+
+
 def shipped(name):
     text = resources.files("weylbranch").joinpath(f"data/table_{name}.tsv").read_text()
     return parse_table(text, source=f"table_{name}.tsv")
@@ -28,8 +33,8 @@ def test_round_trip_all_shipped():
         rows = shipped(name)
         assert rows
         for r in rows:
-            again = parse_table(r.serialize(), source="x")[0]
-            assert again.serialize() == r.serialize()
+            again = parse_table(serialize(r), source="x")[0]
+            assert serialize(again) == serialize(r)
 
 
 def test_eval_int():
@@ -91,8 +96,8 @@ def test_instantiation_counts():
 def test_table_all_is_the_union_of_the_collection_tables():
     # table_all.tsv stays a copy, since the entry ids of verify shipped:all
     # carry its file name and line numbers; it must hold the same rows
-    parts = sorted(r.serialize() for name in ("c136", "c2", "c4i", "c4ii") for r in shipped(name))
-    assert sorted(r.serialize() for r in shipped("all")) == parts
+    parts = sorted(serialize(r) for name in ("c136", "c2", "c4i", "c4ii") for r in shipped(name))
+    assert sorted(serialize(r) for r in shipped("all")) == parts
 
 
 @pytest.mark.parametrize("op", [">=", "<=", "<", ">"])
