@@ -15,10 +15,11 @@ product (c4), or a classical form (c6).  A family states two things:
   an (index tuple, sign tuple) pair (idx, sgn) acting by
   w -> (sgn[i] * w[idx[i]])_i.
 
-``_embed`` alone turns an assignment into the integer restriction matrix R: the
-doubled epsilon-rows of the ambient fundamental weights, pushed through the
-assignment, give doubled factor epsilon-coordinates, then factor
-fundamental-weight coordinates and charges.
+``_embed`` alone turns an assignment into the integer restriction matrix R.
+The epsilon model of ``rootsys`` gives the doubled epsilon-rows of the ambient
+fundamental weights; pushed through the assignment they give doubled factor
+epsilon-coordinates, whose pairings with each factor's simple coroots, and
+the charges, halved, are the rows of R.
 
 Conventions:
 
@@ -45,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .rootsys import LieType, build_root_system, scaled_root_coords
+from .rootsys import LieType, build_root_system, epsilon_model, scaled_root_coords
 
 A1 = LieType("A", 1)
 
@@ -373,47 +374,28 @@ def existence_ok(e: Embedding, p: int) -> bool:
 # the natural-module model
 
 
-def _ambient_e_rows(ambient):
-    """Doubled epsilon-coordinates of the fundamental weights.
-
-    Rows over Z^n, or over Z^{n+1} for A_n (the trace is not removed).
-    """
-    n = ambient.rank
-    rows = [[2] * k + [0] * (n - k) for k in range(1, n + 1)]
-    if ambient.family == "A":
-        rows = [row + [0] for row in rows]
-    elif ambient.family == "B":
-        rows[n - 1] = [1] * n  # lambda_n is the half-sum
-    elif ambient.family == "D":
-        rows[n - 2] = [1] * (n - 1) + [-1]
-        rows[n - 1] = [1] * n
-    return rows
-
-
 def _edim(fam, r):
-    """Number of epsilon-coordinates of a factor: A_r lives in Z^{r+1}."""
-    return r + 1 if fam == "A" else r
+    """Number of epsilon-coordinates of a factor, read from its model."""
+    return epsilon_model(fam, r).weights.shape[1]
 
 
-def _half(v):
-    if v % 2:
-        raise AssertionError("natural-module model produced a non-integral weight")
-    return v // 2
+def _factor_coords(kinds, doubled):
+    """Factor fundamental coordinates, then charges, of rows of doubled
+    epsilon-coordinates (each factor's block in turn, then the charges).
 
-
-def _factor_from_e(fam, l, f):
-    """Factor fundamental coordinates from doubled epsilon-coordinates f.
-
-    D2 comes out as its two A1 coordinates, B1 and C1 as one A1 coordinate.
+    Each factor's block pairs with its simple coroots, the charges pass
+    through, and every value is halved.  D2 comes out as its two A1
+    coordinates, B1 and C1 as one A1 coordinate.
     """
-    out = [f[j] - f[j + 1] for j in range(l if fam == "A" else l - 1)]
-    if fam == "B":
-        out.append(2 * f[l - 1])
-    elif fam == "C":
-        out.append(f[l - 1])
-    elif fam == "D":
-        out.append(f[l - 2] + f[l - 1])
-    return [_half(v) for v in out]
+    pairs, start = [], 0
+    for fam, r in kinds:
+        coroots = epsilon_model(fam, r).coroots
+        pairs.append(doubled[:, start:start + coroots.shape[1]] @ coroots.T)
+        start += coroots.shape[1]
+    out, odd = np.divmod(np.hstack(pairs + [doubled[:, start:]]), 2)
+    if odd.any():
+        raise AssertionError("natural-module model produced a non-integral weight")
+    return out
 
 
 def _materialize(kinds):
@@ -488,14 +470,10 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
             assignment[j][eoffs[f] + i] += s
         if torus_rank:
             assignment[j][eoffs[-1]:] = charges[j]
-    doubled = (np.array(_ambient_e_rows(ambient), dtype=np.int64) @ np.array(assignment, dtype=np.int64)).tolist()
-    mat = []
-    for row in doubled:
-        out = []
-        for (fam, r), eo, ed in zip(kinds, eoffs, edims):
-            out += _factor_from_e(fam, r, row[eo:eo + ed])
-        mat.append(out + [_half(v) for v in row[eoffs[-1]:]])
-    width = len(mat[0])
+    rs = build_root_system(ambient)
+    restriction = _factor_coords(kinds, rs.epsilon.weights @ np.array(assignment, dtype=np.int64))
+    restriction.setflags(write=False)
+    width = restriction.shape[1]
     generators = []
     for moves in gens:
         idx, sgn = list(range(width)), [1] * width
@@ -507,18 +485,10 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
             idx[i], idx[j] = j, i
             sgn[i] = sgn[j] = s
         generators.append((tuple(idx), tuple(sgn)))
-    derived = []
-    for support in build_root_system(ambient).cartan_support:
-        image = [0] * width
-        for i, a in support:
-            image = [x + a * y for x, y in zip(image, mat[i])]
-        derived.append(tuple(image))
-    derived = tuple(derived)
+    derived = tuple(map(tuple, (rs.cartan_np @ restriction).tolist()))
     images = derived if simple_root_images is None else tuple(map(tuple, simple_root_images))
     if images != derived:
         raise AssertionError(f"simple-root images of {family} on {ambient} disagree with R: {images} vs {derived}")
-    restriction = np.array(mat, dtype=np.int64)
-    restriction.setflags(write=False)
     return Embedding(
         ambient=ambient,
         family=family,

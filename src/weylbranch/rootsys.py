@@ -7,22 +7,39 @@ integers: the inverse Cartan matrix is stored scaled by its common
 denominator, and the bilinear form scaled to integers.  Every operation is
 exact: no floats anywhere.
 
+Everything is built from one epsilon model per (family, rank)
+(``epsilon_model``; Bourbaki, Lie Groups and Lie Algebras VI, Plates I-IV):
+integer rows over Z^d of the simple roots, their coroots 2 alpha/(alpha,
+alpha), and the doubled fundamental weights 2 omega_i.  d is the rank, or
+rank + 1 for A_n, whose rows keep their trace.  In these coordinates the
+simple roots are e_i - e_{i+1}, closed by e_n (B), 2 e_n (C) or
+e_{n-1} + e_n (D); the positive roots are e_i - e_j (A), e_i +- e_j with
+e_i (B), 2 e_i (C) or nothing more (D).  The Cartan, inverse Cartan and
+Gram matrices follow in integers from the products of these rows.  The model
+also covers A1, B1, C1 and D2, which embedding factors use.
+
 Root lengths are normalized so that short roots have squared length 1
-(A/D: all roots length 1; B_n: alpha_n short; C_n: alpha_n long).
+(A/D: all roots length 1; B_n: alpha_n short; C_n: alpha_n long), that is
+the squared epsilon length divided by the shortest simple root's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 FAMILIES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+# positive roots x rank entries of the largest root system built; the same
+# bound as a dominant table's (``kernels.DEFAULT_MAXDOM``)
+MAX_ROOT_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -35,6 +52,12 @@ class LieType:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        # an integer only (a numpy integer is stored as an int): A2.0 would
+        # hash equal to A2 and be handed its cached root system
+        if type(self.rank) is not int:
+            if isinstance(self.rank, bool) or not isinstance(self.rank, numbers.Integral):
+                raise ValueError(f"rank must be an integer, got {self.rank!r}")
+            object.__setattr__(self, "rank", int(self.rank))
         if self.rank < _MIN_RANK[self.family]:
             raise ValueError(
                 f"rank {self.rank} too small for {self.family} "
@@ -45,95 +68,55 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-def _cartan_matrix(t: LieType):
-    """cartan[i][j] = <alpha_i, alpha_j> = 2(alpha_i,alpha_j)/(alpha_j,alpha_j)."""
-    n = t.rank
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    if t.family == "A":
-        nbonds = n - 1
-    elif t.family == "D":
-        nbonds = n - 3
-    else:
-        nbonds = n - 2
-    for i in range(nbonds):
-        a[i][i + 1] = -1
-        a[i + 1][i] = -1
-    if t.family == "A":
-        pass
-    elif t.family == "B":
-        # alpha_n short: <alpha_{n-1}, alpha_n> = -2, <alpha_n, alpha_{n-1}> = -1
-        if n >= 2:
-            a[n - 2][n - 1] = -2
-            a[n - 1][n - 2] = -1
-    elif t.family == "C":
-        # alpha_n long: <alpha_{n-1}, alpha_n> = -1, <alpha_n, alpha_{n-1}> = -2
-        if n >= 2:
-            a[n - 2][n - 1] = -1
-            a[n - 1][n - 2] = -2
-    elif t.family == "D":
-        a[n - 3][n - 2] = -1
-        a[n - 2][n - 3] = -1
-        a[n - 3][n - 1] = -1
-        a[n - 1][n - 3] = -1
-    return tuple(tuple(row) for row in a)
+class EpsilonModel(NamedTuple):
+    """One type in epsilon-coordinates: rank x d integer rows, read-only."""
+
+    roots: np.ndarray  # the simple roots alpha_i
+    coroots: np.ndarray  # 2 alpha_i / (alpha_i, alpha_i)
+    weights: np.ndarray  # the doubled fundamental weights 2 omega_i
+
+
+def epsilon_model(family: str, rank: int) -> EpsilonModel:
+    """The epsilon model of family_rank, for rank >= 1 (rank >= 2 for D)."""
+    if family not in FAMILIES or rank < (2 if family == "D" else 1):
+        raise ValueError(f"no epsilon model for {family}{rank}")
+    d = rank + 1 if family == "A" else rank
+    eye = np.eye(d, dtype=np.int64)
+    roots = eye[:-1] - eye[1:]
+    weights = 2 * np.tri(rank, d, dtype=np.int64)
+    if family == "B":
+        roots = np.vstack([roots, eye[-1]])
+        weights[-1] = 1
+    elif family == "C":
+        roots = np.vstack([roots, 2 * eye[-1]])
+    elif family == "D":
+        roots = np.vstack([roots, eye[-2] + eye[-1]])
+        weights[-2:] = 1
+        weights[-2, -1] = -1
+    coroots = 2 * roots // (roots * roots).sum(axis=1)[:, None]
+    return EpsilonModel(*map(_frozen, (roots, coroots, weights)))
+
+
+def _positive_epsilon_roots(family: str, d: int):
+    """The positive roots over Z^d in closed form, as the rows of one array."""
+    eye = np.eye(d, dtype=np.int64)
+    i, j = np.triu_indices(d, 1)
+    rows = [eye[i] - eye[j]]
+    if family != "A":
+        rows.append(eye[i] + eye[j])
+    if family in ("B", "C"):
+        rows.append(eye if family == "B" else 2 * eye)
+    return np.vstack(rows)
+
+
+def _denominator(num, den):
+    """The least m with m * num / den integral in every entry."""
+    return int(np.lcm.reduce((den // np.gcd(num, den)).ravel()))
 
 
 def cartan_support(cartan):
     """Per row j, the (i, cartan[j][i]) pairs with a non-zero entry."""
     return tuple(tuple((i, a) for i, a in enumerate(row) if a) for row in cartan)
-
-
-def _root_lengths(t: LieType):
-    """Squared lengths of the simple roots, short root = 1."""
-    n = t.rank
-    if t.family in ("A", "D"):
-        return (1,) * n
-    if t.family == "B":
-        return (2,) * (n - 1) + (1,)
-    return (1,) * (n - 1) + (2,)  # C
-
-
-def _positive_roots(cartan):
-    """All positive roots in root coordinates, via reflection closure."""
-    n = len(cartan)
-    seen = set()
-    frontier = []
-    for i in range(n):
-        r = tuple(1 if j == i else 0 for j in range(n))
-        seen.add(r)
-        frontier.append(r)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for j in range(n):
-                # <r, alpha_j> = sum_i r_i * cartan[i][j]
-                pr = sum(r[i] * cartan[i][j] for i in range(n))
-                s = tuple(r[i] - (pr if i == j else 0) for i in range(n))
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    pos = [r for r in seen if all(c >= 0 for c in r)]
-    pos.sort(key=lambda r: (sum(r), r))
-    return tuple(pos)
-
-
-def _invert_fraction_matrix(mat):
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _frozen(block):
@@ -151,6 +134,7 @@ class RootSystem:
     lengths (short = 1), ``positive_roots`` in integer root coordinates,
     ``rho`` the half-sum of positive roots in weight coordinates (all ones),
     and ``eG`` the maximal squared length ratio (1 for A/D, 2 for B/C).
+    ``epsilon`` is the type's epsilon model, from which all of it is built.
     The per-root table ``root_weights``, ``root_norms``, ``coroots`` (rows in
     ``positive_roots`` order), its blocks ``form_block`` and ``coroot_block``
     (one column per root) and ``root_index`` (root -> row) is the one source
@@ -161,45 +145,65 @@ class RootSystem:
     """
 
     def __init__(self, lie_type: LieType):
+        fam, n = lie_type.family, lie_type.rank
+        entries = n * {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[fam]
+        if entries > MAX_ROOT_ENTRIES:
+            raise ValueError(
+                f"{lie_type} has {entries} positive-root coordinates, more than {MAX_ROOT_ENTRIES}"
+            )
         self.lie_type = lie_type
-        n = lie_type.rank
         self.rank = n
-        self.cartan = _cartan_matrix(lie_type)
-        self.root_lengths = _root_lengths(lie_type)
-        self.positive_roots = _positive_roots(self.cartan)
+        self.epsilon = model = epsilon_model(fam, n)
+        simple, doubled = model.roots, model.weights
+        # squared epsilon lengths of the simple roots; the shortest is 1 in
+        # the normalized form
+        lengths = (simple * simple).sum(axis=1)
+        unit = int(lengths.min())
+        # cartan[i][j] = <alpha_i, alpha_j-coroot>, and a numpy mirror for the
+        # orbit kernel
+        self.cartan_np = _frozen(simple @ model.coroots.T)
+        self.cartan = tuple(map(tuple, self.cartan_np.tolist()))
+        self.root_lengths = tuple((lengths // unit).tolist())
         self.rho = (1,) * n
-        self.eG = 1 if lie_type.family in ("A", "D") else 2
-        self.inverse_cartan = _invert_fraction_matrix(self.cartan)
-        # inv_den * inverse_cartan is integral: inv_den is n+1 for A_n, 2 for
-        # B/C, and 2 or 4 for D
-        self.inv_den = math.lcm(*(x.denominator for row in self.inverse_cartan for x in row))
-        self.inv_cartan_scaled = tuple(
-            tuple(int(x * self.inv_den) for x in row) for row in self.inverse_cartan
-        )
+        self.eG = max(self.root_lengths)
+        # root coordinates c_j = 2 (beta, omega_j) / (alpha_j, alpha_j), in
+        # order of height, then of coordinates
+        coords, rem = np.divmod(_positive_epsilon_roots(fam, simple.shape[1]) @ doubled.T, lengths)
+        if rem.any():
+            raise ArithmeticError(f"a positive root of {lie_type} has a non-integral root coordinate")
+        self.positive_roots = tuple(sorted(map(tuple, coords.tolist()), key=lambda r: (sum(r), r)))
+
+        # the epsilon Gram matrix of the doubled fundamental weights, for A_n
+        # times m = n + 1 with the trace term removed (m = 1 otherwise):
+        # (omega_i, omega_k) is gram[i][k] / (4 m) in epsilon units
+        gram = doubled @ doubled.T
+        m = 1
+        if fam == "A":
+            m = n + 1
+            traces = doubled.sum(axis=1)
+            gram = m * gram - np.outer(traces, traces)
+        # the inverse Cartan matrix is 2 (omega_i, omega_k) / (alpha_k, alpha_k),
+        # integral times inv_den: n+1 for A_n, 2 for B/C, and 2 or 4 for D
+        den = 2 * m * lengths
+        self.inv_den = _denominator(gram, den)
+        self.inv_cartan_scaled = tuple(map(tuple, (gram * self.inv_den // den).tolist()))
         # inv_den times the heights of the fundamental weights, of the highest
         # of 0 and the minimal weights and of the highest root: exact integers
         # for ``kernels.dominant_floor``
         self.weight_heights = tuple(map(sum, self.inv_cartan_scaled))
-        low = max([0] + [self.weight_heights[m.index(1)] for m in minimal_weights(lie_type)])
-        self.floor_heights = (low, self.inv_den * max(map(sum, self.positive_roots)))
+        low = max([0] + [self.weight_heights[mu.index(1)] for mu in minimal_weights(lie_type)])
+        self.floor_heights = (low, self.inv_den * sum(self.positive_roots[-1]))
 
-        # Scaled integer bilinear form on the weight lattice:
-        # gram_block[i][j] = scale * (lambda_i, lambda_j), slen2[i] = scale * len_i / 2,
-        # where (lambda_i, lambda_j) = invcartan[i][j] * len_j / 2.
-        gram_frac = [
-            [self.inverse_cartan[i][j] * Fraction(self.root_lengths[j], 2) for j in range(n)]
-            for i in range(n)
-        ]
-        denoms = {x.denominator for row in gram_frac for x in row}
-        denoms |= {Fraction(l, 2).denominator for l in self.root_lengths}
-        scale = math.lcm(*denoms)
+        # Scaled integer bilinear form on the weight lattice, in the
+        # normalized lengths: gram_block[i][j] = scale * (lambda_i, lambda_j)
+        # and slen2[i] = scale * len_i / 2
+        form_den = 4 * m * unit
+        scale = math.lcm(_denominator(gram, form_den), _denominator(lengths, 2 * unit))
         self.form_scale = scale
-        self.gram_block = _frozen(np.array([[int(x * scale) for x in row] for row in gram_frac], dtype=np.int64))
-        self.slen2 = tuple(int(Fraction(l, 2) * scale) for l in self.root_lengths)
+        self.gram_block = _frozen(gram * scale // form_den)
+        self.slen2 = tuple((lengths * scale // (2 * unit)).tolist())
 
         self.cartan_support = cartan_support(self.cartan)
-        # numpy mirror for the orbit kernel
-        self.cartan_np = np.array(self.cartan, dtype=np.int64)
 
         # One row per positive root beta, in ``positive_roots`` order:
         # root_weights beta in weight coordinates, forms the row

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from weylbranch.embeddings import (
     instance_params,
     restrict_weight,
 )
-from weylbranch.rootsys import _MIN_RANK, LieType, build_root_system
+from weylbranch.rootsys import _MIN_RANK, FAMILIES, LieType, build_root_system, epsilon_model
 
 
 def lam(n, *pairs):
@@ -324,8 +325,6 @@ def test_maximal_rank_injectivity():
 
 def test_positive_root_sum_restricts_nonnegatively():
     # sum of all positive roots restricted: non-negative factor root coords
-    from fractions import Fraction
-
     for ambient, fam in [
         (LieType("C", 6), geom_family("c2", l=2, t=3)),
         (LieType("D", 6), geom_family("c2", kind="Dl", l=3, t=2)),
@@ -339,7 +338,7 @@ def test_positive_root_sum_restricts_nonnegatively():
         parts, _ = e.split(img)
         for part, frs in zip(parts, e.factor_systems):
             for j in range(frs.rank):
-                v = sum(Fraction(part[i]) * frs.inverse_cartan[i][j] for i in range(frs.rank))
+                v = sum(Fraction(part[i] * frs.inv_cartan_scaled[i][j], frs.inv_den) for i in range(frs.rank))
                 assert v >= 0
 
 
@@ -576,6 +575,93 @@ def test_chain_order_matches_the_group_closure():
         assert sizes[0] == max(sizes), (e.ambient, e.family)
         checked += 1
     assert checked == 111
+
+
+# The former natural-module arithmetic, kept as the oracle of the epsilon
+# model and of the factor conversion: the doubled epsilon-rows of the
+# fundamental weights and each factor's fundamental coordinates, written out
+# per family.
+
+
+def former_e_rows(fam, n):
+    """Doubled epsilon-coordinates of the fundamental weights of fam_n (Z^{n+1} for A)."""
+    rows = [[2] * k + [0] * (n - k) for k in range(1, n + 1)]
+    if fam == "A":
+        rows = [row + [0] for row in rows]
+    elif fam == "B":
+        rows[n - 1] = [1] * n
+    elif fam == "D":
+        rows[n - 2] = [1] * (n - 1) + [-1]
+        rows[n - 1] = [1] * n
+    return rows
+
+
+def former_factor_from_e(fam, l, f):
+    """Factor fundamental coordinates from doubled epsilon-coordinates f."""
+    out = [f[j] - f[j + 1] for j in range(l if fam == "A" else l - 1)]
+    if fam == "B":
+        out.append(2 * f[l - 1])
+    elif fam == "C":
+        out.append(f[l - 1])
+    elif fam == "D":
+        out.append(f[l - 2] + f[l - 1])
+    assert all(v % 2 == 0 for v in out)
+    return [v // 2 for v in out]
+
+
+def former_factor_coords(kinds, doubled):
+    out = []
+    for row in doubled:
+        coords, start = [], 0
+        for fam, r in kinds:
+            width = r + 1 if fam == "A" else r
+            coords += former_factor_from_e(fam, r, row[start:start + width])
+            start += width
+        assert all(v % 2 == 0 for v in row[start:])
+        out.append(coords + [v // 2 for v in row[start:]])
+    return out
+
+
+DEGENERATE_KINDS = (("A", 1), ("B", 1), ("C", 1), ("D", 2))
+
+
+def test_epsilon_model_matches_the_former_rows():
+    kinds = DEGENERATE_KINDS + tuple((fam, n) for fam in FAMILIES for n in range(_MIN_RANK[fam], 13))
+    for fam, n in kinds:
+        model = epsilon_model(fam, n)
+        assert model.weights.tolist() == former_e_rows(fam, n), (fam, n)
+        # each simple coroot pairs with the doubled fundamental weights as 2 delta
+        assert (model.weights @ model.coroots.T).tolist() == (2 * np.eye(n, dtype=int)).tolist()
+        assert not any(block.flags.writeable for block in model)
+    for fam, n in (("D", 1), ("A", 0), ("E", 6)):
+        with pytest.raises(ValueError, match="no epsilon model"):
+            epsilon_model(fam, n)
+
+
+def test_factor_conversion_matches_the_former_arithmetic(monkeypatch):
+    # the degenerate kinds directly, on every weight with coefficients in -2..2
+    for fam, r in DEGENERATE_KINDS + (("A", 3), ("B", 3), ("C", 3), ("D", 3)):
+        weights = np.array(list(itertools.product(range(-2, 3), repeat=r)), dtype=np.int64)
+        doubled = weights @ epsilon_model(fam, r).weights
+        got = embeddings._factor_coords([(fam, r)], doubled)
+        assert got.tolist() == former_factor_coords([(fam, r)], doubled.tolist()) == weights.tolist()
+    with pytest.raises(AssertionError, match="non-integral"):
+        embeddings._factor_coords([("A", 1)], np.array([[1, 0]]))
+    # every factor kind of every instance up to rank 12, through _embed
+    convert, seen = embeddings._factor_coords, set()
+
+    def record(kinds, doubled):
+        got = convert(kinds, doubled)
+        assert got.tolist() == former_factor_coords(kinds, doubled.tolist()), kinds
+        seen.update(kinds)
+        return got
+
+    monkeypatch.setattr(embeddings, "_factor_coords", record)
+    for e in INSTANCES_12:
+        built = embeddings._BUILDERS[e.family.tag](e.ambient, e.family)
+        assert np.array_equal(built.restriction, e.restriction)
+    assert set(DEGENERATE_KINDS) <= seen
+    assert len(seen) == 39  # the factor kinds of the instances up to rank 12
 
 
 def test_embed_refuses_generators_that_share_a_coordinate():

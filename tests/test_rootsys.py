@@ -1,17 +1,24 @@
 """Root-system data and weight arithmetic."""
 
+import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylbranch import kernels
 from weylbranch.charcalc import freudenthal, weyl_dim, weyl_dims
 from weylbranch.checker import branch_p0, dominant_weights_bounded
+from weylbranch.cli import main
 from weylbranch.embeddings import build_embedding, geom_family, restrict_weight
 from weylbranch.rootsys import (
+    MAX_ROOT_ENTRIES,
     LieType,
+    RootSystem,
     _root_position,
     build_root_system,
     minimal_weights,
@@ -47,11 +54,130 @@ def fundamental_weight(rs, i: int):
     return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
 
 
-ALL_TYPES = [
+TYPES_TO_12 = [
     LieType(f, n)
     for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-    for n in range(lo, 9)
+    for n in range(lo, 13)
 ]
+ALL_TYPES = [t for t in TYPES_TO_12 if t.rank <= 8]
+
+
+# The former constructor, kept as the oracle of the epsilon model: the Cartan
+# matrix and root lengths written out per family, the positive roots by a
+# reflection closure, and the inverse Cartan matrix and the Gram matrix in
+# Fractions.
+
+
+def _cartan_matrix(t):
+    """cartan[i][j] = <alpha_i, alpha_j> = 2(alpha_i,alpha_j)/(alpha_j,alpha_j)."""
+    n = t.rank
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    nbonds = {"A": n - 1, "D": n - 3}.get(t.family, n - 2)
+    for i in range(nbonds):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if t.family == "B":  # alpha_n short
+        a[n - 2][n - 1], a[n - 1][n - 2] = -2, -1
+    elif t.family == "C":  # alpha_n long
+        a[n - 2][n - 1], a[n - 1][n - 2] = -1, -2
+    elif t.family == "D":
+        a[n - 3][n - 2] = a[n - 2][n - 3] = a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+    return tuple(tuple(row) for row in a)
+
+
+def _root_lengths(t):
+    """Squared lengths of the simple roots, short root = 1."""
+    n = t.rank
+    return {"B": (2,) * (n - 1) + (1,), "C": (1,) * (n - 1) + (2,)}.get(t.family, (1,) * n)
+
+
+def _positive_roots(cartan):
+    """All positive roots in root coordinates, via reflection closure."""
+    n = len(cartan)
+    seen = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for j in range(n):
+                pr = sum(r[i] * cartan[i][j] for i in range(n))
+                s = tuple(r[i] - (pr if i == j else 0) for i in range(n))
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return tuple(sorted((r for r in seen if min(r) >= 0), key=lambda r: (sum(r), r)))
+
+
+def _invert_fraction_matrix(mat):
+    n = len(mat)
+    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def oracle_root_system(t):
+    """Every attribute of ``RootSystem(t)`` as the former constructor made it."""
+    n = t.rank
+    o = SimpleNamespace(rank=n, rho=(1,) * n, eG=1 if t.family in ("A", "D") else 2)
+    o.cartan = _cartan_matrix(t)
+    o.root_lengths = _root_lengths(t)
+    o.positive_roots = _positive_roots(o.cartan)
+    inverse = _invert_fraction_matrix(o.cartan)
+    o.inv_den = math.lcm(*(x.denominator for row in inverse for x in row))
+    o.inv_cartan_scaled = tuple(tuple(int(x * o.inv_den) for x in row) for row in inverse)
+    o.weight_heights = tuple(map(sum, o.inv_cartan_scaled))
+    low = max([0] + [o.weight_heights[m.index(1)] for m in minimal_weights(t)])
+    o.floor_heights = (low, o.inv_den * max(map(sum, o.positive_roots)))
+    # (lambda_i, lambda_j) = inverse[i][j] * len_j / 2, scaled to integers
+    gram = [[inverse[i][j] * Fraction(o.root_lengths[j], 2) for j in range(n)] for i in range(n)]
+    halves = [Fraction(l, 2) for l in o.root_lengths]
+    o.form_scale = math.lcm(*(x.denominator for x in [*halves, *(x for row in gram for x in row)]))
+    o.gram_block = np.array([[int(x * o.form_scale) for x in row] for row in gram], dtype=np.int64)
+    o.slen2 = tuple(int(h * o.form_scale) for h in halves)
+    o.cartan_support = tuple(tuple((i, a) for i, a in enumerate(row) if a) for row in o.cartan)
+    o.cartan_np = np.array(o.cartan, dtype=np.int64)
+    betas = np.array(o.positive_roots, dtype=np.int64)
+    weights = betas @ o.cartan_np
+    forms = betas * np.array(o.slen2, dtype=np.int64)
+    norms = (weights * forms).sum(axis=1)
+    coroots, rem = np.divmod(2 * forms, norms[:, None])
+    assert not rem.any()
+    o.root_weights = tuple(map(tuple, weights.tolist()))
+    o.root_norms = tuple(norms.tolist())
+    o.coroots = tuple(map(tuple, coroots.tolist()))
+    o.root_weight_block, o.coroot_block, o.form_block = weights, coroots.T, forms.T
+    o.highest_coroot = max(o.coroots, key=sum)
+    o.coroot_heights = tuple(coroots.sum(axis=1).tolist())
+    o.weyl_denominator = math.prod(o.coroot_heights)
+    o.root_index = {beta: k for k, beta in enumerate(o.positive_roots)}
+    return o
+
+
+@pytest.mark.parametrize("t", TYPES_TO_12, ids=str)
+def test_root_system_matches_the_former_constructor(t):
+    rs, o = build_root_system(t), oracle_root_system(t)
+    for name, expected in vars(o).items():
+        got = getattr(rs, name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == np.int64 and not got.flags.writeable, name
+            assert np.array_equal(got, expected), name
+        else:
+            assert got == expected and type(got) is type(expected), name
+    assert not hasattr(rs, "inverse_cartan")
+    # every entry a Python int: tuples of numpy integers would compare equal
+    for name in ("cartan", "positive_roots", "inv_cartan_scaled", "root_weights", "coroots"):
+        assert {type(x) for row in getattr(rs, name) for x in row} == {int}, name
+    scalars = (rs.inv_den, rs.form_scale, rs.eG, *rs.root_lengths, *rs.slen2, *rs.floor_heights)
+    assert {type(x) for x in scalars} == {int}
 
 
 def e_coords(t, w):
@@ -293,6 +419,42 @@ def test_invalid_ranks():
         LieType("D", 2)
     with pytest.raises(ValueError):
         LieType("E", 6)
+
+
+def test_lie_type_takes_only_an_integer_rank():
+    # A2.0 used to hash equal to A2 and be handed its cached root system
+    for rank in (2.0, True, "3", None, Fraction(2)):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            LieType("A", rank)
+    t = LieType("A", np.int64(2))
+    assert type(t.rank) is int and t == LieType("A", 2) and str(t) == "A2"
+
+
+def test_an_oversized_root_system_is_refused_before_it_is_built():
+    # A_{10^6} has about 5 * 10^17 positive-root coordinates: refused from
+    # the closed-form count, before any array exists
+    assert MAX_ROOT_ENTRIES == kernels.DEFAULT_MAXDOM
+    huge = LieType("A", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="positive-root coordinates"):
+            build_root_system(huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    # the largest accepted ranks: A150 (1 698 750 coordinates) and D60
+    for t in (LieType("A", 150), LieType("D", 60)):
+        rs = RootSystem(t)
+        assert len(rs.positive_roots) * t.rank <= MAX_ROOT_ENTRIES
+    with pytest.raises(ValueError):
+        RootSystem(LieType("A", 160))
+
+
+def test_cli_refuses_an_oversized_root_system(capsys):
+    assert main(["rootsys-info", "D", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: D200 has")
 
 
 def test_pairing_delta():

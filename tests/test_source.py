@@ -244,6 +244,33 @@ def test_orbit_cap_read_only_in_kernels():
     assert literal == ["kernels.py"], literal
 
 
+def _imports(tree):
+    """(module, name) for every name that tree imports, name None for a plain import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out |= {(node.module or "", alias.name) for alias in node.names}
+    return out
+
+
+def test_one_epsilon_model_in_rootsys():
+    # rootsys builds every root system from its epsilon model in integers;
+    # embeddings reads the model from rootsys and keeps no copy of its own
+    rootsys = ast.parse((SRC / "rootsys.py").read_text(encoding="utf-8"))
+    assert not [m for m, _ in _imports(rootsys) if m.split(".")[0] == "fractions"]
+    defined = {node.name for node in ast.walk(rootsys) if isinstance(node, ast.FunctionDef)}
+    assert "epsilon_model" in defined
+    assert not defined & {"_cartan_matrix", "_root_lengths", "_positive_roots", "_invert_fraction_matrix"}
+    embeddings = ast.parse((SRC / "embeddings.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(embeddings) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_ambient_e_rows", "_factor_from_e"}
+    assert ("rootsys", "epsilon_model") in _imports(embeddings)
+    attributes = {node.attr for node in ast.walk(embeddings) if isinstance(node, ast.Attribute)}
+    assert {"epsilon", "weights", "coroots"} <= attributes
+
+
 # per-positive-root data is derived once, in the table RootSystem builds;
 # every other module reads that table instead of deriving its own
 ROOT_TABLE_CALLS = {"root_coords_to_weight", "pairing"}
