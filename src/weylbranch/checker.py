@@ -31,9 +31,18 @@ bounded candidates in one int64 product, walks their component orbits with
 ``embeddings.component_orbits`` (one array step per stage of the component
 group's stabilizer chain), and screens each chunk whole, as the walk leaves
 it, so that the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's
-memory.  A single weight (an entry, ``branch_p0``, ``necessary_filters``)
-keeps the search of ``component_orbit_set``, which is about four times
-faster on one weight than the walk.  At p = 0 a survivor whose
+memory.  Where H = N_G(T) (``_ChainTable.torus``: A_n as n + 1 lines, D_n
+as n planes) the scan walks no component orbit and matches no key: there
+R is one to one and the component group acts on it as W, so the component
+orbit of R lam is R(W lam); H^0 has no roots, so R(lam - beta) lies under
+an orbit element exactly when lam - beta is in W lam, that is, exactly
+when <lam, beta-coroot> = 1, since a W-orbit lies on one sphere and
+|lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2.  The
+pairings, in blocks of at most ``ORBIT_CHUNK_ROWS`` (candidate, chain)
+entries, decide the filters, and |W : W_lam| is the orbit size.  A single
+weight (an entry, ``branch_p0``, ``necessary_filters``) keeps the search of
+``component_orbit_set``, which is about four times faster on one weight
+than the walk.  At p = 0 a survivor whose
 prediction's dimension sum differs from dim V is REDUCIBLE at once: an
 IRREDUCIBLE one has the prediction as its factors, and branch conservation
 makes their sum dim V.  The component group acts on H^0 by automorphisms,
@@ -61,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import charcalc, kernels
+from . import charcalc, embeddings, kernels
 from .charcalc import Characteristic, freudenthal
 from .embeddings import (
     Embedding,
@@ -273,6 +282,7 @@ class _ChainTable(NamedTuple):
     keys: np.ndarray  # chains x key columns: -(R beta) through ``scale`` mod inv_den, then its negated charges, packed
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
     borel: bool  # the highest weight vector of V is B_H-highest, and the component group keeps B_H
+    torus: bool  # H = N_G(T): the component group is R W R^-1 on a maximal torus H^0, and m = 1
 
 
 CHAIN_TABLE_CACHE_SIZE = 1024
@@ -287,6 +297,11 @@ def _chain_table(e: Embedding):
     factor's ``inv_cartan_scaled`` on its block, and zero on the torus
     charges.  ``borel``: no positive root of G restricts to a negative root
     of H^0 (zero charges), and every generator keeps H^0's positive roots positive.
+    ``torus``: H^0 has no roots, no central 2-part makes m exceed 1, and
+    each generator acts on R's rows as one simple reflection s_i of G, every
+    s_i among them, which makes R of rank n (``_acts_as_weyl_group``).  A
+    word in the generators then takes R lam to R(w lam), w the same word in
+    the s_i, so the component orbit of R lam is R(W lam), one to one.
     """
     chains = _diagram_chains(e.root_system)
     ss = e.semisimple_rank
@@ -339,6 +354,32 @@ def _chain_table(e: Embedding):
         keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1) @ key_weights,
         limit=((1 << 63) - 1 - offset) // growth,
         borel=borel,
+        torus=ss == 0 and not e.central2 and _acts_as_weyl_group(e),
+    )
+
+
+def _acts_as_weyl_group(e: Embedding):
+    """Whether each generator g acts on R's rows as one simple reflection
+    s_i of G (g R = s_i R, s_i on weight rows), every s_i among them.
+
+    s_i takes lam to lam - lam_i alpha_i, so s_i R differs from R only in
+    row i, the image of omega_i, by the image of alpha_i.  R then has rank
+    n: its kernel is stable under every s_i, so under W, which acts
+    irreducibly on the weights of a simple G, and it is not everything,
+    since each alpha_i has a non-zero image.
+    """
+    n = e.root_system.rank
+    if len(e.generators) < n:
+        return False
+    idx, sgn = (np.array(a, dtype=np.int64) for a in zip(*e.generators))
+    diff = e.restriction[:, None, :] - e.restriction[:, idx] * sgn  # rows x generators x width
+    moved = diff.any(axis=2)
+    row = moved.argmax(axis=0)  # per generator: the first row it moves
+    images = np.array(e.simple_root_images, dtype=np.int64)
+    return bool(
+        (moved.sum(axis=0) == 1).all()
+        and (diff[row, np.arange(len(row))] == images[row]).all()
+        and len(set(row.tolist())) == n
     )
 
 
@@ -692,12 +733,13 @@ UNRESOLVED = "UNRESOLVED"
 class _Predictions(NamedTuple):
     """The ``clifford_prediction`` of a block of candidates, as arrays."""
 
-    orbit: np.ndarray  # the component orbits one after another, each sorted
+    orbit: np.ndarray  # the component orbits one after another, each sorted; None where none was walked
     sizes: np.ndarray  # per candidate: its orbit size
     mults: np.ndarray  # per candidate: the multiplicity of each factor in its orbit
 
     def predicted(self, i):
-        """Candidate i's prediction as a ``clifford_prediction`` map."""
+        """Candidate i's prediction as a ``clifford_prediction`` map, where
+        the orbits were walked."""
         start = int(self.sizes[:i].sum())
         rows = self.orbit[start:start + self.sizes[i]].tolist()
         return dict.fromkeys(map(tuple, rows), int(self.mults[i]))
@@ -720,6 +762,43 @@ def _prediction_blocks(e: Embedding, lam_h_a):
         mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
         start += len(sizes)
         yield _Predictions(orbit, sizes, mults)
+
+
+def _walked_blocks(e: Embedding, t: _ChainTable, lam_a, lam_h_a):
+    """(predictions, geometry) per chunk of ``_prediction_blocks``."""
+    start = 0
+    for block in _prediction_blocks(e, lam_h_a):
+        rows = slice(start, start + len(block.sizes))
+        start = rows.stop
+        yield block, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block)
+
+
+def _torus_blocks(e: Embedding, t: _ChainTable, lam_a):
+    """(predictions, geometry) per block of candidates where ``t.torus``
+    holds, from the coroot pairings alone, with no orbit walked and no key
+    matched: blocks of at most ``ORBIT_CHUNK_ROWS`` (candidate, chain)
+    pairings, each with ``orbit`` None and m = 1.
+
+    H^0 has no roots, so R(lam - beta) lies under an orbit element exactly
+    when it is one, that is (R being one to one) when lam - beta is in
+    W lam.  Since |lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2
+    and <lam, beta-coroot> = 1 makes lam - beta = s_beta lam, that is when
+    the pairing is 1.  No group lies one factor simple root below anything.
+    The orbit size |W : W_lam| is read only for a candidate whose pairings
+    are all below 2, the only ones that can survive at p = 0; elsewhere it
+    is 0, which no verdict reads.
+    """
+    step = max(embeddings.ORBIT_CHUNK_ROWS // len(t.labels), 1)
+    for start in range(0, len(lam_a), step):
+        block = lam_a[start:start + step]
+        pair = block @ t.coroots.T
+        sizes = [
+            charcalc._orbit_size_cached(e.ambient, tuple(c == 0 for c in lam)) if low else 0
+            for lam, low in zip(block.tolist(), (pair < 2).all(axis=1).tolist())
+        ]
+        single = np.zeros((len(block), len(t.lead)), dtype=bool)
+        yield (_Predictions(None, np.array(sizes, dtype=np.int64), np.ones(len(block), dtype=np.int64)),
+               _Geometry(pair, pair != 1, single, np.zeros(single.shape, dtype=np.int64)))
 
 
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):
@@ -753,10 +832,10 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
     start = 0
-    for block in _prediction_blocks(e, lam_h_a):
+    for block, geometry in _torus_blocks(e, t, lam_a) if t.torus else _walked_blocks(e, t, lam_a, lam_h_a):
         rows = slice(start, start + len(block.sizes))
         start = rows.stop
-        filtered = _screen(e, chi, t, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block)).filtered()
+        filtered = _screen(e, chi, t, geometry).filtered()
         # IRREDUCIBLE makes the dimension sum dim V (conservation), and it is
         # |orbit| * m * dim of lam_h: automorphisms of H^0 keep dimensions and
         # m is constant on the orbit; one ``weyl_dims`` call per factor and G
@@ -776,5 +855,8 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
                 _checked_cap(e, lam, cap)
                 yield lam, IRREDUCIBLE
             else:
-                rep = _branch_p0(e, lam, block.predicted(i), cap)
+                # a block that walked no orbit searches this one alone
+                lam_h = tuple(lam_h_a[rows][i].tolist())
+                predicted = clifford_prediction(e, lam_h) if block.orbit is None else block.predicted(i)
+                rep = _branch_p0(e, lam, predicted, cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

@@ -3,13 +3,16 @@
 Reports are emitted as line-delimited JSON records with stable field names
 and deterministic ordering; human-oriented summaries go to stderr.  Setting
 WEYLBRANCH_CAP to a positive integer overrides the orbit enumeration cap.
-Exit codes: 2 for a usage error, 3 for a failed internal invariant.
+Exit codes: 2 for a usage error, 3 for a failed internal invariant, and
+141 (128 + SIGPIPE, as a shell reports a command its reader closed on) when
+the reader of stdout closes it early, as ``head`` does; that exit is quiet.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -297,7 +300,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         orbit_cap()  # reject a malformed WEYLBRANCH_CAP on every command
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KernelCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

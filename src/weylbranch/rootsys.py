@@ -15,8 +15,12 @@ rank + 1 for A_n, whose rows keep their trace.  In these coordinates the
 simple roots are e_i - e_{i+1}, closed by e_n (B), 2 e_n (C) or
 e_{n-1} + e_n (D); the positive roots are e_i - e_j (A), e_i +- e_j with
 e_i (B), 2 e_i (C) or nothing more (D).  The Cartan, inverse Cartan and
-Gram matrices follow in integers from the products of these rows.  The model
-also covers A1, B1, C1 and D2, which embedding factors use.
+Gram matrices and the per-root table follow in integers from the pairings
+of these rows, which are prefix sums (with the doubled fundamental
+weights) and neighbour differences (with the simple coroots), so no int64
+matrix product is taken: numpy runs those without BLAS, and at A150 they
+would take most of the constructor's time.  The model also covers A1, B1,
+C1 and D2, which embedding factors use.
 
 Root lengths are normalized so that short roots have squared length 1
 (A/D: all roots length 1; B_n: alpha_n short; C_n: alpha_n long), that is
@@ -109,6 +113,32 @@ def _positive_epsilon_roots(family: str, d: int):
     return np.vstack(rows)
 
 
+def _coroot_pairings(family: str, rows):
+    """``rows @ epsilon_model(family, n).coroots.T`` for rows over Z^d, with
+    no matrix product: e_i - e_{i+1} pairs as a difference of neighbours, and
+    the last coroot of B, C and D as 2 x_n, x_n or x_{n-1} + x_n."""
+    diffs = rows[:, :-1] - rows[:, 1:]
+    if family == "A":
+        return diffs
+    last = rows[:, -2] + rows[:, -1] if family == "D" else rows[:, -1] * (2 if family == "B" else 1)
+    return np.column_stack((diffs, last))
+
+
+def _weight_pairings(family: str, rank: int, rows):
+    """``rows @ epsilon_model(family, rank).weights.T`` for rows over Z^d,
+    with no matrix product: 2 omega_i is twice the first i units, so it
+    pairs as a doubled prefix sum, except the spin rows, all units (B, and
+    the last row of D) or all units with the last negated (row n - 1 of D)."""
+    sums = np.cumsum(rows, axis=1)[:, :rank]
+    out = 2 * sums
+    if family == "B":
+        out[:, -1] = sums[:, -1]
+    elif family == "D":
+        out[:, -2] = sums[:, -1] - 2 * rows[:, -1]
+        out[:, -1] = sums[:, -1]
+    return out
+
+
 def _denominator(num, den):
     """The least m with m * num / den integral in every entry."""
     return int(np.lcm.reduce((den // np.gcd(num, den)).ravel()))
@@ -161,22 +191,26 @@ class RootSystem:
         unit = int(lengths.min())
         # cartan[i][j] = <alpha_i, alpha_j-coroot>, and a numpy mirror for the
         # orbit kernel
-        self.cartan_np = _frozen(simple @ model.coroots.T)
+        self.cartan_np = _frozen(_coroot_pairings(fam, simple))
         self.cartan = tuple(map(tuple, self.cartan_np.tolist()))
         self.root_lengths = tuple((lengths // unit).tolist())
         self.rho = (1,) * n
         self.eG = max(self.root_lengths)
         # root coordinates c_j = 2 (beta, omega_j) / (alpha_j, alpha_j), in
-        # order of height, then of coordinates
-        coords, rem = np.divmod(_positive_epsilon_roots(fam, simple.shape[1]) @ doubled.T, lengths)
+        # order of height, then of coordinates; ``roots`` keeps the epsilon
+        # rows in the same order
+        roots = _positive_epsilon_roots(fam, simple.shape[1])
+        coords, rem = np.divmod(_weight_pairings(fam, n, roots), lengths)
         if rem.any():
             raise ArithmeticError(f"a positive root of {lie_type} has a non-integral root coordinate")
-        self.positive_roots = tuple(sorted(map(tuple, coords.tolist()), key=lambda r: (sum(r), r)))
+        order = np.lexsort((*coords.T[::-1], coords.sum(axis=1)))
+        coords, roots = coords[order], roots[order]
+        self.positive_roots = tuple(map(tuple, coords.tolist()))
 
         # the epsilon Gram matrix of the doubled fundamental weights, for A_n
         # times m = n + 1 with the trace term removed (m = 1 otherwise):
         # (omega_i, omega_k) is gram[i][k] / (4 m) in epsilon units
-        gram = doubled @ doubled.T
+        gram = _weight_pairings(fam, n, doubled)
         m = 1
         if fam == "A":
             m = n + 1
@@ -209,30 +243,35 @@ class RootSystem:
         # root_weights beta in weight coordinates, forms the row
         # form_scale * (lambda_i, beta) = beta_i * slen2[i], root_norms
         # form_scale * (beta, beta), and coroots the row <lambda_i, beta-coroot>.
-        betas = np.array(self.positive_roots, dtype=np.int64)
-        weights = betas @ self.cartan_np
-        forms = betas * np.array(self.slen2, dtype=np.int64)
+        weights = _coroot_pairings(fam, roots)
+        slen2 = np.array(self.slen2, dtype=np.int64)
+        forms = coords * slen2
         norms = (weights * forms).sum(axis=1)
         coroots, rem = np.divmod(2 * forms, norms[:, None])
         if rem.any():
             raise ArithmeticError(f"a coroot of {lie_type} pairs non-integrally with a fundamental weight")
         self.root_weights = tuple(map(tuple, weights.tolist()))
         self.root_norms = tuple(norms.tolist())
-        self.coroots = tuple(map(tuple, coroots.tolist()))
+        # where every root has one length (A, D), beta-coroot has beta's
+        # coordinates, and the rows are shared
+        same = np.array_equal(coroots, coords)
+        self.coroots = self.positive_roots if same else tuple(map(tuple, coroots.tolist()))
+        columns = _frozen(coords.T)
         # the root weights as rows, for the array steps of
         # ``kernels.dominant_table``; the coroot of the highest short root
         # has the largest coefficients of all, so it gives a dominant
         # weight's largest coroot pairing
         self.root_weight_block = _frozen(weights)
-        self.highest_coroot = max(self.coroots, key=sum)
+        heights = coroots.sum(axis=1)
+        self.highest_coroot = self.coroots[int(heights.argmax())]
         # the same pairings as a rank x roots block, with each root's
         # <rho, beta-coroot> and their product, for ``charcalc.weyl_dims``
-        self.coroot_block = _frozen(coroots.T)
-        self.coroot_heights = tuple(coroots.sum(axis=1).tolist())
+        self.coroot_block = columns if same else _frozen(coroots.T)
+        self.coroot_heights = tuple(heights.tolist())
         self.weyl_denominator = math.prod(self.coroot_heights)
         # the forms as a rank x roots block, for the pairings of a whole
         # table in ``kernels.freudenthal_table``
-        self.form_block = _frozen(forms.T)
+        self.form_block = _frozen(columns * slen2[:, None])
         self.root_index = {beta: k for k, beta in enumerate(self.positive_roots)}
 
     def __repr__(self):

@@ -5,10 +5,11 @@ import functools
 import heapq
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _p0_instances, _shipped_rows
@@ -38,6 +39,7 @@ from weylbranch.rootsys import (
     LieType,
     RootSystem,
     build_root_system,
+    minimal_weights,
     scaled_root_coords,
 )
 from weylbranch.tables import instantiate_rows
@@ -420,7 +422,16 @@ def test_geometry_key_spans_several_columns(monkeypatch):
         for ambient, e in instances:
             for p in (0, 3):
                 scan_candidates(ambient, e, Characteristic(p), 3)
-        assert len(calls) >= 2 * len(instances)
+        # the three maximal-torus normalizers among them match no key
+        torus = [(ambient, e) for (ambient, e), t in zip(instances, tables) if t.torus]
+        assert len(torus) == 3 and len(calls) == 16
+        # forced onto the general path, their charge keys are matched too
+        with monkeypatch.context() as m:
+            _force_general_path(m)
+            for ambient, e in torus:
+                for p in (0, 3):
+                    scan_candidates(ambient, e, Characteristic(p), 3)
+        assert len(calls) == 16 + 6
     finally:
         checker._chain_table.cache_clear()
         checker._entry_record.cache_clear()
@@ -518,7 +529,7 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", chunk_rows)
     # every block's key-match geometry equals the dense oracle's
     blocks = _check_geometry(monkeypatch)
-    scans = 0
+    walked = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         for p in FILTER_PRIMES:
             res = scan_candidates(ambient, e, Characteristic(p), bound)
@@ -532,17 +543,21 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
                     assert v == "UNRESOLVED"
                 else:
                     assert v == ("IRREDUCIBLE" if _full_route_irreducible(ambient, e.family, w) else "REDUCIBLE")
-            scans += 1
+            walked += not checker._chain_table(e).torus  # the scans that walk their orbits
     # the screen reads each orbit chunk whole: at most ORBIT_CHUNK_ROWS
-    # orbit rows, or one candidate; only the scans make blocks here
+    # orbit rows, or one candidate; only the scans make blocks here, and the
+    # maximal-torus normalizers make none (their screen reads the pairings)
     assert all(rows <= chunk_rows or count == 1 for count, rows in blocks)
-    assert len(blocks) == (6787 if chunk_rows == 1 else 219)
+    assert len(blocks) == (5886 if chunk_rows == 1 else 180)
     counts = [count for count, _ in blocks]
     if chunk_rows == 1:
         assert set(counts) == {1}
     else:
-        # some scan spans several blocks, and some block holds several candidates
-        assert len(blocks) > scans and max(counts) > 1
+        # each scan that walks its orbits is one block, and some block holds
+        # several candidates; only the maximal-torus normalizers, which walk
+        # none now, spanned several (the forced general path still does, in
+        # test_torus_scan_matches_the_general_path)
+        assert len(blocks) == walked == 180 and max(counts) > 1
 
 
 def test_record_decision_matches_the_screen_at_p():
@@ -672,6 +687,120 @@ def test_borel_flag():
     # as does an added generator w -> -w, which takes every positive root to a negative one
     negate = (tuple(range(e.width)), (-1,) * e.width)
     assert not checker._chain_table(dataclasses.replace(e, generators=e.generators + (negate,))).borel
+
+
+def _torus_instances():
+    """The instances up to rank 12 whose H^0 is a maximal torus, read from
+    the embedding and not from the chain table."""
+    from test_embeddings import INSTANCES_12
+
+    return [e for e in INSTANCES_12 if e.semisimple_rank == 0]
+
+
+def _force_general_path(monkeypatch):
+    """Scan the maximal-torus normalizers as every other embedding: walk
+    their component orbits and match keys in ``_geometry``."""
+    monkeypatch.setattr(checker, "_chain_table", lambda e, table=checker._chain_table: table(e)._replace(torus=False))
+
+
+# the largest orbit compared element by element with its Weyl orbit
+TORUS_ORBIT_LIMIT = 2000
+
+
+def _assert_torus_orbit(e, lam):
+    rs = e.root_system
+    if orbit_size(rs, lam).orbit_size <= TORUS_ORBIT_LIMIT:
+        rows = kernels.weyl_orbit_array(rs, lam) @ e.restriction
+        assert component_orbit_set(e, restrict_weight(e, lam)) == sorted(map(tuple, rows.tolist())), (e.family, lam)
+        return True
+    return False
+
+
+def test_torus_flag_marks_the_maximal_torus_normalizers():
+    # up to rank 12 the flag holds on exactly the 21 instances whose H^0 is
+    # a torus, N_G(T) of A_n as n + 1 lines and of D_n as n planes.  There
+    # the component group has |W(G)| elements and takes R lam to R(W lam):
+    # checked on every dominant lam with coefficient sum <= 2 whose orbit
+    # has at most TORUS_ORBIT_LIMIT elements
+    from test_embeddings import INSTANCES_12
+
+    torus = _torus_instances()
+    assert [e for e in INSTANCES_12 if checker._chain_table(e).torus] == torus
+    assert {(str(e.ambient), str(e.family)) for e in torus} == (
+        {(f"A{n}", f"c2:l=0,t={n + 1}") for n in range(1, 13)}
+        | {(f"D{n}", f"c2:kind=Dl,l=1,t={n}") for n in range(4, 13)}
+    )
+    compared = 0
+    for e in torus:
+        stages = embeddings._stabilizer_chain(e.generators, e.width)
+        assert math.prod(len(idx) for idx, _ in stages) == e.root_system.weyl_order()
+        assert np.linalg.matrix_rank(e.restriction) == e.ambient.rank
+        compared += sum(_assert_torus_orbit(e, lam) for lam in dominant_weights_bounded(e.ambient.rank, 2))
+    assert compared == 453
+    # a generator that is no simple reflection, or a missing one, clears it
+    d4 = torus[12]
+    assert str(d4.ambient) == "D4" and checker._chain_table(d4).torus
+    for generators in (d4.generators[:-1], d4.generators[:-1] + (d4.generators[0],),
+                       d4.generators + ((tuple(range(4)), (-1,) * 4),)):
+        assert not checker._chain_table(dataclasses.replace(d4, generators=generators)).torus
+    # as does a central 2-part, which could make m exceed 1
+    assert not checker._chain_table(dataclasses.replace(d4, central2=True)).torus
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_torus_component_orbits_are_weyl_orbits(data):
+    # integral weights, dominant or not, mostly zero so that about half the
+    # orbits are small enough to compare, on any of the 21 instances
+    e = data.draw(st.sampled_from(_torus_instances()))
+    n = e.ambient.rank
+    lam = tuple(data.draw(st.lists(st.sampled_from((0,) * 6 + (1, -1, 2, -2)), min_size=n, max_size=n)))
+    assume(_assert_torus_orbit(e, lam))
+
+
+def test_torus_scan_matches_the_general_path(monkeypatch):
+    # the pairing rule against the component-orbit walk and the key match,
+    # which share no code with it: at bound 3 at every p up to rank 7, at
+    # p = 0 and 3 on A8 and D8, and at bound 1 at p = 0 and 3 on ranks 9-12
+    cases = []
+    for e in _torus_instances():
+        n = e.ambient.rank
+        primes = FILTER_PRIMES if n <= 7 else (0, 3)
+        cases += [(e, p, 3 if n <= 8 else 1) for p in primes]
+    got = [scan_candidates(e.ambient, e, Characteristic(p), bound) for e, p, bound in cases]
+    _force_general_path(monkeypatch)
+    geometry, blocks = checker._geometry, []
+    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[2])) or geometry(*args))
+    for (e, p, bound), res in zip(cases, got):
+        assert res == scan_candidates(e.ambient, e, Characteristic(p), bound), (e.ambient, e.family, p)
+    # every candidate of the general path passed through the key match, and
+    # some scan spans several blocks
+    assert sum(blocks) == sum(map(len, got)) and len(blocks) > len(cases)
+    # p = 0 finds an IRREDUCIBLE candidate exactly at the minuscule weights:
+    # A_n has n of them, D_n three
+    for (e, p, bound), res in zip(cases, got):
+        if p == 0:
+            found = {w for w, v in res if v == "IRREDUCIBLE"}
+            assert found == minimal_weights(e.ambient), (e.ambient, e.family)
+
+
+def test_torus_scan_walks_no_component_orbit(monkeypatch):
+    # the 21 scans read only the pairings: no stabilizer chain, no orbit
+    # walk and no key match is reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    for module, name in ((embeddings, "component_orbits"), (checker, "component_orbits"),
+                         (embeddings, "_stabilizer_chain"), (checker, "_geometry")):
+        monkeypatch.setattr(module, name, refuse)
+    verdicts = Counter()
+    for e in _torus_instances():
+        for p in (0, 3):
+            verdicts.update(v for _, v in scan_candidates(e.ambient, e, Characteristic(p), 2))
+    # IRREDUCIBLE at the n minuscule weights of each A_n and the three of
+    # each D_n; REDUCIBLE at the other fundamental weights of D_n, whose
+    # chain pairings are at most 1
+    assert verdicts == {"FILTERED": 1436, "UNRESOLVED": 150, "IRREDUCIBLE": 105, "REDUCIBLE": 45}
 
 
 def test_scan_rejects_a_negative_or_non_integer_bound():

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,11 @@ def test_report_digests(capsys, monkeypatch):
          "4785fe5822437d9c7c83ab0fb20c5f6b77d51cb97a4b420fc7d9f74c3f0fea10"),
         (("scan", "B", "5", "c1:Dn", "--bound", "3"),
          "8393c158c806096a2c0b862d1f5d1f803ece7f3f279c5c54bece9ff876626087"),
+        # the maximal-torus normalizers, decided from the coroot pairings
+        (("scan", "D", "8", "c2:kind=Dl,l=1,t=8", "--bound", "3"),
+         "4154748df1854e1a574fbcd1b6cd4520d3ea742bce48b2c074cb651c98c0ac7f"),
+        (("scan", "A", "8", "c2:l=0,t=9", "--bound", "3"),
+         "ec9bc4fab27a2c03edce94b25f5a726cac609c6ed6e9010e39677555e1aada9b"),
         # decided by the dimension rule: the branching's table and conservation line
         (("branch", "B", "5", "0,0,0,0,1", "c1:Dn"),
          "79c5d5da60920a673d95c89796f56ff40fc89e1a4da4dcd83ea22277a0d3b58f"),
@@ -374,3 +383,22 @@ def test_branch_refuses_a_huge_dominant_table_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == f"error: saturate(B3, ({2**50}, 0, 0)): enumeration cap exceeded\n"
+
+
+def test_closed_reader_exits_quietly():
+    # a reader that stops after one line, as `head -1` does, closes the pipe
+    # while some 700 kB of the orbit listing (well past a pipe's buffer) are
+    # still unwritten: the exit is 141 with nothing on stderr, never a
+    # BrokenPipeError traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("WEYLBRANCH_CAP", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylbranch.cli", "orbit", "B", "6", "1,1,1,1,1,1", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"dominant_rep\t1,1,1,1,1,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err and err == b""

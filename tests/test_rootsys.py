@@ -19,8 +19,12 @@ from weylbranch.rootsys import (
     MAX_ROOT_ENTRIES,
     LieType,
     RootSystem,
+    _coroot_pairings,
+    _positive_epsilon_roots,
     _root_position,
+    _weight_pairings,
     build_root_system,
+    epsilon_model,
     minimal_weights,
     pairing,
     scaled_root_coords,
@@ -178,6 +182,55 @@ def test_root_system_matches_the_former_constructor(t):
         assert {type(x) for row in getattr(rs, name) for x in row} == {int}, name
     scalars = (rs.inv_den, rs.form_scale, rs.eG, *rs.root_lengths, *rs.slen2, *rs.floor_heights)
     assert {type(x) for x in scalars} == {int}
+
+
+def product_root_table(t):
+    """The per-root attributes as int64 matrix products of the epsilon
+    model make them: the constructor's former route, kept as an oracle of
+    its prefix sums and neighbour differences at ranks where the
+    reflection closure of ``oracle_root_system`` is slow."""
+    model = epsilon_model(t.family, t.rank)
+    lengths = (model.roots * model.roots).sum(axis=1)
+    cartan = model.roots @ model.coroots.T
+    coords, rem = np.divmod(_positive_epsilon_roots(t.family, model.roots.shape[1]) @ model.weights.T, lengths)
+    assert not rem.any()
+    betas = np.array(sorted(map(tuple, coords.tolist()), key=lambda r: (sum(r), r)), dtype=np.int64)
+    weights = betas @ cartan
+    unit = int(lengths.min())
+    scale = build_root_system(t).form_scale
+    forms = betas * (lengths * scale // (2 * unit))
+    norms = (weights * forms).sum(axis=1)
+    coroots, rem = np.divmod(2 * forms, norms[:, None])
+    assert not rem.any()
+    return {
+        "cartan_np": cartan, "positive_roots": tuple(map(tuple, betas.tolist())),
+        "root_weights": tuple(map(tuple, weights.tolist())), "root_norms": tuple(norms.tolist()),
+        "coroots": tuple(map(tuple, coroots.tolist())), "root_weight_block": weights,
+        "coroot_block": coroots.T, "form_block": forms.T, "highest_coroot": max(map(tuple, coroots.tolist()), key=sum),
+    }
+
+
+@pytest.mark.parametrize("t", [LieType("A", 40), LieType("B", 30), LieType("C", 30), LieType("D", 30)], ids=str)
+def test_root_system_matches_the_matrix_products(t):
+    # the constructor pairs with the coroots and the doubled fundamental
+    # weights by neighbour differences and prefix sums; the products they
+    # replace give every per-root attribute, and the Gram matrix
+    rs = RootSystem(t)
+    for name, expected in product_root_table(t).items():
+        got = getattr(rs, name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == np.int64 and not got.flags.writeable and np.array_equal(got, expected), name
+        else:
+            assert got == expected, name
+    model = epsilon_model(t.family, t.rank)
+    rows = np.random.default_rng(t.rank).integers(-9, 10, size=(50, model.roots.shape[1]))
+    assert np.array_equal(_coroot_pairings(t.family, rows), rows @ model.coroots.T)
+    assert np.array_equal(_weight_pairings(t.family, t.rank, rows), rows @ model.weights.T)
+    # the models of A1, B1, C1 and D2, which embedding factors read, too
+    for fam, r in (("A", 1), ("B", 1), ("C", 1), ("D", 2)):
+        small = epsilon_model(fam, r)
+        assert np.array_equal(_coroot_pairings(fam, rows[:, :small.roots.shape[1]]), rows[:, :small.roots.shape[1]] @ small.coroots.T)
+        assert np.array_equal(_weight_pairings(fam, r, rows[:, :small.roots.shape[1]]), rows[:, :small.roots.shape[1]] @ small.weights.T)
 
 
 def e_coords(t, w):
