@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .rootsys import LieType, build_root_system, epsilon_model, scaled_root_coords
+from .rootsys import LieType, build_root_system, epsilon_model, epsilon_width, scaled_root_coords
 
 A1 = LieType("A", 1)
 
@@ -374,11 +374,6 @@ def existence_ok(e: Embedding, p: int) -> bool:
 # the natural-module model
 
 
-def _edim(fam, r):
-    """Number of epsilon-coordinates of a factor, read from its model."""
-    return epsilon_model(fam, r).weights.shape[1]
-
-
 def _factor_coords(kinds, doubled):
     """Factor fundamental coordinates, then charges, of rows of doubled
     epsilon-coordinates (each factor's block in turn, then the charges).
@@ -461,7 +456,7 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
     is wrong, and ValueError is raised.
     """
     factors, groups = _materialize(kinds)
-    edims = [_edim(fam, r) for fam, r in kinds]
+    edims = [epsilon_width(fam, r) for fam, r in kinds]
     eoffs = [sum(edims[:f]) for f in range(len(kinds) + 1)]  # the charges follow the last
     torus_rank = len(charges[0]) if charges else 0
     assignment = [[0] * (eoffs[-1] + torus_rank) for _ in eps]
@@ -506,7 +501,7 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
 
 def _units(kinds):
     """The eps-assignment of a direct sum: ambient epsilons run through the factors' in turn."""
-    return [[(f, i, 1)] for f, (fam, r) in enumerate(kinds) for i in range(_edim(fam, r))]
+    return [[(f, i, 1)] for f, (fam, r) in enumerate(kinds) for i in range(epsilon_width(fam, r))]
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,16 @@ class EpsilonModel(NamedTuple):
     weights: np.ndarray  # the doubled fundamental weights 2 omega_i
 
 
+def epsilon_width(family: str, rank: int) -> int:
+    """The number d of epsilon-coordinates of family_rank: rank + 1 for A, else rank."""
+    return rank + 1 if family == "A" else rank
+
+
 def epsilon_model(family: str, rank: int) -> EpsilonModel:
     """The epsilon model of family_rank, for rank >= 1 (rank >= 2 for D)."""
     if family not in FAMILIES or rank < (2 if family == "D" else 1):
         raise ValueError(f"no epsilon model for {family}{rank}")
-    d = rank + 1 if family == "A" else rank
+    d = epsilon_width(family, rank)
     eye = np.eye(d, dtype=np.int64)
     roots = eye[:-1] - eye[1:]
     weights = 2 * np.tri(rank, d, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Classification-table files: parsing, serialization and instantiation.
+"""Classification-table files: parsing and instantiation.
 
 One record per line, seven tab-separated fields:
 
@@ -16,12 +16,18 @@ expression; ``restriction`` a sum of ``w(f,j)`` terms and
 ``S(i=lo..hi, expr)`` sums, ``-`` when there is no semisimple part, or the
 pattern name for pattern rows.  Lines starting with ``#`` are comments.
 
+Expressions are read by Python's own parser, after ``^`` is rewritten as
+``**`` and ``S(i=lo..hi,`` as ``S(i,lo,hi,``, and evaluated by a walker that
+accepts only the table language (see the README); nothing is executed.
 Rank-generic rows are instantiated up to a rank cap; pattern rows are
 expanded at a concrete characteristic.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from math import comb
@@ -89,100 +95,101 @@ def load_table(path):
 
 
 # ---------------------------------------------------------------------------
-# integer expression mini-language
+# expressions: Python's parser, one whitelist walker
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|//|[-+*/()^,])")
+EXPRESSION_CACHE_SIZE = 1024
+MAX_EXPRESSION_DEPTH = 200
+# S(i=lo..hi, body) is read as the call S(i, lo, hi, body)
+_SUM_HEAD = re.compile(r"\bS\(\s*([A-Za-z_]\w*)\s*=([^=]*?)\.\.")
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.floordiv, ast.FloorDiv: operator.floordiv, ast.Pow: operator.pow}
 
 
-def _tokenize(s):
-    out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            raise TableError(f"bad expression {s!r} at position {pos}")
-        out.append(m.group(1))
-        pos = m.end()
-    out.append("<end>")
-    return out
+@functools.lru_cache(maxsize=EXPRESSION_CACHE_SIZE)
+def _parse(text: str):
+    """The syntax tree of a table expression, parsed once per distinct text.
+
+    Text that is not ASCII, a literal other than a plain decimal (``01``,
+    ``1_000``, ``0x10``, ``1e3``) and a tree deeper than
+    ``MAX_EXPRESSION_DEPTH`` are refused, so the walkers below never exhaust
+    the interpreter's stack.
+    """
+    if not text.isascii():  # Python would read a full-width n as n
+        raise TableError(f"bad expression {text!r}: not ASCII")
+    source = _SUM_HEAD.sub(r"S(\1,\2,", text.strip().replace("^", "**"))
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise TableError(f"bad expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # the parser's own depth limits
+        raise TableError(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels") from None
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise TableError(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels")
+        if isinstance(node, ast.Constant) and ast.get_source_segment(source, node) != str(node.value):
+            raise TableError(f"bad literal {ast.get_source_segment(source, node)!r} in {text!r}")
+        stack += [(child, depth + 1) for child in ast.iter_child_nodes(node)]
+    return tree
 
 
-class _Parser:
-    def __init__(self, tokens, env):
-        self.toks = tokens
-        self.i = 0
-        self.env = env
+def _call(node, name, arity):
+    """Whether node is the call name(...) with arity positional arguments."""
+    return (type(node) is ast.Call and type(node.func) is ast.Name and node.func.id == name
+            and len(node.args) == arity and not node.keywords)
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def take(self, expect=None):
-        t = self.toks[self.i]
-        if expect is not None and t != expect:
-            raise TableError(f"expected {expect!r}, got {t!r}")
-        self.i += 1
-        return t
+def _int(node, env) -> int:
+    """The value of an integer-expression tree: int literals, names bound in
+    env, ``+ - * / // **``, unary ``-`` and ``binom(a, b)``."""
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) is int:
+        return node.value
+    if kind is ast.Name:
+        if isinstance(env.get(node.id), str):
+            raise TableError(f"selector {node.id!r} cannot appear in an integer expression")
+        if node.id not in env:
+            raise TableError(f"unknown symbol {node.id!r}")
+        return env[node.id]
+    if kind is ast.BinOp and type(node.op) in _ARITHMETIC:
+        op, a, b = type(node.op), _int(node.left, env), _int(node.right, env)
+        if op in (ast.Div, ast.FloorDiv) and (b == 0 or a % b):
+            raise TableError("non-exact division in table expression")
+        if op is ast.Pow and b < 0:
+            raise TableError(f"negative exponent {b} in table expression")
+        return _ARITHMETIC[op](a, b)
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return -_int(node.operand, env)
+    if _call(node, "binom", 2):
+        return comb(_int(node.args[0], env), _int(node.args[1], env))
+    raise TableError(f"bad integer expression {ast.unparse(node)!r}")
 
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
 
-    def term(self):
-        v = self.factor()
-        while self.peek() in ("*", "//", "/"):
-            op = self.take()
-            w = self.factor()
-            if op == "*":
-                v = v * w
-            else:
-                if w == 0 or v % w != 0:
-                    raise TableError("non-exact division in table expression")
-                v = v // w
-        return v
-
-    def factor(self):
-        v = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            w = self.factor()
-            v = v**w
-        return v
-
-    def atom(self):
-        t = self.take()
-        if t == "-":
-            return -self.atom()
-        if t == "(":
-            v = self.expr()
-            self.take(")")
-            return v
-        if t.isdigit():
-            return int(t)
-        if t == "binom":
-            self.take("(")
-            a = self.expr()
-            self.take(",")
-            b = self.expr()
-            self.take(")")
-            return comb(a, b)
-        if isinstance(self.env.get(t), str):
-            raise TableError(f"selector {t!r} cannot appear in an integer expression")
-        if t in self.env:
-            return self.env[t]
-        raise TableError(f"unknown symbol {t!r}")
+def _terms(node, env, head, arity, coef=1):
+    """Yield (integer arguments, coefficient) for each ``head(...)`` term of a
+    sum tree; a term or an ``S(var, lo, hi, body)`` sum may be multiplied on
+    the left by an integer expression, and each sum is expanded."""
+    if type(node) is ast.BinOp and type(node.op) is ast.Add:
+        yield from _terms(node.left, env, head, arity, coef)
+        yield from _terms(node.right, env, head, arity, coef)
+        return
+    if type(node) is ast.BinOp and type(node.op) is ast.Mult and type(node.right) is ast.Call:
+        coef *= _int(node.left, env)
+        node = node.right
+    if _call(node, head, arity):
+        yield tuple(_int(arg, env) for arg in node.args), coef
+    elif _call(node, "S", 4) and type(node.args[0]) is ast.Name:
+        var, lo, hi, body = node.args
+        for v in range(_int(lo, env), _int(hi, env) + 1):
+            yield from _terms(body, {**env, var.id: v}, head, arity, coef)
+    else:
+        raise TableError(f"bad {head} term {ast.unparse(node)!r}")
 
 
 def eval_int(expr: str, env) -> int:
-    p = _Parser(_tokenize(expr), env)
-    v = p.expr()
-    if p.peek() != "<end>":
-        raise TableError(f"trailing input in expression {expr!r}")
-    return v
+    return _int(_parse(expr), env)
 
 
 def check_clause(clause: str, env) -> bool:
@@ -221,40 +228,11 @@ def params_match(params: str, env) -> bool:
 def parse_lambda(expr: str, env, n: int):
     """A concrete weight from a lambda expression (no patterns, no iterator)."""
     coeffs = [0] * n
-    for term in _split_top(expr, "+"):
-        term = term.strip()
-        if not term:
-            continue
-        coef = 1
-        if "*" in term and not term.startswith("L("):
-            c, term = term.split("*", 1)
-            coef = eval_int(c, env)
-        m = re.fullmatch(r"L\((.*)\)", term.strip())
-        if not m:
-            raise TableError(f"bad lambda term {term!r}")
-        idx = eval_int(m.group(1), env)
+    for (idx,), coef in _terms(_parse(expr), env, "L", 1):
         if not 1 <= idx <= n:
             raise TableError(f"lambda index {idx} out of range 1..{n}")
         coeffs[idx - 1] += coef
     return tuple(coeffs)
-
-
-def _split_top(expr, sep=","):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 def parse_restriction(expr: str, env, emb):
@@ -262,49 +240,17 @@ def parse_restriction(expr: str, env, emb):
     expr = expr.strip()
     if expr == "-":
         return None
-    width = emb.semisimple_rank
-    out = [0] * width
-
-    def w_index(f, j):
-        grp = emb.factor_groups[f - 1]
-        # materialized D2 factors expose their two A1 coordinates as j = 1, 2
-        if len(grp) > 1:
-            mi = grp[j - 1]
-            return emb.factor_offsets[mi]
-        return emb.factor_offsets[grp[0]] + (j - 1)
-
-    def add_terms(e, scope):
-        for term in _split_top(e, "+"):
-            term = term.strip()
-            if not term:
-                continue
-            coef = 1
-            if "*" in term and not term.startswith(("w(", "S(")):
-                c, term2 = term.split("*", 1)
-                coef = eval_int(c, scope)
-                term = term2.strip()
-            if term.startswith("S("):
-                inner = term[2:-1]
-                head, body = _split_top(inner, ",")[0], ",".join(_split_top(inner, ",")[1:])
-                var, rng = head.split("=")
-                lo, hi = rng.split("..")
-                for v in range(eval_int(lo, scope), eval_int(hi, scope) + 1):
-                    sub = dict(scope)
-                    sub[var.strip()] = v
-                    for _ in range(coef):
-                        add_terms(body, sub)
-                continue
-            m = re.fullmatch(r"w\((.*)\)", term)
-            if not m:
-                raise TableError(f"bad restriction term {term!r}")
-            args = _split_top(m.group(1), ",")
-            if len(args) != 2:
-                raise TableError(f"bad w() term {term!r}")
-            f = eval_int(args[0], scope)
-            j = eval_int(args[1], scope)
-            out[w_index(f, j)] += coef
-
-    add_terms(expr, env)
+    out = [0] * emb.semisimple_rank
+    groups = emb.factor_groups
+    for (f, j), coef in _terms(_parse(expr), env, "w", 2):
+        if not 1 <= f <= len(groups):
+            raise TableError(f"restriction factor {f} out of range 1..{len(groups)}")
+        # a factor's coordinates are consecutive; a materialized D2 factor
+        # exposes its two A1 coordinates as j = 1, 2
+        width = sum(emb.factor_ranks[m] for m in groups[f - 1])
+        if not 1 <= j <= width:
+            raise TableError(f"restriction index {j} of factor {f} out of range 1..{width}")
+        out[emb.factor_offsets[groups[f - 1][0]] + j - 1] += coef
     return tuple(out)
 
 

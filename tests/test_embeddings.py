@@ -32,7 +32,7 @@ from weylbranch.embeddings import (
     instance_params,
     restrict_weight,
 )
-from weylbranch.rootsys import _MIN_RANK, FAMILIES, LieType, build_root_system, epsilon_model
+from weylbranch.rootsys import _MIN_RANK, FAMILIES, LieType, build_root_system, epsilon_model, scaled_root_coords
 
 
 def lam(n, *pairs):
@@ -403,6 +403,30 @@ def test_ell_value():
     # correction outside the root lattice errors
     with pytest.raises(ValueError):
         ell_value(e, (1, 0, 0), (0, 0, 1), (0, 1, 2))
+
+
+def test_ell_value_checks_the_d_fork_in_pairs():
+    # c4ii with all-D factors: D3 x D3 in D18.  omega_1 of a factor is
+    # alpha_1 + (alpha_2 + alpha_3)/2, outside the root lattice one fork
+    # coordinate at a time but not as a pair, so it passes
+    e = build_embedding(LieType("D", 18), geom_family("c4ii", kind="Dl", l=3, t=2))
+    assert [str(f) for f in e.factors] == ["D3", "D3"]
+    zero = (0,) * e.width
+    ell, comps = ell_value(e, (1, 0, 0, 0, 0, 0), zero, (0, 1))
+    assert ell == 2 and comps == (1, Fraction(1, 2), Fraction(1, 2))
+    assert ell_value(e, (0, 0, 0, 1, 0, 0), zero, (1, 0))[0] == 2
+    # a spin weight fails the first coordinate, before the fork pair
+    with pytest.raises(ValueError, match=r"factor 1 \(coordinate 1\)"):
+        ell_value(e, (0, 0, 1, 0, 0, 0), zero, (0, 1))
+    # on an integral weight the coordinates before the fork being integral
+    # already makes the fork pair's sum integral, so the fork-pair error is
+    # never reached from restricted weights
+    for l in (3, 4, 5, 6):
+        rs = build_root_system(LieType("D", l))
+        for w in itertools.product(range(-2, 3), repeat=l):
+            scaled = scaled_root_coords(rs, w)
+            if all(c % rs.inv_den == 0 for c in scaled[:-2]):
+                assert (scaled[-2] + scaled[-1]) % rs.inv_den == 0, w
 
 
 def test_format_h0_weight():

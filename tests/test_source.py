@@ -271,6 +271,38 @@ def test_one_epsilon_model_in_rootsys():
     assert {"epsilon", "weights", "coroots"} <= attributes
 
 
+# builtins that run or import text as code
+EXECUTING_BUILTINS = {"eval", "exec", "compile", "__import__"}
+
+
+def _executing_names(tree):
+    return [f"{node.lineno} {node.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in EXECUTING_BUILTINS]
+
+
+def test_no_module_executes_text():
+    # table expressions are parsed to a tree and walked; no module hands any
+    # text to the interpreter (re.compile and the like are attributes, not these names)
+    found = [f"{name}:{hit}" for name, tree in _trees() for hit in _executing_names(tree)]
+    assert not found, found
+    synthetic = ast.parse("import re\nre.compile('x')\nrun = eval\nexec('1')\n")
+    assert _executing_names(synthetic) == ["3 eval", "4 exec"]
+
+
+def test_tables_reads_expressions_with_pythons_parser():
+    # one reader: Python's parser and a whitelist walker, no hand tokenizer,
+    # recursive-descent parser or paren splitter beside it
+    tables = ast.parse((SRC / "tables.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tables) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_tokenize", "_Parser", "_split_top"}
+    calls = {
+        (node.func.value.id, node.func.attr)
+        for node in ast.walk(tables)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+    }
+    assert ("ast", "parse") in calls
+
+
 # per-positive-root data is derived once, in the table RootSystem builds;
 # every other module reads that table instead of deriving its own
 ROOT_TABLE_CALLS = {"root_coords_to_weight", "pairing"}
