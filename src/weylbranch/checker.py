@@ -25,8 +25,10 @@ there the filters' decision does not depend on p either.  So an entry's
 characteristic-free part (its restriction, its ``clifford_prediction``, the
 filters' geometry and their decision at p = 0) is decided once per
 (embedding, lam) and cached; only p <= e(G) (B and C at p = 2) or a
-filtered entry screens again.  ``verify_entry`` validates lam once and
-reads every dimension from ``charcalc``'s cache.  A scan restricts its
+filtered entry screens again.  ``verify_entry`` validates lam once,
+screens from the record it holds, reads every dimension from ``charcalc``'s
+cache, and at p > 0 compares dim L(lam) with one product, kappa times the
+dimensions of the lead orbit element's factors.  A scan restricts its
 bounded candidates in one int64 product, walks their component orbits with
 ``embeddings.component_orbits`` (one array step per stage of the component
 group's stabilizer chain), and screens each chunk whole, as the walk leaves
@@ -84,7 +86,7 @@ from .embeddings import (
     p_condition_ok,
 )
 from .kernels import orbit_cap
-from .rootsys import LieType, build_root_system
+from .rootsys import LieType, _frozen, build_root_system
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -267,6 +269,49 @@ def _diagram_chains(rs):
     return tuple(chains)
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_blocks(rs):
+    """``_diagram_chains`` as (labels, coroots, betas), the two blocks
+    read-only int64 rows, one per chain."""
+    chains = _diagram_chains(rs)
+    coroots, betas = (_frozen(np.array([chain[i] for chain in chains], dtype=np.int64)) for i in (1, 2))
+    return tuple(label for label, _, _ in chains), coroots, betas
+
+
+class _FactorBlocks(NamedTuple):
+    """The blocks of H^0 that its chain tables read, shared by every
+    embedding with the same factors and width."""
+
+    scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
+    inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
+    positive: np.ndarray  # the positive roots of H^0 as rows over the width, charges zero
+    positive_set: frozenset  # the same rows as tuples
+
+
+CHAIN_TABLE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
+def _factor_blocks(factors, width):
+    """``_FactorBlocks`` of the factors (consecutive blocks of coordinates,
+    in order) over ``width`` coordinates.  ``scale`` is each factor's
+    ``inv_cartan_scaled`` on its block, and zero on the torus charges."""
+    systems = [build_root_system(t) for t in factors]
+    ss = sum(t.rank for t in factors)
+    scale = np.zeros((width, ss), dtype=np.int64)
+    positive = [np.zeros((0, width), dtype=np.int64)]
+    off = 0
+    for frs in systems:
+        scale[off:off + frs.rank, off:off + frs.rank] = frs.inv_cartan_scaled
+        rows = np.zeros((len(frs.root_weights), width), dtype=np.int64)
+        rows[:, off:off + frs.rank] = frs.root_weight_block
+        positive.append(rows)
+        off += frs.rank
+    inv_den = np.array([frs.inv_den for frs in systems for _ in range(frs.rank)], dtype=np.int64)
+    positive = np.concatenate(positive)
+    return _FactorBlocks(_frozen(scale), _frozen(inv_den), _frozen(positive), frozenset(map(tuple, positive.tolist())))
+
+
 class _ChainTable(NamedTuple):
     labels: tuple  # per chain: 1-based (first, last) node labels
     coroots: np.ndarray  # chains x rank: <lam, beta-coroot> = coroots @ lam
@@ -277,15 +322,9 @@ class _ChainTable(NamedTuple):
     scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
     scaled_images: np.ndarray  # chains x ss: R beta through ``scale``
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
-    key_weights: np.ndarray  # width x key columns: ``kernels._key_weights`` for the key digits
-    charge_bound: int  # above every |charge| of a chain image: a charge clipped to it matches no chain
-    keys: np.ndarray  # chains x key columns: -(R beta) through ``scale`` mod inv_den, then its negated charges, packed
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
     borel: bool  # the highest weight vector of V is B_H-highest, and the component group keeps B_H
     torus: bool  # H = N_G(T): the component group is R W R^-1 on a maximal torus H^0, and m = 1
-
-
-CHAIN_TABLE_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
@@ -293,33 +332,29 @@ def _chain_table(e: Embedding):
     """The diagram chains of G and their images under the restriction map R of e.
 
     Chains that share one image R beta form a group: their weights
-    lam - beta restrict to one weight for every lam.  ``scale`` is each
-    factor's ``inv_cartan_scaled`` on its block, and zero on the torus
-    charges.  ``borel``: no positive root of G restricts to a negative root
-    of H^0 (zero charges), and every generator keeps H^0's positive roots positive.
+    lam - beta restrict to one weight for every lam.  ``borel``: no positive
+    root of G restricts to a negative root of H^0 (zero charges), and every
+    generator keeps H^0's positive roots positive.
     ``torus``: H^0 has no roots, no central 2-part makes m exceed 1, and
     each generator acts on R's rows as one simple reflection s_i of G, every
     s_i among them, which makes R of rank n (``_acts_as_weyl_group``).  A
     word in the generators then takes R lam to R(w lam), w the same word in
     the s_i, so the component orbit of R lam is R(W lam), one to one.
+    The packed keys of the filters' match are ``_key_table``'s, built only
+    where ``_geometry`` runs: a torus scan reads none.
     """
-    chains = _diagram_chains(e.root_system)
+    labels, coroots, betas = _chain_blocks(e.root_system)
+    h = _factor_blocks(e.factors, e.width)
     ss = e.semisimple_rank
-    scale = np.zeros((e.width, ss), dtype=np.int64)
-    for off, frs in zip(e.factor_offsets, e.factor_systems):
-        scale[off:off + frs.rank, off:off + frs.rank] = frs.inv_cartan_scaled
-    inv_den = np.array([frs.inv_den for frs in e.factor_systems for _ in range(frs.rank)], dtype=np.int64)
-    coroots = np.array([c for _, c, _ in chains], dtype=np.int64)
-    betas = np.array([beta for _, _, beta in chains], dtype=np.int64)
     images = betas @ e.restriction
     by_image = {}
     for k, row in enumerate(map(tuple, images.tolist())):
         by_image.setdefault(row, []).append(k)
     groups = [ks for ks in by_image.values() if len(ks) > 1]
-    shared = np.zeros((len(chains), len(groups)), dtype=np.int64)
+    shared = np.zeros((len(labels), len(groups)), dtype=np.int64)
     for g, ks in enumerate(groups):
         shared[ks, g] = 1
-    scaled_images = images @ scale
+    scaled_images = images @ h.scale
     # a call's int64 values are at most growth * sum|lam| + offset in size:
     # the pairings, lam_h = R lam, c - lam_h for c in its component orbit,
     # that difference through ``scale`` plus a chain image, and the sum of
@@ -327,35 +362,48 @@ def _chain_table(e: Embedding):
     terms = max(ss, 1)
     growth = max(
         int(np.abs(coroots).max()),
-        terms * 2 * e.width * int(np.abs(e.restriction).max()) * max(int(np.abs(scale).max(initial=0)), 1),
+        terms * 2 * e.width * int(np.abs(e.restriction).max()) * max(int(np.abs(h.scale).max(initial=0)), 1),
     )
     offset = terms * int(np.abs(scaled_images).max(initial=0))
-    # a key's digits are residues in 0..inv_den - 1 and charges clipped to
-    # +-charge_bound: balanced digits of this radix pack them exactly
-    charge_bound = int(np.abs(images[:, ss:]).max(initial=0)) + 1
-    key_weights = kernels._key_weights(e.width, 2 * max(int(inv_den.max(initial=1)) - 1, charge_bound) + 1)
-    positive = {(0,) * off + beta + (0,) * (e.width - off - frs.rank)
-                for off, frs in zip(e.factor_offsets, e.factor_systems) for beta in frs.root_weights}
-    borel = positive.isdisjoint(map(tuple, (-np.array(e.root_system.root_weights) @ e.restriction).tolist())) and all(
-        {tuple(s * w[i] for i, s in zip(idx, sgn)) for w in positive} <= positive for idx, sgn in e.generators
+    # each generator is one index-and-sign step on the rows of H^0's positive roots
+    borel = not len(h.positive) or (
+        h.positive_set.isdisjoint(map(tuple, (-(e.root_system.root_weight_block @ e.restriction)).tolist()))
+        and all(set(map(tuple, (h.positive[:, idx] * sgn).tolist())) <= h.positive_set for idx, sgn in e.generators)
     )
     return _ChainTable(
-        labels=tuple(label for label, _, _ in chains),
+        labels=labels,
         coroots=coroots,
         betas=betas,
         images=images,
         shared=shared,
         lead=np.array([ks[0] for ks in groups], dtype=np.intp),
-        scale=scale,
+        scale=h.scale,
         scaled_images=scaled_images,
-        inv_den=inv_den,
-        key_weights=key_weights,
-        charge_bound=charge_bound,
-        keys=np.concatenate((-scaled_images % inv_den, -images[:, ss:]), axis=1) @ key_weights,
+        inv_den=h.inv_den,
         limit=((1 << 63) - 1 - offset) // growth,
         borel=borel,
         torus=ss == 0 and not e.central2 and _acts_as_weyl_group(e),
     )
+
+
+class _KeyTable(NamedTuple):
+    key_weights: np.ndarray  # width x key columns: ``kernels._key_weights`` for the key digits
+    charge_bound: int  # above every |charge| of a chain image: a charge clipped to it matches no chain
+    keys: np.ndarray  # chains x key columns: -(R beta) through ``scale`` mod inv_den, then its negated charges, packed
+
+
+@functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
+def _key_table(e: Embedding):
+    """The packed residues and charges of e's chain images, for the key
+    match of ``_geometry``."""
+    t = _chain_table(e)
+    ss = e.semisimple_rank
+    # a key's digits are residues in 0..inv_den - 1 and charges clipped to
+    # +-charge_bound: balanced digits of this radix pack them exactly
+    charge_bound = int(np.abs(t.images[:, ss:]).max(initial=0)) + 1
+    key_weights = kernels._key_weights(e.width, 2 * max(int(t.inv_den.max(initial=1)) - 1, charge_bound) + 1)
+    keys = np.concatenate((-t.scaled_images % t.inv_den, -t.images[:, ss:]), axis=1) @ key_weights
+    return _KeyTable(key_weights, charge_bound, keys)
 
 
 def _acts_as_weyl_group(e: Embedding):
@@ -414,14 +462,15 @@ def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults)
     """
     ss = e.semisimple_rank
     n, k = len(sizes), len(t.labels)
+    kt = _key_table(e)
     owner = np.repeat(np.arange(n), sizes)  # per orbit row: its candidate
     diff = orbit - lam_h_a[owner]
     scaled = diff @ t.scale
-    charges = np.maximum(np.minimum(diff[:, ss:], t.charge_bound), -t.charge_bound)
-    key = np.concatenate((scaled % t.inv_den, charges), axis=1) @ t.key_weights
-    match = key[:, 0, None] == t.keys[:, 0]
+    charges = np.maximum(np.minimum(diff[:, ss:], kt.charge_bound), -kt.charge_bound)
+    key = np.concatenate((scaled % t.inv_den, charges), axis=1) @ kt.key_weights
+    match = key[:, 0, None] == kt.keys[:, 0]
     for col in range(1, key.shape[1]):
-        match &= key[:, col, None] == t.keys[:, col]
+        match &= key[:, col, None] == kt.keys[:, col]
     row, chain = np.divmod(np.flatnonzero(match), k)  # faster than a 2-D nonzero past a few rows
     under = (scaled[row] + t.scaled_images[chain] >= 0).all(axis=1)  # the matched pairs where mu_h lies under c
     row, chain = row[under], chain[under]
@@ -467,8 +516,9 @@ def _screen(e: Embedding, chi: Characteristic, t: _ChainTable, g: _Geometry):
 class _EntryRecord(NamedTuple):
     """The facts of one (embedding, lam) that no p changes: ``filtered``
     is the filters' decision wherever Premet applies (only p <= e(G)
-    screens again), and ``parts`` feed the dimension sum, which validates
-    lam once and reads every dimension from the cache."""
+    screens again), and ``kappa`` with the ``lead`` parts give the
+    dimension identity at p > 0, which validates lam once and reads every
+    dimension from the cache."""
 
     table: _ChainTable  # the embedding's chain table, shared with every other weight
     lam_h: np.ndarray  # 1 x width: R lam
@@ -476,7 +526,8 @@ class _EntryRecord(NamedTuple):
     geometry: _Geometry  # one row: the filters' characteristic-free part
     filtered: bool  # the filters disqualify lam at p = 0
     restrictions: frozenset  # the semisimple parts of the predicted factors
-    parts: tuple  # per predicted factor, in its order: its ``e.split`` parts
+    kappa: int  # the sum of the predicted multiplicities
+    lead: tuple  # the ``e.split`` parts of the first predicted factor
 
 
 ENTRY_RECORD_CACHE_SIZE = 4096
@@ -485,7 +536,7 @@ ENTRY_RECORD_CACHE_SIZE = 4096
 @functools.lru_cache(maxsize=ENTRY_RECORD_CACHE_SIZE)
 def _entry_record(e: Embedding, lam):
     """Everything the checks of one (embedding, lam) share across p, the
-    filters' decision where Premet applies and the factors' parts included.
+    filters' decision where Premet applies and the lead factor's parts included.
 
     The int64 guard is checked first, so a weight past it is never cached;
     the arrays and the prediction are read-only, since every caller shares
@@ -502,8 +553,9 @@ def _entry_record(e: Embedding, lam):
         a.flags.writeable = False
     filtered = bool(_screen(e, Characteristic(0), t, geometry).filtered()[0])
     restrictions = frozenset(c[: e.semisimple_rank] for c in predicted)
-    parts = tuple(e.split(c)[0] for c in predicted)
-    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry, filtered, restrictions, parts)
+    lead = e.split(next(iter(predicted)))[0]
+    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry, filtered, restrictions,
+                        sum(predicted.values()), lead)
 
 
 def necessary_filters(e: Embedding, lam, chi: Characteristic):
@@ -538,7 +590,11 @@ def necessary_filters(e: Embedding, lam, chi: Characteristic):
     reads it for blocks of them.
     """
     lam = e.root_system.check_weight(lam)
-    record = _entry_record(e, lam)
+    return _entry_findings(e, lam, _entry_record(e, lam), chi)
+
+
+def _entry_findings(e: Embedding, lam, record: _EntryRecord, chi: Characteristic):
+    """``necessary_filters`` of a checked lam, given its entry record."""
     if not record.filtered and charcalc.premet_applies(e.root_system, chi):
         return []
     t, lam_h_a = record.table, record.lam_h
@@ -634,7 +690,6 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
         rep.reasons.append({"kind": "not-p-restricted", "p": p})
         return rep
     record = _entry_record(e, lam)
-    predicted = record.predicted
     if entry.expected_restriction is not None:
         expected = tuple(entry.expected_restriction)
         if expected not in record.restrictions:
@@ -645,8 +700,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
                 "found": sorted(list(x) for x in record.restrictions),
             })
             return rep
-    kappa = sum(predicted.values())
-    rep.kappa_found = kappa
+    kappa = rep.kappa_found = record.kappa
     if entry.expected_kappa is not None and kappa != entry.expected_kappa:
         rep.verdict = FAIL
         rep.reasons.append({
@@ -655,36 +709,38 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
             "found": kappa,
         })
         return rep
-    findings = necessary_filters(e, lam, chi)
+    findings = _entry_findings(e, lam, record, chi)
     if findings:
         rep.verdict = FAIL
         rep.reasons.extend(findings)
         return rep
     if p == 0:
-        return _branch_p0(e, lam, predicted, cap)
-    # positive characteristic: closed-form dimension identity or inconclusive;
-    # lam is checked, and each factor part is checked where it is read
+        return _branch_p0(e, lam, record.predicted, cap)
+    # positive characteristic: dim L(lam) = kappa * prod_f dim L(lead part f),
+    # or inconclusive.  The component group acts on H^0 by swapping equal
+    # factors and by A/D diagram flips, and a flip tau gives L(nu)^tau = L(tau nu),
+    # so every orbit element has the lead's dimension, p-restrictedness and
+    # closed form (or none), and the lead's first failing factor is the
+    # first of the whole orbit.  lam is checked, and each part where it is read
     dim_g = charcalc._irr_dim_cached(rs.lie_type, lam, p)[0]
     if dim_g is None:
         rep.reasons.append({"kind": "dimension-unknown", "side": "ambient"})
         return rep
-    total = 0
-    for mult, parts in zip(predicted.values(), record.parts):
-        d = 1
-        for f, (frs, part) in enumerate(zip(e.factor_systems, parts)):
-            if any(x >= p for x in part):
-                rep.reasons.append({"kind": "factor-not-p-restricted", "factor": f + 1})
-                return rep
-            df = charcalc._irr_dim_cached(frs.lie_type, charcalc._require_dominant(part), p)[0]
-            if df is None:
-                rep.reasons.append({
-                    "kind": "dimension-unknown",
-                    "side": f"factor-{f + 1}",
-                    "weight": list(part),
-                })
-                return rep
-            d *= df
-        total += mult * d
+    d = 1
+    for f, (frs, part) in enumerate(zip(e.factor_systems, record.lead)):
+        if any(x >= p for x in part):
+            rep.reasons.append({"kind": "factor-not-p-restricted", "factor": f + 1})
+            return rep
+        df = charcalc._irr_dim_cached(frs.lie_type, charcalc._require_dominant(part), p)[0]
+        if df is None:
+            rep.reasons.append({
+                "kind": "dimension-unknown",
+                "side": f"factor-{f + 1}",
+                "weight": list(part),
+            })
+            return rep
+        d *= df
+    total = kappa * d
     rep.dim_lhs = dim_g
     rep.dim_rhs = total
     if dim_g == total:

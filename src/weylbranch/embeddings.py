@@ -314,7 +314,9 @@ def ell_value(e: Embedding, mu_h, lambda_h, sigma):
     l = max(e.factor_ranks) if e.factors else 0
     comps = [Fraction(0)] * l
     # with graph flips in play the D fork coordinates are only constrained in
-    # pairs (the flip moves lambda by a half-integral multiple of b_{l-1}-b_l)
+    # pairs (the flip moves lambda by a half-integral multiple of b_{l-1}-b_l),
+    # and the pair needs no test of its own: on an integral weight, integral
+    # coordinates before the fork make the fork pair's sum integral
     pairable = e.family.tag == "c4ii" and all(f.family == "D" for f in e.factors)
     for f, rs in enumerate(e.factor_systems):
         d = rs.inv_den
@@ -326,8 +328,6 @@ def ell_value(e: Embedding, mu_h, lambda_h, sigma):
                 raise ValueError(
                     f"correction not in the root lattice of factor {f + 1} (coordinate {j + 1})"
                 )
-        if pairable and (scaled[-2] + scaled[-1]) % d:
-            raise ValueError(f"correction not in the root lattice of factor {f + 1} (fork pair)")
         for j, c in enumerate(scaled):
             comps[j] += Fraction(c, d)
     total = sum(comps, Fraction(0))

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
-from math import comb
 
 from .checker import ClassificationEntry, dominant_weights_bounded, ford_condition_check
 from .charcalc import Characteristic
@@ -100,6 +100,12 @@ def load_table(path):
 
 EXPRESSION_CACHE_SIZE = 1024
 MAX_EXPRESSION_DEPTH = 200
+# the work an expression may ask for: a power or a binomial whose result
+# could pass MAX_INT_BITS bits is refused before it is computed, and an S
+# sum (nested sums multiplied) or a pattern row's @k=lo..hi range runs over
+# at most MAX_RANGE_LENGTH values
+MAX_INT_BITS = 1 << 16
+MAX_RANGE_LENGTH = 1 << 16
 # S(i=lo..hi, body) is read as the call S(i, lo, hi, body)
 _SUM_HEAD = re.compile(r"\bS\(\s*([A-Za-z_]\w*)\s*=([^=]*?)\.\.")
 _ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
@@ -141,9 +147,17 @@ def _call(node, name, arity):
             and len(node.args) == arity and not node.keywords)
 
 
+def _refuse_bits(node, count, base):
+    """Refuse node, whose result has at most count * log2(base) + 1 bits
+    (base >= 2), where that bound passes ``MAX_INT_BITS``."""
+    if count >= MAX_INT_BITS or count * math.log2(base) >= MAX_INT_BITS:
+        raise TableError(f"{ast.unparse(node)!r} could have more than {MAX_INT_BITS} bits")
+
+
 def _int(node, env) -> int:
     """The value of an integer-expression tree: int literals, names bound in
-    env, ``+ - * / // **``, unary ``-`` and ``binom(a, b)``."""
+    env, ``+ - * / // **``, unary ``-`` and ``binom(a, b)``; a power or a
+    binomial past ``MAX_INT_BITS`` is refused."""
     kind = type(node)
     if kind is ast.Constant and type(node.value) is int:
         return node.value
@@ -159,21 +173,33 @@ def _int(node, env) -> int:
             raise TableError("non-exact division in table expression")
         if op is ast.Pow and b < 0:
             raise TableError(f"negative exponent {b} in table expression")
+        if op is ast.Pow and abs(a) > 1:
+            _refuse_bits(node, b, abs(a))
         return _ARITHMETIC[op](a, b)
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
         return -_int(node.operand, env)
     if _call(node, "binom", 2):
-        return comb(_int(node.args[0], env), _int(node.args[1], env))
+        a, b = _int(node.args[0], env), _int(node.args[1], env)
+        if 0 < b < a:  # binom(a, b) < a^min(b, a - b)
+            _refuse_bits(node, min(b, a - b), a)
+        return math.comb(a, b)
     raise TableError(f"bad integer expression {ast.unparse(node)!r}")
 
 
-def _terms(node, env, head, arity, coef=1):
+def _too_long(lo, hi, span=1):
+    """Whether lo..hi, inside ranges whose lengths multiply to ``span``,
+    passes ``MAX_RANGE_LENGTH`` values."""
+    return span * max(hi - lo + 1, 1) > MAX_RANGE_LENGTH
+
+
+def _terms(node, env, head, arity, coef=1, span=1):
     """Yield (integer arguments, coefficient) for each ``head(...)`` term of a
     sum tree; a term or an ``S(var, lo, hi, body)`` sum may be multiplied on
-    the left by an integer expression, and each sum is expanded."""
+    the left by an integer expression, and each sum is expanded.  ``span``
+    is the product of the lengths of the sums around node."""
     if type(node) is ast.BinOp and type(node.op) is ast.Add:
-        yield from _terms(node.left, env, head, arity, coef)
-        yield from _terms(node.right, env, head, arity, coef)
+        yield from _terms(node.left, env, head, arity, coef, span)
+        yield from _terms(node.right, env, head, arity, coef, span)
         return
     if type(node) is ast.BinOp and type(node.op) is ast.Mult and type(node.right) is ast.Call:
         coef *= _int(node.left, env)
@@ -182,8 +208,11 @@ def _terms(node, env, head, arity, coef=1):
         yield tuple(_int(arg, env) for arg in node.args), coef
     elif _call(node, "S", 4) and type(node.args[0]) is ast.Name:
         var, lo, hi, body = node.args
-        for v in range(_int(lo, env), _int(hi, env) + 1):
-            yield from _terms(body, {**env, var.id: v}, head, arity, coef)
+        lo, hi = _int(lo, env), _int(hi, env)
+        if _too_long(lo, hi, span):
+            raise TableError(f"sum {ast.unparse(node)!r} runs over more than {MAX_RANGE_LENGTH} values")
+        for v in range(lo, hi + 1):
+            yield from _terms(body, {**env, var.id: v}, head, arity, coef, span * (hi - lo + 1))
     else:
         raise TableError(f"bad {head} term {ast.unparse(node)!r}")
 
@@ -337,7 +366,10 @@ def _expand_lambda(row, env, n, chi, pattern_bound):
         body, it = expr.split("@")
         var, rng = it.split("=")
         lo, hi = rng.split("..")
-        for v in range(eval_int(lo, env), eval_int(hi, env) + 1):
+        lo, hi = eval_int(lo, env), eval_int(hi, env)
+        if _too_long(lo, hi):
+            raise TableError(f"range {it.strip()!r} runs over more than {MAX_RANGE_LENGTH} values")
+        for v in range(lo, hi + 1):
             scope = dict(env)
             scope[var.strip()] = v
             yield parse_lambda(body.strip(), scope, n), scope

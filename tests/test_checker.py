@@ -409,14 +409,15 @@ def test_geometry_key_spans_several_columns(monkeypatch):
     # a radix too large to pack two digits into one int64 gives each key
     # digit its own column, so the match runs over every column
     instances = FILTER_INSTANCES[::4]
-    checker._chain_table.cache_clear()
+    checker._key_table.cache_clear()
     checker._entry_record.cache_clear()
     try:
         key_weights = kernels._key_weights
         with monkeypatch.context() as m:
             m.setattr(kernels, "_key_weights", lambda n, radix: key_weights(n, (1 << 31) + 1))
-            tables = [checker._chain_table(e) for _, e in instances]
-        assert [t.keys.shape[1] for t in tables] == [e.width for _, e in instances]
+            keys = [checker._key_table(e) for _, e in instances]
+        assert [k.keys.shape[1] for k in keys] == [e.width for _, e in instances]
+        tables = [checker._chain_table(e) for _, e in instances]
         assert max(e.width for _, e in instances) >= 4
         calls = _check_geometry(monkeypatch)
         for ambient, e in instances:
@@ -433,7 +434,7 @@ def test_geometry_key_spans_several_columns(monkeypatch):
                     scan_candidates(ambient, e, Characteristic(p), 3)
         assert len(calls) == 16 + 6
     finally:
-        checker._chain_table.cache_clear()
+        checker._key_table.cache_clear()
         checker._entry_record.cache_clear()
 
 
@@ -898,7 +899,8 @@ def test_entry_record_is_read_only():
         record.predicted[next(iter(record.predicted))] = 0
     # the other facts are immutable by type
     assert type(record.filtered) is bool and type(record.restrictions) is frozenset
-    assert all(type(part) is tuple for parts in record.parts for part in parts)
+    assert type(record.kappa) is int and type(record.lead) is tuple
+    assert all(type(part) is tuple for part in record.lead)
 
 
 def test_verify_reports_do_not_depend_on_the_order_of_p():
@@ -937,6 +939,150 @@ def test_verify_guard_holds_after_a_smaller_weight_is_cached():
         with pytest.raises(kernels.KernelCapacityError):
             verify_entry(entry(lam), P0)
     assert checker._entry_record.cache_info().currsize == 1
+
+
+def element_verify_entry(entry, chi, cap=None):
+    """The former ``verify_entry``, kept as an oracle: it screens through the
+    public ``necessary_filters`` and, at p > 0, sums the dimension identity
+    over every element of the component orbit, factor by factor."""
+    p = chi.p
+    rep = checker.BranchReport(factors={}, dims={}, verdict="INCONCLUSIVE")
+    e, reason = checker.entry_gate(entry, p)
+    if reason is not None:
+        rep.reasons.append(reason)
+        return rep
+    rs = e.root_system
+    lam = checker._highest_weight(rs, entry.lam)
+    if p > 0 and any(c >= p for c in lam):
+        rep.reasons.append({"kind": "not-p-restricted", "p": p})
+        return rep
+    record = checker._entry_record(e, lam)
+    predicted = record.predicted
+    if entry.expected_restriction is not None:
+        expected = tuple(entry.expected_restriction)
+        if expected not in record.restrictions:
+            rep.verdict = "FAIL"
+            rep.reasons.append({
+                "kind": "restriction-mismatch",
+                "expected": list(expected),
+                "found": sorted(list(x) for x in record.restrictions),
+            })
+            return rep
+    kappa = sum(predicted.values())
+    rep.kappa_found = kappa
+    if entry.expected_kappa is not None and kappa != entry.expected_kappa:
+        rep.verdict = "FAIL"
+        rep.reasons.append({"kind": "kappa-mismatch", "expected": entry.expected_kappa, "found": kappa})
+        return rep
+    findings = necessary_filters(e, lam, chi)
+    if findings:
+        rep.verdict = "FAIL"
+        rep.reasons.extend(findings)
+        return rep
+    if p == 0:
+        return checker._branch_p0(e, lam, predicted, cap)
+    dim_g = charcalc._irr_dim_cached(rs.lie_type, lam, p)[0]
+    if dim_g is None:
+        rep.reasons.append({"kind": "dimension-unknown", "side": "ambient"})
+        return rep
+    total = 0
+    for c, mult in predicted.items():
+        d = 1
+        for f, (frs, part) in enumerate(zip(e.factor_systems, e.split(c)[0])):
+            if any(x >= p for x in part):
+                rep.reasons.append({"kind": "factor-not-p-restricted", "factor": f + 1})
+                return rep
+            df = charcalc._irr_dim_cached(frs.lie_type, charcalc._require_dominant(part), p)[0]
+            if df is None:
+                rep.reasons.append({"kind": "dimension-unknown", "side": f"factor-{f + 1}", "weight": list(part)})
+                return rep
+            d *= df
+        total += mult * d
+    rep.dim_lhs = dim_g
+    rep.dim_rhs = total
+    if dim_g == total:
+        rep.verdict = "PASS"
+        rep.reasons.append({"kind": "dimension-identity", "lhs": str(dim_g), "rhs": str(total)})
+    else:
+        rep.verdict = "FAIL"
+        rep.reasons.append({"kind": "dimension-identity-failed", "lhs": str(dim_g), "rhs": str(total)})
+    return rep
+
+
+def _oracle_table_rows():
+    """The rows of shipped:all and of every test table that instantiates."""
+    from test_tables import TEST_TABLES
+
+    from weylbranch.tables import TableError, parse_table
+
+    rows = _shipped_rows()
+    for source, text in TEST_TABLES:
+        for row in parse_table(text, source=source):
+            try:
+                for p in FILTER_PRIMES:
+                    instantiate_rows([row], 12, Characteristic(p))
+            except TableError:
+                continue
+            rows.append(row)
+    return rows
+
+
+def _report_or_error(verify, entry, chi):
+    """The report of verify, or (error type name, message) where it raises."""
+    try:
+        return verify(entry, chi)
+    except (ValueError, kernels.KernelCapacityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_verify_entry_matches_the_element_oracle():
+    # one dimension product from the lead against the sum over every orbit
+    # element, and one screen from the record against the public filters:
+    # equal reports for every entry at rank cap 12
+    rows = _oracle_table_rows()
+    kinds, orbits = Counter(), Counter()
+    for p in FILTER_PRIMES:
+        chi = Characteristic(p)
+        for entry in instantiate_rows(rows, 12, chi):
+            got = _report_or_error(verify_entry, entry, chi)
+            assert got == _report_or_error(element_verify_entry, entry, chi), (entry.entry_id, p)
+            if isinstance(got, tuple):
+                kinds[got[0]] += 1
+                continue
+            kinds.update(reason["kind"] for reason in got.reasons)
+            if p and got.kappa_found:
+                orbits[got.kappa_found > 1] += 1
+    # the p > 0 identity is decided on orbits of more than one element, and
+    # each way it can end on a correct table is among the reports
+    assert orbits[True] > 100
+    assert {"dimension-identity", "dimension-unknown", "factor-not-p-restricted",
+            "KernelCapacityError"} <= set(kinds), kinds
+
+
+def _flip(t, lam):
+    """lam under the diagram automorphism of an A or D type: A reverses its
+    nodes, D swaps its two fork tips."""
+    return lam[::-1] if t.family == "A" else lam[:-2] + (lam[-1], lam[-2])
+
+
+def test_irr_dim_is_invariant_under_diagram_flips():
+    # L(nu)^tau = L(tau nu) for a graph automorphism tau, so every closed
+    # form, and the lack of one, must agree at nu and tau nu: the fact that
+    # lets verify_entry read one orbit element's dimensions for the whole
+    # component orbit.  Read through the uncached body, so that the cache
+    # is left as it was
+    irr_dim = charcalc._irr_dim_cached.__wrapped__
+    weights, moved = 0, 0
+    for fam, ranks in (("A", range(1, 13)), ("D", range(3, 13))):
+        for n in ranks:
+            t = LieType(fam, n)
+            for lam in dominant_weights_bounded(n, 4):
+                weights += 1
+                if lam != _flip(t, lam):
+                    moved += 1
+                    for p in (2, 3, 5, 7):
+                        assert irr_dim(t, lam, p) == irr_dim(t, _flip(t, lam), p), (str(t), lam, p)
+    assert (weights, moved) == (12332, 8864)
 
 
 def clifford_classify(e, factors):

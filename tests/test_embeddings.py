@@ -419,8 +419,8 @@ def test_ell_value_checks_the_d_fork_in_pairs():
     with pytest.raises(ValueError, match=r"factor 1 \(coordinate 1\)"):
         ell_value(e, (0, 0, 1, 0, 0, 0), zero, (0, 1))
     # on an integral weight the coordinates before the fork being integral
-    # already makes the fork pair's sum integral, so the fork-pair error is
-    # never reached from restricted weights
+    # already makes the fork pair's sum integral, which is why ell_value
+    # tests the coordinates before the fork and not the pair
     for l in (3, 4, 5, 6):
         rs = build_root_system(LieType("D", l))
         for w in itertools.product(range(-2, 3), repeat=l):

@@ -96,9 +96,12 @@ def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
 
 def test_verify_path_calls_no_scalar_restriction_or_orbit_search():
     # verify_entry reads the restriction and the prediction from its cached
-    # per-entry record, and the filters read the same record
+    # per-entry record, and screens from the same record: it does not call
+    # the public necessary_filters, which would validate lam and look the
+    # record up a second time
     reached, calls = _checker_reach("verify_entry")
-    assert {"_entry_record", "necessary_filters", "_geometry", "_screen", "_branch_p0"} <= reached
+    assert {"_entry_record", "_entry_findings", "_geometry", "_screen", "_branch_p0"} <= reached
+    assert "necessary_filters" not in reached
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
 
@@ -324,7 +327,7 @@ def test_per_root_data_derived_only_in_rootsys():
 
 
 # caches keyed on a root system alone: one entry per Lie type in use
-PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains", "_coset_stages"}
+PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains", "_chain_blocks", "_coset_stages"}
 
 
 def _caches(tree):

@@ -1,6 +1,7 @@
 """Table-file parsing, expressions, instantiation."""
 
 import re
+import time
 from importlib import resources
 from math import comb
 
@@ -56,6 +57,48 @@ def test_eval_int():
         eval_int("q+1", env)
     with pytest.raises(TableError):
         eval_int("5//2", env)  # non-exact division is refused
+
+
+def _refused_fast(call, match):
+    """call raises a TableError matching ``match``, in well under a second."""
+    start = time.perf_counter()
+    with pytest.raises(TableError, match=match):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_power_past_the_bit_limit_is_refused_before_it_is_computed():
+    # 7^7^8 has about 16 million bits; 2^(MAX_INT_BITS - 1) is the largest
+    # power of two allowed
+    limit = tables.MAX_INT_BITS
+    assert eval_int(f"2^{limit - 1}", {}).bit_length() == limit
+    _refused_fast(lambda: eval_int(f"2^{limit}", {}), rf"could have more than {limit} bits")
+    _refused_fast(lambda: eval_int("7^7^8", {}), r"'7 \*\* 7 \*\* 8' could have more than")
+    # an exponent too large for a float is refused too, as is a binomial
+    _refused_fast(lambda: eval_int(f"2^(2^{limit - 1} * 2^{limit - 1})", {}), "could have more than")
+    _refused_fast(lambda: eval_int("binom(10^6, 5*10^5)", {}), r"'binom\(.*\)' could have more than")
+    assert eval_int("binom(100, 50)", {}) == comb(100, 50)
+    # in a table, the refusal names the line
+    rows = parse_table("c1\tB:3\tsub=Dn\tL(1)\tany\t7^7^8\t-\n", source="pow.tsv")
+    _refused_fast(lambda: instantiate_rows(rows, 3, P0), r"^pow\.tsv:1: '7 \*\* 7 \*\* 8' could have more than")
+
+
+def test_sum_range_past_the_length_limit_is_refused():
+    e = build_embedding(LieType("B", 4), geom_family("c1", sub="Dn"))
+    limit = tables.MAX_RANGE_LENGTH
+    assert parse_restriction(f"S(i=1..{limit},w(1,1))", {}, e) == (limit, 0, 0, 0)
+    _refused_fast(lambda: parse_restriction("S(i=1..10^6,w(1,1))", {}, e), rf"runs over more than {limit} values")
+    # nested sums multiply their lengths, though the inner one is empty
+    _refused_fast(lambda: parse_restriction("S(i=1..300,S(j=1..300,S(k=1..0,w(1,1))))", {}, e),
+                  "runs over more than")
+    rows = parse_table("c1\tB:4\tsub=Dn\tL(1)\tany\t-\tS(i=1..10^6,w(1,1))\n", source="sum.tsv")
+    _refused_fast(lambda: instantiate_rows(rows, 4, P0), r"^sum\.tsv:1: sum 'S\(i, 1, 10 \*\* 6, w\(1, 1\)\)' runs")
+
+
+def test_pattern_row_range_past_the_length_limit_is_refused():
+    rows = parse_table("c1\tB:3\tsub=Dn\tL(1)@k=1..10^6\tany\t-\t-\n", source="at.tsv")
+    _refused_fast(lambda: instantiate_rows(rows, 3, P0),
+                  rf"^at\.tsv:1: range 'k=1\.\.10\^6' runs over more than {tables.MAX_RANGE_LENGTH} values$")
 
 
 def test_params_match():
