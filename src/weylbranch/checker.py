@@ -29,22 +29,32 @@ filtered entry screens again.  ``verify_entry`` validates lam once,
 screens from the record it holds, reads every dimension from ``charcalc``'s
 cache, and at p > 0 compares dim L(lam) with one product, kappa times the
 dimensions of the lead orbit element's factors.  A scan restricts its
-bounded candidates in one int64 product, walks their component orbits with
-``embeddings.component_orbits`` (one array step per stage of the component
-group's stabilizer chain), and screens each chunk whole, as the walk leaves
-it, so that the walk's ``ORBIT_CHUNK_ROWS`` is the one bound on the scan's
-memory.  Where H = N_G(T) (``_ChainTable.torus``: A_n as n + 1 lines, D_n
-as n planes) the scan walks no component orbit and matches no key: there
-R is one to one and the component group acts on it as W, so the component
-orbit of R lam is R(W lam); H^0 has no roots, so R(lam - beta) lies under
-an orbit element exactly when lam - beta is in W lam, that is, exactly
-when <lam, beta-coroot> = 1, since a W-orbit lies on one sphere and
+bounded candidates in one int64 product and takes one of three routes,
+chosen from the embedding; each screens its blocks whole, and
+``ORBIT_CHUNK_ROWS`` bounds every block, so it is the one bound on the
+scan's memory.  Most component groups (order 2 to 192 up to rank 12, at
+most ``embeddings.WHOLE_GROUP_ORDER``) are applied whole:
+``embeddings.component_orbits`` makes every candidate's orbit in one array
+step per chunk, and the key match reads it.  Where H = N_G(T)
+(``_ChainTable.torus``: A_n as n + 1 lines, D_n as n planes) the scan walks
+no component orbit and matches no key: there R is one to one and the
+component group acts on it as W, so the component orbit of R lam is
+R(W lam); H^0 has no roots, so R(lam - beta) lies under an orbit element
+exactly when lam - beta is in W lam, that is, exactly when
+<lam, beta-coroot> = 1, since a W-orbit lies on one sphere and
 |lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2.  The
 pairings, in blocks of at most ``ORBIT_CHUNK_ROWS`` (candidate, chain)
-entries, decide the filters, and |W : W_lam| is the orbit size.  A single
-weight (an entry, ``branch_p0``, ``necessary_filters``) keeps the search of
-``component_orbit_set``, which is about four times faster on one weight
-than the walk.  At p = 0 a survivor whose
+entries, decide the filters, and |W : W_lam| is the orbit size.  Where the
+component group is a wreath product past the whole-group order
+(``_h_table``: S_t on t equal blocks, with their flips), the h invariant
+decides the filters with no orbit walked: an orbit element over
+R(lam - beta) is R(lam - beta) + kappa, kappa in Q+(H^0) of height
+h(R beta), and at most C(h(R beta) + ss - 1, ss - 1) of those are tested
+against the canonical block form of R lam (``embeddings.Wreath``), which
+also counts the orbit.  A single weight (an entry, ``branch_p0``,
+``necessary_filters``, and a torus or h-route survivor that needs a
+branching) keeps the search of ``component_orbit_set``, which is about
+four times faster on one weight than the array step.  At p = 0 a survivor whose
 prediction's dimension sum differs from dim V is REDUCIBLE at once: an
 IRREDUCIBLE one has the prediction as its factors, and branch conservation
 makes their sum dim V.  The component group acts on H^0 by automorphisms,
@@ -62,6 +72,7 @@ every cache here; a public call that also takes G refuses any other G.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -801,21 +812,29 @@ class _Predictions(NamedTuple):
         return dict.fromkeys(map(tuple, rows), int(self.mults[i]))
 
 
-def _prediction_blocks(e: Embedding, lam_h_a):
-    """The predictions of the restricted candidates ``lam_h_a``, one block
-    per chunk of ``component_orbits``: at most ``ORBIT_CHUNK_ROWS`` orbit
-    rows, or one candidate.
+def _prediction_blocks(e: Embedding, lam_h_a, h=None):
+    """The predictions of the restricted candidates ``lam_h_a`` in blocks:
+    one per chunk of ``component_orbits``, at most ``ORBIT_CHUNK_ROWS``
+    orbit rows or one candidate, or on the h route (``h``, the embedding's
+    ``_h_table``) one per ``h.step`` candidates, with no orbit walked
+    (``orbit`` None) and each size read off the canonical block form.
 
-    This is the scan's ``clifford_prediction``: one ``component_orbits``
-    walk over all the candidates, one array step per stage of the component
-    group's stabilizer chain, in place of one ``component_orbit_set`` search
-    per candidate (on one weight about 20 us against the walk's 80 us).  The
-    chunk bound is also the one bound on the screen's memory, since
-    ``_geometry`` reads each chunk whole.
+    This is the scan's ``clifford_prediction``: the whole component group
+    applied to a chunk in one array step, in place of one
+    ``component_orbit_set`` search per candidate, which is faster only on
+    one weight.  The chunk bound is also the one bound on the screen's
+    memory, since the geometry reads each block whole.
     """
+    if h is None:
+        chunks = component_orbits(e, lam_h_a)
+    else:
+        chunks = ((None, h.wreath.orbit_sizes(lam_h_a[lo:lo + h.step])) for lo in range(0, len(lam_h_a), h.step))
     start = 0
-    for orbit, sizes in component_orbits(e, lam_h_a):
-        mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
+    for orbit, sizes in chunks:
+        if e.central2:
+            mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
+        else:  # no central 2-part: m = 1 throughout
+            mults = np.ones(len(sizes), dtype=np.int64)
         start += len(sizes)
         yield _Predictions(orbit, sizes, mults)
 
@@ -827,6 +846,78 @@ def _walked_blocks(e: Embedding, t: _ChainTable, lam_a, lam_h_a):
         rows = slice(start, start + len(block.sizes))
         start = rows.stop
         yield block, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block)
+
+
+class _HTable(NamedTuple):
+    """What the h route reads of an embedding whose component group is a
+    ``Wreath`` past ``embeddings.WHOLE_GROUP_ORDER``."""
+
+    wreath: embeddings.Wreath
+    shifts: np.ndarray  # rows x width: kappa - R beta per chain, one row per kappa in Q+(H^0) of height k_beta
+    chains: np.ndarray  # per shift row: its chain
+    heights: np.ndarray  # per chain: k_beta = h(R beta), or -1 where that is no non-negative integer
+    step: int  # candidates per block, so that their shifted rows stay within ORBIT_CHUNK_ROWS; one at least
+
+
+@functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
+def _h_table(e: Embedding):
+    """The h route's table of e, or None where the route does not apply.
+
+    h(nu), the sum of the H^0 root coordinates of nu's semisimple part, is
+    constant on a component orbit: the generators exchange equal factors,
+    flip A and D diagrams and move charges.  So an orbit element c lies over
+    mu_h = R(lam - beta) exactly when c = mu_h + kappa, kappa in Q+(H^0) of
+    height k_beta = h(R beta), with no charge: at most
+    C(k_beta + ss - 1, ss - 1) weights per chain, whatever the orbit size,
+    and none where k_beta is no non-negative integer.
+    """
+    # t blocks make a wreath product of at most t! 2^t elements
+    if math.factorial(len(e.factor_groups)) << len(e.factor_groups) <= embeddings.WHOLE_GROUP_ORDER:
+        return None
+    wreath = embeddings.wreath_shape(e)
+    if wreath is None or wreath.order <= embeddings.WHOLE_GROUP_ORDER:
+        return None
+    t = _chain_table(e)
+    ss = e.semisimple_rank
+    den = int(np.lcm.reduce(t.inv_den))
+    num = t.scaled_images @ (den // t.inv_den)  # den * k_beta
+    heights = np.where((num >= 0) & (num % den == 0), num // den, -1)
+    simple = np.zeros((ss, e.width), dtype=np.int64)  # H^0's simple roots as weight rows
+    for off, frs in zip(e.factor_offsets, e.factor_systems):
+        simple[off:off + frs.rank, off:off + frs.rank] = frs.cartan_np
+    shifts, chains = [np.zeros((0, e.width), dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
+    for k in sorted(set(heights.tolist()) - {-1}):
+        kappa = np.array([np.bincount(np.array(c, dtype=np.intp), minlength=ss)
+                          for c in itertools.combinations_with_replacement(range(ss), k)]) @ simple
+        for chain in np.flatnonzero(heights == k).tolist():
+            shifts.append(kappa - t.images[chain])
+            chains.append(np.full(len(kappa), chain, dtype=np.intp))
+    shifts = np.concatenate(shifts)
+    return _HTable(wreath, _frozen(shifts), _frozen(np.concatenate(chains)), _frozen(heights),
+                   max(embeddings.ORBIT_CHUNK_ROWS // max(len(shifts), 1), 1))
+
+
+def _h_blocks(e: Embedding, t: _ChainTable, h: _HTable, lam_a, lam_h_a):
+    """(predictions, geometry) per block of candidates on the h route, with
+    no orbit walked and no key matched.
+
+    A candidate's orbit elements over its mu_h are the c = mu_h + kappa of
+    ``_h_table`` whose canonical block form is lam_h's: ``above`` counts
+    them; ``single`` is one of them at k_beta = 1, one factor simple root
+    above; ``capacity`` is then m.
+    """
+    start, k = 0, len(t.labels)
+    for block in _prediction_blocks(e, lam_h_a, h):
+        rows = slice(start, start + len(block.sizes))
+        start = rows.stop
+        n = len(block.sizes)
+        c = (lam_h_a[rows, None, :] + h.shifts).reshape(-1, e.width)
+        canon = h.wreath.canonical(np.concatenate((lam_h_a[rows], c)))
+        cand, row = np.nonzero((canon[n:].reshape(n, len(h.shifts), canon.shape[1]) == canon[:n, None]).all(axis=2))
+        above = np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k)
+        lone = above[:, t.lead] == 1
+        yield block, _Geometry(lam_a[rows] @ t.coroots.T, above == 0, lone & (h.heights[t.lead] == 1),
+                               np.where(lone, block.mults[:, None], 0))
 
 
 def _torus_blocks(e: Embedding, t: _ChainTable, lam_a):
@@ -887,8 +978,18 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     t = _exact_chain_table(e, max(lams, key=sum, default=()))
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
+    # three routes, chosen from the embedding: the maximal-torus normalizers
+    # from their pairings, the large wreath products from the h invariant,
+    # and every other component group applied whole
+    h = None if t.torus else _h_table(e)
+    if t.torus:
+        blocks = _torus_blocks(e, t, lam_a)
+    elif h is not None:
+        blocks = _h_blocks(e, t, h, lam_a, lam_h_a)
+    else:
+        blocks = _walked_blocks(e, t, lam_a, lam_h_a)
     start = 0
-    for block, geometry in _torus_blocks(e, t, lam_a) if t.torus else _walked_blocks(e, t, lam_a, lam_h_a):
+    for block, geometry in blocks:
         rows = slice(start, start + len(block.sizes))
         start = rows.stop
         filtered = _screen(e, chi, t, geometry).filtered()

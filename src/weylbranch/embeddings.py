@@ -39,14 +39,17 @@ family), so instances are shared; their restriction matrix is read-only.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .rootsys import LieType, build_root_system, epsilon_model, epsilon_width, scaled_root_coords
+from .rootsys import LieType, _frozen, build_root_system, epsilon_model, epsilon_width, scaled_root_coords
 
 A1 = LieType("A", 1)
 
@@ -120,9 +123,6 @@ class Embedding:
             pos = [i if s > 0 else i + n for i, s in zip(idx, sgn)]
             getters.append(operator.itemgetter(*pos, *[(i + n) % (2 * n) for i in pos]))
         self.doubled_getters = tuple(getters)
-        # the stages of ``component_orbits``, built by ``_stabilizer_chain``
-        # at its first call: an entry check never walks a block
-        self.orbit_chain = None
 
     def split(self, hw):
         parts = []
@@ -146,9 +146,11 @@ def component_orbit_set(e: Embedding, hw):
     A breadth-first search over doubled weights (w, -w), in which a sign
     change is an index shift: each generator is one ``itemgetter`` lookup
     per element, from ``e.doubled_getters``.  This is the walk for one
-    weight (``checker.clifford_prediction``): there it takes about 20 us,
-    where ``component_orbits``, the walk for a block of weights, takes
-    about 80 us, since each of its array steps has a fixed cost.
+    weight (``checker.clifford_prediction``: an entry, ``branch_p0``, and a
+    scan's torus or h-route survivor that needs a branching): on the small
+    orbits of ``scan_p0``'s weights it takes 2-7 us, where
+    ``component_orbits``, the whole group applied to a block of weights,
+    takes 25-35 us, since each of its array steps has a fixed cost.
     """
     getters = e.doubled_getters
     n = len(hw)
@@ -159,63 +161,42 @@ def component_orbit_set(e: Embedding, hw):
     return sorted(w[:n] for w in seen)
 
 
-# rows that one stage of ``component_orbits`` may make, unless it walks one
-# weight alone: so also a bound on the rows one step of the scan's screen reads
+# rows that one block of a scan may make (a chunk of ``component_orbits``,
+# of the h route's tested weights or of the torus pairings), unless it holds
+# one candidate alone: so also a bound on the rows one step of its screen reads
 ORBIT_CHUNK_ROWS = 1 << 13
 
+# the largest component group applied whole.  Up to rank 12 the groups
+# applied whole have order 2 to 192; the maximal-torus normalizers and the
+# wreath products of order 720 or more are decided by ``checker`` with no
+# orbit walked
+WHOLE_GROUP_ORDER = 512
+COMPONENT_GROUP_CACHE_SIZE = 256
 
-def _stabilizer_chain(generators, width):
-    """A stabilizer chain of the component group, by Schreier-Sims with
-    Sims' filter on the 2 * width signed points (point i is e_i, point
-    width + i is -e_i; a permutation g lists g(p) per point p).
 
-    With G_j the stabilizer of the base points b_1 .. b_{j-1}, U_j holds one
-    element of G_j per point of G_j b_j, so G = U_1 ... U_k and, G being
-    closed under inverses, G x = U_k^-1 (... (U_1^-1 x)).  The Schreier
-    generators of G_j generate G_{j+1}; the filter keeps the group and one
-    per (first moved point, its image).  Returns U_1^-1 .. U_k^-1 as blocks
-    of (index rows, sign rows), like ``generators``: u takes e_i to +-e_q
-    with q = u(i) mod width, so u^-1 reads coordinate q into place i.
+@functools.lru_cache(maxsize=COMPONENT_GROUP_CACHE_SIZE)
+def component_group(e: Embedding):
+    """Every element of the component group as (index rows, sign rows),
+    |A| x width each, acting as a generator does: w -> (sgn[i] * w[idx[i]])_i.
+
+    The closure of the generators, found at the first walk of the embedding
+    by the search of ``component_orbit_set`` run on the signed points: an
+    element is the doubled tuple of the images of e_1 .. e_width and their
+    negatives (point width + i is -e_i), and a doubled getter applied to it
+    composes the generator after it.  A group past WHOLE_GROUP_ORDER
+    elements raises ``KernelCapacityError``.
     """
-    n = 2 * width
-    one = tuple(range(n))
-
-    def mul(a, b):  # a after b
-        return tuple([a[p] for p in b])
-
-    def inv(a):
-        out = [0] * n
-        for p, q in enumerate(a):
-            out[q] = p
-        return tuple(out)
-
-    def sims_filter(perms):  # (g, g^-1) per (first point i that g moves, g(i))
-        table = {}
-        for g in perms:
-            while g != one:
-                i = 0
-                while g[i] == i:
-                    i += 1
-                h = table.setdefault((i, g[i]), (g, inv(g)))
-                g = one if h[0] is g else mul(h[1], g)
-        return [g for g, _ in table.values()]
-
-    # each generator's inverse, e_i -> +-e_idx[i], which generate G as well
-    pos = ([j + width * (s < 0) for j, s in zip(idx, sgn)] for idx, sgn in generators)
-    gens, stages = sims_filter(tuple(p + [(q + width) % n for q in p]) for p in pos), []
-    while gens:
-        b = min(p for g in gens for p in range(n) if g[p] != p)
-        orbit, todo = {b: one}, [b]
-        for p in todo:
-            for g in gens:
-                if g[p] not in orbit:
-                    orbit[g[p]] = mul(g, orbit[p])
-                    todo.append(g[p])
-        images = np.array(list(orbit.values()), dtype=np.intp)[:, :width]
-        stages.append((images % width, np.where(images < width, 1, -1)))
-        back = {p: inv(u) for p, u in orbit.items()}
-        gens = sims_filter(mul(back[g[p]], mul(g, u)) for p, u in orbit.items() for g in gens)
-    return tuple(stages)
+    n = e.width
+    seen = frontier = {tuple(range(2 * n))}
+    while frontier:
+        frontier = {g(a) for a in frontier for g in e.doubled_getters} - seen
+        seen |= frontier
+        if len(seen) > WHOLE_GROUP_ORDER:
+            raise kernels.KernelCapacityError(
+                f"component group of {e.family} on {e.ambient}: more than {WHOLE_GROUP_ORDER} elements"
+            )
+    points = np.array(sorted(a[:n] for a in seen), dtype=np.intp).reshape(-1, n)
+    return _frozen(points % n), _frozen(np.where(points < n, 1, -1))
 
 
 def component_orbits(e: Embedding, rows):
@@ -223,60 +204,139 @@ def component_orbits(e: Embedding, rows):
 
     ``rows`` holds the weights as int64 rows, every coordinate below 2**60
     in size, which keeps the keys exact.  Yields (orbit, sizes) per chunk of
-    consecutive weights: one orbit size per weight, and the orbits one after
-    another as int64 rows, each in the sorted order of
-    ``component_orbit_set``.  The walk follows ``e.orbit_chain``: a stage
-    applies one transversal to the chunk's rows as one index-and-sign step
-    and drops repeats by int64 keys of (weight, image).  Before a stage whose
-    rows times |U_j| would pass ORBIT_CHUNK_ROWS, the chunk sheds its
-    trailing weights (one stays); they keep their rows and resume there in
-    the next chunk, which takes as many weights as the last kept (twice as
-    many after no shed), so no weight is walked twice.  On one weight the
-    search of ``component_orbit_set`` is faster.
+    at most ORBIT_CHUNK_ROWS // |A| consecutive weights (one at least): one
+    orbit size per weight, and the orbits one after another as int64 rows,
+    each in the sorted order of ``component_orbit_set``.  Every element of
+    ``component_group`` is applied to the chunk at once, and repeats are
+    dropped by int64 keys of (weight, image).  The key of an image g w is
+    linear in w, so one product of the chunk with every element's packing
+    gives every key, and only the images that stay are made, in one
+    index-and-sign step.  On one weight the search of
+    ``component_orbit_set`` is faster.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, e.width)
     bound = int(np.abs(rows).max(initial=0))
     if bound >= 1 << 60:
         raise kernels.KernelCapacityError(f"component orbits({e.ambient}, {e.family}): coordinates exceed 2**60")
-    stages = e.orbit_chain = e.orbit_chain or _stabilizer_chain(e.generators, e.width)
-    # the rows of the weights not yet yielded, sorted by weight, and per
-    # weight its next stage, which never rises from one weight to the next
-    weight, image = np.arange(len(rows)), rows
-    stage = np.zeros(len(rows), dtype=np.intp)
-    lo, take = 0, len(rows)
-    while lo < len(rows):
-        hi = top = min(lo + take, len(rows))
-        cut = np.searchsorted(weight, hi)
-        cw, ci, weight, image = weight[:cut] - lo, image[:cut], weight[cut:], image[cut:]
-        keys = kernels._key_weights(e.width + 1, 2 * max(bound, hi - lo) + 1)
-        for s in range(int(stage[hi - 1]), len(stages)):
-            # the rows of the weights not yet at stage s come first
-            start, size = np.searchsorted(cw, np.count_nonzero(stage[lo:hi] > s)), len(stages[s][0])
-            if (len(ci) - start) * size > ORBIT_CHUNK_ROWS and hi - lo > 1:
-                grow = np.bincount(cw[start:], minlength=hi - lo) * size
-                keep = max(int(np.searchsorted(np.cumsum(grow), ORBIT_CHUNK_ROWS, side="right")), 1)
-                stage[lo + keep:hi] = np.maximum(stage[lo + keep:hi], s)
-                hi, cut = lo + keep, np.searchsorted(cw, keep)
-                weight, image = np.concatenate((cw[cut:] + lo, weight)), np.concatenate((ci[cut:], image))
-                cw, ci = cw[:cut], ci[:cut]
-            if start < len(ci):  # the shed may leave only weights not yet at stage s
-                cw, ci = _orbit_stage(stages[s], cw, ci, start, keys)
-        yield ci, np.bincount(cw, minlength=hi - lo)
-        lo, take = hi, 2 * take if hi == top else hi - lo
+    idx, sgn = component_group(e)
+    size = len(idx)
+    step = max(ORBIT_CHUNK_ROWS // size, 1)
+    keys = kernels._key_weights(e.width + 1, 2 * max(bound, step) + 1)
+    # w @ packing[:, g] packs g w: coordinate idx[g, i] of w lands in place i
+    packing = np.empty((e.width, size, keys.shape[1]), dtype=np.int64)
+    packing[idx, np.arange(size)[:, None]] = sgn[:, :, None] * keys[1:]
+    packing = packing.reshape(e.width, -1)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo:lo + step]
+        packed = (chunk @ packing).reshape(len(chunk) * size, -1)
+        packed += np.repeat(np.arange(len(chunk)), size)[:, None] * keys[0]
+        order = kernels._key_order(packed)
+        weight, g = np.divmod(order[kernels._run_starts(packed[order])], size)
+        yield chunk[weight[:, None], idx[g]] * sgn[g], np.bincount(weight, minlength=len(chunk))
 
 
-def _orbit_stage(step, weight, image, start, keys):
-    """The (weight, image) rows with each one from ``start`` on replaced by
-    its images under one stage block, repeats dropped, in key order."""
-    idx, sgn = step
-    moved = np.repeat(weight[start:], len(idx))
-    images = (image[start:, idx] * sgn).reshape(len(moved), -1)
-    packed = images @ keys[1:] + moved[:, None] * keys[0]
-    order = kernels._key_order(packed)
-    order = order[kernels._run_starts(packed[order])]
-    if not start:
-        return moved[order], images[order]
-    return np.concatenate((weight[:start], moved[order])), np.concatenate((image[:start], images[order]))
+class Wreath(NamedTuple):
+    """A component group that permutes t equal blocks of coordinates in
+    every way, and flips them by one diagram flip: any of them, an even
+    number of them, or none."""
+
+    blocks: np.ndarray  # t x b: the coordinates of each block, in order
+    flip: tuple  # (index row, sign row) within a block: its flip; None where none
+    even: bool  # only an even number of blocks is flipped at once
+    order: int  # t! times the number of flip patterns
+
+    def canonical(self, rows):
+        """Per weight row, a key row that two weights share exactly when
+        one group element takes one to the other: each block's packed key,
+        under its flip the smaller of the two, sorted; where only even flips
+        are allowed and no block is fixed by its flip, the parity of the
+        blocks that the smaller key flips as well.  Raises
+        ``KernelCapacityError`` where a block does not pack into one int64."""
+        keys, flipped, fixed = self._block_keys(rows)
+        keys = np.sort(keys, axis=1)
+        if not self.even:
+            return keys
+        return np.column_stack((keys, np.where(fixed.any(axis=1), 2, flipped.sum(axis=1) % 2)))
+
+    def orbit_sizes(self, rows):
+        """Per weight row, its orbit size: the distinct arrangements of its
+        blocks, up to flips, times the flip patterns of the blocks that a
+        flip moves (half of them where only even flips are allowed and no
+        block is fixed)."""
+        keys, _, fixed = self._block_keys(rows)
+        t = len(self.blocks)
+        sizes = []
+        for row, fix in zip(np.sort(keys, axis=1).tolist(), fixed.tolist()):
+            size = math.factorial(t)
+            for _, run in itertools.groupby(row):
+                size //= math.factorial(len(list(run)))
+            moved = t - sum(fix)  # every block is fixed where there is no flip
+            sizes.append(size << (moved - (self.even and moved == t)))
+        return np.array(sizes, dtype=np.int64)
+
+    def _block_keys(self, rows):
+        """(block keys, flipped, fixed), each weights x blocks: a block's
+        key is the smaller of its own and its flip's, ``flipped`` where the
+        flip's is smaller and ``fixed`` where they are equal."""
+        blocks = rows[:, self.blocks]
+        kw = kernels._key_weights(blocks.shape[2], 2 * int(np.abs(rows).max(initial=0)) + 1)
+        if kw.shape[1] > 1:
+            raise kernels.KernelCapacityError("wreath block keys: coordinates exceed one int64 key per block")
+        keys = blocks @ kw[:, 0]
+        if self.flip is None:
+            return keys, np.zeros(keys.shape, dtype=bool), np.ones(keys.shape, dtype=bool)
+        idx, sgn = self.flip
+        flipped = (blocks[:, :, idx] * sgn) @ kw[:, 0]
+        return np.minimum(keys, flipped), flipped < keys, flipped == keys
+
+
+@functools.lru_cache(maxsize=COMPONENT_GROUP_CACHE_SIZE)
+def wreath_shape(e: Embedding):
+    """e's component group as a ``Wreath``, read off its generators, or None.
+
+    The blocks are the original factors' coordinates, each followed by its
+    own charge where there is one charge per factor.  Every generator must
+    either exchange two blocks, coordinate by coordinate, or keep every
+    block and apply one common flip to some of them; the exchanges must
+    connect all t >= 2 blocks, so they generate S_t, and the flip patterns
+    must each flip one block (all patterns) or each two (the even ones,
+    S_t moving a pair of flips onto any other pair).
+    """
+    t = len(e.factor_groups)
+    if t < 2 or e.torus_rank not in (0, t) or len({tuple(e.factors[m] for m in g) for g in e.factor_groups}) > 1:
+        return None
+    blocks = np.array([
+        [c for m in grp for c in range(e.factor_offsets[m], e.factor_offsets[m] + e.factor_ranks[m])]
+        + ([e.semisimple_rank + f] if e.torus_rank else [])
+        for f, grp in enumerate(e.factor_groups)
+    ], dtype=np.intp)
+    block_of, place = np.empty(e.width, dtype=np.intp), np.empty(e.width, dtype=np.intp)
+    block_of[blocks] = np.arange(t)[:, None]
+    place[blocks] = np.arange(blocks.shape[1])
+    same = (tuple(range(blocks.shape[1])), (1,) * blocks.shape[1])
+    label, flips, weights = list(range(t)), set(), set()
+    for idx, sgn in e.generators:
+        src = np.array(idx)[blocks]  # per block position: the coordinate it reads
+        sources = block_of[src]
+        if (sources != sources[:, :1]).any():
+            return None
+        # per block: the positions it reads within its source, and their signs
+        moves = [(tuple(p), tuple(s)) for p, s in zip(place[src].tolist(), np.array(sgn)[blocks].tolist())]
+        moved = np.flatnonzero(sources[:, 0] != np.arange(t)).tolist()
+        if moved:  # an exchange of two blocks, coordinate by coordinate
+            if len(moved) != 2 or set(moves) != {same}:
+                return None
+            a, b = label[moved[0]], label[moved[1]]
+            label = [a if x == b else x for x in label]
+        else:
+            flips |= set(moves) - {same}
+            weights.add(sum(m != same for m in moves))
+    weights.discard(0)
+    if len(set(label)) > 1 or len(flips) > 1 or len(weights) > 1 or not weights <= {1, 2}:
+        return None
+    flip = tuple(np.array(a, dtype=np.intp) for a in flips.pop()) if flips else None
+    even = weights == {2}
+    return Wreath(_frozen(blocks), flip, even, math.factorial(t) << (t - even if weights else 0))
 
 
 def central_multiplicity(e: Embedding, hw) -> int:

@@ -76,14 +76,13 @@ PURE_KERNELS = {"domrep": _domrep_py}
 
 
 def orbit_cap() -> int:
-    """Enumeration cap; overridable through WEYLBRANCH_CAP (a positive integer)."""
+    """Enumeration cap; overridable through WEYLBRANCH_CAP, a positive
+    integer written in plain ASCII digits: no sign, blank, underscore or
+    other script's digit, all of which ``int`` would read."""
     v = os.environ.get("WEYLBRANCH_CAP", "")
     if not v:
         return DEFAULT_CAP
-    try:
-        cap = int(v)
-    except ValueError:
-        cap = 0
+    cap = int(v) if v.isascii() and v.isdigit() else 0
     if cap <= 0:
         raise ValueError(f"WEYLBRANCH_CAP must be a positive integer, got {v!r}")
     return cap

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import chain_oracle
 from test_acceptance import _p0_instances, _shipped_rows
 from weylbranch import charcalc, checker, embeddings, kernels
 from weylbranch.charcalc import Characteristic, freudenthal, premet_applies, weyl_dim
@@ -386,10 +387,12 @@ def test_geometry_matches_dense_oracle_on_entries(monkeypatch):
     assert {count for count, _ in calls} == {1}
 
 
-def test_geometry_matches_dense_oracle_on_a_torus_normalizer():
+def test_geometry_matches_dense_oracle_on_a_torus_normalizer(monkeypatch):
     # the first three orbit chunks of the D8 torus normalizer: no semisimple
     # coordinate, so the key is eight charges; a chunk of nine candidates,
-    # then single candidates of 1 792 and 3 584 rows
+    # then single candidates of 1 792 and 3 584 rows.  Its 2^7 * 8! elements
+    # are past the whole-group step, so the oracle's chain walks them
+    monkeypatch.setattr(checker, "component_orbits", chain_oracle.component_orbits)
     ambient = LieType("D", 8)
     e = build_embedding(ambient, geom_family("c2", kind="Dl", l=1, t=8))
     assert e.semisimple_rank == 0
@@ -700,8 +703,11 @@ def _torus_instances():
 
 def _force_general_path(monkeypatch):
     """Scan the maximal-torus normalizers as every other embedding: walk
-    their component orbits and match keys in ``_geometry``."""
+    their component orbits and match keys in ``_geometry``.  Most of their
+    groups are past the whole-group step, so the oracle's stabilizer chain
+    walks them."""
     monkeypatch.setattr(checker, "_chain_table", lambda e, table=checker._chain_table: table(e)._replace(torus=False))
+    monkeypatch.setattr(checker, "component_orbits", chain_oracle.component_orbits)
 
 
 # the largest orbit compared element by element with its Weyl orbit
@@ -733,8 +739,7 @@ def test_torus_flag_marks_the_maximal_torus_normalizers():
     )
     compared = 0
     for e in torus:
-        stages = embeddings._stabilizer_chain(e.generators, e.width)
-        assert math.prod(len(idx) for idx, _ in stages) == e.root_system.weyl_order()
+        assert chain_oracle.chain_order(e) == e.root_system.weyl_order()
         assert np.linalg.matrix_rank(e.restriction) == e.ambient.rank
         compared += sum(_assert_torus_orbit(e, lam) for lam in dominant_weights_bounded(e.ambient.rank, 2))
     assert compared == 453
@@ -786,13 +791,13 @@ def test_torus_scan_matches_the_general_path(monkeypatch):
 
 
 def test_torus_scan_walks_no_component_orbit(monkeypatch):
-    # the 21 scans read only the pairings: no stabilizer chain, no orbit
-    # walk and no key match is reached
+    # the 21 scans read only the pairings: no component group, no orbit
+    # walk, no h route and no key match is reached
     def refuse(*args, **kwargs):
         raise AssertionError("reached")
 
     for module, name in ((embeddings, "component_orbits"), (checker, "component_orbits"),
-                         (embeddings, "_stabilizer_chain"), (checker, "_geometry")):
+                         (embeddings, "component_group"), (checker, "_h_table"), (checker, "_geometry")):
         monkeypatch.setattr(module, name, refuse)
     verdicts = Counter()
     for e in _torus_instances():
@@ -802,6 +807,144 @@ def test_torus_scan_walks_no_component_orbit(monkeypatch):
     # each D_n; REDUCIBLE at the other fundamental weights of D_n, whose
     # chain pairings are at most 1
     assert verdicts == {"FILTERED": 1436, "UNRESOLVED": 150, "IRREDUCIBLE": 105, "REDUCIBLE": 45}
+
+
+def _route(e):
+    """The route a scan of e takes, read as ``_scan_verdicts`` reads it."""
+    if checker._chain_table(e).torus:
+        return "torus"
+    return "whole" if checker._h_table(e) is None else "h"
+
+
+def _h_instances(max_rank):
+    from test_embeddings import INSTANCES_12
+
+    return [e for e in INSTANCES_12 if e.ambient.rank <= max_rank and _route(e) == "h"]
+
+
+def test_every_instance_takes_one_route():
+    # the 232 instances up to rank 12: the 21 maximal-torus normalizers
+    # take the pairings, the 14 wreath products past the whole-group step
+    # the h invariant, and every other one its whole group, whose order is
+    # the oracle's chain order; the h route's groups are refused whole
+    from test_embeddings import INSTANCES_12
+
+    routes, wreaths = Counter(), 0
+    for e in INSTANCES_12:
+        route = _route(e)
+        routes[route] += 1
+        order = chain_oracle.chain_order(e)
+        # a wreath shape read off the generators has the oracle's order
+        wreath = embeddings.wreath_shape(e)
+        if wreath is not None:
+            assert wreath.order == order, (e.ambient, e.family)
+            wreaths += 1
+        if route == "whole":
+            assert len(embeddings.component_group(e)[0]) == order <= embeddings.WHOLE_GROUP_ORDER, (e.ambient, e.family)
+        elif route == "h":
+            assert checker._h_table(e).wreath.order == order > embeddings.WHOLE_GROUP_ORDER
+            with pytest.raises(kernels.KernelCapacityError, match="more than 512 elements"):
+                embeddings.component_group(e)
+    assert routes == {"whole": 197, "torus": 21, "h": 14}
+    # every c2 and c4ii instance with two factors or more: 56 with no flip,
+    # 12 with even flips
+    assert wreaths == 68
+    assert {f"{e.ambient} {e.family}" for e in _h_instances(12)} == (
+        {f"C{n} c2:l=1,t={n}" for n in range(6, 13)}
+        | {"A11 c2:l=1,t=6", "B10 c2:l=1,t=7", "D9 c2:kind=Bl,l=1,t=6", "D12 c2:kind=Bl,l=1,t=8",
+           "C12 c2:l=2,t=6", "D10 c2:kind=Dl,l=2,t=5", "D12 c2:kind=Dl,l=2,t=6"}
+    )
+
+
+def test_canonical_block_form_decides_orbit_membership():
+    # every weight c = mu_h + kappa that the h route tests, against the
+    # orbit search: canonical forms agree exactly on the orbit of lam_h,
+    # and the orbit size read off the form is the search's.  Every
+    # candidate at bound 3 up to rank 8 (C6-C8: A1 blocks, no flip or
+    # charge), and at bound 2 every other shape past it: the charged blocks
+    # of A11, the C2 blocks of C12, the central 2-parts of B10, D9 and D12,
+    # and the even flips of D10 and D12 (C9-C12 c2:l=1 repeat C6-C8's
+    # shape, with orbits the search takes seconds over)
+    checks = members = 0
+    for e in _h_instances(12):
+        if e.ambient.rank > 8 and str(e.family) == f"c2:l=1,t={e.ambient.rank}":
+            continue
+        h = checker._h_table(e)
+        lam_h_a = np.array(dominant_weights_bounded(e.ambient.rank, 3 if e.ambient.rank <= 8 else 2)) @ e.restriction
+        sizes = h.wreath.orbit_sizes(lam_h_a)
+        for lam_h, size in zip(lam_h_a, sizes.tolist()):
+            orbit = set(component_orbit_set(e, tuple(lam_h.tolist())))
+            assert size == len(orbit), (e.ambient, e.family, lam_h)
+            c = lam_h + h.shifts
+            canon = h.wreath.canonical(np.concatenate(([lam_h], c, np.array(sorted(orbit)))))
+            inside = (canon[1:] == canon[0]).all(axis=1).tolist()
+            assert inside[:len(c)] == [tuple(w) in orbit for w in c.tolist()], (e.ambient, e.family, lam_h)
+            assert all(inside[len(c):])
+            checks += len(c)
+            members += sum(inside[:len(c)])
+    assert (checks, members) == (289873, 24643)
+    # the parity on D10's five D2 blocks (A1 x A1, the flip exchanging
+    # them): with none fixed by its flip, one flip leaves the orbit and two
+    # stay in it; a fixed block absorbs the odd one
+    e = build_embedding(LieType("D", 10), geom_family("c2", kind="Dl", l=2, t=5))
+    wreath = checker._h_table(e).wreath
+    for x, flipped, inside in (
+        ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (0, 1, 2, 0, 3, 0, 4, 0, 5, 0), False),
+        ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (0, 1, 0, 2, 3, 0, 4, 0, 5, 0), True),
+        ((1, 1, 2, 0, 3, 0, 4, 0, 5, 0), (1, 1, 0, 2, 3, 0, 4, 0, 5, 0), True),
+    ):
+        assert (flipped in component_orbit_set(e, x)) == inside
+        canon = wreath.canonical(np.array([x, flipped]))
+        assert (canon[0] == canon[1]).all() == inside
+    assert wreath.orbit_sizes(np.array([(1, 0, 2, 0, 3, 0, 4, 0, 5, 0)])).tolist() == [5 * 4 * 3 * 2 << 4]
+
+
+def test_wreath_with_every_flip():
+    # no instance up to rank 12 flips its blocks one at a time (the c4ii
+    # D_l wreaths start at D18): D10's five D2 blocks, with block 1's own
+    # flip in place of the pairwise one, make S_5 x 2^5
+    e = build_embedding(LieType("D", 10), geom_family("c2", kind="Dl", l=2, t=5))
+    one = (tuple([1, 0] + list(range(2, e.width))), (1,) * e.width)
+    f = dataclasses.replace(e, generators=e.generators[:-1] + (one,))
+    wreath = embeddings.wreath_shape(f)
+    assert wreath.order == chain_oracle.chain_order(f) == 120 << 5 and not wreath.even
+    for x in ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (1, 1, 2, 0, 2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 1, 0)):
+        orbit = component_orbit_set(f, x)
+        assert wreath.orbit_sizes(np.array([x])).tolist() == [len(orbit)]
+        outside = [x[:-1] + (x[-1] + 1,), x[:-2] + (x[-2] + 2, x[-1])]
+        canon = wreath.canonical(np.array([x, *orbit, *outside]))
+        assert (canon[1:] == canon[0]).all(axis=1).tolist() == [True] * len(orbit) + [False, False]
+    # a generator that flips one block and exchanges two others has no wreath shape
+    mixed = (tuple([1, 0, 4, 5, 2, 3] + list(range(6, e.width))), (1,) * e.width)
+    assert embeddings.wreath_shape(dataclasses.replace(e, generators=e.generators + (mixed,))) is None
+
+
+def test_h_route_matches_the_chain_walk(monkeypatch):
+    # every h-route instance up to rank 10 at bound 3, p = 0 and 3: the
+    # verdicts and each candidate's geometry against the oracle's chain
+    # walk and the key match, which share no code with the route
+    screened = []
+    screen = checker._screen
+    monkeypatch.setattr(checker, "_screen", lambda e, chi, t, g: screened.append(g) or screen(e, chi, t, g))
+
+    def scan(e, p):
+        screened.clear()
+        verdicts = scan_candidates(e.ambient, e, Characteristic(p), 3)
+        return verdicts, [np.concatenate(field) for field in zip(*screened)]
+
+    cases = [(e, p) for e in _h_instances(10) for p in (0, 3)]
+    got = [scan(e, p) for e, p in cases]
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_h_table", lambda e: None)
+        m.setattr(checker, "component_orbits", chain_oracle.component_orbits)
+        for (e, p), (verdicts, geometry) in zip(cases, got):
+            oracle, oracle_geometry = scan(e, p)
+            assert verdicts == oracle, (e.ambient, e.family, p)
+            for name, a, b in zip(checker._Geometry._fields, geometry, oracle_geometry):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (e.ambient, e.family, p, name)
+    assert len(cases) == 16
+    assert Counter(v for verdicts, _ in got for _, v in verdicts) == {
+        "FILTERED": 3108, "UNRESOLVED": 69, "REDUCIBLE": 59, "IRREDUCIBLE": 13}
 
 
 def test_scan_rejects_a_negative_or_non_integer_bound():
@@ -816,11 +959,21 @@ def test_scan_rejects_a_negative_or_non_integer_bound():
     assert scan_candidates(ambient, e, P0, np.int64(1)) == scan_candidates(ambient, e, P0, 1)
 
 
-def test_scan_dimension_test_is_one_product():
+def _whole_or_chain_orbits(e, rows):
+    """``component_orbits``, or the oracle's chain walk where the group is
+    past the whole-group step (the maximal-torus normalizers of A5 and D5,
+    which a scan decides from their pairings)."""
+    if chain_oracle.chain_order(e) > embeddings.WHOLE_GROUP_ORDER:
+        return chain_oracle.component_orbits(e, rows)
+    return embeddings.component_orbits(e, rows)
+
+
+def test_scan_dimension_test_is_one_product(monkeypatch):
     # the scan reads the prediction's dimension sum as |orbit| * m * dim of
     # lam_h: the component group acts on H^0 by automorphisms, which keep
     # dimensions, and m is constant on the orbit; against the sum over the
     # orbit, on the predictions the scan itself makes
+    monkeypatch.setattr(checker, "component_orbits", _whole_or_chain_orbits)
     checks = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         lams = dominant_weights_bounded(ambient.rank, bound)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from weylbranch import charcalc, checker
+from weylbranch import charcalc, checker, embeddings
 from weylbranch.cli import main, parse_family_spec
 from weylbranch.embeddings import FAMILY_TAGS, build_embedding, geom_family, instances
 from weylbranch.rootsys import _MIN_RANK, FAMILIES, LieType, build_root_system
@@ -334,6 +334,16 @@ def test_report_digests(capsys, monkeypatch):
          "4154748df1854e1a574fbcd1b6cd4520d3ea742bce48b2c074cb651c98c0ac7f"),
         (("scan", "A", "8", "c2:l=0,t=9", "--bound", "3"),
          "ec9bc4fab27a2c03edce94b25f5a726cac609c6ed6e9010e39677555e1aada9b"),
+        # the wreath products decided from the h invariant, once the slowest
+        # scans (12 s for C12 on the former stabilizer-chain walk)
+        (("scan", "C", "11", "c2:l=1,t=11", "--bound", "3"),
+         "8b29fbad38d82f8b77e9167752bd4528bda114ae54a94e6fac26785d3540fc60"),
+        (("scan", "C", "12", "c2:l=1,t=12", "--bound", "3"),
+         "6046f84fd1c5a3e0df65af7beba55dafec331b0efb8589191f3cfb2405b37863"),
+        (("scan", "D", "12", "c2:kind=Bl,l=1,t=8", "--bound", "3"),
+         "33cb24f090a91f98c4321319abf649d9a4975b34bb7da57aafaad935c90c3eaa"),
+        (("scan", "D", "12", "c2:kind=Dl,l=2,t=6", "--bound", "3"),
+         "5a912860dcd41b994b7418c1ee1a67ca28fb68c6437aeb17d80218d03a3e736c"),
         # decided by the dimension rule: the branching's table and conservation line
         (("branch", "B", "5", "0,0,0,0,1", "c1:Dn"),
          "79c5d5da60920a673d95c89796f56ff40fc89e1a4da4dcd83ea22277a0d3b58f"),
@@ -348,6 +358,21 @@ def test_report_digests(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_scan_refuses_a_large_group_with_no_h_route_shape(capsys, monkeypatch):
+    # a component group past the whole-group step that is no wreath product
+    # ends the scan with exit 2 and one error record, before any verdict:
+    # shown with the step lowered to one element on B3 c1:Dn, whose group
+    # is one diagram flip
+    embeddings.component_group.cache_clear()
+    try:
+        monkeypatch.setattr(embeddings, "WHOLE_GROUP_ORDER", 1)
+        code, out, err = run(capsys, "scan", "B", "3", "c1:Dn", "--bound", "3")
+    finally:
+        embeddings.component_group.cache_clear()
+    assert code == 2 and out == ""
+    assert err == "error: component group of c1:sub=Dn on B3: more than 1 elements\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chain_oracle
 from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
 from test_rootsys import fundamental_weight
@@ -539,16 +540,41 @@ def _orbit_blocks(e, weights):
     return orbits, chunks
 
 
+def _whole_group(e):
+    """Whether e's component group is applied whole, by the oracle's order."""
+    return chain_oracle.chain_order(e) <= embeddings.WHOLE_GROUP_ORDER
+
+
 def test_component_orbits_match_oracle():
-    # each embedding's weights walked as one block: every orbit's rows, in
-    # the oracle's sorted order, and one size per weight
-    checks = 0
+    # each whole-group embedding's weights walked as one block: every
+    # orbit's rows, in the oracle's sorted order, and one size per weight;
+    # a larger group is refused before any row is made
+    checks = refused = 0
     for e, weights in ORACLE_WEIGHTS:
+        if not _whole_group(e):
+            with pytest.raises(kernels.KernelCapacityError, match="more than 512 elements"):
+                _orbit_blocks(e, weights)
+            refused += 1
+            continue
         orbits, chunks = _orbit_blocks(e, weights)
         assert orbits == [component_orbit_oracle(e, w) for w in weights], (e.ambient, e.family)
         assert [len(c) for c in orbits] == [n for sizes in chunks for n in sizes]
         checks += len(weights)
-    assert checks == 3164
+    assert checks == 2798 and refused == 11
+
+
+def test_component_orbit_chunks_hold_whole_group_images():
+    # a chunk holds at most ORBIT_CHUNK_ROWS // |A| weights, one at least,
+    # and where the chunks end changes no orbit
+    e = build_embedding(LieType("C", 5), geom_family("c2", l=1, t=5))
+    weights = [restrict_weight(e, lam) for lam in dominant_weights_bounded(5, 3)]
+    expected = [component_orbit_oracle(e, w) for w in weights]
+    assert len(embeddings.component_group(e)[0]) == 120 and len(weights) == 55
+    for rows, most in ((1 << 13, 55), (1000, 8), (1, 1)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(embeddings, "ORBIT_CHUNK_ROWS", rows)
+            orbits, chunks = _orbit_blocks(e, weights)
+        assert orbits == expected and max(map(len, chunks)) == most
 
 
 def test_generators_are_involutions():
@@ -561,7 +587,7 @@ def test_generators_are_involutions():
 
 
 def _chain_sizes(e):
-    return [len(idx) for idx, _ in embeddings._stabilizer_chain(e.generators, e.width)]
+    return [len(idx) for idx, _ in chain_oracle.chain_of(e)]
 
 
 def _chain_order(e):
@@ -587,18 +613,20 @@ def test_chain_order_of_the_torus_normalizers_and_block_swaps():
 def test_chain_order_matches_the_group_closure():
     # a weight with distinct non-zero absolute coordinates has a trivial
     # stabilizer in the signed permutations, so its orbit under the
-    # generators, walked by the oracle, has |G| elements; the first
-    # transversal is the largest, which bounds the walk's first stages
+    # generators, walked by the oracle search, has |A| elements: the
+    # oracle's chain order, and the number of elements of the group that
+    # ``component_orbits`` applies whole, which lists each one once
     checked = 0
     for e in INSTANCES_12:
-        order = _chain_order(e)
-        if e.ambient.rank > 8 or order > 10**5:
+        if not _whole_group(e):
             continue
-        assert order == len(component_orbit_oracle(e, range(1, e.width + 1))), (e.ambient, e.family)
-        sizes = _chain_sizes(e)
-        assert sizes[0] == max(sizes), (e.ambient, e.family)
-        checked += 1
-    assert checked == 111
+        idx, sgn = embeddings.component_group(e)
+        elements = {(tuple(i), tuple(s)) for i, s in zip(idx.tolist(), sgn.tolist())}
+        assert len(elements) == len(idx) == _chain_order(e), (e.ambient, e.family)
+        if e.ambient.rank <= 8:
+            assert len(idx) == len(component_orbit_oracle(e, range(1, e.width + 1))), (e.ambient, e.family)
+            checked += 1
+    assert checked == 103
 
 
 # The former natural-module arithmetic, kept as the oracle of the epsilon
@@ -713,35 +741,6 @@ def test_component_orbits_refuse_coordinates_past_their_keys():
     assert orbits == [component_orbit_oracle(e, (last, 0, 0, 0))]
     with pytest.raises(kernels.KernelCapacityError, match="2\\*\\*60"):
         _orbit_blocks(e, [(0, 0, 0, 0), (1 << 60, 0, 0, 0)])
-
-
-@pytest.mark.parametrize("rows", [1, 7, 512, embeddings.ORBIT_CHUNK_ROWS])
-def test_component_orbit_chunks_do_not_change_the_orbits(monkeypatch, rows):
-    # a stage makes at most ORBIT_CHUNK_ROWS rows, or walks one weight, so a
-    # chunk holds at most that many orbit rows, or one weight; a weight shed
-    # before a stage resumes there, so each one enters the first stage once;
-    # where the chunks end changes no orbit (at 512 rows a D8 torus-normalizer
-    # chunk once sheds every weight due at a stage, keeping only later ones)
-    expected = [_orbit_blocks(e, weights)[0] for e, weights in ORACLE_WEIGHTS]
-    monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", rows)
-    stage, calls = embeddings._orbit_stage, []
-
-    def record(step, weight, image, start, keys):
-        calls.append((step, weight[start:].tolist(), image[start:].tolist()))
-        return stage(step, weight, image, start, keys)
-
-    monkeypatch.setattr(embeddings, "_orbit_stage", record)
-    split = 0
-    for (e, weights), orbits in zip(ORACLE_WEIGHTS, expected):
-        calls.clear()
-        found, chunks = _orbit_blocks(e, weights)
-        assert found == orbits, (e.ambient, e.family)
-        assert all(sum(sizes) <= rows or len(sizes) == 1 for sizes in chunks)
-        entered = [tuple(w) for step, _, image in calls if step is e.orbit_chain[0] for w in image]
-        assert sorted(entered) == sorted(weights), (e.ambient, e.family)
-        assert all(len(image) * len(step[0]) <= rows or len(set(weight)) == 1 for step, weight, image in calls)
-        split += len(chunks) > 1
-    assert split > (100 if rows < 8 else 0)
 
 
 def test_instance_counts():

@@ -173,6 +173,17 @@ def test_orbit_cap_edges():
     assert len(out) == 16 and len({tuple(r) for r in out.tolist()}) == 16
 
 
+@pytest.mark.parametrize("bad", ["1_000", " 7 ", "+5", "\u0665"])
+def test_orbit_cap_refuses_all_but_ascii_digits(monkeypatch, bad):
+    # int() reads each of these (1000, 7, 5 and the Arabic-Indic 5), but a
+    # cap is written in plain ASCII digits, as table literals are
+    monkeypatch.setenv("WEYLBRANCH_CAP", bad)
+    with pytest.raises(ValueError, match="WEYLBRANCH_CAP must be a positive integer"):
+        kernels.orbit_cap()
+    monkeypatch.setenv("WEYLBRANCH_CAP", "12")
+    assert kernels.orbit_cap() == 12
+
+
 def test_orbit_walk_checks_its_count(monkeypatch):
     # a walk that ends with other than |W : W_mu| rows raises, also under -O
     rs = build_root_system(LieType("B", 3))
