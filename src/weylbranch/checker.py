@@ -52,18 +52,18 @@ R(lam - beta) is R(lam - beta) + kappa, kappa in Q+(H^0) of height
 h(R beta), and at most C(h(R beta) + ss - 1, ss - 1) of those are tested
 against the canonical block form of R lam (``embeddings.Wreath``), which
 also counts the orbit.  A single weight (an entry, ``branch_p0``,
-``necessary_filters``, and a torus or h-route survivor that needs a
-branching) keeps the search of ``component_orbit_set``, which is about
-four times faster on one weight than the array step.  At p = 0 a survivor whose
-prediction's dimension sum differs from dim V is REDUCIBLE at once: an
-IRREDUCIBLE one has the prediction as its factors, and branch conservation
-makes their sum dim V.  The component group acts on H^0 by automorphisms,
-which keep dimensions, and m is constant on the orbit, so that sum is one
-product, |orbit| * m * dim of lam_h: one ``charcalc.weyl_dims`` call per
-factor of H^0 and one for G decide it for a chunk.  A sum that agrees is
-IRREDUCIBLE with no branching by Seitz's highest-weight-vector argument
-when ``_ChainTable.borel`` holds and m = 1 (the rule of ``_branch_p0``);
-only the rest are branched, reusing the prediction.
+``necessary_filters``, and a scan survivor that needs a branching) keeps
+the search of ``component_orbit_set``, four times faster on one weight.
+At p = 0 a survivor whose prediction's dimension sum differs from dim V is
+REDUCIBLE at once: an IRREDUCIBLE one has the prediction as its factors,
+and branch conservation makes their sum dim V.  The component group acts
+on H^0 by automorphisms, which keep dimensions, and m is constant on the
+orbit, so that sum is one product, |orbit| * m * dim of lam_h: one
+``charcalc.weyl_dims`` call per factor of H^0 and one for G decide it for
+a chunk; m is one value per candidate.  A sum that agrees is IRREDUCIBLE
+with no branching by Seitz's rule when ``_ChainTable.borel`` holds and
+m = 1 (see ``_branch_p0``); the rest are branched, on any route after one
+``component_orbit_set`` search.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
 every cache here; a public call that also takes G refuses any other G.
@@ -454,22 +454,19 @@ def _exact_chain_table(e: Embedding, lam):
 
 
 class _Geometry(NamedTuple):
-    pair: np.ndarray  # candidates x chains: <lam, beta-coroot>
     bare: np.ndarray  # candidates x chains: R(lam - beta) lies under no orbit element
     single: np.ndarray  # candidates x groups: the group's image lies one factor simple root under exactly one orbit element
-    capacity: np.ndarray  # candidates x groups: that element's multiplicity, where its image lies under it alone
 
 
-def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults):
+def _geometry(e: Embedding, t: _ChainTable, lam_h_a, orbit, sizes):
     """The characteristic-free part of the filters for a block of candidates.
 
-    ``lam_a`` holds the candidates as rows and ``lam_h_a`` their
-    restrictions; their ``clifford_prediction`` is read as arrays: the
-    component orbits one after another as the rows of ``orbit``, one orbit
-    size per candidate in ``sizes`` and one multiplicity in ``mults``.  A
-    (candidate, orbit element) row lies over a chain image only where its
-    packed residues and charges match the chain's key, in one rows x chains
-    step; only the matched pairs are tested for non-negative coordinates.
+    ``lam_h_a`` holds the restricted candidates as rows; their component
+    orbits are the rows of ``orbit``, one after another, with one orbit
+    size per candidate in ``sizes``.  A (candidate, orbit element) row lies
+    over a chain image only where its packed residues and charges match the
+    chain's key, in one rows x chains step; only the matched pairs are
+    tested for non-negative coordinates.
     """
     ss = e.semisimple_rank
     n, k = len(sizes), len(t.labels)
@@ -488,56 +485,56 @@ def _geometry(e: Embedding, t: _ChainTable, lam_a, lam_h_a, orbit, sizes, mults)
     cand = owner[row]
     above = np.bincount(cand * k + chain, minlength=n * k).reshape(n, k)  # candidates x chains: orbit elements over mu_h
     single = np.zeros((n, len(t.lead)), dtype=bool)
-    capacity = np.zeros(single.shape, dtype=np.int64)
     # a group's weights restrict to one weight; where it lies one factor
     # simple root below a single orbit element, the certified ones are at
-    # most that element's multiplicity, which ``_screen`` checks at p
+    # most that element's multiplicity m, which ``_screen`` checks at p
     hit, grp = np.nonzero(above[:, t.lead] == 1)
     if hit.size:
         lead = t.lead[grp]
         at = np.zeros(above.shape, dtype=np.intp)
         at[cand, chain] = row  # the one row over mu_h, where there is one
         steps = ((scaled[at[hit, lead]] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-        capacity[hit, grp] = mults[hit]
         single[hit, grp] = steps == 1
-    return _Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
+    return _Geometry(above == 0, single)
 
 
 class _Screen(NamedTuple):
     certified: np.ndarray  # candidates x chains: the pairing certifies lam - beta as a weight of L(lam)
     escaped: np.ndarray  # candidates x chains: certified, and R(lam - beta) lies under no orbit element
-    exceeded: np.ndarray  # candidates x groups: the group's certified chains exceed its capacity
-    capacity: np.ndarray  # candidates x groups: that capacity, where ``exceeded``
+    exceeded: np.ndarray  # candidates x groups: the group's certified chains exceed the candidate's m
 
     def filtered(self):
         """Per candidate: whether any finding disqualifies it."""
         return self.escaped.any(axis=1) | self.exceeded.any(axis=1)
 
 
-def _screen(e: Embedding, chi: Characteristic, t: _ChainTable, g: _Geometry):
-    """The necessary filters' decision at p, from the candidates' geometry."""
-    certified = g.pair > 0
+def _screen(e: Embedding, chi: Characteristic, t: _ChainTable, pair, g: _Geometry, m):
+    """The necessary filters' decision at p, from the candidates' pairings
+    <lam, beta-coroot>, their geometry and their m (a column, or one int):
+    a group under a single orbit element carries at most m certified chains."""
+    certified = pair > 0
     if not charcalc.premet_applies(e.root_system, chi):
-        certified &= g.pair % chi.p != 0
+        certified &= pair % chi.p != 0
     count = certified @ t.shared
-    exceeded = g.single & (count >= 2) & (count > g.capacity)
-    return _Screen(certified, certified & g.bare, exceeded, g.capacity)
+    exceeded = g.single & (count > m)  # m >= 1, so two chains at least
+    return _Screen(certified, certified & g.bare, exceeded)
 
 
 class _EntryRecord(NamedTuple):
     """The facts of one (embedding, lam) that no p changes: ``filtered``
     is the filters' decision wherever Premet applies (only p <= e(G)
-    screens again), and ``kappa`` with the ``lead`` parts give the
+    screens again), and kappa = m |orbit| with the ``lead`` parts give the
     dimension identity at p > 0, which validates lam once and reads every
     dimension from the cache."""
 
     table: _ChainTable  # the embedding's chain table, shared with every other weight
     lam_h: np.ndarray  # 1 x width: R lam
     predicted: MappingProxyType  # ``clifford_prediction`` of R lam, read-only
+    pair: np.ndarray  # 1 x chains: <lam, beta-coroot>
+    m: int  # the multiplicity of every predicted factor
     geometry: _Geometry  # one row: the filters' characteristic-free part
     filtered: bool  # the filters disqualify lam at p = 0
     restrictions: frozenset  # the semisimple parts of the predicted factors
-    kappa: int  # the sum of the predicted multiplicities
     lead: tuple  # the ``e.split`` parts of the first predicted factor
 
 
@@ -557,16 +554,15 @@ def _entry_record(e: Embedding, lam):
     lam_a = np.array([lam], dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
     predicted = clifford_prediction(e, tuple(lam_h_a[0].tolist()))
-    orbit = np.array(list(predicted), dtype=np.int64)
-    sizes, mults = np.array([[len(orbit)], [next(iter(predicted.values()))]])
-    geometry = _geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults)
-    for a in (lam_h_a, *geometry):
+    m = next(iter(predicted.values()))
+    pair = lam_a @ t.coroots.T
+    geometry = _geometry(e, t, lam_h_a, np.array(list(predicted), dtype=np.int64), np.array([len(predicted)]))
+    for a in (lam_h_a, pair, *geometry):
         a.flags.writeable = False
-    filtered = bool(_screen(e, Characteristic(0), t, geometry).filtered()[0])
+    filtered = bool(_screen(e, Characteristic(0), t, pair, geometry, m).filtered()[0])
     restrictions = frozenset(c[: e.semisimple_rank] for c in predicted)
     lead = e.split(next(iter(predicted)))[0]
-    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), geometry, filtered, restrictions,
-                        sum(predicted.values()), lead)
+    return _EntryRecord(t, lam_h_a, MappingProxyType(predicted), pair, m, geometry, filtered, restrictions, lead)
 
 
 def necessary_filters(e: Embedding, lam, chi: Characteristic):
@@ -609,7 +605,7 @@ def _entry_findings(e: Embedding, lam, record: _EntryRecord, chi: Characteristic
     if not record.filtered and charcalc.premet_applies(e.root_system, chi):
         return []
     t, lam_h_a = record.table, record.lam_h
-    s = _screen(e, chi, t, record.geometry)
+    s = _screen(e, chi, t, record.pair, record.geometry, record.m)
     if not s.filtered()[0]:
         return []
     ss = e.semisimple_rank
@@ -641,7 +637,7 @@ def _entry_findings(e: Embedding, lam, record: _EntryRecord, chi: Characteristic
             "kind": "multiplicity-bound-exceeded",
             "target": mu_h,
             "witnesses": (lam_a - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
-            "capacity": int(s.capacity[0, g]),
+            "capacity": record.m,
         })
     return findings
 
@@ -711,7 +707,7 @@ def verify_entry(entry: ClassificationEntry, chi: Characteristic, cap=None) -> B
                 "found": sorted(list(x) for x in record.restrictions),
             })
             return rep
-    kappa = rep.kappa_found = record.kappa
+    kappa = rep.kappa_found = record.m * len(record.predicted)
     if entry.expected_kappa is not None and kappa != entry.expected_kappa:
         rep.verdict = FAIL
         rep.reasons.append({
@@ -797,55 +793,23 @@ FILTERED = "FILTERED"
 UNRESOLVED = "UNRESOLVED"
 
 
-class _Predictions(NamedTuple):
-    """The ``clifford_prediction`` of a block of candidates, as arrays."""
-
-    orbit: np.ndarray  # the component orbits one after another, each sorted; None where none was walked
-    sizes: np.ndarray  # per candidate: its orbit size
-    mults: np.ndarray  # per candidate: the multiplicity of each factor in its orbit
-
-    def predicted(self, i):
-        """Candidate i's prediction as a ``clifford_prediction`` map, where
-        the orbits were walked."""
-        start = int(self.sizes[:i].sum())
-        rows = self.orbit[start:start + self.sizes[i]].tolist()
-        return dict.fromkeys(map(tuple, rows), int(self.mults[i]))
+def _multiplicities(e: Embedding, lam_h_a):
+    """m per restricted candidate: ``central_multiplicity`` where e has a
+    central 2-part, and 1 throughout where it has none."""
+    if not e.central2:
+        return np.ones(len(lam_h_a), dtype=np.int64)
+    return np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a.tolist()], dtype=np.int64)
 
 
-def _prediction_blocks(e: Embedding, lam_h_a, h=None):
-    """The predictions of the restricted candidates ``lam_h_a`` in blocks:
-    one per chunk of ``component_orbits``, at most ``ORBIT_CHUNK_ROWS``
-    orbit rows or one candidate, or on the h route (``h``, the embedding's
-    ``_h_table``) one per ``h.step`` candidates, with no orbit walked
-    (``orbit`` None) and each size read off the canonical block form.
-
-    This is the scan's ``clifford_prediction``: the whole component group
-    applied to a chunk in one array step, in place of one
-    ``component_orbit_set`` search per candidate, which is faster only on
-    one weight.  The chunk bound is also the one bound on the screen's
-    memory, since the geometry reads each block whole.
-    """
-    if h is None:
-        chunks = component_orbits(e, lam_h_a)
-    else:
-        chunks = ((None, h.wreath.orbit_sizes(lam_h_a[lo:lo + h.step])) for lo in range(0, len(lam_h_a), h.step))
+def _walked_blocks(e: Embedding, t: _ChainTable, lam_h_a):
+    """(rows, orbit sizes, geometry) per chunk of ``component_orbits``: at
+    most ``ORBIT_CHUNK_ROWS`` orbit rows, or one candidate, which also
+    bounds the screen's memory, since the geometry reads each block whole."""
     start = 0
-    for orbit, sizes in chunks:
-        if e.central2:
-            mults = np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a[start:start + len(sizes)].tolist()])
-        else:  # no central 2-part: m = 1 throughout
-            mults = np.ones(len(sizes), dtype=np.int64)
-        start += len(sizes)
-        yield _Predictions(orbit, sizes, mults)
-
-
-def _walked_blocks(e: Embedding, t: _ChainTable, lam_a, lam_h_a):
-    """(predictions, geometry) per chunk of ``_prediction_blocks``."""
-    start = 0
-    for block in _prediction_blocks(e, lam_h_a):
-        rows = slice(start, start + len(block.sizes))
+    for orbit, sizes in component_orbits(e, lam_h_a):
+        rows = slice(start, start + len(sizes))
         start = rows.stop
-        yield block, _geometry(e, t, lam_a[rows], lam_h_a[rows], *block)
+        yield rows, sizes, _geometry(e, t, lam_h_a[rows], orbit, sizes)
 
 
 class _HTable(NamedTuple):
@@ -871,9 +835,6 @@ def _h_table(e: Embedding):
     C(k_beta + ss - 1, ss - 1) weights per chain, whatever the orbit size,
     and none where k_beta is no non-negative integer.
     """
-    # t blocks make a wreath product of at most t! 2^t elements
-    if math.factorial(len(e.factor_groups)) << len(e.factor_groups) <= embeddings.WHOLE_GROUP_ORDER:
-        return None
     wreath = embeddings.wreath_shape(e)
     if wreath is None or wreath.order <= embeddings.WHOLE_GROUP_ORDER:
         return None
@@ -897,34 +858,31 @@ def _h_table(e: Embedding):
                    max(embeddings.ORBIT_CHUNK_ROWS // max(len(shifts), 1), 1))
 
 
-def _h_blocks(e: Embedding, t: _ChainTable, h: _HTable, lam_a, lam_h_a):
-    """(predictions, geometry) per block of candidates on the h route, with
-    no orbit walked and no key matched.
+def _h_blocks(e: Embedding, t: _ChainTable, h: _HTable, lam_h_a):
+    """(rows, orbit sizes, geometry) per ``h.step`` candidates on the h
+    route, with no orbit walked.
 
     A candidate's orbit elements over its mu_h are the c = mu_h + kappa of
     ``_h_table`` whose canonical block form is lam_h's: ``above`` counts
     them; ``single`` is one of them at k_beta = 1, one factor simple root
-    above; ``capacity`` is then m.
+    above.  Each orbit size is read off the canonical block form.
     """
-    start, k = 0, len(t.labels)
-    for block in _prediction_blocks(e, lam_h_a, h):
-        rows = slice(start, start + len(block.sizes))
-        start = rows.stop
-        n = len(block.sizes)
-        c = (lam_h_a[rows, None, :] + h.shifts).reshape(-1, e.width)
-        canon = h.wreath.canonical(np.concatenate((lam_h_a[rows], c)))
+    k = len(t.labels)
+    for start in range(0, len(lam_h_a), h.step):
+        rows = slice(start, start + h.step)
+        block = lam_h_a[rows]
+        n = len(block)
+        c = (block[:, None, :] + h.shifts).reshape(-1, e.width)
+        canon = h.wreath.canonical(np.concatenate((block, c)))
         cand, row = np.nonzero((canon[n:].reshape(n, len(h.shifts), canon.shape[1]) == canon[:n, None]).all(axis=2))
         above = np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k)
-        lone = above[:, t.lead] == 1
-        yield block, _Geometry(lam_a[rows] @ t.coroots.T, above == 0, lone & (h.heights[t.lead] == 1),
-                               np.where(lone, block.mults[:, None], 0))
+        single = (above[:, t.lead] == 1) & (h.heights[t.lead] == 1)
+        yield rows, h.wreath.orbit_sizes(block), _Geometry(above == 0, single)
 
 
 def _torus_blocks(e: Embedding, t: _ChainTable, lam_a):
-    """(predictions, geometry) per block of candidates where ``t.torus``
-    holds, from the coroot pairings alone, with no orbit walked and no key
-    matched: blocks of at most ``ORBIT_CHUNK_ROWS`` (candidate, chain)
-    pairings, each with ``orbit`` None and m = 1.
+    """(rows, orbit sizes, geometry) per ``ORBIT_CHUNK_ROWS`` (candidate,
+    chain) pairings where ``t.torus`` holds, with no orbit walked.
 
     H^0 has no roots, so R(lam - beta) lies under an orbit element exactly
     when it is one, that is (R being one to one) when lam - beta is in
@@ -937,15 +895,24 @@ def _torus_blocks(e: Embedding, t: _ChainTable, lam_a):
     """
     step = max(embeddings.ORBIT_CHUNK_ROWS // len(t.labels), 1)
     for start in range(0, len(lam_a), step):
-        block = lam_a[start:start + step]
-        pair = block @ t.coroots.T
+        rows = slice(start, start + step)
+        pair = lam_a[rows] @ t.coroots.T
         sizes = [
             charcalc._orbit_size_cached(e.ambient, tuple(c == 0 for c in lam)) if low else 0
-            for lam, low in zip(block.tolist(), (pair < 2).all(axis=1).tolist())
+            for lam, low in zip(lam_a[rows].tolist(), (pair < 2).all(axis=1).tolist())
         ]
-        single = np.zeros((len(block), len(t.lead)), dtype=bool)
-        yield (_Predictions(None, np.array(sizes, dtype=np.int64), np.ones(len(block), dtype=np.int64)),
-               _Geometry(pair, pair != 1, single, np.zeros(single.shape, dtype=np.int64)))
+        yield rows, np.array(sizes, dtype=np.int64), _Geometry(pair != 1, np.zeros((len(pair), len(t.lead)), bool))
+
+
+def _scan_blocks(e: Embedding, t: _ChainTable, lam_a, lam_h_a):
+    """The blocks of the route a scan of e takes: the maximal-torus
+    normalizers', the large wreath products' or the whole group's."""
+    if t.torus:
+        return _torus_blocks(e, t, lam_a)
+    h = _h_table(e)
+    if h is not None:
+        return _h_blocks(e, t, h, lam_h_a)
+    return _walked_blocks(e, t, lam_h_a)
 
 
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):
@@ -958,9 +925,10 @@ def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_s
     dimension sum differs from dim V is REDUCIBLE without a branching, since
     conservation gives an IRREDUCIBLE one exactly that sum; one whose sum
     agrees is IRREDUCIBLE without one where ``_branch_p0``'s rule holds.
-    Only the rest (m > 1, no ``borel``) are branched, reusing their
-    prediction; an IRREDUCIBLE candidate can meet ``cap``.  ``ambient`` must
-    be ``e.ambient``, ``coeff_sum_bound`` a non-negative integer.
+    Only the rest (m > 1, no ``borel``) are branched, each after one
+    ``clifford_prediction`` search; an IRREDUCIBLE candidate can meet
+    ``cap``.  ``ambient`` must be ``e.ambient``, ``coeff_sum_bound`` a
+    non-negative integer.
     """
     _require_ambient(ambient, e)
     if not isinstance(coeff_sum_bound, numbers.Integral) or coeff_sum_bound < 0:
@@ -978,26 +946,15 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     t = _exact_chain_table(e, max(lams, key=sum, default=()))
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
-    # three routes, chosen from the embedding: the maximal-torus normalizers
-    # from their pairings, the large wreath products from the h invariant,
-    # and every other component group applied whole
-    h = None if t.torus else _h_table(e)
-    if t.torus:
-        blocks = _torus_blocks(e, t, lam_a)
-    elif h is not None:
-        blocks = _h_blocks(e, t, h, lam_a, lam_h_a)
-    else:
-        blocks = _walked_blocks(e, t, lam_a, lam_h_a)
-    start = 0
-    for block, geometry in blocks:
-        rows = slice(start, start + len(block.sizes))
-        start = rows.stop
-        filtered = _screen(e, chi, t, geometry).filtered()
+    mults = _multiplicities(e, lam_h_a)
+    for rows, sizes, geometry in _scan_blocks(e, t, lam_a, lam_h_a):
+        m = mults[rows]
+        filtered = _screen(e, chi, t, lam_a[rows] @ t.coroots.T, geometry, m[:, None]).filtered()
         # IRREDUCIBLE makes the dimension sum dim V (conservation), and it is
         # |orbit| * m * dim of lam_h: automorphisms of H^0 keep dimensions and
         # m is constant on the orbit; one ``weyl_dims`` call per factor and G
         live = np.flatnonzero(~filtered & (chi.p == 0))
-        kappas = (block.sizes * block.mults)[live].tolist()
+        kappas = (sizes * m)[live].tolist()
         dims_h = charcalc.product_weyl_dims(e.factor_systems, lam_h_a[rows][live])
         dims_v = charcalc.weyl_dims(rs, lam_a[rows][live])
         agree = {i for i, k, d, v in zip(live.tolist(), kappas, dims_h, dims_v) if k * d == v}
@@ -1008,12 +965,9 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
                 yield lam, UNRESOLVED
             elif i not in agree:
                 yield lam, REDUCIBLE
-            elif t.borel and block.mults[i] == 1:  # the rule of ``_branch_p0``
+            elif t.borel and m[i] == 1:  # the rule of ``_branch_p0``
                 _checked_cap(e, lam, cap)
                 yield lam, IRREDUCIBLE
             else:
-                # a block that walked no orbit searches this one alone
-                lam_h = tuple(lam_h_a[rows][i].tolist())
-                predicted = clifford_prediction(e, lam_h) if block.orbit is None else block.predicted(i)
-                rep = _branch_p0(e, lam, predicted, cap)
+                rep = _branch_p0(e, lam, clifford_prediction(e, tuple(lam_h_a[rows][i].tolist())), cap)
                 yield lam, IRREDUCIBLE if rep.verdict == PASS else REDUCIBLE

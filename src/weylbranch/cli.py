@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -292,6 +293,11 @@ def build_parser():
     p.add_argument("coeffs")
     p.add_argument("--list", action="store_true")
     p.set_defaults(fn=cmd_orbit)
+    # argparse reads a leading "-" as an option unless the whole argument is a
+    # number such as -2 or -.5; a weight such as -1,0,0 is read as the
+    # positional too, since no option here starts with a digit
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

@@ -147,7 +147,7 @@ def component_orbit_set(e: Embedding, hw):
     change is an index shift: each generator is one ``itemgetter`` lookup
     per element, from ``e.doubled_getters``.  This is the walk for one
     weight (``checker.clifford_prediction``: an entry, ``branch_p0``, and a
-    scan's torus or h-route survivor that needs a branching): on the small
+    scan survivor on any route that needs a branching): on the small
     orbits of ``scan_p0``'s weights it takes 2-7 us, where
     ``component_orbits``, the whole group applied to a block of weights,
     takes 25-35 us, since each of its array steps has a fixed cost.

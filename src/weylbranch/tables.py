@@ -211,6 +211,8 @@ def _terms(node, env, head, arity, coef=1, span=1):
         lo, hi = _int(lo, env), _int(hi, env)
         if _too_long(lo, hi, span):
             raise TableError(f"sum {ast.unparse(node)!r} runs over more than {MAX_RANGE_LENGTH} values")
+        if coef == 0:  # a sum times 0 adds nothing, and its body is not read
+            return
         for v in range(lo, hi + 1):
             yield from _terms(body, {**env, var.id: v}, head, arity, coef, span * (hi - lo + 1))
     else:

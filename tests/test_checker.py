@@ -297,9 +297,12 @@ def _assert_plain(value):
 
 def test_filters_match_scalar_oracle():
     # each weight's cached record is first filled at p = 0 and then at p = 7,
-    # so every other characteristic reads a record filled at another p
-    cases = 0
-    for ambient, e in FILTER_INSTANCES:
+    # so every other characteristic reads a record filled at another p.  Up
+    # to rank 8 only D6 c2:kind=Bl,l=1,t=4 has multiplicity-bound findings
+    # of capacity 2 (m = 2, from its central 2-part), so it is compared too
+    d6 = LieType("D", 6)
+    cases, capacities = 0, Counter()
+    for ambient, e in FILTER_INSTANCES + [(d6, build_embedding(d6, geom_family("c2", kind="Bl", l=1, t=4)))]:
         rs = build_root_system(ambient)
         for w in dominant_weights_bounded(ambient.rank, 3):
             expected = {p: scalar_necessary_filters(rs, w, e, Characteristic(p)) for p in FILTER_PRIMES}
@@ -310,8 +313,11 @@ def test_filters_match_scalar_oracle():
                     assert got == expected[p], (ambient, e.family, w, p, primes[0])
                     for finding in got:
                         _assert_plain(finding)
+                        capacities[finding.get("capacity")] += 1
                     cases += 1
-    assert len(FILTER_INSTANCES) == 42 and cases == 1532 * len(FILTER_PRIMES) * 2
+    assert len(FILTER_INSTANCES) == 42 and cases == (1532 + 83) * len(FILTER_PRIMES) * 2
+    # twelve findings of capacity 2 at each p, all on D6
+    assert capacities[2] == 12 * len(FILTER_PRIMES) * 2 > 0, capacities
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,7 +334,7 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
         _assert_plain(finding)
 
 
-def dense_geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults):
+def dense_geometry(e, t, lam_h_a, orbit, sizes):
     """The former ``_geometry``, kept as an oracle: every (candidate, orbit
     element) row is tested against every chain across the whole width, in
     one dense rows x chains x width product, and ``reduceat`` folds the rows."""
@@ -341,15 +347,13 @@ def dense_geometry(e, t, lam_a, lam_h_a, orbit, sizes, mults):
     under = (scaled[:, None] >= -t.scaled_images).all(axis=2) & (key[:, None] == keys).all(axis=2)
     above = np.add.reduceat(under, starts, axis=0, dtype=np.int64)
     single = np.zeros((len(sizes), len(t.lead)), dtype=bool)
-    capacity = np.zeros(single.shape, dtype=np.int64)
     cand, grp = np.nonzero(above[:, t.lead] == 1)
     if cand.size:
         lead = t.lead[grp]
         row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
         steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-        capacity[cand, grp] = mults[cand]
         single[cand, grp] = steps == 1
-    return checker._Geometry(lam_a @ t.coroots.T, above == 0, single, capacity)
+    return checker._Geometry(above == 0, single)
 
 
 def _assert_same_geometry(got, args):
@@ -366,9 +370,9 @@ def _check_geometry(monkeypatch):
     def checked(*args):
         got = geometry(*args)
         _assert_same_geometry(got, args)
-        # a block's candidates are the rows of its lam_a, the third
-        # argument, and its orbit rows those of ``orbit``, the fifth
-        calls.append((len(args[2]), len(args[4])))
+        # a block's candidates are the rows of its lam_h_a, the third
+        # argument, and its orbit rows those of ``orbit``, the fourth
+        calls.append((len(args[2]), len(args[3])))
         return got
 
     monkeypatch.setattr(checker, "_geometry", checked)
@@ -400,10 +404,10 @@ def test_geometry_matches_dense_oracle_on_a_torus_normalizer(monkeypatch):
     lam_a = np.array(dominant_weights_bounded(8, 3), dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
     start = 0
-    for block in itertools.islice(checker._prediction_blocks(e, lam_h_a), 3):
-        rows = slice(start, start + len(block.sizes))
+    for orbit, sizes in itertools.islice(checker.component_orbits(e, lam_h_a), 3):
+        rows = slice(start, start + len(sizes))
         start = rows.stop
-        args = (e, t, lam_a[rows], lam_h_a[rows], *block)
+        args = (e, t, lam_h_a[rows], orbit, sizes)
         _assert_same_geometry(checker._geometry(*args), args)
     assert start == 11
 
@@ -447,7 +451,7 @@ def screened_filters(e, lam, chi):
     lam = e.root_system.check_weight(lam)
     record = checker._entry_record(e, lam)
     t, lam_h_a = record.table, record.lam_h
-    s = checker._screen(e, chi, t, record.geometry)
+    s = checker._screen(e, chi, t, record.pair, record.geometry, record.m)
     if not s.filtered()[0]:
         return []
     ss = e.semisimple_rank
@@ -479,7 +483,7 @@ def screened_filters(e, lam, chi):
             "kind": "multiplicity-bound-exceeded",
             "target": mu_h,
             "witnesses": (lam_a - t.betas[s.certified[0] & (t.shared[:, g] == 1)]).tolist(),
-            "capacity": int(s.capacity[0, g]),
+            "capacity": record.m,
         })
     return findings
 
@@ -921,11 +925,16 @@ def test_wreath_with_every_flip():
 
 def test_h_route_matches_the_chain_walk(monkeypatch):
     # every h-route instance up to rank 10 at bound 3, p = 0 and 3: the
-    # verdicts and each candidate's geometry against the oracle's chain
-    # walk and the key match, which share no code with the route
+    # verdicts and each candidate's pairings, geometry and m against the
+    # oracle's chain walk and the key match, which share no code with the route
     screened = []
     screen = checker._screen
-    monkeypatch.setattr(checker, "_screen", lambda e, chi, t, g: screened.append(g) or screen(e, chi, t, g))
+
+    def record(e, chi, t, pair, g, m):
+        screened.append((pair, *g, m))
+        return screen(e, chi, t, pair, g, m)
+
+    monkeypatch.setattr(checker, "_screen", record)
 
     def scan(e, p):
         screened.clear()
@@ -940,7 +949,7 @@ def test_h_route_matches_the_chain_walk(monkeypatch):
         for (e, p), (verdicts, geometry) in zip(cases, got):
             oracle, oracle_geometry = scan(e, p)
             assert verdicts == oracle, (e.ambient, e.family, p)
-            for name, a, b in zip(checker._Geometry._fields, geometry, oracle_geometry):
+            for name, a, b in zip(("pair", *checker._Geometry._fields, "m"), geometry, oracle_geometry):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (e.ambient, e.family, p, name)
     assert len(cases) == 16
     assert Counter(v for verdicts, _ in got for _, v in verdicts) == {
@@ -959,35 +968,34 @@ def test_scan_rejects_a_negative_or_non_integer_bound():
     assert scan_candidates(ambient, e, P0, np.int64(1)) == scan_candidates(ambient, e, P0, 1)
 
 
-def _whole_or_chain_orbits(e, rows):
-    """``component_orbits``, or the oracle's chain walk where the group is
-    past the whole-group step (the maximal-torus normalizers of A5 and D5,
-    which a scan decides from their pairings)."""
-    if chain_oracle.chain_order(e) > embeddings.WHOLE_GROUP_ORDER:
-        return chain_oracle.component_orbits(e, rows)
-    return embeddings.component_orbits(e, rows)
-
-
-def test_scan_dimension_test_is_one_product(monkeypatch):
+def test_scan_dimension_test_is_one_product():
     # the scan reads the prediction's dimension sum as |orbit| * m * dim of
     # lam_h: the component group acts on H^0 by automorphisms, which keep
     # dimensions, and m is constant on the orbit; against the sum over the
-    # orbit, on the predictions the scan itself makes
-    monkeypatch.setattr(checker, "component_orbits", _whole_or_chain_orbits)
+    # orbit, on the orbit sizes of the route each scan takes and the m it
+    # reads.  A torus-route size is 0 only where a pairing of 2 or more
+    # filters the candidate at p = 0
     checks = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         lams = dominant_weights_bounded(ambient.rank, bound)
-        lam_h_a = np.array(lams, dtype=np.int64) @ e.restriction
+        lam_a = np.array(lams, dtype=np.int64)
+        lam_h_a = lam_a @ e.restriction
+        t = checker._chain_table(e)
+        mults = checker._multiplicities(e, lam_h_a).tolist()
         i = 0
-        for block in checker._prediction_blocks(e, lam_h_a):
-            for k in range(len(block.sizes)):
+        for rows, sizes, _ in checker._scan_blocks(e, t, lam_a, lam_h_a):
+            assert rows.start == i
+            for size in sizes.tolist():
                 lam_h = tuple(lam_h_a[i].tolist())
-                predicted = block.predicted(k)
-                assert predicted == checker.clifford_prediction(e, lam_h)
-                dims = charcalc.product_weyl_dims(e.factor_systems, [*predicted, lam_h])
-                total = sum(m * d for m, d in zip(predicted.values(), dims))
-                product = int(block.sizes[k] * block.mults[k]) * dims[-1]
-                assert total == product, (ambient, e.family, lams[i])
+                predicted = checker.clifford_prediction(e, lam_h)
+                assert set(predicted.values()) == {mults[i]}, (ambient, e.family, lams[i])
+                if size == 0:
+                    assert t.torus and (lam_a[i] @ t.coroots.T >= 2).any(), (ambient, e.family, lams[i])
+                else:
+                    assert size == len(predicted), (ambient, e.family, lams[i])
+                    dims = charcalc.product_weyl_dims(e.factor_systems, [*predicted, lam_h])
+                    total = sum(m * d for m, d in zip(predicted.values(), dims))
+                    assert total == size * mults[i] * dims[-1], (ambient, e.family, lams[i])
                 i += 1
         assert i == len(lams)
         checks += i
@@ -1044,7 +1052,7 @@ def test_entry_record_is_read_only():
     record = checker._entry_record(e, (1, 0, 0, 1))
     assert record.table is checker._chain_table(e)
     assert record.predicted == checker.clifford_prediction(e, restrict_weight(e, (1, 0, 0, 1)))
-    for a in (record.lam_h, *record.geometry):
+    for a in (record.lam_h, record.pair, *record.geometry):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
@@ -1052,7 +1060,7 @@ def test_entry_record_is_read_only():
         record.predicted[next(iter(record.predicted))] = 0
     # the other facts are immutable by type
     assert type(record.filtered) is bool and type(record.restrictions) is frozenset
-    assert type(record.kappa) is int and type(record.lead) is tuple
+    assert type(record.m) is int and type(record.lead) is tuple
     assert all(type(part) is tuple for part in record.lead)
 
 

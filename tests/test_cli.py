@@ -196,6 +196,18 @@ def test_rootsys_info_and_orbit(capsys):
     assert len([l for l in out.splitlines() if "," in l and "\t" not in l]) == 8
 
 
+def test_weight_with_a_negative_first_coefficient_is_positional(capsys):
+    # argparse reads -1,0,0 as an unknown option unless told otherwise;
+    # every command that takes a weight reads it as the weight
+    code, out, _ = run(capsys, "orbit", "A", "3", "-1,0,0")
+    assert code == 0 and out.splitlines()[:2] == ["dominant_rep\t0,0,1", "orbit_size\t4"]
+    assert run(capsys, "orbit", "A", "3", "--", "-1,0,0")[1] == out
+    code, out, err = run(capsys, "branch", "B", "3", "-1,0,0", "c1:Dn")
+    assert code == 2 and out == "" and "must be dominant" in err
+    code, out, err = run(capsys, "dim", "A", "3", "-1,0,0")
+    assert code == 2 and out == "" and "not dominant" in err
+
+
 def test_orbit_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("WEYLBRANCH_CAP", "4")
     code, out, err = run(capsys, "orbit", "B", "3", "0,0,1", "--list")

@@ -40,10 +40,11 @@ def test_no_numba_import():
 
 
 # the Clifford prediction is the one place the checker reads the component
-# orbit or the central multiplicities, made for one weight or for a scan's
-# block of them; every verdict reads its result
+# orbit or the central multiplicities, made for one weight, or for a scan
+# as its chunks of component orbits and its one m per candidate; every
+# verdict reads its result
 CLIFFORD_INPUTS = {"component_orbit_set", "component_orbits", "central_multiplicity"}
-PREDICTIONS = {"clifford_prediction", "_prediction_blocks"}
+PREDICTIONS = {"clifford_prediction", "_walked_blocks", "_multiplicities"}
 
 
 def test_clifford_inputs_read_only_in_prediction():
@@ -90,7 +91,7 @@ def _checker_reach(root):
 
 def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
     reached, calls = _checker_reach("scan_candidates")
-    assert {"_geometry", "_screen", "_prediction_blocks", "_branch_p0"} <= reached
+    assert {"_geometry", "_screen", "_walked_blocks", "_multiplicities", "_branch_p0"} <= reached
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
 

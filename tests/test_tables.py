@@ -6,7 +6,7 @@ from importlib import resources
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylbranch import tables
@@ -525,6 +525,7 @@ def _restriction_sums():
 
 @settings(max_examples=200, deadline=None)
 @given(_restriction_sums())
+@example("0*S(i=1..2,(((0/0)))*w(1,1))")  # a sum times 0: its body is not read
 def test_restriction_sums_match_the_former_reader(text):
     env = {**ENV, "i": 1}
     assert outcome(parse_restriction, text, env, DLB) == outcome(former_parse_restriction, text, env, DLB)
