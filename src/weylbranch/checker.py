@@ -14,11 +14,12 @@ anything beyond them is reported INCONCLUSIVE rather than guessed.
 The necessary filters read a table built once per embedding: the diagram
 chains beta of G, their coroot pairings, their images R beta (also in
 scaled factor root coordinates), the groups of chains that share one image,
-and each chain's residues and charges packed into an int64 key.  One
-rows x chains match of packed keys finds the (candidate, component-orbit
-element, chain) triples to test, only those are tested and folded per
-candidate, and a weight too large for exact int64 arithmetic raises
-KernelCapacityError.  That geometry does not depend on p: only the
+and each chain's height h(R beta), where h sums the H^0 root coordinates of
+a weight's semisimple part.  They read one count per (candidate, chain),
+``above``: the component-orbit elements over R(lam - beta).  Every
+generator keeps h, so each of those lies h(R beta) factor simple roots
+above R(lam - beta), and ``_geometry`` reads the filters' geometry off the
+count and the heights alone.  That geometry does not depend on p: only the
 certification <lam, beta-coroot> != 0 (mod p) does, and where Premet's
 theorem applies (p = 0 or p > e(G)) it is <lam, beta-coroot> > 0, so
 there the filters' decision does not depend on p either.  So an entry's
@@ -28,30 +29,34 @@ filters' geometry and their decision at p = 0) is decided once per
 filtered entry screens again.  ``verify_entry`` validates lam once,
 screens from the record it holds, reads every dimension from ``charcalc``'s
 cache, and at p > 0 compares dim L(lam) with one product, kappa times the
-dimensions of the lead orbit element's factors.  A scan restricts its
-bounded candidates in one int64 product and takes one of three routes,
-chosen from the embedding; each screens its blocks whole, and
-``ORBIT_CHUNK_ROWS`` bounds every block, so it is the one bound on the
-scan's memory.  Most component groups (order 2 to 192 up to rank 12, at
-most ``embeddings.WHOLE_GROUP_ORDER``) are applied whole:
-``embeddings.component_orbits`` makes every candidate's orbit in one array
-step per chunk, and the key match reads it.  Where H = N_G(T)
-(``_ChainTable.torus``: A_n as n + 1 lines, D_n as n planes) the scan walks
-no component orbit and matches no key: there R is one to one and the
-component group acts on it as W, so the component orbit of R lam is
-R(W lam); H^0 has no roots, so R(lam - beta) lies under an orbit element
-exactly when lam - beta is in W lam, that is, exactly when
-<lam, beta-coroot> = 1, since a W-orbit lies on one sphere and
-|lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2.  The
-pairings, in blocks of at most ``ORBIT_CHUNK_ROWS`` (candidate, chain)
-entries, decide the filters, and |W : W_lam| is the orbit size.  Where the
-component group is a wreath product past the whole-group order
-(``_h_table``: S_t on t equal blocks, with their flips), the h invariant
-decides the filters with no orbit walked: an orbit element over
+dimensions of the lead orbit element's factors.
+
+A scan restricts its bounded candidates in one int64 product and screens
+them in one loop over blocks, each block's pairings made once.  It takes
+one of three routes, chosen from the embedding, and each gives a block's
+``above`` and orbit sizes; a block holds ``ORBIT_CHUNK_ROWS`` divided by
+the rows one candidate makes on its route (one candidate at least), so
+that bound is the one bound on the scan's memory.  Most component groups
+(order 2 to 192 up to rank 12, at most ``embeddings.WHOLE_GROUP_ORDER``)
+are applied whole, |A| rows per candidate: ``embeddings.component_orbits``
+makes the block's orbits in one array step, and one rows x chains match of
+packed residues and charges (``_key_match``) finds the (orbit element,
+chain) pairs to test; a weight too large for exact int64 arithmetic raises
+KernelCapacityError.  Where H = N_G(T) (``_ChainTable.torus``: A_n as
+n + 1 lines, D_n as n planes) the scan walks no component orbit and matches
+no key, one row per chain: there R is one to one and the component group
+acts on it as W, so the component orbit of R lam is R(W lam); H^0 has no
+roots, so R(lam - beta) lies under an orbit element exactly when
+lam - beta is in W lam, that is, exactly when <lam, beta-coroot> = 1,
+since a W-orbit lies on one sphere and
+|lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2; |W : W_lam|
+is the orbit size.  Where the component group is a wreath product past the
+whole-group order (``_h_table``: S_t on t equal blocks, with their flips),
+the h invariant decides with no orbit walked: an orbit element over
 R(lam - beta) is R(lam - beta) + kappa, kappa in Q+(H^0) of height
-h(R beta), and at most C(h(R beta) + ss - 1, ss - 1) of those are tested
-against the canonical block form of R lam (``embeddings.Wreath``), which
-also counts the orbit.  A single weight (an entry, ``branch_p0``,
+h(R beta), and at most C(h(R beta) + ss - 1, ss - 1) of those rows are
+tested against the canonical block form of R lam (``embeddings.Wreath``),
+which also counts the orbit.  A single weight (an entry, ``branch_p0``,
 ``necessary_filters``, and a scan survivor that needs a branching) keeps
 the search of ``component_orbit_set``, four times faster on one weight.
 At p = 0 a survivor whose prediction's dimension sum differs from dim V is
@@ -60,7 +65,7 @@ and branch conservation makes their sum dim V.  The component group acts
 on H^0 by automorphisms, which keep dimensions, and m is constant on the
 orbit, so that sum is one product, |orbit| * m * dim of lam_h: one
 ``charcalc.weyl_dims`` call per factor of H^0 and one for G decide it for
-a chunk; m is one value per candidate.  A sum that agrees is IRREDUCIBLE
+a block; m is one value per candidate.  A sum that agrees is IRREDUCIBLE
 with no branching by Seitz's rule when ``_ChainTable.borel`` holds and
 m = 1 (see ``_branch_p0``); the rest are branched, on any route after one
 ``component_orbit_set`` search.
@@ -254,11 +259,11 @@ def _branch_p0(e: Embedding, lam, predicted, cap) -> BranchReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _diagram_chains(rs):
-    """Connected chains in the Dynkin diagram, each summing to a positive root beta.
-
-    One record per chain: its 1-based (first, last) node labels, the integer
-    coefficients c with <lam, beta-coroot> = sum c_i lam_i, and beta in weight
+def _chain_blocks(rs):
+    """The connected chains in the Dynkin diagram, each summing to a
+    positive root beta, as (labels, coroots, betas): per chain its 1-based
+    (first, last) node labels, and read-only int64 rows of the coefficients
+    c with <lam, beta-coroot> = sum c_i lam_i and of beta in weight
     coordinates.  Index windows are connected for every classical diagram
     except the two-element window across the D fork; D additionally has the
     chains running to the far fork tip.
@@ -273,20 +278,10 @@ def _diagram_chains(rs):
     ]
     if fam == "D":
         paths += [list(range(i, n - 2)) + [n - 1] for i in range(n - 2)]
-    chains = []
-    for nodes in paths:
-        k = rs.root_index[tuple(1 if j in nodes else 0 for j in range(n))]
-        chains.append(((nodes[0] + 1, nodes[-1] + 1), rs.coroots[k], rs.root_weights[k]))
-    return tuple(chains)
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_blocks(rs):
-    """``_diagram_chains`` as (labels, coroots, betas), the two blocks
-    read-only int64 rows, one per chain."""
-    chains = _diagram_chains(rs)
-    coroots, betas = (_frozen(np.array([chain[i] for chain in chains], dtype=np.int64)) for i in (1, 2))
-    return tuple(label for label, _, _ in chains), coroots, betas
+    roots = [rs.root_index[tuple(1 if j in nodes else 0 for j in range(n))] for nodes in paths]
+    return (tuple((nodes[0] + 1, nodes[-1] + 1) for nodes in paths),
+            _frozen(np.array([rs.coroots[k] for k in roots], dtype=np.int64)),
+            _frozen(np.array([rs.root_weights[k] for k in roots], dtype=np.int64)))
 
 
 class _FactorBlocks(NamedTuple):
@@ -333,6 +328,7 @@ class _ChainTable(NamedTuple):
     scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
     scaled_images: np.ndarray  # chains x ss: R beta through ``scale``
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
+    heights: np.ndarray  # per chain: h(R beta), or -1 where that is no non-negative integer
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
     borel: bool  # the highest weight vector of V is B_H-highest, and the component group keeps B_H
     torus: bool  # H = N_G(T): the component group is R W R^-1 on a maximal torus H^0, and m = 1
@@ -343,7 +339,11 @@ def _chain_table(e: Embedding):
     """The diagram chains of G and their images under the restriction map R of e.
 
     Chains that share one image R beta form a group: their weights
-    lam - beta restrict to one weight for every lam.  ``borel``: no positive
+    lam - beta restrict to one weight for every lam.  h(nu), the sum of the
+    H^0 root coordinates of nu's semisimple part, is constant on a component
+    orbit (the generators exchange equal factors, flip A and D diagrams and
+    move charges), so an orbit element over R(lam - beta) lies h(R beta)
+    factor simple roots above it: ``heights``.  ``borel``: no positive
     root of G restricts to a negative root of H^0 (zero charges), and every
     generator keeps H^0's positive roots positive.
     ``torus``: H^0 has no roots, no central 2-part makes m exceed 1, and
@@ -352,7 +352,7 @@ def _chain_table(e: Embedding):
     word in the generators then takes R lam to R(w lam), w the same word in
     the s_i, so the component orbit of R lam is R(W lam), one to one.
     The packed keys of the filters' match are ``_key_table``'s, built only
-    where ``_geometry`` runs: a torus scan reads none.
+    where ``_key_match`` runs: a torus scan reads none.
     """
     labels, coroots, betas = _chain_blocks(e.root_system)
     h = _factor_blocks(e.factors, e.width)
@@ -366,6 +366,8 @@ def _chain_table(e: Embedding):
     for g, ks in enumerate(groups):
         shared[ks, g] = 1
     scaled_images = images @ h.scale
+    den = int(np.lcm.reduce(h.inv_den, initial=1))  # a torus normalizer has no semisimple coordinate
+    num = scaled_images @ (den // h.inv_den)  # den * h(R beta)
     # a call's int64 values are at most growth * sum|lam| + offset in size:
     # the pairings, lam_h = R lam, c - lam_h for c in its component orbit,
     # that difference through ``scale`` plus a chain image, and the sum of
@@ -391,6 +393,7 @@ def _chain_table(e: Embedding):
         scale=h.scale,
         scaled_images=scaled_images,
         inv_den=h.inv_den,
+        heights=_frozen(np.where((num >= 0) & (num % den == 0), num // den, -1)),
         limit=((1 << 63) - 1 - offset) // growth,
         borel=borel,
         torus=ss == 0 and not e.central2 and _acts_as_weyl_group(e),
@@ -405,8 +408,7 @@ class _KeyTable(NamedTuple):
 
 @functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
 def _key_table(e: Embedding):
-    """The packed residues and charges of e's chain images, for the key
-    match of ``_geometry``."""
+    """The packed residues and charges of e's chain images, for ``_key_match``."""
     t = _chain_table(e)
     ss = e.semisimple_rank
     # a key's digits are residues in 0..inv_den - 1 and charges clipped to
@@ -458,8 +460,18 @@ class _Geometry(NamedTuple):
     single: np.ndarray  # candidates x groups: the group's image lies one factor simple root under exactly one orbit element
 
 
-def _geometry(e: Embedding, t: _ChainTable, lam_h_a, orbit, sizes):
-    """The characteristic-free part of the filters for a block of candidates.
+def _geometry(t: _ChainTable, above):
+    """The characteristic-free part of the filters, from ``above``, the
+    number of component-orbit elements over each R(lam - beta) (candidates
+    x chains).  Each of them lies h(R beta) factor simple roots above it,
+    so a group is single where its image lies under one element at height 1;
+    its certified chains are then at most that element's multiplicity m,
+    which ``_screen`` checks at p."""
+    return _Geometry(above == 0, (above[:, t.lead] == 1) & (t.heights[t.lead] == 1))
+
+
+def _key_match(e: Embedding, t: _ChainTable, lam_h_a, orbit, sizes):
+    """``above`` for a block of candidates whose component orbits are known.
 
     ``lam_h_a`` holds the restricted candidates as rows; their component
     orbits are the rows of ``orbit``, one after another, with one orbit
@@ -481,21 +493,7 @@ def _geometry(e: Embedding, t: _ChainTable, lam_h_a, orbit, sizes):
         match &= key[:, col, None] == kt.keys[:, col]
     row, chain = np.divmod(np.flatnonzero(match), k)  # faster than a 2-D nonzero past a few rows
     under = (scaled[row] + t.scaled_images[chain] >= 0).all(axis=1)  # the matched pairs where mu_h lies under c
-    row, chain = row[under], chain[under]
-    cand = owner[row]
-    above = np.bincount(cand * k + chain, minlength=n * k).reshape(n, k)  # candidates x chains: orbit elements over mu_h
-    single = np.zeros((n, len(t.lead)), dtype=bool)
-    # a group's weights restrict to one weight; where it lies one factor
-    # simple root below a single orbit element, the certified ones are at
-    # most that element's multiplicity m, which ``_screen`` checks at p
-    hit, grp = np.nonzero(above[:, t.lead] == 1)
-    if hit.size:
-        lead = t.lead[grp]
-        at = np.zeros(above.shape, dtype=np.intp)
-        at[cand, chain] = row  # the one row over mu_h, where there is one
-        steps = ((scaled[at[hit, lead]] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
-        single[hit, grp] = steps == 1
-    return _Geometry(above == 0, single)
+    return np.bincount(owner[row[under]] * k + chain[under], minlength=n * k).reshape(n, k)
 
 
 class _Screen(NamedTuple):
@@ -556,7 +554,7 @@ def _entry_record(e: Embedding, lam):
     predicted = clifford_prediction(e, tuple(lam_h_a[0].tolist()))
     m = next(iter(predicted.values()))
     pair = lam_a @ t.coroots.T
-    geometry = _geometry(e, t, lam_h_a, np.array(list(predicted), dtype=np.int64), np.array([len(predicted)]))
+    geometry = _geometry(t, _key_match(e, t, lam_h_a, np.array(list(predicted), dtype=np.int64), [len(predicted)]))
     for a in (lam_h_a, pair, *geometry):
         a.flags.writeable = False
     filtered = bool(_screen(e, Characteristic(0), t, pair, geometry, m).filtered()[0])
@@ -584,7 +582,7 @@ def necessary_filters(e: Embedding, lam, chi: Characteristic):
     divisible by its factor's ``inv_den``; the quotients then sum to the
     number of factor simple roots in c - mu_h.  The scaled coordinates are
     linear and c - mu_h = (c - lam_h) + R beta, so divisibility is a match of
-    residues, those of c - lam_h against those of -R beta: ``_geometry``
+    residues, those of c - lam_h against those of -R beta: ``_key_match``
     matches the packed residues and charges of every (chain, orbit element)
     pair in one array step and tests the coordinates of the matched ones.
 
@@ -801,15 +799,11 @@ def _multiplicities(e: Embedding, lam_h_a):
     return np.array([central_multiplicity(e, lam_h) for lam_h in lam_h_a.tolist()], dtype=np.int64)
 
 
-def _walked_blocks(e: Embedding, t: _ChainTable, lam_h_a):
-    """(rows, orbit sizes, geometry) per chunk of ``component_orbits``: at
-    most ``ORBIT_CHUNK_ROWS`` orbit rows, or one candidate, which also
-    bounds the screen's memory, since the geometry reads each block whole."""
-    start = 0
-    for orbit, sizes in component_orbits(e, lam_h_a):
-        rows = slice(start, start + len(sizes))
-        start = rows.stop
-        yield rows, sizes, _geometry(e, t, lam_h_a[rows], orbit, sizes)
+def _whole_group_above(e: Embedding, t: _ChainTable, lam_h_a):
+    """(above, orbit sizes) of a block of candidates on the whole group's
+    route: ``component_orbits`` walks their orbits, and the key match reads them."""
+    orbit, sizes = component_orbits(e, lam_h_a)
+    return _key_match(e, t, lam_h_a, orbit, sizes), sizes
 
 
 class _HTable(NamedTuple):
@@ -817,102 +811,73 @@ class _HTable(NamedTuple):
     ``Wreath`` past ``embeddings.WHOLE_GROUP_ORDER``."""
 
     wreath: embeddings.Wreath
-    shifts: np.ndarray  # rows x width: kappa - R beta per chain, one row per kappa in Q+(H^0) of height k_beta
+    shifts: np.ndarray  # rows x width: kappa - R beta per chain, one row per kappa in Q+(H^0) of height h(R beta)
     chains: np.ndarray  # per shift row: its chain
-    heights: np.ndarray  # per chain: k_beta = h(R beta), or -1 where that is no non-negative integer
-    step: int  # candidates per block, so that their shifted rows stay within ORBIT_CHUNK_ROWS; one at least
 
 
 @functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
 def _h_table(e: Embedding):
     """The h route's table of e, or None where the route does not apply.
 
-    h(nu), the sum of the H^0 root coordinates of nu's semisimple part, is
-    constant on a component orbit: the generators exchange equal factors,
-    flip A and D diagrams and move charges.  So an orbit element c lies over
-    mu_h = R(lam - beta) exactly when c = mu_h + kappa, kappa in Q+(H^0) of
-    height k_beta = h(R beta), with no charge: at most
-    C(k_beta + ss - 1, ss - 1) weights per chain, whatever the orbit size,
-    and none where k_beta is no non-negative integer.
+    Since h is constant on a component orbit (``_chain_table``), an orbit
+    element c lies over mu_h = R(lam - beta) exactly when c = mu_h + kappa,
+    kappa in Q+(H^0) of height h(R beta), with no charge: at most
+    C(h(R beta) + ss - 1, ss - 1) weights per chain, whatever the orbit
+    size, and none where h(R beta) is no non-negative integer.  A wreath
+    product of t blocks has at most t! 2^t elements, so only past the
+    whole-group order is its shape read off the generators.
     """
+    t_blocks = len(e.factor_groups)
+    if math.factorial(t_blocks) << t_blocks <= embeddings.WHOLE_GROUP_ORDER:
+        return None
     wreath = embeddings.wreath_shape(e)
     if wreath is None or wreath.order <= embeddings.WHOLE_GROUP_ORDER:
         return None
     t = _chain_table(e)
     ss = e.semisimple_rank
-    den = int(np.lcm.reduce(t.inv_den))
-    num = t.scaled_images @ (den // t.inv_den)  # den * k_beta
-    heights = np.where((num >= 0) & (num % den == 0), num // den, -1)
     simple = np.zeros((ss, e.width), dtype=np.int64)  # H^0's simple roots as weight rows
     for off, frs in zip(e.factor_offsets, e.factor_systems):
         simple[off:off + frs.rank, off:off + frs.rank] = frs.cartan_np
     shifts, chains = [np.zeros((0, e.width), dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
-    for k in sorted(set(heights.tolist()) - {-1}):
+    for k in sorted(set(t.heights.tolist()) - {-1}):
         kappa = np.array([np.bincount(np.array(c, dtype=np.intp), minlength=ss)
                           for c in itertools.combinations_with_replacement(range(ss), k)]) @ simple
-        for chain in np.flatnonzero(heights == k).tolist():
+        for chain in np.flatnonzero(t.heights == k).tolist():
             shifts.append(kappa - t.images[chain])
             chains.append(np.full(len(kappa), chain, dtype=np.intp))
-    shifts = np.concatenate(shifts)
-    return _HTable(wreath, _frozen(shifts), _frozen(np.concatenate(chains)), _frozen(heights),
-                   max(embeddings.ORBIT_CHUNK_ROWS // max(len(shifts), 1), 1))
+    return _HTable(wreath, _frozen(np.concatenate(shifts)), _frozen(np.concatenate(chains)))
 
 
-def _h_blocks(e: Embedding, t: _ChainTable, h: _HTable, lam_h_a):
-    """(rows, orbit sizes, geometry) per ``h.step`` candidates on the h
-    route, with no orbit walked.
-
-    A candidate's orbit elements over its mu_h are the c = mu_h + kappa of
-    ``_h_table`` whose canonical block form is lam_h's: ``above`` counts
-    them; ``single`` is one of them at k_beta = 1, one factor simple root
-    above.  Each orbit size is read off the canonical block form.
-    """
-    k = len(t.labels)
-    for start in range(0, len(lam_h_a), h.step):
-        rows = slice(start, start + h.step)
-        block = lam_h_a[rows]
-        n = len(block)
-        c = (block[:, None, :] + h.shifts).reshape(-1, e.width)
-        canon = h.wreath.canonical(np.concatenate((block, c)))
-        cand, row = np.nonzero((canon[n:].reshape(n, len(h.shifts), canon.shape[1]) == canon[:n, None]).all(axis=2))
-        above = np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k)
-        single = (above[:, t.lead] == 1) & (h.heights[t.lead] == 1)
-        yield rows, h.wreath.orbit_sizes(block), _Geometry(above == 0, single)
+def _h_above(e: Embedding, t: _ChainTable, h: _HTable, lam_h_a):
+    """(above, orbit sizes) of a block of candidates on the h route, with
+    no orbit walked: a candidate's orbit elements over its mu_h are the
+    c = mu_h + kappa of ``_h_table`` whose canonical block form is lam_h's.
+    Each orbit size is read off the canonical block form."""
+    n, k = len(lam_h_a), len(t.labels)
+    c = (lam_h_a[:, None, :] + h.shifts).reshape(-1, e.width)
+    canon = h.wreath.canonical(np.concatenate((lam_h_a, c)))
+    cand, row = np.nonzero((canon[n:].reshape(n, len(h.shifts), canon.shape[1]) == canon[:n, None]).all(axis=2))
+    return np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k), h.wreath.orbit_sizes(lam_h_a)
 
 
-def _torus_blocks(e: Embedding, t: _ChainTable, lam_a):
-    """(rows, orbit sizes, geometry) per ``ORBIT_CHUNK_ROWS`` (candidate,
-    chain) pairings where ``t.torus`` holds, with no orbit walked.
+def _torus_above(e: Embedding, t: _ChainTable, lam_a, pair):
+    """(above, orbit sizes) of a block of candidates where ``t.torus``
+    holds, from their pairings, with no orbit walked.
 
     H^0 has no roots, so R(lam - beta) lies under an orbit element exactly
     when it is one, that is (R being one to one) when lam - beta is in
     W lam.  Since |lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2
     and <lam, beta-coroot> = 1 makes lam - beta = s_beta lam, that is when
-    the pairing is 1.  No group lies one factor simple root below anything.
-    The orbit size |W : W_lam| is read only for a candidate whose pairings
-    are all below 2, the only ones that can survive at p = 0; elsewhere it
-    is 0, which no verdict reads.
+    the pairing is 1, and then it is one element.  The orbit size
+    |W : W_lam| is read only for a candidate whose pairings are all below 2,
+    the only ones that can survive at p = 0; elsewhere it is 0, which no
+    verdict reads.
     """
-    step = max(embeddings.ORBIT_CHUNK_ROWS // len(t.labels), 1)
-    for start in range(0, len(lam_a), step):
-        rows = slice(start, start + step)
-        pair = lam_a[rows] @ t.coroots.T
-        sizes = [
-            charcalc._orbit_size_cached(e.ambient, tuple(c == 0 for c in lam)) if low else 0
-            for lam, low in zip(lam_a[rows].tolist(), (pair < 2).all(axis=1).tolist())
-        ]
-        yield rows, np.array(sizes, dtype=np.int64), _Geometry(pair != 1, np.zeros((len(pair), len(t.lead)), bool))
-
-
-def _scan_blocks(e: Embedding, t: _ChainTable, lam_a, lam_h_a):
-    """The blocks of the route a scan of e takes: the maximal-torus
-    normalizers', the large wreath products' or the whole group's."""
-    if t.torus:
-        return _torus_blocks(e, t, lam_a)
-    h = _h_table(e)
-    if h is not None:
-        return _h_blocks(e, t, h, lam_h_a)
-    return _walked_blocks(e, t, lam_h_a)
+    sizes = [
+        charcalc._orbit_size_cached(e.ambient, tuple(c == 0 for c in lam)) if low else 0
+        for lam, low in zip(lam_a.tolist(), (pair < 2).all(axis=1).tolist())
+    ]
+    return (pair == 1).astype(np.int64), np.array(sizes, dtype=np.int64)
 
 
 def scan_candidates(ambient: LieType, e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap=None):
@@ -947,9 +912,24 @@ def _scan_verdicts(e: Embedding, chi: Characteristic, coeff_sum_bound: int, cap)
     lam_a = np.array(lams, dtype=np.int64).reshape(len(lams), rs.rank)
     lam_h_a = lam_a @ e.restriction
     mults = _multiplicities(e, lam_h_a)
-    for rows, sizes, geometry in _scan_blocks(e, t, lam_a, lam_h_a):
+    # one of three routes, chosen from the embedding; each block makes at
+    # most ORBIT_CHUNK_ROWS rows, or holds one candidate: per candidate its
+    # pairings on the maximal-torus normalizers', its tested weights on the
+    # large wreath products' and its images under the whole group elsewhere
+    h = None if t.torus else _h_table(e)
+    made = len(t.labels) if t.torus else len(h.shifts) if h is not None else len(embeddings.component_group(e)[0])
+    step = max(embeddings.ORBIT_CHUNK_ROWS // max(made, 1), 1)
+    for start in range(0, len(lams), step):
+        rows = slice(start, start + step)
+        pair = lam_a[rows] @ t.coroots.T
+        if t.torus:
+            above, sizes = _torus_above(e, t, lam_a[rows], pair)
+        elif h is not None:
+            above, sizes = _h_above(e, t, h, lam_h_a[rows])
+        else:
+            above, sizes = _whole_group_above(e, t, lam_h_a[rows])
         m = mults[rows]
-        filtered = _screen(e, chi, t, lam_a[rows] @ t.coroots.T, geometry, m[:, None]).filtered()
+        filtered = _screen(e, chi, t, pair, _geometry(t, above), m[:, None]).filtered()
         # IRREDUCIBLE makes the dimension sum dim V (conservation), and it is
         # |orbit| * m * dim of lam_h: automorphisms of H^0 keep dimensions and
         # m is constant on the orbit; one ``weyl_dims`` call per factor and G

@@ -140,30 +140,40 @@ def restrict_weight(e: Embedding, w):
     return tuple(np.array(w, dtype=object) @ e.restriction)
 
 
+def _closure(e: Embedding, start, limit, what):
+    """Every doubled tuple that ``e.doubled_getters`` reach from ``start``,
+    breadth first; past ``limit`` of them it raises ``KernelCapacityError``."""
+    getters = e.doubled_getters
+    seen = frontier = {start}
+    while frontier:
+        frontier = {g(w) for w in frontier for g in getters} - seen
+        seen |= frontier
+        if len(seen) > limit:
+            raise kernels.KernelCapacityError(f"{what} of {e.family} on {e.ambient}: more than {limit} elements")
+    return seen
+
+
 def component_orbit_set(e: Embedding, hw):
     """The orbit of hw under the component group, as a sorted list.
 
     A breadth-first search over doubled weights (w, -w), in which a sign
     change is an index shift: each generator is one ``itemgetter`` lookup
-    per element, from ``e.doubled_getters``.  This is the walk for one
+    per element, from ``e.doubled_getters``.  An orbit past ``orbit_cap()``
+    elements raises ``KernelCapacityError``.  This is the walk for one
     weight (``checker.clifford_prediction``: an entry, ``branch_p0``, and a
     scan survivor on any route that needs a branching): on the small
     orbits of ``scan_p0``'s weights it takes 2-7 us, where
     ``component_orbits``, the whole group applied to a block of weights,
     takes 25-35 us, since each of its array steps has a fixed cost.
     """
-    getters = e.doubled_getters
     n = len(hw)
-    seen = frontier = {tuple(hw) + tuple(-c for c in hw)}
-    while frontier:
-        frontier = {g(w) for w in frontier for g in getters} - seen
-        seen |= frontier
+    seen = _closure(e, tuple(hw) + tuple(-c for c in hw), kernels.orbit_cap(), "component orbit")
     return sorted(w[:n] for w in seen)
 
 
-# rows that one block of a scan may make (a chunk of ``component_orbits``,
-# of the h route's tested weights or of the torus pairings), unless it holds
-# one candidate alone: so also a bound on the rows one step of its screen reads
+# rows that one block of a scan may make (its whole-group images, the h
+# route's tested weights or the torus pairings), unless it holds one
+# candidate alone: so also a bound on the rows one step of its screen reads
 ORBIT_CHUNK_ROWS = 1 << 13
 
 # the largest component group applied whole.  Up to rank 12 the groups
@@ -180,39 +190,31 @@ def component_group(e: Embedding):
     |A| x width each, acting as a generator does: w -> (sgn[i] * w[idx[i]])_i.
 
     The closure of the generators, found at the first walk of the embedding
-    by the search of ``component_orbit_set`` run on the signed points: an
-    element is the doubled tuple of the images of e_1 .. e_width and their
-    negatives (point width + i is -e_i), and a doubled getter applied to it
-    composes the generator after it.  A group past WHOLE_GROUP_ORDER
-    elements raises ``KernelCapacityError``.
+    by the search of ``component_orbit_set`` run on the signed points, with
+    WHOLE_GROUP_ORDER for its limit: an element is the doubled tuple of the
+    images of e_1 .. e_width and their negatives (point width + i is -e_i),
+    and a doubled getter applied to it composes the generator after it.
     """
     n = e.width
-    seen = frontier = {tuple(range(2 * n))}
-    while frontier:
-        frontier = {g(a) for a in frontier for g in e.doubled_getters} - seen
-        seen |= frontier
-        if len(seen) > WHOLE_GROUP_ORDER:
-            raise kernels.KernelCapacityError(
-                f"component group of {e.family} on {e.ambient}: more than {WHOLE_GROUP_ORDER} elements"
-            )
+    seen = _closure(e, tuple(range(2 * n)), WHOLE_GROUP_ORDER, "component group")
     points = np.array(sorted(a[:n] for a in seen), dtype=np.intp).reshape(-1, n)
     return _frozen(points % n), _frozen(np.where(points < n, 1, -1))
 
 
 def component_orbits(e: Embedding, rows):
-    """The component orbits of a block of restricted weights, chunk by chunk.
+    """The component orbits of one block of restricted weights.
 
     ``rows`` holds the weights as int64 rows, every coordinate below 2**60
-    in size, which keeps the keys exact.  Yields (orbit, sizes) per chunk of
-    at most ORBIT_CHUNK_ROWS // |A| consecutive weights (one at least): one
-    orbit size per weight, and the orbits one after another as int64 rows,
-    each in the sorted order of ``component_orbit_set``.  Every element of
-    ``component_group`` is applied to the chunk at once, and repeats are
-    dropped by int64 keys of (weight, image).  The key of an image g w is
-    linear in w, so one product of the chunk with every element's packing
-    gives every key, and only the images that stay are made, in one
-    index-and-sign step.  On one weight the search of
-    ``component_orbit_set`` is faster.
+    in size, which keeps the keys exact.  Returns (orbit, sizes): one orbit
+    size per weight, and the orbits one after another as int64 rows, each
+    in the sorted order of ``component_orbit_set``.  Every element of
+    ``component_group`` is applied to the block at once, so it makes |A|
+    rows per weight, and the caller bounds the block (a scan to
+    ORBIT_CHUNK_ROWS // |A| weights, one at least).  Repeats are dropped by
+    int64 keys of (weight, image).  The key of an image g w is linear in w,
+    so one product of the block with every element's packing gives every
+    key, and only the images that stay are made, in one index-and-sign
+    step.  On one weight the search of ``component_orbit_set`` is faster.
     """
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, e.width)
     bound = int(np.abs(rows).max(initial=0))
@@ -220,19 +222,15 @@ def component_orbits(e: Embedding, rows):
         raise kernels.KernelCapacityError(f"component orbits({e.ambient}, {e.family}): coordinates exceed 2**60")
     idx, sgn = component_group(e)
     size = len(idx)
-    step = max(ORBIT_CHUNK_ROWS // size, 1)
-    keys = kernels._key_weights(e.width + 1, 2 * max(bound, step) + 1)
+    keys = kernels._key_weights(e.width + 1, 2 * max(bound, len(rows)) + 1)
     # w @ packing[:, g] packs g w: coordinate idx[g, i] of w lands in place i
     packing = np.empty((e.width, size, keys.shape[1]), dtype=np.int64)
     packing[idx, np.arange(size)[:, None]] = sgn[:, :, None] * keys[1:]
-    packing = packing.reshape(e.width, -1)
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo:lo + step]
-        packed = (chunk @ packing).reshape(len(chunk) * size, -1)
-        packed += np.repeat(np.arange(len(chunk)), size)[:, None] * keys[0]
-        order = kernels._key_order(packed)
-        weight, g = np.divmod(order[kernels._run_starts(packed[order])], size)
-        yield chunk[weight[:, None], idx[g]] * sgn[g], np.bincount(weight, minlength=len(chunk))
+    packed = (rows @ packing.reshape(e.width, -1)).reshape(len(rows) * size, -1)
+    packed += np.repeat(np.arange(len(rows)), size)[:, None] * keys[0]
+    order = kernels._key_order(packed)
+    weight, g = np.divmod(order[kernels._run_starts(packed[order])], size)
+    return rows[weight[:, None], idx[g]] * sgn[g], np.bincount(weight, minlength=len(rows))
 
 
 class Wreath(NamedTuple):

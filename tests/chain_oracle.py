@@ -4,7 +4,9 @@ test-only oracle for the whole-group step and the h route.
 ``stabilizer_chain`` is Schreier-Sims with Sims' filter on the signed
 points; ``component_orbits`` walks a block of weights along that chain one
 transversal at a time, shedding trailing weights before a stage that would
-pass ``embeddings.ORBIT_CHUNK_ROWS`` rows.  It shares no code with
+pass ``embeddings.ORBIT_CHUNK_ROWS`` rows, and ``component_orbit_block``
+joins its chunks into the one block that ``embeddings.component_orbits``
+returns.  It shares no code with
 ``embeddings.component_group``, ``embeddings.Wreath`` or the h route, and
 it walks groups of any order.
 """
@@ -121,6 +123,13 @@ def component_orbits(e, rows):
                 cw, ci = _orbit_stage(stages[s], cw, ci, start, keys)
         yield ci, np.bincount(cw, minlength=hi - lo)
         lo, take = hi, 2 * take if hi == top else hi - lo
+
+
+def component_orbit_block(e, rows):
+    """(orbit, sizes) of one block of weights, as ``embeddings.component_orbits``
+    returns them, from the chunks of ``component_orbits``."""
+    orbits, sizes = zip(*component_orbits(e, rows))
+    return np.concatenate(orbits), np.concatenate(sizes)
 
 
 def _orbit_stage(step, weight, image, start, keys):

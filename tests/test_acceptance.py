@@ -16,7 +16,7 @@ from weylbranch.charcalc import (
 )
 from weylbranch.checker import (
     ClassificationEntry,
-    _diagram_chains,
+    _chain_blocks,
     branch_p0,
     dominant_weights_bounded,
     necessary_filters,
@@ -343,7 +343,8 @@ def test_criterion_8_ell_invariant():
         for lam in sorted(row_lams):
             lam_h = restrict_weight(e, lam)
             # at p = 0 every chain with a positive pairing is certified
-            for chain, coroot, beta in _diagram_chains(rs):
+            labels, coroots, betas = _chain_blocks(rs)
+            for chain, coroot, beta in zip(labels, coroots.tolist(), betas.tolist()):
                 if sum(a * b for a, b in zip(coroot, lam)) <= 0:
                     continue
                 mu = tuple(a - b for a, b in zip(lam, beta))

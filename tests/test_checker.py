@@ -6,6 +6,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,7 +210,8 @@ def _chain_weights(rs, lam, chi):
     """lam minus each diagram chain whose pairing certifies it, as (label, weight)."""
     out = []
     saturated = premet_applies(rs, chi)
-    for label, coroot, beta_w in checker._diagram_chains(rs):
+    labels, coroots, betas = checker._chain_blocks(rs)
+    for label, coroot, beta_w in zip(labels, coroots.tolist(), betas.tolist()):
         c = sum(a * b for a, b in zip(coroot, lam))
         if c <= 0 or (not saturated and c % chi.p == 0):
             continue
@@ -337,7 +339,9 @@ def test_filters_match_scalar_oracle_on_large_weights(data):
 def dense_geometry(e, t, lam_h_a, orbit, sizes):
     """The former ``_geometry``, kept as an oracle: every (candidate, orbit
     element) row is tested against every chain across the whole width, in
-    one dense rows x chains x width product, and ``reduceat`` folds the rows."""
+    one dense rows x chains x width product, and ``reduceat`` folds the rows
+    into (above, geometry).  A group is single where the one element over
+    its image lies one factor simple root above it, counted on that row."""
     ss = e.semisimple_rank
     starts = np.cumsum(sizes) - sizes
     diff = orbit - np.repeat(lam_h_a, sizes, axis=0)
@@ -353,30 +357,66 @@ def dense_geometry(e, t, lam_h_a, orbit, sizes):
         row = np.add.reduceat(under * np.arange(len(orbit))[:, None], starts, axis=0)[cand, lead]
         steps = ((scaled[row] + t.scaled_images[lead]) // t.inv_den).sum(axis=1)
         single[cand, grp] = steps == 1
-    return checker._Geometry(above == 0, single)
+    return above, checker._Geometry(above == 0, single)
 
 
-def _assert_same_geometry(got, args):
-    """``got``, the geometry of ``args``, equals the dense oracle's, field by field."""
-    for name, a, b in zip(checker._Geometry._fields, got, dense_geometry(*args)):
+def _assert_same_geometry(above, args):
+    """``above``, counted for ``args``, and the geometry ``_geometry`` reads
+    off it equal the dense oracle's, field by field."""
+    oracle_above, oracle = dense_geometry(*args)
+    assert above.shape == oracle_above.shape and (above == oracle_above).all(), (args[0].family, "above")
+    for name, a, b in zip(checker._Geometry._fields, checker._geometry(args[1], above), oracle):
         assert a.shape == b.shape and a.dtype == b.dtype and (a == b).all(), (args[0].family, name)
 
 
 def _check_geometry(monkeypatch):
-    """Check every ``_geometry`` call against the dense oracle; the list it
+    """Check every ``_key_match`` call against the dense oracle; the list it
     returns gets (candidates, orbit rows) of each call."""
-    geometry, calls = checker._geometry, []
+    key_match, calls = checker._key_match, []
 
     def checked(*args):
-        got = geometry(*args)
+        got = key_match(*args)
         _assert_same_geometry(got, args)
         # a block's candidates are the rows of its lam_h_a, the third
         # argument, and its orbit rows those of ``orbit``, the fourth
         calls.append((len(args[2]), len(args[3])))
         return got
 
-    monkeypatch.setattr(checker, "_geometry", checked)
+    monkeypatch.setattr(checker, "_key_match", checked)
     return calls
+
+
+def _check_routes(monkeypatch, dense=True):
+    """Hook the three scan routes: every block makes at most
+    ORBIT_CHUNK_ROWS rows (per candidate its whole-group images, its tested
+    weights or its pairings) unless it holds one candidate, and with
+    ``dense`` its ``above`` counts equal the dense oracle's on the orbits of
+    the oracle's chain walk.  The list it returns gets (route, candidates,
+    rows, single groups) of each block."""
+    blocks = []
+
+    def hook(name, made):
+        route = getattr(checker, name)
+
+        def checked(e, t, *args):
+            above, sizes = route(e, t, *args)
+            n, rows = len(above), made(e, t, *args)
+            assert rows <= embeddings.ORBIT_CHUNK_ROWS or n == 1, (e.family, name, n, rows)
+            blocks.append((name, n, rows, int(checker._geometry(t, above).single.sum())))
+            if dense:
+                lam_h_a = args[0] @ e.restriction if name == "_torus_above" else args[-1]
+                orbit, oracle_sizes = chain_oracle.component_orbit_block(e, lam_h_a)
+                _assert_same_geometry(above, (e, t, lam_h_a, orbit, oracle_sizes))
+                # a torus size of 0 is read by no verdict
+                assert ((sizes == oracle_sizes) | (sizes == 0)).all(), (e.family, name)
+            return above, sizes
+
+        monkeypatch.setattr(checker, name, checked)
+
+    hook("_whole_group_above", lambda e, t, lam_h_a: len(lam_h_a) * len(embeddings.component_group(e)[0]))
+    hook("_h_above", lambda e, t, h, lam_h_a: len(lam_h_a) * len(h.shifts))
+    hook("_torus_above", lambda e, t, lam_a, pair: pair.size)
+    return blocks
 
 
 def test_geometry_matches_dense_oracle_on_entries(monkeypatch):
@@ -391,25 +431,24 @@ def test_geometry_matches_dense_oracle_on_entries(monkeypatch):
     assert {count for count, _ in calls} == {1}
 
 
-def test_geometry_matches_dense_oracle_on_a_torus_normalizer(monkeypatch):
-    # the first three orbit chunks of the D8 torus normalizer: no semisimple
-    # coordinate, so the key is eight charges; a chunk of nine candidates,
-    # then single candidates of 1 792 and 3 584 rows.  Its 2^7 * 8! elements
-    # are past the whole-group step, so the oracle's chain walks them
-    monkeypatch.setattr(checker, "component_orbits", chain_oracle.component_orbits)
+def test_geometry_matches_dense_oracle_on_a_torus_normalizer():
+    # three blocks of the D8 torus normalizer: no semisimple coordinate, so
+    # the key is eight charges; a block of nine candidates, then single
+    # candidates of 1 792 and 3 584 rows.  Its 2^7 * 8! elements are past
+    # the whole-group step, so the oracle's chain walks them
     ambient = LieType("D", 8)
     e = build_embedding(ambient, geom_family("c2", kind="Dl", l=1, t=8))
     assert e.semisimple_rank == 0
     t = checker._chain_table(e)
     lam_a = np.array(dominant_weights_bounded(8, 3), dtype=np.int64)
     lam_h_a = lam_a @ e.restriction
-    start = 0
-    for orbit, sizes in itertools.islice(checker.component_orbits(e, lam_h_a), 3):
-        rows = slice(start, start + len(sizes))
-        start = rows.stop
-        args = (e, t, lam_h_a[rows], orbit, sizes)
-        _assert_same_geometry(checker._geometry(*args), args)
-    assert start == 11
+    rows = []
+    for block in (slice(0, 9), slice(9, 10), slice(10, 11)):
+        orbit, sizes = chain_oracle.component_orbit_block(e, lam_h_a[block])
+        args = (e, t, lam_h_a[block], orbit, sizes)
+        _assert_same_geometry(checker._key_match(*args), args)
+        rows.append(len(orbit))
+    assert rows[1:] == [1792, 3584]
 
 
 def test_geometry_key_spans_several_columns(monkeypatch):
@@ -535,8 +574,10 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
     # shares no code with the dimension tests or the rule of _branch_p0; on
     # orbit chunks of one candidate and at the default size
     monkeypatch.setattr(embeddings, "ORBIT_CHUNK_ROWS", chunk_rows)
-    # every block's key-match geometry equals the dense oracle's
+    # every block's key-match geometry equals the dense oracle's, and every
+    # block of every route makes at most chunk_rows rows or holds one candidate
     blocks = _check_geometry(monkeypatch)
+    routes = _check_routes(monkeypatch, dense=False)
     walked = 0
     for ambient, e, bound in SCAN_ORACLE_INSTANCES:
         for p in FILTER_PRIMES:
@@ -566,6 +607,9 @@ def test_scan_matches_scalar_oracle(monkeypatch, chunk_rows):
         # none now, spanned several (the forced general path still does, in
         # test_torus_scan_matches_the_general_path)
         assert len(blocks) == walked == 180 and max(counts) > 1
+    # the 35 torus scans read their pairings a candidate at a time, or whole
+    torus = 901 if chunk_rows == 1 else 35
+    assert Counter(name for name, *_ in routes) == {"_whole_group_above": len(blocks), "_torus_above": torus}
 
 
 def test_record_decision_matches_the_screen_at_p():
@@ -705,13 +749,21 @@ def _torus_instances():
     return [e for e in INSTANCES_12 if e.semisimple_rank == 0]
 
 
+def _walk_with_the_oracle(monkeypatch):
+    """Walk the whole group's route with the oracle's stabilizer chain, for
+    a group of any order.  The scan reads only |A| of ``component_group``,
+    to size its blocks, so the oracle's order stands in for the group."""
+    monkeypatch.setattr(checker, "component_orbits", chain_oracle.component_orbit_block)
+    monkeypatch.setattr(embeddings, "component_group", lambda e: (range(chain_oracle.chain_order(e)), None))
+
+
 def _force_general_path(monkeypatch):
     """Scan the maximal-torus normalizers as every other embedding: walk
-    their component orbits and match keys in ``_geometry``.  Most of their
+    their component orbits and match keys in ``_key_match``.  Most of their
     groups are past the whole-group step, so the oracle's stabilizer chain
     walks them."""
     monkeypatch.setattr(checker, "_chain_table", lambda e, table=checker._chain_table: table(e)._replace(torus=False))
-    monkeypatch.setattr(checker, "component_orbits", chain_oracle.component_orbits)
+    _walk_with_the_oracle(monkeypatch)
 
 
 # the largest orbit compared element by element with its Weyl orbit
@@ -779,8 +831,8 @@ def test_torus_scan_matches_the_general_path(monkeypatch):
         cases += [(e, p, 3 if n <= 8 else 1) for p in primes]
     got = [scan_candidates(e.ambient, e, Characteristic(p), bound) for e, p, bound in cases]
     _force_general_path(monkeypatch)
-    geometry, blocks = checker._geometry, []
-    monkeypatch.setattr(checker, "_geometry", lambda *args: blocks.append(len(args[2])) or geometry(*args))
+    key_match, blocks = checker._key_match, []
+    monkeypatch.setattr(checker, "_key_match", lambda *args: blocks.append(len(args[2])) or key_match(*args))
     for (e, p, bound), res in zip(cases, got):
         assert res == scan_candidates(e.ambient, e, Characteristic(p), bound), (e.ambient, e.family, p)
     # every candidate of the general path passed through the key match, and
@@ -801,7 +853,7 @@ def test_torus_scan_walks_no_component_orbit(monkeypatch):
         raise AssertionError("reached")
 
     for module, name in ((embeddings, "component_orbits"), (checker, "component_orbits"),
-                         (embeddings, "component_group"), (checker, "_h_table"), (checker, "_geometry")):
+                         (embeddings, "component_group"), (checker, "_h_table"), (checker, "_key_match")):
         monkeypatch.setattr(module, name, refuse)
     verdicts = Counter()
     for e in _torus_instances():
@@ -818,6 +870,75 @@ def _route(e):
     if checker._chain_table(e).torus:
         return "torus"
     return "whole" if checker._h_table(e) is None else "h"
+
+
+def _route_above(e, t, lam_a, lam_h_a):
+    """(above, orbit sizes) of the candidates as one block, on the route a
+    scan of e takes."""
+    route = _route(e)
+    if route == "torus":
+        return checker._torus_above(e, t, lam_a, lam_a @ t.coroots.T)
+    if route == "h":
+        return checker._h_above(e, t, checker._h_table(e), lam_h_a)
+    return checker._whole_group_above(e, t, lam_h_a)
+
+
+def _inverse(cartan):
+    """The inverse of an integer matrix over Fractions, by Gauss-Jordan elimination."""
+    n = len(cartan)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(cartan)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def test_generators_keep_h_and_the_chain_heights_are_h():
+    # h(nu), the sum of the H^0 root coordinates of nu's semisimple part,
+    # is the row vector of each factor's inverse Cartan row sums (zero on
+    # the charges), exact over Fractions.  Every generator of the 232
+    # instances up to rank 12, w -> (sgn[i] w[idx[i]])_i, keeps it, that is
+    # h[idx[i]] = sgn[i] h[i] for every i; so h is constant on a component
+    # orbit, and ``heights`` is h(R beta) per chain, -1 where that is no
+    # non-negative integer
+    from test_embeddings import INSTANCES_12
+
+    generators = integral = 0
+    for e in INSTANCES_12:
+        h = [sum(row) for frs in e.factor_systems for row in _inverse(frs.cartan)] + [Fraction(0)] * e.torus_rank
+        for idx, sgn in e.generators:
+            assert all(h[j] == s * h[i] for i, (j, s) in enumerate(zip(idx, sgn))), (e.ambient, e.family)
+            generators += 1
+        heights = [sum(a * b for a, b in zip(h, image)) for image in checker._chain_table(e).images.tolist()]
+        expected = [int(x) if x >= 0 and x.denominator == 1 else -1 for x in heights]
+        assert checker._chain_table(e).heights.tolist() == expected, (e.ambient, e.family)
+        integral += sum(x >= 0 for x in expected)
+    assert len(INSTANCES_12) == 232 and (generators, integral) == (503, 8708)
+
+
+def test_every_route_counts_the_orbit_elements_of_the_dense_oracle(monkeypatch):
+    # ``above`` on each route against the dense oracle on the orbits of the
+    # oracle's chain walk, which shares no code with the key match, the h
+    # route or the pairing rule, and ``single`` against the oracle's own
+    # count of factor simple roots on the one row over a group's image: the
+    # rank <= 5 instances and the h-route ones up to rank 10 (less C9 and
+    # C10 c2:l=1, C6-C8's shape with larger orbits), bound 3, p = 0
+    blocks = _check_routes(monkeypatch)
+    h_route = [e for e in _h_instances(10) if e.ambient.rank <= 8 or str(e.family) != f"c2:l=1,t={e.ambient.rank}"]
+    for e in [e for _, e in FILTER_INSTANCES] + h_route:
+        scan_candidates(e.ambient, e, P0, 3)
+    routes, single = Counter(), Counter()
+    for name, _, _, groups in blocks:
+        routes[name] += 1
+        single[name] += groups
+    assert routes == {"_whole_group_above": 35, "_torus_above": 7, "_h_above": 36}
+    # the torus route has no group one factor simple root below anything;
+    # on the h route they occur only on the B_1^t models, B10 and D9
+    assert single == {"_whole_group_above": 482, "_h_above": 1503, "_torus_above": 0}
 
 
 def _h_instances(max_rank):
@@ -945,7 +1066,7 @@ def test_h_route_matches_the_chain_walk(monkeypatch):
     got = [scan(e, p) for e, p in cases]
     with monkeypatch.context() as m:
         m.setattr(checker, "_h_table", lambda e: None)
-        m.setattr(checker, "component_orbits", chain_oracle.component_orbits)
+        _walk_with_the_oracle(m)
         for (e, p), (verdicts, geometry) in zip(cases, got):
             oracle, oracle_geometry = scan(e, p)
             assert verdicts == oracle, (e.ambient, e.family, p)
@@ -982,23 +1103,20 @@ def test_scan_dimension_test_is_one_product():
         lam_h_a = lam_a @ e.restriction
         t = checker._chain_table(e)
         mults = checker._multiplicities(e, lam_h_a).tolist()
-        i = 0
-        for rows, sizes, _ in checker._scan_blocks(e, t, lam_a, lam_h_a):
-            assert rows.start == i
-            for size in sizes.tolist():
-                lam_h = tuple(lam_h_a[i].tolist())
-                predicted = checker.clifford_prediction(e, lam_h)
-                assert set(predicted.values()) == {mults[i]}, (ambient, e.family, lams[i])
-                if size == 0:
-                    assert t.torus and (lam_a[i] @ t.coroots.T >= 2).any(), (ambient, e.family, lams[i])
-                else:
-                    assert size == len(predicted), (ambient, e.family, lams[i])
-                    dims = charcalc.product_weyl_dims(e.factor_systems, [*predicted, lam_h])
-                    total = sum(m * d for m, d in zip(predicted.values(), dims))
-                    assert total == size * mults[i] * dims[-1], (ambient, e.family, lams[i])
-                i += 1
-        assert i == len(lams)
-        checks += i
+        _, sizes = _route_above(e, t, lam_a, lam_h_a)
+        assert len(sizes) == len(lams)
+        for i, size in enumerate(sizes.tolist()):
+            lam_h = tuple(lam_h_a[i].tolist())
+            predicted = checker.clifford_prediction(e, lam_h)
+            assert set(predicted.values()) == {mults[i]}, (ambient, e.family, lams[i])
+            if size == 0:
+                assert t.torus and (lam_a[i] @ t.coroots.T >= 2).any(), (ambient, e.family, lams[i])
+            else:
+                assert size == len(predicted), (ambient, e.family, lams[i])
+                dims = charcalc.product_weyl_dims(e.factor_systems, [*predicted, lam_h])
+                total = sum(m * d for m, d in zip(predicted.values(), dims))
+                assert total == size * mults[i] * dims[-1], (ambient, e.family, lams[i])
+        checks += len(sizes)
     assert checks == 1567
 
 

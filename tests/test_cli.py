@@ -387,6 +387,16 @@ def test_scan_refuses_a_large_group_with_no_h_route_shape(capsys, monkeypatch):
     assert err == "error: component group of c1:sub=Dn on B3: more than 1 elements\n"
 
 
+def test_branch_refuses_a_component_orbit_past_the_cap(capsys, monkeypatch):
+    # R(1, ..., 1) on C12 c2:l=1,t=12 puts a distinct weight on each of the
+    # twelve A1 blocks, so its component orbit has 12! elements: the orbit
+    # search stops once it passes the cap, with exit 2 and one error record
+    monkeypatch.setenv("WEYLBRANCH_CAP", "1000")
+    code, out, err = run(capsys, "branch", "C", "12", ",".join(["1"] * 12), "c2:l=1,t=12")
+    assert code == 2 and out == ""
+    assert err == "error: component orbit of c2:l=1,t=12 on C12: more than 1000 elements\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "B", "3", "c1:Dn", "--bound", "-1"),
     ("verify", "shipped:all", "--rank-cap", "4", "--pattern-bound", "-1"),

@@ -15,9 +15,9 @@ import chain_oracle
 from test_acceptance import kappa_of
 from test_checker import full_restricted_multiset
 from test_rootsys import fundamental_weight
-from weylbranch import embeddings, kernels
-from weylbranch.charcalc import freudenthal
-from weylbranch.checker import clifford_prediction, dominant_weights_bounded
+from weylbranch import checker, embeddings, kernels
+from weylbranch.charcalc import Characteristic, freudenthal
+from weylbranch.checker import clifford_prediction, dominant_weights_bounded, scan_candidates
 from weylbranch.embeddings import (
     FAMILY_TAGS,
     _swap,
@@ -528,16 +528,13 @@ def test_component_orbit_matches_oracle():
     assert checks == 3164
 
 
-def _orbit_blocks(e, weights):
-    """``component_orbits`` of one block as (each weight's orbit rows, chunk sizes)."""
-    orbits, chunks = [], []
-    for orbit, sizes in component_orbits(e, np.array(weights, dtype=np.int64)):
-        assert orbit.dtype == np.int64 and orbit.shape == (sizes.sum(), e.width)
-        rows = orbit.tolist()
-        for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
-            orbits.append([tuple(c) for c in rows[end - size:end]])
-        chunks.append(sizes.tolist())
-    return orbits, chunks
+def _orbit_block(e, weights):
+    """``component_orbits`` of one block as (each weight's orbit rows, their sizes)."""
+    orbit, sizes = component_orbits(e, np.array(weights, dtype=np.int64))
+    assert orbit.dtype == np.int64 and orbit.shape == (sizes.sum(), e.width)
+    rows = orbit.tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [[tuple(c) for c in rows[end - size:end]] for end, size in zip(ends, sizes.tolist())], sizes.tolist()
 
 
 def _whole_group(e):
@@ -553,28 +550,51 @@ def test_component_orbits_match_oracle():
     for e, weights in ORACLE_WEIGHTS:
         if not _whole_group(e):
             with pytest.raises(kernels.KernelCapacityError, match="more than 512 elements"):
-                _orbit_blocks(e, weights)
+                _orbit_block(e, weights)
             refused += 1
             continue
-        orbits, chunks = _orbit_blocks(e, weights)
+        orbits, sizes = _orbit_block(e, weights)
         assert orbits == [component_orbit_oracle(e, w) for w in weights], (e.ambient, e.family)
-        assert [len(c) for c in orbits] == [n for sizes in chunks for n in sizes]
+        assert [len(c) for c in orbits] == sizes
         checks += len(weights)
     assert checks == 2798 and refused == 11
 
 
-def test_component_orbit_chunks_hold_whole_group_images():
-    # a chunk holds at most ORBIT_CHUNK_ROWS // |A| weights, one at least,
-    # and where the chunks end changes no orbit
-    e = build_embedding(LieType("C", 5), geom_family("c2", l=1, t=5))
+def test_component_orbit_chunks_hold_whole_group_images(monkeypatch):
+    # a scan hands ``component_orbits`` blocks of at most
+    # ORBIT_CHUNK_ROWS // |A| candidates, one at least, and where the
+    # blocks end changes no orbit and no verdict
+    ambient = LieType("C", 5)
+    e = build_embedding(ambient, geom_family("c2", l=1, t=5))
     weights = [restrict_weight(e, lam) for lam in dominant_weights_bounded(5, 3)]
     expected = [component_orbit_oracle(e, w) for w in weights]
+    verdicts = scan_candidates(ambient, e, Characteristic(0), 3)
     assert len(embeddings.component_group(e)[0]) == 120 and len(weights) == 55
+    blocks = []
+
+    def record(e, rows):
+        blocks.append(_orbit_block(e, rows)[0])
+        return component_orbits(e, rows)
+
+    monkeypatch.setattr(checker, "component_orbits", record)
     for rows, most in ((1 << 13, 55), (1000, 8), (1, 1)):
+        blocks.clear()
         with pytest.MonkeyPatch.context() as m:
             m.setattr(embeddings, "ORBIT_CHUNK_ROWS", rows)
-            orbits, chunks = _orbit_blocks(e, weights)
-        assert orbits == expected and max(map(len, chunks)) == most
+            assert scan_candidates(ambient, e, Characteristic(0), 3) == verdicts
+        assert [orbit for block in blocks for orbit in block] == expected and max(map(len, blocks)) == most
+
+
+def test_component_orbit_set_refuses_an_orbit_past_the_cap(monkeypatch):
+    # five distinct A1 weights make an orbit of 5! under S_5: the cap admits
+    # it whole and refuses it one element lower
+    e = build_embedding(LieType("C", 5), geom_family("c2", l=1, t=5))
+    w = restrict_weight(e, (1, 1, 1, 1, 1))
+    monkeypatch.setenv("WEYLBRANCH_CAP", "120")
+    assert len(component_orbit_set(e, w)) == 120
+    monkeypatch.setenv("WEYLBRANCH_CAP", "119")
+    with pytest.raises(kernels.KernelCapacityError, match="^component orbit of c2:l=1,t=5 on C5: more than 119 elements$"):
+        component_orbit_set(e, w)
 
 
 def test_generators_are_involutions():
@@ -737,10 +757,10 @@ def test_embed_refuses_generators_that_share_a_coordinate():
 def test_component_orbits_refuse_coordinates_past_their_keys():
     e = build_embedding(LieType("D", 4), geom_family("c2", kind="Dl", l=1, t=4))
     last = (1 << 60) - 1
-    orbits, _ = _orbit_blocks(e, [(last, 0, 0, 0)])
+    orbits, _ = _orbit_block(e, [(last, 0, 0, 0)])
     assert orbits == [component_orbit_oracle(e, (last, 0, 0, 0))]
     with pytest.raises(kernels.KernelCapacityError, match="2\\*\\*60"):
-        _orbit_blocks(e, [(0, 0, 0, 0), (1 << 60, 0, 0, 0)])
+        _orbit_block(e, [(0, 0, 0, 0), (1 << 60, 0, 0, 0)])
 
 
 def test_instance_counts():

@@ -41,10 +41,10 @@ def test_no_numba_import():
 
 # the Clifford prediction is the one place the checker reads the component
 # orbit or the central multiplicities, made for one weight, or for a scan
-# as its chunks of component orbits and its one m per candidate; every
-# verdict reads its result
+# as the component orbits of a block on the whole group's route and its one
+# m per candidate; every verdict reads its result
 CLIFFORD_INPUTS = {"component_orbit_set", "component_orbits", "central_multiplicity"}
-PREDICTIONS = {"clifford_prediction", "_walked_blocks", "_multiplicities"}
+PREDICTIONS = {"clifford_prediction", "_whole_group_above", "_multiplicities"}
 
 
 def test_clifford_inputs_read_only_in_prediction():
@@ -91,7 +91,9 @@ def _checker_reach(root):
 
 def test_scan_path_calls_no_scalar_restriction_or_orbit_search():
     reached, calls = _checker_reach("scan_candidates")
-    assert {"_geometry", "_screen", "_walked_blocks", "_multiplicities", "_branch_p0"} <= reached
+    # each route's count of orbit elements, and the one helper that reads it
+    assert {"_whole_group_above", "_key_match", "_h_above", "_torus_above", "_geometry"} <= reached
+    assert {"_screen", "_multiplicities", "_branch_p0"} <= reached
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
 
@@ -101,7 +103,7 @@ def test_verify_path_calls_no_scalar_restriction_or_orbit_search():
     # the public necessary_filters, which would validate lam and look the
     # record up a second time
     reached, calls = _checker_reach("verify_entry")
-    assert {"_entry_record", "_entry_findings", "_geometry", "_screen", "_branch_p0"} <= reached
+    assert {"_entry_record", "_entry_findings", "_key_match", "_geometry", "_screen", "_branch_p0"} <= reached
     assert "necessary_filters" not in reached
     assert not [call for call in calls if call[1] in SCAN_PATH_EXCLUDED]
 
@@ -328,7 +330,7 @@ def test_per_root_data_derived_only_in_rootsys():
 
 
 # caches keyed on a root system alone: one entry per Lie type in use
-PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_diagram_chains", "_chain_blocks", "_coset_stages"}
+PER_ROOT_SYSTEM_CACHES = {"build_root_system", "_chain_blocks", "_coset_stages"}
 
 
 def _caches(tree):
