@@ -42,17 +42,19 @@ are applied whole, |A| rows per candidate: ``embeddings.component_orbits``
 makes the block's orbits in one array step, and one rows x chains match of
 packed residues and charges (``_key_match``) finds the (orbit element,
 chain) pairs to test; a weight too large for exact int64 arithmetic raises
-KernelCapacityError.  Where H = N_G(T) (``_ChainTable.torus``: A_n as
-n + 1 lines, D_n as n planes) the scan walks no component orbit and matches
-no key, one row per chain: there R is one to one and the component group
-acts on it as W, so the component orbit of R lam is R(W lam); H^0 has no
+KernelCapacityError.  Where H^0 has no roots (``_ChainTable.torus``), the
+families make H = N_G(T) (A_n as n + 1 lines, D_n as n planes), and the
+scan walks no component orbit and matches no key, one row per chain: there
+R is one to one and the component group acts on it as W, so the component
+orbit of R lam is R(W lam); H^0 has no
 roots, so R(lam - beta) lies under an orbit element exactly when
 lam - beta is in W lam, that is, exactly when <lam, beta-coroot> = 1,
 since a W-orbit lies on one sphere and
 |lam - beta|^2 = |lam|^2 - (<lam, beta-coroot> - 1) |beta|^2; |W : W_lam|
 is the orbit size.  Where the component group is a wreath product past the
-whole-group order (``_h_table``: S_t on t equal blocks, with their flips),
-the h invariant decides with no orbit walked: an orbit element over
+whole-group order (``_h_table``: S_t on t equal blocks, with their flips,
+as the c2 and c4ii builders state it in ``Embedding.wreath``), the h
+invariant decides with no orbit walked: an orbit element over
 R(lam - beta) is R(lam - beta) + kappa, kappa in Q+(H^0) of height
 h(R beta), and at most C(h(R beta) + ss - 1, ss - 1) of those rows are
 tested against the canonical block form of R lam (``embeddings.Wreath``),
@@ -71,7 +73,10 @@ m = 1 (see ``_branch_p0``); the rest are branched, on any route after one
 ``component_orbit_set`` search.
 
 The embedding is the one handle on (G, H) and, hashed by identity, the key of
-every cache here; a public call that also takes G refuses any other G.
+every cache here; a public call that also takes G refuses any other G.  What
+the checker knows of the component group's shape (a maximal torus, a stated
+wreath product) comes from the family, and no function here reads the
+generators: only ``embeddings`` applies them.
 """
 
 from __future__ import annotations
@@ -290,8 +295,7 @@ class _FactorBlocks(NamedTuple):
 
     scale: np.ndarray  # width x ss: a restricted weight -> its scaled factor root coordinates
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
-    positive: np.ndarray  # the positive roots of H^0 as rows over the width, charges zero
-    positive_set: frozenset  # the same rows as tuples
+    positive: frozenset  # the positive roots of H^0 as row tuples over the width, charges zero
 
 
 CHAIN_TABLE_CACHE_SIZE = 1024
@@ -314,8 +318,7 @@ def _factor_blocks(factors, width):
         positive.append(rows)
         off += frs.rank
     inv_den = np.array([frs.inv_den for frs in systems for _ in range(frs.rank)], dtype=np.int64)
-    positive = np.concatenate(positive)
-    return _FactorBlocks(_frozen(scale), _frozen(inv_den), _frozen(positive), frozenset(map(tuple, positive.tolist())))
+    return _FactorBlocks(_frozen(scale), _frozen(inv_den), frozenset(map(tuple, np.concatenate(positive).tolist())))
 
 
 class _ChainTable(NamedTuple):
@@ -330,8 +333,8 @@ class _ChainTable(NamedTuple):
     inv_den: np.ndarray  # per semisimple coordinate: its factor's inv_den
     heights: np.ndarray  # per chain: h(R beta), or -1 where that is no non-negative integer
     limit: int  # sum |lam_i| below this keeps every int64 value of a call exact
-    borel: bool  # the highest weight vector of V is B_H-highest, and the component group keeps B_H
-    torus: bool  # H = N_G(T): the component group is R W R^-1 on a maximal torus H^0, and m = 1
+    borel: bool  # the highest weight vector of V is B_H-highest (the component group keeps B_H)
+    torus: bool  # H = N_G(T): H^0 is a maximal torus, and the component group is R W R^-1 on it
 
 
 @functools.lru_cache(maxsize=CHAIN_TABLE_CACHE_SIZE)
@@ -344,13 +347,14 @@ def _chain_table(e: Embedding):
     orbit (the generators exchange equal factors, flip A and D diagrams and
     move charges), so an orbit element over R(lam - beta) lies h(R beta)
     factor simple roots above it: ``heights``.  ``borel``: no positive
-    root of G restricts to a negative root of H^0 (zero charges), and every
-    generator keeps H^0's positive roots positive.
-    ``torus``: H^0 has no roots, no central 2-part makes m exceed 1, and
-    each generator acts on R's rows as one simple reflection s_i of G, every
-    s_i among them, which makes R of rank n (``_acts_as_weyl_group``).  A
-    word in the generators then takes R lam to R(w lam), w the same word in
-    the s_i, so the component orbit of R lam is R(W lam), one to one.
+    root of G restricts to a negative root of H^0 (zero charges); every
+    generator keeps H^0's positive roots positive by construction, since it
+    exchanges equal factors, flips A and D diagrams and moves charges.
+    ``torus``: H^0 has no roots.  The families make such an H only as
+    N_G(T) (A_n as n + 1 lines, D_n as n planes), with no central 2-part,
+    so m = 1 and H/H^0 = W: the component group acts on the charges as W
+    does on the epsilon-coordinates, R is one to one, and the component
+    orbit of R lam is R(W lam).
     The packed keys of the filters' match are ``_key_table``'s, built only
     where ``_key_match`` runs: a torus scan reads none.
     """
@@ -378,11 +382,6 @@ def _chain_table(e: Embedding):
         terms * 2 * e.width * int(np.abs(e.restriction).max()) * max(int(np.abs(h.scale).max(initial=0)), 1),
     )
     offset = terms * int(np.abs(scaled_images).max(initial=0))
-    # each generator is one index-and-sign step on the rows of H^0's positive roots
-    borel = not len(h.positive) or (
-        h.positive_set.isdisjoint(map(tuple, (-(e.root_system.root_weight_block @ e.restriction)).tolist()))
-        and all(set(map(tuple, (h.positive[:, idx] * sgn).tolist())) <= h.positive_set for idx, sgn in e.generators)
-    )
     return _ChainTable(
         labels=labels,
         coroots=coroots,
@@ -395,8 +394,8 @@ def _chain_table(e: Embedding):
         inv_den=h.inv_den,
         heights=_frozen(np.where((num >= 0) & (num % den == 0), num // den, -1)),
         limit=((1 << 63) - 1 - offset) // growth,
-        borel=borel,
-        torus=ss == 0 and not e.central2 and _acts_as_weyl_group(e),
+        borel=h.positive.isdisjoint(map(tuple, (-(e.root_system.root_weight_block @ e.restriction)).tolist())),
+        torus=ss == 0,
     )
 
 
@@ -417,31 +416,6 @@ def _key_table(e: Embedding):
     key_weights = kernels._key_weights(e.width, 2 * max(int(t.inv_den.max(initial=1)) - 1, charge_bound) + 1)
     keys = np.concatenate((-t.scaled_images % t.inv_den, -t.images[:, ss:]), axis=1) @ key_weights
     return _KeyTable(key_weights, charge_bound, keys)
-
-
-def _acts_as_weyl_group(e: Embedding):
-    """Whether each generator g acts on R's rows as one simple reflection
-    s_i of G (g R = s_i R, s_i on weight rows), every s_i among them.
-
-    s_i takes lam to lam - lam_i alpha_i, so s_i R differs from R only in
-    row i, the image of omega_i, by the image of alpha_i.  R then has rank
-    n: its kernel is stable under every s_i, so under W, which acts
-    irreducibly on the weights of a simple G, and it is not everything,
-    since each alpha_i has a non-zero image.
-    """
-    n = e.root_system.rank
-    if len(e.generators) < n:
-        return False
-    idx, sgn = (np.array(a, dtype=np.int64) for a in zip(*e.generators))
-    diff = e.restriction[:, None, :] - e.restriction[:, idx] * sgn  # rows x generators x width
-    moved = diff.any(axis=2)
-    row = moved.argmax(axis=0)  # per generator: the first row it moves
-    images = np.array(e.simple_root_images, dtype=np.int64)
-    return bool(
-        (moved.sum(axis=0) == 1).all()
-        and (diff[row, np.arange(len(row))] == images[row]).all()
-        and len(set(row.tolist())) == n
-    )
 
 
 def _exact_chain_table(e: Embedding, lam):
@@ -621,13 +595,8 @@ def _entry_findings(e: Embedding, lam, record: _EntryRecord, chi: Characteristic
             "h_mu": sum(mu_h[:ss]),
             "h_lam": sum(lam_h[:ss]),
         }
-        if e.family.tag == "c4ii":
-            ident = tuple(range(len(e.factors)))
-            try:
-                ell, _ = ell_value(e, mu_h, lam_h, ident)
-                finding["ell"] = str(ell)
-            except ValueError:
-                pass
+        if e.family.tag == "c4ii":  # mu_h - lam_h = -R beta lies in H^0's root lattice
+            finding["ell"] = str(ell_value(e, mu_h, lam_h, tuple(range(len(e.factors))))[0])
         findings.append(finding)
     over = np.flatnonzero(s.exceeded[0])
     for mu_h, g in sorted(zip((lam_h_a[0] - t.images[t.lead[over]]).tolist(), over.tolist())):
@@ -808,9 +777,8 @@ def _whole_group_above(e: Embedding, t: _ChainTable, lam_h_a):
 
 class _HTable(NamedTuple):
     """What the h route reads of an embedding whose component group is a
-    ``Wreath`` past ``embeddings.WHOLE_GROUP_ORDER``."""
+    stated ``Wreath`` past ``embeddings.WHOLE_GROUP_ORDER``."""
 
-    wreath: embeddings.Wreath
     shifts: np.ndarray  # rows x width: kappa - R beta per chain, one row per kappa in Q+(H^0) of height h(R beta)
     chains: np.ndarray  # per shift row: its chain
 
@@ -823,15 +791,9 @@ def _h_table(e: Embedding):
     element c lies over mu_h = R(lam - beta) exactly when c = mu_h + kappa,
     kappa in Q+(H^0) of height h(R beta), with no charge: at most
     C(h(R beta) + ss - 1, ss - 1) weights per chain, whatever the orbit
-    size, and none where h(R beta) is no non-negative integer.  A wreath
-    product of t blocks has at most t! 2^t elements, so only past the
-    whole-group order is its shape read off the generators.
+    size, and none where h(R beta) is no non-negative integer.
     """
-    t_blocks = len(e.factor_groups)
-    if math.factorial(t_blocks) << t_blocks <= embeddings.WHOLE_GROUP_ORDER:
-        return None
-    wreath = embeddings.wreath_shape(e)
-    if wreath is None or wreath.order <= embeddings.WHOLE_GROUP_ORDER:
+    if e.wreath is None or e.wreath.order <= embeddings.WHOLE_GROUP_ORDER:
         return None
     t = _chain_table(e)
     ss = e.semisimple_rank
@@ -845,7 +807,7 @@ def _h_table(e: Embedding):
         for chain in np.flatnonzero(t.heights == k).tolist():
             shifts.append(kappa - t.images[chain])
             chains.append(np.full(len(kappa), chain, dtype=np.intp))
-    return _HTable(wreath, _frozen(np.concatenate(shifts)), _frozen(np.concatenate(chains)))
+    return _HTable(_frozen(np.concatenate(shifts)), _frozen(np.concatenate(chains)))
 
 
 def _h_above(e: Embedding, t: _ChainTable, h: _HTable, lam_h_a):
@@ -855,9 +817,9 @@ def _h_above(e: Embedding, t: _ChainTable, h: _HTable, lam_h_a):
     Each orbit size is read off the canonical block form."""
     n, k = len(lam_h_a), len(t.labels)
     c = (lam_h_a[:, None, :] + h.shifts).reshape(-1, e.width)
-    canon = h.wreath.canonical(np.concatenate((lam_h_a, c)))
+    canon = e.wreath.canonical(np.concatenate((lam_h_a, c)))
     cand, row = np.nonzero((canon[n:].reshape(n, len(h.shifts), canon.shape[1]) == canon[:n, None]).all(axis=2))
-    return np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k), h.wreath.orbit_sizes(lam_h_a)
+    return np.bincount(cand * k + h.chains[row], minlength=n * k).reshape(n, k), e.wreath.orbit_sizes(lam_h_a)
 
 
 def _torus_above(e: Embedding, t: _ChainTable, lam_a, pair):

@@ -13,7 +13,9 @@ product (c4), or a classical form (c6).  A family states two things:
   coordinates: block swaps of equal factors, diagram flips of A and D
   factors, and permutations and sign changes of the charges.  A generator is
   an (index tuple, sign tuple) pair (idx, sgn) acting by
-  w -> (sgn[i] * w[idx[i]])_i.
+  w -> (sgn[i] * w[idx[i]])_i.  The c2 and c4ii families state theirs as
+  a wreath product, S_t on t equal blocks with their flips (``_wreath``),
+  and the embedding keeps that statement as a ``Wreath``.
 
 ``_embed`` alone turns an assignment into the integer restriction matrix R.
 The epsilon model of ``rootsys`` gives the doubled epsilon-rows of the ambient
@@ -102,6 +104,7 @@ class Embedding:
     generators: tuple  # component group: (index tuple, sign tuple) pairs
     existence: str = "any"  # p-condition for H to exist and be maximal
     central2: bool = False  # central 2^{t-1} elementary abelian part present
+    wreath: Wreath | None = None  # the component group as its builder states it, where it is S_t on t blocks
 
     def __post_init__(self):
         self.factor_ranks = tuple(t.rank for t in self.factors)
@@ -140,6 +143,10 @@ def restrict_weight(e: Embedding, w):
     return tuple(np.array(w, dtype=object) @ e.restriction)
 
 
+def _past_limit(e: Embedding, what, limit):
+    return kernels.KernelCapacityError(f"{what} of {e.family} on {e.ambient}: more than {limit} elements")
+
+
 def _closure(e: Embedding, start, limit, what):
     """Every doubled tuple that ``e.doubled_getters`` reach from ``start``,
     breadth first; past ``limit`` of them it raises ``KernelCapacityError``."""
@@ -149,7 +156,7 @@ def _closure(e: Embedding, start, limit, what):
         frontier = {g(w) for w in frontier for g in getters} - seen
         seen |= frontier
         if len(seen) > limit:
-            raise kernels.KernelCapacityError(f"{what} of {e.family} on {e.ambient}: more than {limit} elements")
+            raise _past_limit(e, what, limit)
     return seen
 
 
@@ -159,15 +166,21 @@ def component_orbit_set(e: Embedding, hw):
     A breadth-first search over doubled weights (w, -w), in which a sign
     change is an index shift: each generator is one ``itemgetter`` lookup
     per element, from ``e.doubled_getters``.  An orbit past ``orbit_cap()``
-    elements raises ``KernelCapacityError``.  This is the walk for one
-    weight (``checker.clifford_prediction``: an entry, ``branch_p0``, and a
-    scan survivor on any route that needs a branching): on the small
-    orbits of ``scan_p0``'s weights it takes 2-7 us, where
-    ``component_orbits``, the whole group applied to a block of weights,
-    takes 25-35 us, since each of its array steps has a fixed cost.
+    elements raises ``KernelCapacityError``; where e states a wreath
+    product of more elements than that, its size is read off
+    ``Wreath.orbit_sizes`` first, so a larger orbit is refused before any
+    element is made.  This is the walk for one weight
+    (``checker.clifford_prediction``: an entry, ``branch_p0``, and a scan
+    survivor on any route that needs a branching): on the small orbits of
+    ``scan_p0``'s weights it takes 2-7 us, where ``component_orbits``, the
+    whole group applied to a block of weights, takes 25-35 us, since each
+    of its array steps has a fixed cost.
     """
     n = len(hw)
-    seen = _closure(e, tuple(hw) + tuple(-c for c in hw), kernels.orbit_cap(), "component orbit")
+    cap = kernels.orbit_cap()
+    if e.wreath is not None and e.wreath.order > cap and e.wreath.orbit_sizes(np.array([hw], dtype=np.int64))[0] > cap:
+        raise _past_limit(e, "component orbit", cap)
+    seen = _closure(e, tuple(hw) + tuple(-c for c in hw), cap, "component orbit")
     return sorted(w[:n] for w in seen)
 
 
@@ -236,7 +249,8 @@ def component_orbits(e: Embedding, rows):
 class Wreath(NamedTuple):
     """A component group that permutes t equal blocks of coordinates in
     every way, and flips them by one diagram flip: any of them, an even
-    number of them, or none."""
+    number of them, or none.  The c2 and c4ii builders state it, as
+    ``Embedding.wreath``, along with the generators (``_wreath``)."""
 
     blocks: np.ndarray  # t x b: the coordinates of each block, in order
     flip: tuple  # (index row, sign row) within a block: its flip; None where none
@@ -260,7 +274,8 @@ class Wreath(NamedTuple):
         """Per weight row, its orbit size: the distinct arrangements of its
         blocks, up to flips, times the flip patterns of the blocks that a
         flip moves (half of them where only even flips are allowed and no
-        block is fixed)."""
+        block is fixed).  The sizes are Python ints in an object array,
+        since t! passes int64 from t = 21."""
         keys, _, fixed = self._block_keys(rows)
         t = len(self.blocks)
         sizes = []
@@ -270,7 +285,7 @@ class Wreath(NamedTuple):
                 size //= math.factorial(len(list(run)))
             moved = t - sum(fix)  # every block is fixed where there is no flip
             sizes.append(size << (moved - (self.even and moved == t)))
-        return np.array(sizes, dtype=np.int64)
+        return np.array(sizes, dtype=object)
 
     def _block_keys(self, rows):
         """(block keys, flipped, fixed), each weights x blocks: a block's
@@ -286,55 +301,6 @@ class Wreath(NamedTuple):
         idx, sgn = self.flip
         flipped = (blocks[:, :, idx] * sgn) @ kw[:, 0]
         return np.minimum(keys, flipped), flipped < keys, flipped == keys
-
-
-@functools.lru_cache(maxsize=COMPONENT_GROUP_CACHE_SIZE)
-def wreath_shape(e: Embedding):
-    """e's component group as a ``Wreath``, read off its generators, or None.
-
-    The blocks are the original factors' coordinates, each followed by its
-    own charge where there is one charge per factor.  Every generator must
-    either exchange two blocks, coordinate by coordinate, or keep every
-    block and apply one common flip to some of them; the exchanges must
-    connect all t >= 2 blocks, so they generate S_t, and the flip patterns
-    must each flip one block (all patterns) or each two (the even ones,
-    S_t moving a pair of flips onto any other pair).
-    """
-    t = len(e.factor_groups)
-    if t < 2 or e.torus_rank not in (0, t) or len({tuple(e.factors[m] for m in g) for g in e.factor_groups}) > 1:
-        return None
-    blocks = np.array([
-        [c for m in grp for c in range(e.factor_offsets[m], e.factor_offsets[m] + e.factor_ranks[m])]
-        + ([e.semisimple_rank + f] if e.torus_rank else [])
-        for f, grp in enumerate(e.factor_groups)
-    ], dtype=np.intp)
-    block_of, place = np.empty(e.width, dtype=np.intp), np.empty(e.width, dtype=np.intp)
-    block_of[blocks] = np.arange(t)[:, None]
-    place[blocks] = np.arange(blocks.shape[1])
-    same = (tuple(range(blocks.shape[1])), (1,) * blocks.shape[1])
-    label, flips, weights = list(range(t)), set(), set()
-    for idx, sgn in e.generators:
-        src = np.array(idx)[blocks]  # per block position: the coordinate it reads
-        sources = block_of[src]
-        if (sources != sources[:, :1]).any():
-            return None
-        # per block: the positions it reads within its source, and their signs
-        moves = [(tuple(p), tuple(s)) for p, s in zip(place[src].tolist(), np.array(sgn)[blocks].tolist())]
-        moved = np.flatnonzero(sources[:, 0] != np.arange(t)).tolist()
-        if moved:  # an exchange of two blocks, coordinate by coordinate
-            if len(moved) != 2 or set(moves) != {same}:
-                return None
-            a, b = label[moved[0]], label[moved[1]]
-            label = [a if x == b else x for x in label]
-        else:
-            flips |= set(moves) - {same}
-            weights.add(sum(m != same for m in moves))
-    weights.discard(0)
-    if len(set(label)) > 1 or len(flips) > 1 or len(weights) > 1 or not weights <= {1, 2}:
-        return None
-    flip = tuple(np.array(a, dtype=np.intp) for a in flips.pop()) if flips else None
-    even = weights == {2}
-    return Wreath(_frozen(blocks), flip, even, math.factorial(t) << (t - even if weights else 0))
 
 
 def central_multiplicity(e: Embedding, hw) -> int:
@@ -495,23 +461,58 @@ def _charge_swap(kinds, c, d, sign=1):
     return [(base + c, base + d, sign)]
 
 
-def _block_swaps(kinds, t, charged=False):
-    """The adjacent transpositions generating S_t on t equal factors."""
-    return [_swap(kinds, i, i + 1) + (_charge_swap(kinds, i, i + 1) if charged else []) for i in range(t - 1)]
+def _wreath(kinds, flips, charged=False):
+    """(generators, ``Wreath``) of S_t on the t equal original factors of
+    ``kinds``, stated once for both.
+
+    Block f holds factor f's coordinates, then its own charge where
+    ``charged`` (one charge per factor).  The generators are the adjacent
+    block exchanges, then the diagram flips that ``flips`` names: "none",
+    "even" (an even number of blocks at once, which S_t and the flip of
+    blocks 1 and 2 together generate) or "each" (one generator per block).
+    """
+    t, r = len(kinds), kinds[0][1]
+    gens = [_swap(kinds, f, f + 1) + (_charge_swap(kinds, f, f + 1) if charged else []) for f in range(t - 1)]
+    if flips == "even":
+        gens.append(_flip(kinds, 0) + _flip(kinds, 1))
+    elif flips == "each":
+        gens += [_flip(kinds, f) for f in range(t)]
+    blocks = np.array([[*range(f * r, f * r + r), *([t * r + f] if charged else [])] for f in range(t)], dtype=np.intp)
+    # the first block starts at coordinate 0, so its flip's moves are block positions
+    flip = None if flips == "none" else tuple(
+        np.array(a, dtype=np.intp) for a in _signed_permutation(_flip(kinds, 0), blocks.shape[1])
+    )
+    patterns = {"none": 0, "even": t - 1, "each": t}[flips]  # the flip patterns, as a power of two
+    return gens, Wreath(_frozen(blocks), flip, flips == "even", math.factorial(t) << patterns)
+
+
+def _signed_permutation(moves, width):
+    """(index tuple, sign tuple) of the signed transpositions (i, j, s) of
+    ``width`` coordinates, meaning w'_i = s w_j and w'_j = s w_i (i == j
+    changes one sign).  The moves must touch disjoint coordinates, which
+    makes the result an involution; otherwise the model is wrong, and
+    ValueError is raised."""
+    idx, sgn = list(range(width)), [1] * width
+    moved = set()
+    for i, j, s in moves:
+        if moved & {i, j}:
+            raise ValueError(f"generator {moves} moves a coordinate twice")
+        moved |= {i, j}
+        idx[i], idx[j] = j, i
+        sgn[i] = sgn[j] = s
+    return tuple(idx), tuple(sgn)
 
 
 def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
-           existence="any", central2=False, simple_root_images=None):
+           existence="any", central2=False, simple_root_images=None, wreath=None):
     """The embedding of one family instance from its natural-module model.
 
     ``kinds`` lists the original factors as (family, rank).  ``eps[j]`` lists
     the (factor, epsilon-index, sign) terms of the j-th ambient epsilon-weight
     of W; ``charges[j]`` is charge_scale times its charge on each torus
-    coordinate.  Each generator is a list of signed transpositions (i, j, s)
-    of the restricted coordinates, meaning w'_i = s w_j and w'_j = s w_i
-    (i == j changes one sign).  The moves of one generator must touch
-    disjoint coordinates, which makes it an involution; otherwise the model
-    is wrong, and ValueError is raised.
+    coordinate.  Each generator is a list of signed transpositions of the
+    restricted coordinates (``_signed_permutation``).  ``wreath`` is the
+    ``Wreath`` that ``_wreath`` states along with the generators, if any.
     """
     factors, groups = _materialize(kinds)
     edims = [epsilon_width(fam, r) for fam, r in kinds]
@@ -526,18 +527,7 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
     rs = build_root_system(ambient)
     restriction = _factor_coords(kinds, rs.epsilon.weights @ np.array(assignment, dtype=np.int64))
     restriction.setflags(write=False)
-    width = restriction.shape[1]
-    generators = []
-    for moves in gens:
-        idx, sgn = list(range(width)), [1] * width
-        moved = set()
-        for i, j, s in moves:
-            if moved & {i, j}:
-                raise ValueError(f"generator {moves} of {family} on {ambient} moves a coordinate twice")
-            moved |= {i, j}
-            idx[i], idx[j] = j, i
-            sgn[i] = sgn[j] = s
-        generators.append((tuple(idx), tuple(sgn)))
+    generators = tuple(_signed_permutation(moves, restriction.shape[1]) for moves in gens)
     derived = tuple(map(tuple, (rs.cartan_np @ restriction).tolist()))
     images = derived if simple_root_images is None else tuple(map(tuple, simple_root_images))
     if images != derived:
@@ -551,9 +541,10 @@ def _embed(ambient, family, kinds, eps, gens, charges=None, charge_scale=1,
         restriction=restriction,
         simple_root_images=images,
         charge_scale=charge_scale,
-        generators=tuple(generators),
+        generators=generators,
         existence=existence,
         central2=central2,
+        wreath=wreath,
     )
 
 
@@ -633,11 +624,13 @@ def _build_c2(ambient, family):
     if fam == "A":
         # GL_{l+1}^t: the torus coordinate i carries the determinant of block
         # i, less its share of the trace
-        kinds = [("A", l)] * t if l else []
         charges = [tuple((n + 1) * (j // (l + 1) == i) - (l + 1) for i in range(t)) for j in range(n + 1)]
-        gens = [(_swap(kinds, i, i + 1) if l else []) + _charge_swap(kinds, i, i + 1) for i in range(t - 1)]
-        eps = _units(kinds) if l else [[]] * (n + 1)
-        return _embed(ambient, family, kinds, eps, gens, charges=charges, charge_scale=n + 1)
+        if not l:  # normalizer of a maximal torus: S_{n+1} on the n + 1 lines
+            gens = [_charge_swap([], i, i + 1) for i in range(t - 1)]
+            return _embed(ambient, family, [], [[]] * (n + 1), gens, charges=charges, charge_scale=n + 1)
+        kinds = [("A", l)] * t
+        gens, wreath = _wreath(kinds, "none", charged=True)
+        return _embed(ambient, family, kinds, _units(kinds), gens, charges=charges, charge_scale=n + 1, wreath=wreath)
     if fam == "B" or family.get("kind") == "Bl":
         # (2^{t-1} x B_l^t).S_t: each pair of summands spends 2l epsilons, and
         # its two zero weights make up one more epsilon that restricts to zero
@@ -646,17 +639,16 @@ def _build_c2(ambient, family):
         for j in range(n):
             q, r = divmod(j, 2 * l + 1)
             eps.append([(2 * q + r // l, r % l, 1)] if r < 2 * l else [])
-        return _embed(ambient, family, kinds, eps, _block_swaps(kinds, t), existence="p!=2", central2=True)
+        gens, wreath = _wreath(kinds, "none")
+        return _embed(ambient, family, kinds, eps, gens, existence="p!=2", central2=True, wreath=wreath)
     if fam == "D" and l == 1:
         # normalizer of a maximal torus: the charges are doubled epsilon-coordinates
         charges = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
         gens = [_charge_swap([], i, i + 1) for i in range(n - 1)] + [_charge_swap([], n - 2, n - 1, -1)]
         return _embed(ambient, family, [], [[]] * n, gens, charges=charges, charge_scale=2)
     kinds = [(fam, l)] * t
-    gens = _block_swaps(kinds, t)
-    if fam == "D":  # even numbers of D-flips: generated by the pairwise flip on factors 1, 2
-        gens.append(_flip(kinds, 0) + _flip(kinds, 1))
-    return _embed(ambient, family, kinds, _units(kinds), gens)
+    gens, wreath = _wreath(kinds, "even" if fam == "D" else "none")
+    return _embed(ambient, family, kinds, _units(kinds), gens, wreath=wreath)
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +697,8 @@ def _build_c4ii(ambient, family):
         [term for i in range(t) for term in digit(i, j // d ** i % d)]
         for j in range(n + 1 if fam == "A" else n)
     ]
-    gens = _block_swaps(kinds, t)
-    if factor == "D":
-        gens += [_flip(kinds, f) for f in range(t)]
-    return _embed(ambient, family, kinds, eps, gens, existence=existence)
+    gens, wreath = _wreath(kinds, "each" if factor == "D" else "none")
+    return _embed(ambient, family, kinds, eps, gens, existence=existence, wreath=wreath)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ ones by int64 keys, whose radix the largest coroot pairing of lam bounds.
 The Freudenthal recursion reads every pairing and norm of a table from two
 products with the root system's blocks, exact past int64 in object dtype,
 and walks the root strings over Python ints on weight tuples; the bounds are
-the ``maxdom`` cap on the size of a dominant table and the int64 range of its
-coordinates.  The per-root data they read is the table each ``RootSystem``
+``DEFAULT_MAXDOM``, the cap on the size of a dominant table, and the int64
+range of its coordinates.  The per-root data they read is the table each ``RootSystem``
 builds once (``root_weight_block``, ``form_block``, ``gram_block``,
 ``root_norms``).  Every dominant step, in the recursion, in the orbit kernel
 and in ``dominant_representative``, goes through the one helper
@@ -256,7 +256,7 @@ def _widened(rows, top):
 _SATURATE_BLOCK_ROWS = 1 << 16
 
 
-def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
+def dominant_table(rs, lam):
     """(weights, heights): the dominant weights under lam, highest first.
 
     heights[i] is the coefficient sum of lam - weights[i] over the simple
@@ -267,11 +267,11 @@ def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     with a negative coordinate, and keeps the rows whose int64 keys
     (``_key_weights``) are new.  Every coordinate of a dominant weight under
     lam is at most <lam, theta_s-coroot> (``rs.highest_coroot``), which
-    bounds the key radix.  More than ``maxdom`` weights raise, before any is
-    made when ``dominant_floor`` already passes ``maxdom``.
+    bounds the key radix.  More than ``DEFAULT_MAXDOM`` weights raise, before
+    any is made when ``dominant_floor`` already passes it.
     """
     lam = tuple(int(c) for c in lam)
-    if dominant_floor(rs, lam) > maxdom:
+    if dominant_floor(rs, lam) > DEFAULT_MAXDOM:
         raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): enumeration cap exceeded")
     bound = sum(a * c for a, c in zip(lam, rs.highest_coroot))
     if bound >= _ORBIT_COORD_LIMIT:
@@ -302,7 +302,7 @@ def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
         frontier = cand[new]
         rows.append(frontier)
         keys = both[first]
-        if len(keys) > maxdom:
+        if len(keys) > DEFAULT_MAXDOM:
             raise KernelCapacityError(f"saturate({rs.lie_type}, {lam}): enumeration cap exceeded")
     rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
     # inv_den times the heights of lam and of each row: every term is
@@ -313,7 +313,7 @@ def dominant_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     return list(map(tuple, rows[order].tolist())), heights[order].tolist()
 
 
-def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
+def freudenthal_table(rs, lam):
     """Dominant weights of the Weyl module W(lam) -> multiplicities.
 
     Freudenthal's recursion over the dominant table, highest weight first:
@@ -327,7 +327,7 @@ def freudenthal_table(rs, lam, maxdom=DEFAULT_MAXDOM):
     for a dominant mu under lam, and (mu, beta) <= |mu| |beta|), so they run
     in object dtype where that norm could leave int64.
     """
-    weights, _ = dominant_table(rs, lam, maxdom)
+    weights, _ = dominant_table(rs, lam)
     cartan = rs.cartan_support
     where = f"freudenthal({rs.lie_type}, {lam})"
     top_row = np.array(weights[0], dtype=object) + 1

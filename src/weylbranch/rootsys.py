@@ -42,7 +42,7 @@ FAMILIES = ("A", "B", "C", "D")
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 # positive roots x rank entries of the largest root system built; the same
-# bound as a dominant table's (``kernels.DEFAULT_MAXDOM``)
+# number as the cap on a dominant table's weights (``kernels.DEFAULT_MAXDOM``)
 MAX_ROOT_ENTRIES = 2_000_000
 
 

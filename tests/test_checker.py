@@ -736,9 +736,6 @@ def test_borel_flag():
     reflect[off, off:off + frs.rank] -= frs.cartan[0]
     mutated = dataclasses.replace(e, restriction=e.restriction @ reflect)
     assert not checker._chain_table(mutated).borel
-    # as does an added generator w -> -w, which takes every positive root to a negative one
-    negate = (tuple(range(e.width)), (-1,) * e.width)
-    assert not checker._chain_table(dataclasses.replace(e, generators=e.generators + (negate,))).borel
 
 
 def _torus_instances():
@@ -779,12 +776,27 @@ def _assert_torus_orbit(e, lam):
     return False
 
 
+def _simple_reflection_rows(e):
+    """Per generator g, the row i of R that g moves where g R = s_i R (s_i
+    on weight rows: only the image of omega_i changes, by the image of
+    alpha_i), or -1 where g acts as no simple reflection."""
+    images = np.array(e.simple_root_images, dtype=np.int64)
+    rows = []
+    for idx, sgn in e.generators:
+        diff = e.restriction - e.restriction[:, list(idx)] * np.array(sgn)
+        moved = np.flatnonzero(diff.any(axis=1))
+        rows.append(int(moved[0]) if len(moved) == 1 and (diff[moved[0]] == images[moved[0]]).all() else -1)
+    return rows
+
+
 def test_torus_flag_marks_the_maximal_torus_normalizers():
     # up to rank 12 the flag holds on exactly the 21 instances whose H^0 is
-    # a torus, N_G(T) of A_n as n + 1 lines and of D_n as n planes.  There
-    # the component group has |W(G)| elements and takes R lam to R(W lam):
-    # checked on every dominant lam with coefficient sum <= 2 whose orbit
-    # has at most TORUS_ORBIT_LIMIT elements
+    # a torus, N_G(T) of A_n as n + 1 lines and of D_n as n planes, none
+    # with a central 2-part.  There each generator acts on R's rows as one
+    # simple reflection of G, every one among them, the component group has
+    # |W(G)| elements, R has rank n and takes W lam onto the component orbit
+    # of R lam: checked on every dominant lam with coefficient sum <= 2
+    # whose orbit has at most TORUS_ORBIT_LIMIT elements
     from test_embeddings import INSTANCES_12
 
     torus = _torus_instances()
@@ -795,18 +807,12 @@ def test_torus_flag_marks_the_maximal_torus_normalizers():
     )
     compared = 0
     for e in torus:
+        assert not e.central2
+        assert sorted(_simple_reflection_rows(e)) == list(range(e.ambient.rank)), (e.ambient, e.family)
         assert chain_oracle.chain_order(e) == e.root_system.weyl_order()
         assert np.linalg.matrix_rank(e.restriction) == e.ambient.rank
         compared += sum(_assert_torus_orbit(e, lam) for lam in dominant_weights_bounded(e.ambient.rank, 2))
     assert compared == 453
-    # a generator that is no simple reflection, or a missing one, clears it
-    d4 = torus[12]
-    assert str(d4.ambient) == "D4" and checker._chain_table(d4).torus
-    for generators in (d4.generators[:-1], d4.generators[:-1] + (d4.generators[0],),
-                       d4.generators + ((tuple(range(4)), (-1,) * 4),)):
-        assert not checker._chain_table(dataclasses.replace(d4, generators=generators)).torus
-    # as does a central 2-part, which could make m exceed 1
-    assert not checker._chain_table(dataclasses.replace(d4, central2=True)).torus
 
 
 @settings(max_examples=60, deadline=None)
@@ -959,15 +965,14 @@ def test_every_instance_takes_one_route():
         route = _route(e)
         routes[route] += 1
         order = chain_oracle.chain_order(e)
-        # a wreath shape read off the generators has the oracle's order
-        wreath = embeddings.wreath_shape(e)
-        if wreath is not None:
-            assert wreath.order == order, (e.ambient, e.family)
+        # a stated wreath shape has the oracle's order
+        if e.wreath is not None:
+            assert e.wreath.order == order, (e.ambient, e.family)
             wreaths += 1
         if route == "whole":
             assert len(embeddings.component_group(e)[0]) == order <= embeddings.WHOLE_GROUP_ORDER, (e.ambient, e.family)
         elif route == "h":
-            assert checker._h_table(e).wreath.order == order > embeddings.WHOLE_GROUP_ORDER
+            assert e.wreath.order == order > embeddings.WHOLE_GROUP_ORDER
             with pytest.raises(kernels.KernelCapacityError, match="more than 512 elements"):
                 embeddings.component_group(e)
     assert routes == {"whole": 197, "torus": 21, "h": 14}
@@ -996,12 +1001,12 @@ def test_canonical_block_form_decides_orbit_membership():
             continue
         h = checker._h_table(e)
         lam_h_a = np.array(dominant_weights_bounded(e.ambient.rank, 3 if e.ambient.rank <= 8 else 2)) @ e.restriction
-        sizes = h.wreath.orbit_sizes(lam_h_a)
+        sizes = e.wreath.orbit_sizes(lam_h_a)
         for lam_h, size in zip(lam_h_a, sizes.tolist()):
             orbit = set(component_orbit_set(e, tuple(lam_h.tolist())))
             assert size == len(orbit), (e.ambient, e.family, lam_h)
             c = lam_h + h.shifts
-            canon = h.wreath.canonical(np.concatenate(([lam_h], c, np.array(sorted(orbit)))))
+            canon = e.wreath.canonical(np.concatenate(([lam_h], c, np.array(sorted(orbit)))))
             inside = (canon[1:] == canon[0]).all(axis=1).tolist()
             assert inside[:len(c)] == [tuple(w) in orbit for w in c.tolist()], (e.ambient, e.family, lam_h)
             assert all(inside[len(c):])
@@ -1012,7 +1017,7 @@ def test_canonical_block_form_decides_orbit_membership():
     # them): with none fixed by its flip, one flip leaves the orbit and two
     # stay in it; a fixed block absorbs the odd one
     e = build_embedding(LieType("D", 10), geom_family("c2", kind="Dl", l=2, t=5))
-    wreath = checker._h_table(e).wreath
+    wreath = e.wreath
     for x, flipped, inside in (
         ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (0, 1, 2, 0, 3, 0, 4, 0, 5, 0), False),
         ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (0, 1, 0, 2, 3, 0, 4, 0, 5, 0), True),
@@ -1024,14 +1029,57 @@ def test_canonical_block_form_decides_orbit_membership():
     assert wreath.orbit_sizes(np.array([(1, 0, 2, 0, 3, 0, 4, 0, 5, 0)])).tolist() == [5 * 4 * 3 * 2 << 4]
 
 
+def test_stated_wreaths_of_the_whole_group_route():
+    # the other 54 stated wreaths up to rank 12, whose groups are applied
+    # whole, against ``component_orbits`` at every candidate with
+    # coefficient sum <= 2: the orbit sizes agree, the canonical form is
+    # constant on each orbit, and it tells a candidate from another
+    # candidate, from its image under one block's flip and from itself with
+    # one coordinate raised by 1 exactly where they lie outside its orbit
+    from test_embeddings import INSTANCES_12
+
+    shapes = compared = outside = 0
+    for e in INSTANCES_12:
+        if e.wreath is None or _route(e) != "whole":
+            continue
+        shapes += 1
+        lam_h_a = np.array(dominant_weights_bounded(e.ambient.rank, 2), dtype=np.int64) @ e.restriction
+        n = len(lam_h_a)
+        orbit, sizes = embeddings.component_orbits(e, lam_h_a)
+        assert e.wreath.orbit_sizes(lam_h_a).tolist() == sizes.tolist(), (e.ambient, e.family)
+        raised = lam_h_a.copy()
+        raised[:, 0] += 1
+        others = [raised]
+        if e.wreath.flip is not None:
+            first = e.wreath.blocks[0]
+            flipped = lam_h_a.copy()
+            flipped[:, first] = lam_h_a[:, first[e.wreath.flip[0]]] * e.wreath.flip[1]
+            others.append(flipped)
+        canon = e.wreath.canonical(np.concatenate((lam_h_a, orbit, *others)))
+        assert (canon[n:n + len(orbit)] == np.repeat(canon[:n], sizes, axis=0)).all(), (e.ambient, e.family)
+        tested = canon[n + len(orbit):].reshape(len(others), n, -1)
+        ends = np.cumsum(sizes).tolist()
+        rows = orbit.tolist()
+        for i, (end, size) in enumerate(zip(ends, sizes.tolist())):
+            members = set(map(tuple, rows[end - size:end]))
+            weights = [tuple(w) for w in lam_h_a.tolist()] + [tuple(o[i].tolist()) for o in others]
+            found = (canon[:n] == canon[i]).all(axis=1).tolist() + [bool((t[i] == canon[i]).all()) for t in tested]
+            expected = [w in members for w in weights]
+            assert found == expected, (e.ambient, e.family, i)
+            compared += len(weights)
+            outside += expected.count(False)
+    assert (shapes, compared, outside) == (54, 155669, 152462)
+
+
 def test_wreath_with_every_flip():
-    # no instance up to rank 12 flips its blocks one at a time (the c4ii
-    # D_l wreaths start at D18): D10's five D2 blocks, with block 1's own
-    # flip in place of the pairwise one, make S_5 x 2^5
+    # no instance up to rank 12 flips its blocks one at a time: D10's five
+    # D2 blocks, stated with each block's own flip in place of the pairwise
+    # one, make S_5 x 2^5
     e = build_embedding(LieType("D", 10), geom_family("c2", kind="Dl", l=2, t=5))
-    one = (tuple([1, 0] + list(range(2, e.width))), (1,) * e.width)
-    f = dataclasses.replace(e, generators=e.generators[:-1] + (one,))
-    wreath = embeddings.wreath_shape(f)
+    kinds = [("D", 2)] * 5
+    gens, wreath = embeddings._wreath(kinds, "each")
+    f = embeddings._embed(e.ambient, e.family, kinds, embeddings._units(kinds), gens, wreath=wreath)
+    assert np.array_equal(f.restriction, e.restriction) and f.generators[:4] == e.generators[:4]
     assert wreath.order == chain_oracle.chain_order(f) == 120 << 5 and not wreath.even
     for x in ((1, 0, 2, 0, 3, 0, 4, 0, 5, 0), (1, 1, 2, 0, 2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 1, 0)):
         orbit = component_orbit_set(f, x)
@@ -1039,9 +1087,9 @@ def test_wreath_with_every_flip():
         outside = [x[:-1] + (x[-1] + 1,), x[:-2] + (x[-2] + 2, x[-1])]
         canon = wreath.canonical(np.array([x, *orbit, *outside]))
         assert (canon[1:] == canon[0]).all(axis=1).tolist() == [True] * len(orbit) + [False, False]
-    # a generator that flips one block and exchanges two others has no wreath shape
-    mixed = (tuple([1, 0, 4, 5, 2, 3] + list(range(6, e.width))), (1,) * e.width)
-    assert embeddings.wreath_shape(dataclasses.replace(e, generators=e.generators + (mixed,))) is None
+    # the c4ii D_l wreaths, which start at D18, state the same shape
+    g = build_embedding(LieType("D", 18), geom_family("c4ii", kind="Dl", l=3, t=2))
+    assert g.wreath.order == chain_oracle.chain_order(g) == 2 << 2 and not g.wreath.even
 
 
 def test_h_route_matches_the_chain_walk(monkeypatch):

@@ -397,6 +397,19 @@ def test_branch_refuses_a_component_orbit_past_the_cap(capsys, monkeypatch):
     assert err == "error: component orbit of c2:l=1,t=12 on C12: more than 1000 elements\n"
 
 
+def test_branch_refuses_a_wreath_orbit_before_walking_it(capsys, monkeypatch):
+    # at the default cap the stated wreath's orbit size, 12!, refuses the
+    # C12 orbit before the breadth-first walk makes any element
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.delenv("WEYLBRANCH_CAP", raising=False)
+    monkeypatch.setattr(embeddings, "_closure", refuse)
+    code, out, err = run(capsys, "branch", "C", "12", ",".join(["1"] * 12), "c2:l=1,t=12")
+    assert code == 2 and out == ""
+    assert err == "error: component orbit of c2:l=1,t=12 on C12: more than 1000000 elements\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "B", "3", "c1:Dn", "--bound", "-1"),
     ("verify", "shipped:all", "--rank-cap", "4", "--pattern-bound", "-1"),

@@ -430,6 +430,23 @@ def test_ell_value_checks_the_d_fork_in_pairs():
                 assert (scaled[-2] + scaled[-1]) % rs.inv_den == 0, w
 
 
+def test_ell_is_defined_on_every_chain_of_the_c4ii_instances():
+    # a c4ii finding of necessary_filters carries ell_value(e, R(lam - beta),
+    # R lam, identity), whose correction R(lam - beta) - R lam = -R beta lies
+    # in H^0's root lattice: defined on every diagram chain of every c4ii
+    # instance up to rank 12, so no finding drops its ell
+    instances = chains = 0
+    for e in INSTANCES_12:
+        if e.family.tag != "c4ii":
+            continue
+        zero, ident = (0,) * e.width, tuple(range(len(e.factors)))
+        for image in checker._chain_table(e).images.tolist():
+            ell_value(e, tuple(-c for c in image), zero, ident)
+            chains += 1
+        instances += 1
+    assert (instances, chains) == (7, 227)
+
+
 def test_format_h0_weight():
     e = build_embedding(LieType("B", 3), geom_family("c1", sub="DlB", l=1))
     assert format_h0_weight(e, (0, 1, 1)) == "w(1,2) | q=(1)"

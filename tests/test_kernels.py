@@ -215,13 +215,15 @@ def test_orbit_scales_with_the_weight():
             assert np.array_equal(kernels.weyl_orbit_array(rs, tuple(c * x for x in w)), c * out), (lie, c)
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     # a rank-9 table: the Python-int recursion has no width limit
     rs = build_root_system(LieType("D", 9))
     lam = (0, 1, 0, 0, 0, 0, 0, 0, 1)
     assert freudenthal(rs, lam).total_dim == weyl_dim(rs, lam)
-    with pytest.raises(kernels.KernelCapacityError):
-        kernels.dominant_table(rs, (2, 0, 0, 0, 0, 0, 0, 0, 0), maxdom=2)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "DEFAULT_MAXDOM", 2)
+        with pytest.raises(kernels.KernelCapacityError):
+            kernels.dominant_table(rs, (2, 0, 0, 0, 0, 0, 0, 0, 0))
     rs = build_root_system(LieType("B", 8))
     with pytest.raises(kernels.KernelCapacityError):
         kernels.weyl_orbit_array(rs, (1, 1, 1, 1, 1, 1, 1, 1), cap=10)

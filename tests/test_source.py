@@ -153,6 +153,15 @@ def test_table_build_does_no_per_weight_python_work():
     assert not found, found
 
 
+def test_checker_reads_no_generators():
+    # the families state their component groups' shapes (the torus flag,
+    # the wreath products, the flips that keep B_H): only embeddings reads
+    # the generators, so the checker derives no group fact from them
+    tree = ast.parse((SRC / "checker.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "generators"]
+    assert not found, found
+
+
 def test_embedding_is_the_checkers_handle_on_g_and_h():
     # the embedding names (G, H): the checker builds it only in entry_gate,
     # and no cache is keyed on an (ambient, family) pair to look it up again
